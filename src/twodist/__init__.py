@@ -44,7 +44,6 @@ from .polynomials import (
     IntPolynomial,
     det_poly_matrix,
     multiplicity_at,
-    refine,
     smallest_root_greater_than,
     squarefree_decomposition,
 )

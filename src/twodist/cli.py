@@ -2,9 +2,10 @@
 
 Subcommands: analyze, embed, decompose, batch, catalog, verify.
 
-Exit codes: 0 success; 2 parse error or unreadable input; 3 size limit;
-4 undecidable enclosure; 5 infeasible distance; 6 complete graph where a
-J-spherical operation was requested.
+Exit codes: 0 success; 2 parse error, unreadable input, bad filter or
+environment value; 3 size limit; 4 undecidable enclosure; 5 infeasible
+distance; 6 complete graph where a J-spherical operation was requested;
+7 geometric inconsistency.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ EXIT_SIZE = 3
 EXIT_UNDECIDABLE = 4
 EXIT_INFEASIBLE = 5
 EXIT_COMPLETE = 6
+EXIT_GEOMETRY = 7
 
 GRAPH6_HEADER = ">>graph6<<"
 
@@ -232,23 +234,23 @@ def _cmd_batch(args) -> int:
 
 def _parse_filter(expr: str, n: int) -> tuple[str, int | None]:
     key, _, raw = expr.partition("=")
-    key = key.strip()
+    key, raw = key.strip(), raw.strip()
     if key not in ("dim_e", "dim_s", "dim_j"):
         raise ValueError(f"unknown filter key {key!r}")
-    raw = raw.strip()
-    if raw == "n-1":
-        return key, n - 1
-    if raw == "n-2":
-        return key, n - 2
-    if raw == "n/2":
-        return key, n // 2 if n % 2 == 0 else None
-    return key, int(raw)
+    named = {"n-1": n - 1, "n-2": n - 2, "n/2": n // 2 if n % 2 == 0 else None}
+    return key, named[raw] if raw in named else int(raw)
 
 
 def _cmd_catalog(args) -> int:
     if args.max_n > 8:
         print("catalog supports max-n up to 8", file=sys.stderr)
         return EXIT_SIZE
+    if args.filter:
+        try:  # checked before the first graph is analysed
+            _parse_filter(args.filter, 1)
+        except ValueError as exc:
+            print(f"bad filter {args.filter!r}: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     for n in range(1, args.max_n + 1):
         for g in enumerate_graphs(n):
             rec = analysis_record(g)
@@ -360,7 +362,11 @@ def _apply_config(args) -> None:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    _apply_config(args)
+    try:
+        _apply_config(args)
+    except ValueError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     try:
         return _COMMANDS[args.command](args)
     except GraphFormatError as exc:
@@ -378,6 +384,9 @@ def main(argv=None) -> int:
     except CompleteGraphError as exc:
         print(f"complete graph: {exc}", file=sys.stderr)
         return EXIT_COMPLETE
+    except GeometricInconsistencyError as exc:
+        print(f"geometric inconsistency: {exc}", file=sys.stderr)
+        return EXIT_GEOMETRY
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_PARSE

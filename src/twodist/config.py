@@ -48,12 +48,14 @@ class Config:
     def from_env(cls) -> "Config":
         kwargs = {}
         max_n = os.environ.get("TWODIST_MAX_N")
-        if max_n is not None:
-            kwargs["max_n"] = int(max_n)
         tol = os.environ.get("TWODIST_TOL")
-        if tol is not None:
-            kwargs["dist_tol"] = float(tol)
-            kwargs["feas_slack"] = float(tol)
+        try:
+            if max_n is not None:
+                kwargs["max_n"] = int(max_n)
+            if tol is not None:
+                kwargs["dist_tol"] = kwargs["feas_slack"] = float(tol)
+        except ValueError as exc:
+            raise ValueError(f"TWODIST_MAX_N/TWODIST_TOL: {exc}") from None
         return cls(**kwargs)
 
 

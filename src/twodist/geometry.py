@@ -7,7 +7,9 @@ simplex) followed by an equidistant active-set polish, certified by the
 duality gap.  On top of those: the monotone enclosing-ball radius function
 of the long distance, its inverse by bisection, embeddings on the unit
 sphere with short distance sqrt(2), and the orthogonal join decomposition
-of such point sets with Type I / Type II classification.
+of such point sets with Type I / Type II classification.  The long
+distance beta* is obtained once, in ``invariants.profile``;
+``beta_star_numeric`` and ``jspherical_embedding`` read that cached value.
 """
 
 from __future__ import annotations
@@ -309,30 +311,26 @@ def solve_phi(g: Graph, r: float) -> float:
 
 def beta_star_numeric(g: Graph) -> float:
     """Long distance of the J-spherical representation (unit sphere, short
-    distance sqrt(2)).  Uses the exact value sqrt(2*tau1) when the
-    representation stays in the minimal dimension, bisection otherwise."""
+    distance sqrt(2)), read from the cached ``invariants.profile``: the
+    exact sqrt(2*tau1) when the representation stays in the minimal
+    dimension, the ``solve_phi`` bisection otherwise."""
     if is_complete(g):
         raise CompleteGraphError("complete graphs have no such representation")
-    r2 = invariants.circumradius_invariant(g)
-    if r2.is_half:
-        root, _ = invariants.tau1_mu(g)
-        return math.sqrt(2.0 * float(root))
-    return solve_phi(g, 1.0)
+    return invariants.profile(g).beta_star_squared.beta_star
 
 
 def jspherical_embedding(g: Graph) -> PointConfig:
     """Coordinates of the unit-sphere representation with short distance
-    sqrt(2): recentered at the enclosing-ball center and scaled onto the
-    sphere.  Its rank is the J-spherical representation dimension."""
+    sqrt(2) and long distance beta* from ``invariants.profile`` (an exact
+    value refined to width 1e-14): recentered at the enclosing-ball center
+    and scaled onto the sphere.  Its rank is the J-spherical dimension."""
     if is_complete(g):
         raise CompleteGraphError("complete graphs have no such representation")
-    cfg = get_config()
-    r2 = invariants.circumradius_invariant(g)
-    if r2.is_half:
-        root, _ = invariants.tau1_mu(g)
-        b = math.sqrt(2.0 * float(root.refined(Fraction(1, 10**14))))
+    beta = invariants.profile(g).beta_star_squared
+    if beta.exact is not None:
+        b = math.sqrt(float(beta.exact.refined(Fraction(1, 10**14))))
     else:
-        b = solve_phi(g, 1.0)
+        b = beta.beta_star
     config = realize(g, b, SQRT2)
     ball = min_enclosing_ball(config.points)
     if abs(ball.radius - 1.0) > 1e-6:
@@ -340,7 +338,7 @@ def jspherical_embedding(g: Graph) -> PointConfig:
             f"expected unit enclosing radius, got {ball.radius:.12g}"
         )
     pts = (config.points - ball.center) / ball.radius
-    return PointConfig(pts, SQRT2, b, config.rank, cfg.dist_tol)
+    return PointConfig(pts, SQRT2, b, config.rank, get_config().dist_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +346,8 @@ def jspherical_embedding(g: Graph) -> PointConfig:
 # ---------------------------------------------------------------------------
 
 
-def _affine_rank(points: np.ndarray, rtol: float) -> int:
-    centered = points - points.mean(axis=0)
-    svals = np.linalg.svd(centered, compute_uv=False)
+def _linear_rank(points: np.ndarray, rtol: float) -> int:
+    svals = np.linalg.svd(points, compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
         return 0
     return int((svals > rtol * svals[0]).sum())
@@ -443,7 +440,7 @@ def kuperberg_decompose(config: PointConfig) -> PointFactorization:
                 # a further decomposition exists in exact arithmetic.
                 flags.append(f"factor-{idx}-origin-on-affine-hull")
             factors.append((tuple(block), "II"))
-    rank = _affine_rank(pts, cfg.rank_rtol)
+    rank = _linear_rank(pts, cfg.rank_rtol)
     if n != rank + k:
         raise GeometricInconsistencyError(
             f"|S| = {n} but rank + #TypeI = {rank} + {k}"

@@ -75,11 +75,6 @@ class RSquared:
     def is_half(self) -> bool:
         return self.kind == HALF
 
-    def midpoint(self) -> float:
-        if self.kind == INFINITE:
-            return float("inf")
-        return float((self.lo + self.hi) / 2)
-
 
 @dataclass(frozen=True)
 class BetaStarSquared:
@@ -199,7 +194,8 @@ def feasible_interval(g: Graph) -> tuple[float, float]:
 
 @functools.lru_cache(maxsize=None)
 def profile(g: Graph) -> TwoDistanceProfile:
-    """Full invariant record of a graph."""
+    """Full invariant record of a graph, and the one place beta* is
+    obtained: exactly when r^2 = 1/2, by ``geometry.solve_phi`` otherwise."""
     n = g.n
     root, mu = tau1_mu(g)
     t0 = tau0(g)
@@ -221,7 +217,7 @@ def profile(g: Graph) -> TwoDistanceProfile:
         dim_j = n - 1
         from . import geometry  # deferred: geometry depends on this module
 
-        x = geometry.beta_star_numeric(g)
+        x = geometry.solve_phi(g, 1.0)
         err = 4 * get_config().bisect_rtol * x + 1e-15
         beta = BetaStarSquared(None, (x - err) ** 2, (x + err) ** 2)
     return TwoDistanceProfile(

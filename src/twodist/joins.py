@@ -33,18 +33,15 @@ class JoinFactorization:
     k: int
 
 
-def _factor_beta_star(g: Graph) -> float:
-    if is_complete(g):
-        return math.inf
-    return geometry.beta_star_numeric(g)
-
-
 def join_decompose(g: Graph) -> JoinFactorization:
     """Factor g into its join-indecomposable parts and group them by long
     distance.  Complete factors (necessarily single vertices here) sort
     last with an infinite marker."""
     comps = complement_components(g)
-    annotated = [(h, _factor_beta_star(h)) for h in comps]
+    annotated = [
+        (h, math.inf if is_complete(h) else geometry.beta_star_numeric(h))
+        for h in comps
+    ]
     annotated.sort(key=lambda pair: pair[1])
     tie = get_config().beta_tie_tol
     finite = [b for _, b in annotated if math.isfinite(b)]

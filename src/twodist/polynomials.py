@@ -351,11 +351,6 @@ class AlgebraicReal:
         return AlgebraicReal(rev.primitive(), 1 / self.hi, 1 / self.lo)
 
 
-def refine(a: AlgebraicReal, width: RationalLike) -> AlgebraicReal:
-    """Interval refinement by bisection with exact sign tests."""
-    return a.refined(width)
-
-
 # ---------------------------------------------------------------------------
 # Determinants of polynomial matrices
 # ---------------------------------------------------------------------------

@@ -96,6 +96,19 @@ class TestEmbed:
         code, _, _ = run(capsys, "embed", "Bg", "--model", "euclidean", "--b", "3.0")
         assert code == 5
 
+    def test_geometric_inconsistency_exit(self, capsys, monkeypatch):
+        from twodist import geometry
+        from twodist.errors import GeometricInconsistencyError
+
+        def broken(g):
+            raise GeometricInconsistencyError("points are not on the unit sphere")
+
+        monkeypatch.setattr(geometry, "jspherical_embedding", broken)
+        code, out, err = run(capsys, "embed", OCTA, "--model", "jspherical")
+        assert code == 7
+        assert out == ""
+        assert "unit sphere" in err
+
     def test_spherical_model(self, capsys):
         code, out, _ = run(capsys, "embed", C5, "--model", "spherical")
         rec = json.loads(out)
@@ -223,6 +236,18 @@ class TestCatalog:
         code, _, _ = run(capsys, "catalog", "--max-n", "9")
         assert code == 3
 
+    def test_bad_filter_key_exit(self, capsys):
+        code, out, err = run(capsys, "catalog", "--filter", "foo=1")
+        assert code == 2
+        assert out == ""  # rejected before the first graph
+        assert "foo" in err
+
+    def test_bad_filter_value_exit(self, capsys):
+        code, out, err = run(capsys, "catalog", "--filter", "dim_e=x")
+        assert code == 2
+        assert out == ""
+        assert "dim_e=x" in err
+
 
 class TestVerifyCommand:
     def test_small_scan(self, capsys):
@@ -267,3 +292,15 @@ class TestConfig:
         finally:
             monkeypatch.delenv("TWODIST_MAX_N")
             cfgmod.set_config(cfgmod.Config())
+
+    def test_bad_env_max_n_exit(self, capsys, monkeypatch):
+        monkeypatch.setenv("TWODIST_MAX_N", "abc")
+        code, _, err = run(capsys, "analyze", C5)
+        assert code == 2
+        assert "TWODIST_MAX_N" in err
+
+    def test_bad_env_tol_exit(self, capsys, monkeypatch):
+        monkeypatch.setenv("TWODIST_TOL", "tiny")
+        code, _, err = run(capsys, "analyze", C5)
+        assert code == 2
+        assert "TWODIST_TOL" in err

@@ -276,6 +276,25 @@ class TestBetaStar:
         with pytest.raises(CompleteGraphError):
             beta_star_numeric(Graph.complete(2))
 
+    def test_solved_once_per_graph(self, monkeypatch):
+        # profile is the one route to beta*: the record (which also runs the
+        # join decomposition) and the embedding share a single solve.
+        from twodist import cli, geometry, invariants
+
+        calls = []
+        solve = geometry.solve_phi
+
+        def counting(g, r):
+            calls.append((g, r))
+            return solve(g, r)
+
+        invariants.clear_caches()
+        monkeypatch.setattr(geometry, "solve_phi", counting)
+        g = Graph.empty(4)
+        cli.analysis_record(g)
+        geometry.jspherical_embedding(g)
+        assert calls == [(g, 1.0)]
+
 
 # ---------------------------------------------------------------------------
 # J-spherical embeddings and decomposition
@@ -365,6 +384,14 @@ class TestKuperbergDecompose:
             got = sorted(sorted(ix) for ix, _ in fz.factors)
             expect = sorted(sorted(vs) for vs in complement_component_sets(g))
             assert got == expect
+
+    def test_orthonormal_basis(self):
+        # The origin is off the affine hull of the basis, so the linear
+        # rank (3), not the affine rank (2), satisfies |S| = rank + #TypeI.
+        cfg = PointConfig(np.eye(3), SQRT2, SQRT2, 3, 1e-7)
+        fz = kuperberg_decompose(cfg)
+        assert fz.k == 0
+        assert fz.factors == (((0,), "II"), ((1,), "II"), ((2,), "II"))
 
     def test_off_sphere_rejected(self):
         pts = np.array([[2.0, 0.0], [-2.0, 0.0]])

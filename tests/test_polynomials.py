@@ -15,7 +15,6 @@ from twodist.polynomials import (
     exact_div,
     multiplicity_at,
     poly_gcd,
-    refine,
     smallest_root_greater_than,
     squarefree_decomposition,
 )
@@ -249,26 +248,26 @@ class TestRootIsolation:
 class TestRefine:
     def test_rational_root(self):
         a = AlgebraicReal(poly(-4, 1), Fraction(3), Fraction(5))
-        r = refine(a, Fraction(1, 100))
+        r = a.refined(Fraction(1, 100))
         assert r.width <= Fraction(1, 100)
         assert r.lo < 4 < r.hi
 
     def test_golden_ratio(self):
         a = AlgebraicReal(poly(-1, -1, 1), Fraction(1), Fraction(2))
-        r = refine(a, Fraction(1, 10**12))
+        r = a.refined(Fraction(1, 10**12))
         assert abs(float(r) - 1.618033988749894) < 1e-11
         assert r.width <= Fraction(1, 10**12)
 
     def test_idempotent_root_identity(self):
         a = AlgebraicReal(poly(-1, -1, 1), Fraction(1), Fraction(2))
-        r1 = refine(a, Fraction(1, 10**6))
-        r2 = refine(r1, Fraction(1, 10**9))
+        r1 = a.refined(Fraction(1, 10**6))
+        r2 = r1.refined(Fraction(1, 10**9))
         assert r1.compare(r2) == 0
         assert a.compare(r2) == 0
 
     def test_endpoints_nonroots(self):
         a = AlgebraicReal(poly(-4, 1), Fraction(3), Fraction(5))
-        r = refine(a, Fraction(1, 10**6))
+        r = a.refined(Fraction(1, 10**6))
         assert r.defining(r.lo) != 0 and r.defining(r.hi) != 0
 
 
