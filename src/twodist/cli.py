@@ -297,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-n", type=int, dest="max_n_cfg",
                         help="vertex count limit override")
     parser.add_argument("--precision-bits", type=int,
-                        help="bisection/enclosure precision (bits)")
+                        help="root and circumradius enclosure width (bits)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_input(p):
@@ -354,7 +354,6 @@ def _apply_config(args) -> None:
     if args.max_n_cfg is not None:
         changes["max_n"] = args.max_n_cfg
     if args.precision_bits is not None:
-        changes["bisect_rtol"] = 2.0 ** (-args.precision_bits)
         changes["tau_width"] = Fraction(1, 2**args.precision_bits)
         changes["r2_width"] = Fraction(1, 2**args.precision_bits)
     set_config(replace(cfg, **changes))

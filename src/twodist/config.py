@@ -28,11 +28,9 @@ class Config:
     rank_rtol: float = 1e-9
     # Tolerance for classifying observed distances as "short" or "long".
     dist_tol: float = 1e-7
-    # Duality-gap target of the enclosing-ball solver, relative to the
-    # squared data scale.
+    # Largest duality gap an enclosing ball may carry, relative to the
+    # squared data scale; a larger one raises.
     meb_gap_rtol: float = 1e-14
-    # Relative bracket width at which monotone bisection stops.
-    bisect_rtol: float = 1e-12
     # Tolerance of the origin-in-convex-hull feasibility test.
     hull_tol: float = 1e-8
     # Cross-factor orthogonality tolerance in point-set decomposition.

@@ -1,15 +1,14 @@
 """Numerical realization of two-distance configurations.
 
 Coordinates come from double-centering the squared-distance matrix and an
-eigendecomposition; enclosing balls from an away-step Frank-Wolfe pass on
-the dual (maximize sum(lam*|p|^2) - |sum(lam*p)|^2 over the probability
-simplex) followed by an equidistant active-set polish, certified by the
-duality gap.  On top of those: the monotone enclosing-ball radius function
-of the long distance, its inverse by bisection, embeddings on the unit
-sphere with short distance sqrt(2), and the orthogonal join decomposition
-of such point sets with Type I / Type II classification.  The long
-distance beta* is obtained once, in ``invariants.profile``;
-``beta_star_numeric`` and ``jspherical_embedding`` read that cached value.
+eigendecomposition; enclosing balls from exact-support pivoting, certified
+by the duality gap of the support's barycentric weights.  On top of those:
+the monotone enclosing-ball radius function of the long distance, its
+inverse by bisection, embeddings on the unit sphere with short distance
+sqrt(2), and the orthogonal join decomposition of such point sets with
+Type I / Type II classification.  The long distance beta* is obtained
+once, in ``invariants.profile``; ``beta_star_numeric`` and
+``jspherical_embedding`` read that cached value.
 """
 
 from __future__ import annotations
@@ -17,10 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog, nnls
+from scipy.optimize import linprog
 
 from .config import get_config
 from .errors import (
@@ -32,6 +31,7 @@ from .graphs import Graph, complement_component_sets, is_complete
 from . import invariants
 
 SQRT2 = math.sqrt(2.0)
+BISECT_RTOL = 1e-12  # relative bracket width that ends the beta* bisection
 
 
 @dataclass(frozen=True)
@@ -137,119 +137,73 @@ def _dual_certificate(
     return c, primal, primal - dual
 
 
-def _polish_support(
-    points: np.ndarray, sqnorms: np.ndarray, support: list[int]
-) -> Optional[tuple[np.ndarray, float, float, np.ndarray]]:
-    """Equidistant-center solve on a candidate support set.
-
-    Returns (center, primal r^2, gap, lam) or None when the support does
-    not admit convex weights reproducing the center."""
-    s = sorted(set(support))
-    q0 = points[s[0]]
-    if len(s) == 1:
-        lam = np.zeros(len(points))
-        lam[s[0]] = 1.0
-        c, primal, gap = _dual_certificate(points, sqnorms, lam)
-        return c, primal, gap, lam
-    rows = 2.0 * (points[s[1:]] - q0)
-    rhs = sqnorms[s[1:]] - sqnorms[s[0]] - rows @ q0
-    # Center constrained to the affine hull of the support.
-    basis = points[s[1:]] - q0
-    sol, *_ = np.linalg.lstsq(rows @ basis.T, rhs, rcond=None)
-    c = q0 + basis.T @ sol
-    # Convex weights for the dual certificate.
-    stack = np.vstack([points[s].T, np.ones(len(s))])
-    target = np.concatenate([c, [1.0]])
-    lam_s, resid = nnls(stack, target)
-    scale = max(1.0, float(sqnorms.max()))
-    if resid > 1e-6 * math.sqrt(scale):
-        return None
-    total = lam_s.sum()
-    if total <= 0:
-        return None
-    lam = np.zeros(len(points))
-    lam[s] = lam_s / total
-    c2, primal, gap = _dual_certificate(points, sqnorms, lam)
-    return c2, primal, gap, lam
-
-
 def min_enclosing_ball(points: Sequence[Sequence[float]] | np.ndarray) -> Ball:
     """Smallest ball containing the points, with a dual certificate.
 
-    An away-step Frank-Wolfe pass supplies the support estimate; the
-    equidistant polish on that support drives the duality gap to rounding
-    level.  The recorded gap bounds the squared-radius error."""
+    Exact-support pivoting (Fischer, Gaertner & Kutz 2003): the center walks
+    toward the circumcenter of aff(T), T the points on its sphere; a point
+    reaching the sphere joins T, and at the circumcenter the most negative
+    barycentric weight leaves T until none is negative.  A duality gap of
+    those weights above ``meb_gap_rtol`` of the squared data scale, or no
+    optimum in 20n pivots, raises ``GeometricInconsistencyError``.
+    ``support`` lists every point within 1e-7 * max(1, radius) of the sphere."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-d array")
     n, d = pts.shape
-    cfg = get_config()
-    if n == 1 or d == 0:
-        return Ball(pts[0].copy() if d else np.zeros(0), 0.0, tuple(range(n)), 0.0)
-    sqnorms = (pts * pts).sum(axis=1)
-    scale = max(1.0, float(sqnorms.max()))
-    target = cfg.meb_gap_rtol * scale
-
-    lam = np.full(n, 1.0 / n)
-    best: tuple[np.ndarray, float, float, np.ndarray] | None = None
-
-    def consider(cand):
-        nonlocal best
-        if cand is not None and (best is None or cand[2] < best[2]):
-            best = cand
-
-    for iteration in range(5000):
-        c = lam @ pts
-        grad = sqnorms - 2.0 * pts @ c + (c @ c)  # squared distances to c
-        i_fw = int(np.argmax(grad))
-        dual = float(lam @ sqnorms - c @ c)
-        gap = float(grad[i_fw]) - dual
-        consider((c, float(grad[i_fw]), gap, lam.copy()))
-        if gap <= target:
+    rel = pts - pts[0]  # rounding at the ball's scale, not the origin's
+    c = np.zeros(d)
+    support = [int(np.argmax((rel * rel).sum(axis=1)))]
+    for _ in range(20 * n):
+        t0 = rel[support[0]]
+        q = rel[support[1:]] - t0
+        # With q = tri.T @ basis.T, the circumcenter t0 + basis @ y of aff(T)
+        # solves q x = |q|^2 / 2, and tri @ mu = y gives its weights.
+        basis, tri = np.linalg.qr(q.T)
+        y = np.linalg.solve(tri.T, 0.5 * (q * q).sum(axis=1))
+        mu = np.linalg.solve(tri, y)
+        weights = np.concatenate([[1.0 - mu.sum()], mu])
+        target = t0 + basis @ y
+        # Walk orthogonally to aff(T), as exact arithmetic does, so that no
+        # point of aff(T) can stop the walk and T stays affinely independent.
+        step = target - c
+        step -= basis @ (basis.T @ step)
+        r2 = float((t0 - c) @ (t0 - c))
+        step2 = float(step @ step)
+        frac = np.full(n, np.inf)
+        if step2 > 1e-24 * r2:  # else a rounding-level step: no stops
+            # Rate at which p's squared distance gains on the radius^2.
+            grow = 2.0 * (t0 - rel) @ step
+            grow[support] = 0.0
+            moving = grow > 1e-14 * math.sqrt(r2 * step2)
+            room = r2 - ((rel[moving] - c) ** 2).sum(axis=1)
+            frac[moving] = np.maximum(room, 0.0) / grow[moving]
+        j = int(np.argmin(frac))
+        if frac[j] < 1.0:
+            c = c + frac[j] * step
+            support.append(j)
+            continue
+        c = target
+        k = int(np.argmin(weights))
+        if weights[k] >= 0.0:
             break
-        if iteration % 25 == 0:
-            r2 = float(grad[i_fw])
-            sup = [i for i in range(n) if grad[i] >= r2 * (1.0 - 1e-6)]
-            consider(_polish_support(pts, sqnorms, sup))
-            if best is not None and best[2] <= target:
-                break
-        # Away-step Frank-Wolfe with exact line search.
-        active = np.flatnonzero(lam > 1e-16)
-        i_away = int(active[np.argmin(grad[active])])
-        fw_gain = float(grad[i_fw]) - float(lam @ grad)
-        away_gain = float(lam @ grad) - float(grad[i_away])
-        if fw_gain >= away_gain:
-            direction = pts[i_fw] - c
-            denom = 2.0 * float(direction @ direction)
-            step = min(fw_gain / denom, 1.0) if denom > 0 else 1.0
-            lam *= 1.0 - step
-            lam[i_fw] += step
-        else:
-            la = float(lam[i_away])
-            if la >= 1.0:
-                break  # single active vertex, nothing to move away from
-            direction = c - pts[i_away]
-            denom = 2.0 * float(direction @ direction)
-            cap = la / (1.0 - la)
-            step = min(away_gain / denom, cap) if denom > 0 else cap
-            lam *= 1.0 + step
-            lam[i_away] -= step
-            lam[i_away] = max(lam[i_away], 0.0)
-        lam = np.maximum(lam, 0.0)
-        lam /= lam.sum()
-
-    c, r2, gap, lam = best
-    # One final polish attempt from the best certificate.
-    dists = sqnorms - 2.0 * pts @ c + c @ c
-    sup = [i for i in range(n) if dists[i] >= r2 * (1.0 - 1e-6)]
-    final = _polish_support(pts, sqnorms, sup)
-    if final is not None and final[2] < gap:
-        c, r2, gap, lam = final
+        support.pop(k)
+    else:
+        raise GeometricInconsistencyError(
+            f"enclosing ball: no optimum in {20 * n} pivots"
+        )
+    lam = np.bincount(support, weights, n)
+    sqnorms = (pts * pts).sum(axis=1)
+    c, r2, gap = _dual_certificate(pts, sqnorms, lam)
+    bound = get_config().meb_gap_rtol * max(1.0, float(sqnorms.max()))
+    if gap > bound:
+        raise GeometricInconsistencyError(
+            f"enclosing ball duality gap {gap:.3g} above {bound:.3g}"
+        )
     radius = math.sqrt(max(r2, 0.0))
     dist = np.sqrt(np.maximum(sqnorms - 2.0 * pts @ c + c @ c, 0.0))
-    sup_tol = 1e-7 * max(1.0, radius)
-    support = tuple(i for i in range(n) if dist[i] >= radius - sup_tol)
-    return Ball(c, radius, support, float(max(gap, 0.0)))
+    near = tuple(i for i in range(n) if dist[i] >= radius - 1e-7 * max(1.0, radius))
+    return Ball(c, radius, near, float(max(gap, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +242,6 @@ def solve_phi(g: Graph, r: float) -> float:
     lo_r = math.sqrt((n - 1) / n)
     if not (lo_r < r <= 1.0 + 1e-12):
         raise ValueError(f"radius {r} outside (sqrt((n-1)/n), 1]")
-    cfg = get_config()
     lo = SQRT2
     hi = _bracket_upper(g, r)
     phi_hi = phi(g, hi)
@@ -300,7 +253,7 @@ def solve_phi(g: Graph, r: float) -> float:
         raise GeometricInconsistencyError(
             f"phi({hi:.12g}) = {phi_hi:.12g} fails to reach r = {r:.12g}"
         )
-    while hi - lo > cfg.bisect_rtol * hi:
+    while hi - lo > BISECT_RTOL * hi:
         mid = 0.5 * (lo + hi)
         if phi(g, mid) < r:
             lo = mid

@@ -218,7 +218,7 @@ def profile(g: Graph) -> TwoDistanceProfile:
         from . import geometry  # deferred: geometry depends on this module
 
         x = geometry.solve_phi(g, 1.0)
-        err = 4 * get_config().bisect_rtol * x + 1e-15
+        err = 4 * geometry.BISECT_RTOL * x + 1e-15
         beta = BetaStarSquared(None, (x - err) ** 2, (x + err) ** 2)
     return TwoDistanceProfile(
         n, root, mu, t0, dim_e, dim_s, dim_j, r2, beta, tuple(flags)

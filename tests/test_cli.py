@@ -109,6 +109,21 @@ class TestEmbed:
         assert out == ""
         assert "unit sphere" in err
 
+    def test_missed_ball_certificate_exit(self, capsys, monkeypatch):
+        from twodist import geometry
+
+        certify = geometry._dual_certificate
+
+        def loose(points, sqnorms, lam):
+            c, primal, gap = certify(points, sqnorms, lam)
+            return c, primal, gap + 1e-6
+
+        monkeypatch.setattr(geometry, "_dual_certificate", loose)
+        code, out, err = run(capsys, "embed", OCTA, "--model", "jspherical")
+        assert code == 7
+        assert out == ""
+        assert "duality gap" in err
+
     def test_spherical_model(self, capsys):
         code, out, _ = run(capsys, "embed", C5, "--model", "spherical")
         rec = json.loads(out)
@@ -292,6 +307,24 @@ class TestConfig:
         finally:
             monkeypatch.delenv("TWODIST_MAX_N")
             cfgmod.set_config(cfgmod.Config())
+
+    def test_precision_bits_jspherical(self, capsys):
+        # The flag sets enclosure widths only; the bisected beta* of the
+        # path (r^2 infinite) still puts the points on the unit sphere.
+        from twodist import config as cfgmod
+        from twodist.invariants import clear_caches
+
+        clear_caches()
+        try:
+            code, out, _ = run(capsys, "--precision-bits", "10", "embed", "Bg",
+                               "--model", "jspherical")
+            assert code == 0
+            rec = json.loads(out)
+            assert abs(rec["radius"] - 1.0) < 1e-9
+            assert abs(rec["b"] - 2.0) < 1e-9
+        finally:
+            cfgmod.set_config(cfgmod.Config())
+            clear_caches()
 
     def test_bad_env_max_n_exit(self, capsys, monkeypatch):
         monkeypatch.setenv("TWODIST_MAX_N", "abc")

@@ -131,6 +131,29 @@ def brute_circle_2d(points):
     return best
 
 
+def assert_certified(points, ball, support):
+    """Coverage, a duality gap within the solver's target, and the expected
+    boundary points."""
+    pts = np.asarray(points, float)
+    scale = max(1.0, float((pts * pts).sum(axis=1).max()))
+    assert ball.gap <= get_config().meb_gap_rtol * scale
+    assert np.linalg.norm(pts - ball.center, axis=1).max() <= ball.radius + 1e-9
+    assert set(ball.support) == set(support)
+
+
+def circle(m, dim=3):
+    """m points on a circle of radius 2 off the origin, tilted in R^3 (any
+    four of them affinely dependent) or in the plane."""
+    angles = 2 * math.pi * np.arange(m) / m
+    if dim == 2:
+        unit = np.column_stack([np.cos(angles), np.sin(angles)])
+        return np.array([3.0, -1.0]) + 2 * unit
+    u = np.array([1.0, 1.0, 0.0]) / math.sqrt(2)
+    v = np.array([1.0, -1.0, 1.0]) / math.sqrt(3)
+    offset = np.array([3.0, -1.0, 2.0])
+    return offset + 2 * (np.outer(np.cos(angles), u) + np.outer(np.sin(angles), v))
+
+
 class TestEnclosingBall:
     def test_regular_triangle(self):
         cfg = realize(Graph.complete(3), 1.0, math.sqrt(2))
@@ -142,11 +165,26 @@ class TestEnclosingBall:
         assert np.allclose(ball.center, [2, 0], atol=1e-9)
         assert abs(ball.radius - 2.0) < 1e-12
         assert set(ball.support) == {0, 1}
+        # Collinear points: the same diameter, interior points off the support.
+        collinear = (
+            ([[1, 0], [0, 0], [3, 0], [4, 0]], (1, 3)),
+            ([[0, 0, 0], [1, 1, 1], [4, 4, 4]], (0, 2)),
+        )
+        for pts, ends in collinear:
+            ball = min_enclosing_ball(pts)
+            mid = (np.asarray(pts[ends[0]]) + np.asarray(pts[ends[1]])) / 2
+            assert np.allclose(ball.center, mid, atol=1e-12)
+            assert_certified(pts, ball, ends)
 
     def test_unit_square(self):
         ball = min_enclosing_ball([[0, 0], [1, 0], [0, 1], [1, 1]])
         assert abs(ball.radius - math.sqrt(2) / 2) < 1e-12
         assert len(ball.support) == 4
+        # Eight cospherical points: ties that are affinely dependent.
+        for pts in (circle(8), circle(8, dim=2)):
+            ball = min_enclosing_ball(pts)
+            assert abs(ball.radius - 2.0) < 1e-12
+            assert_certified(pts, ball, range(8))
 
     def test_single_point(self):
         ball = min_enclosing_ball([[3.0, 4.0]])
@@ -155,6 +193,16 @@ class TestEnclosingBall:
     def test_coincident_points(self):
         ball = min_enclosing_ball([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]])
         assert ball.radius < 1e-12
+        # Coincident points mixed with distinct ones.
+        pts = [[0, 0], [0, 0], [4, 0], [1, 1], [4, 0], [0, 0]]
+        ball = min_enclosing_ball(pts)
+        assert np.allclose(ball.center, [2, 0], atol=1e-12)
+        assert abs(ball.radius - 2.0) < 1e-12
+        assert_certified(pts, ball, (0, 1, 2, 4, 5))
+        pts = np.vstack([circle(5), circle(5)])
+        ball = min_enclosing_ball(pts)
+        assert abs(ball.radius - 2.0) < 1e-12
+        assert_certified(pts, ball, range(10))
 
     def test_against_brute_force_2d(self, rng):
         for _ in range(40):
@@ -173,6 +221,26 @@ class TestEnclosingBall:
         cfg = realize(Graph.empty(9), math.sqrt(2) * 1.01, 1.0)
         ball = min_enclosing_ball(cfg.points)
         assert ball.gap <= 1e-12
+        # The regular simplex: every point on the sphere, center at the
+        # centroid.
+        for n in range(2, 17):
+            cfg = realize(Graph.empty(n), SQRT2, SQRT2)
+            ball = min_enclosing_ball(cfg.points)
+            assert abs(ball.radius - math.sqrt((n - 1) / n)) < 1e-12
+            assert_certified(cfg.points, ball, range(n))
+
+    def test_missed_certificate_raises(self, monkeypatch):
+        from twodist import geometry
+
+        certify = geometry._dual_certificate
+
+        def loose(points, sqnorms, lam):
+            c, primal, gap = certify(points, sqnorms, lam)
+            return c, primal, gap + 1e-6
+
+        monkeypatch.setattr(geometry, "_dual_certificate", loose)
+        with pytest.raises(GeometricInconsistencyError, match="duality gap"):
+            min_enclosing_ball([[0, 0], [4, 0], [1, 1]])
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +460,22 @@ class TestKuperbergDecompose:
         fz = kuperberg_decompose(cfg)
         assert fz.k == 0
         assert fz.factors == (((0,), "II"), ((1,), "II"), ((2,), "II"))
+
+    def test_twelve_vertex_join(self):
+        # Factors Db_ and FZ|Dw; the enclosing ball at beta* once ended at
+        # an iteration cap ~1e-6 off the unit sphere, and the point
+        # decomposition raised "points are not on the unit sphere".
+        from twodist import cli
+        from twodist.graphs import parse_graph6
+
+        g = parse_graph6("K|}~|bnVz~z{")
+        cli.analysis_record(g)
+        fz = kuperberg_decompose(jspherical_embedding(g))
+        assert fz.k == 1
+        assert sorted(fz.factors) == [
+            ((0, 2, 9, 10, 11), "I"),
+            ((1, 3, 4, 5, 6, 7, 8), "II"),
+        ]
 
     def test_off_sphere_rejected(self):
         pts = np.array([[2.0, 0.0], [-2.0, 0.0]])
