@@ -48,7 +48,6 @@ from .polynomials import (
     squarefree_decomposition,
 )
 from .invariants import (
-    BetaStarSquared,
     RSquared,
     TwoDistanceProfile,
     circumradius_invariant,
@@ -79,7 +78,6 @@ from .joins import (
 )
 from .oracle import (
     OracleReport,
-    calibrate_reciprocal,
     probe_f_monotonicity,
     reciprocal_check,
     verify_profile,

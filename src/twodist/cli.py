@@ -95,10 +95,10 @@ def analysis_record(g: Graph, input_str: str | None = None) -> dict:
         record["r_squared"] = [_dec(p.r_squared.lo), _dec(p.r_squared.hi)]
     if p.beta_star_squared is None:
         record["beta_star"] = None
-    elif p.beta_star_squared.exact is not None:
+    elif p.r_squared.is_half:
         record["beta_star"] = "sqrt(2*tau1)"
     else:
-        record["beta_star"] = _dec(p.beta_star_squared.beta_star)
+        record["beta_star"] = _dec(geometry.beta_star_numeric(g))
     fz = join_decompose(g)
     record["factors"] = [
         {"size": h.n, "type": "I" if i < fz.k else "II"}

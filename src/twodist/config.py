@@ -39,8 +39,6 @@ class Config:
     tau_width: Fraction = Fraction(1, 10**13)
     # Width target for the squared-circumradius enclosure.
     r2_width: Fraction = Fraction(1, 10**12)
-    # Grouping tolerance when collecting equal long distances of factors.
-    beta_tie_tol: float = 1e-8
 
     @classmethod
     def from_env(cls) -> "Config":

@@ -4,9 +4,10 @@ Coordinates come from double-centering the squared-distance matrix and an
 eigendecomposition; enclosing balls from exact-support pivoting, certified
 by the duality gap of the support's barycentric weights.  On top of those:
 the monotone enclosing-ball radius function of the long distance, its
-inverse by bisection, embeddings on the unit sphere with short distance
-sqrt(2), and the orthogonal join decomposition of such point sets with
-Type I / Type II classification.  The long distance beta* is obtained
+exact inverse (an algebraic root certified on the ball's support),
+embeddings on the unit sphere with short distance sqrt(2), and the
+orthogonal join decomposition of such point sets with Type I / Type II
+classification.  The long distance beta* is obtained
 once, in ``invariants.profile``; ``beta_star_numeric`` and
 ``jspherical_embedding`` read that cached value.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -26,12 +27,21 @@ from .errors import (
     CompleteGraphError,
     GeometricInconsistencyError,
     InfeasibleDistanceError,
+    UndecidableEnclosureError,
 )
 from .graphs import Graph, complement_component_sets, is_complete
+from .polynomials import (
+    AlgebraicReal,
+    IntPolynomial,
+    adjugate_column,
+    exact_div,
+    poly_gcd,
+    sign_at,
+    smallest_root_greater_than,
+)
 from . import invariants
 
 SQRT2 = math.sqrt(2.0)
-BISECT_RTOL = 1e-12  # relative bracket width that ends the beta* bisection
 
 
 @dataclass(frozen=True)
@@ -72,6 +82,7 @@ class Ball:
     radius: float
     support: tuple[int, ...]
     gap: float  # duality-gap certificate, absolute
+    weights: np.ndarray  # the center's barycentric weights; 0 off the pivot's support
 
 
 @dataclass(frozen=True)
@@ -203,11 +214,11 @@ def min_enclosing_ball(points: Sequence[Sequence[float]] | np.ndarray) -> Ball:
     radius = math.sqrt(max(r2, 0.0))
     dist = np.sqrt(np.maximum(sqnorms - 2.0 * pts @ c + c @ c, 0.0))
     near = tuple(i for i in range(n) if dist[i] >= radius - 1e-7 * max(1.0, radius))
-    return Ball(c, radius, near, float(max(gap, 0.0)))
+    return Ball(c, radius, near, float(max(gap, 0.0)), lam)
 
 
 # ---------------------------------------------------------------------------
-# The radius function and its inverse
+# The radius function and its exact inverse
 # ---------------------------------------------------------------------------
 
 
@@ -217,24 +228,68 @@ def phi(g: Graph, x: float) -> float:
     return min_enclosing_ball(realize(g, x, SQRT2).points).radius
 
 
-def _bracket_upper(g: Graph, r: float) -> float:
-    """Upper bisection endpoint with phi >= r."""
-    t1, _ = invariants.tau1_mu(g)
-    if t1 is not None:
-        return math.sqrt(2.0 * float(t1))
-    x = 2.0 * SQRT2
-    while phi(g, x) < r:
-        x *= 2.0
-        if x > 1e9:  # the radius grows without bound; this cannot happen
-            raise GeometricInconsistencyError("failed to bracket the radius")
-    return x
+def _roots_in_window(
+    f: IntPolynomial, tau1: AlgebraicReal | None
+) -> Iterator[AlgebraicReal]:
+    """Yield the roots of f in (1, tau1] in increasing order; no upper end
+    when tau1 is None."""
+    # On the squarefree part each enclosure isolates its root among all of
+    # f's roots, so the next search may start at its upper end.
+    f = exact_div(f, poly_gcd(f, f.derivative()))
+    bound = Fraction(1)
+    while (got := smallest_root_greater_than(f, bound)) is not None:
+        t = got[0]
+        if tau1 is not None and t.compare(tau1) > 0:
+            return
+        yield t
+        bound = t.hi
 
 
-def solve_phi(g: Graph, r: float) -> float:
-    """The unique long distance x at which the enclosing-ball radius of
-    the sqrt(2)-short configuration equals r.
+def _support_certified(g: Graph, support: tuple[int, ...], t: AlgebraicReal) -> bool:
+    """Whether, at t = x^2/2, the circumcenter of the points ``support`` of
+    g is the center of the enclosing ball of all n points, decided exactly.
 
-    Monotonicity of the radius in x justifies plain bisection.  Requires
+    With B the bordered matrix of the support and C_T = det B, Cramer's
+    rule gives adj(B) e_0 = (M_T, L_1, ..., L_k): the circumcenter's
+    barycentric weights are L_i / C_T, and the squared circumradius is
+    -M_T / (2 C_T) at unit short distance.  Certified when C_T != 0, every
+    weight is >= 0 and every other point j lies inside or on the sphere:
+    sign(sum_i D_ji L_i + M_T) * sign(C_T) <= 0."""
+    h = g.induced(support)
+    c_t, _ = invariants.cm_polynomials(h)
+    sign_c = sign_at(c_t, t)
+    if sign_c == 0:
+        return False
+    m_t, *weights = adjugate_column(invariants.bordered_matrix(h), c_t)
+    x = IntPolynomial.x()
+    powers = [
+        sum((w if g.has_edge(i, j) else x * w for i, w in zip(support, weights)), m_t)
+        for j in range(g.n)
+        if j not in support
+    ]
+    # A point outside T's sphere is the usual failure; test those first.
+    return all(sign_at(p, t) != sign_c for p in powers) and all(
+        sign_at(w, t) != -sign_c for w in weights
+    )
+
+
+def _ball_at(g: Graph, t: float) -> Ball:
+    """Enclosing ball of the sqrt(2)-short configuration with t = x^2/2."""
+    return min_enclosing_ball(realize(g, math.sqrt(2.0 * t), SQRT2).points)
+
+
+def solve_phi(g: Graph, r: float) -> AlgebraicReal:
+    """The squared long distance x^2 at which the enclosing-ball radius of
+    the sqrt(2)-short configuration of g equals r, as an exact algebraic
+    number.  The radius grows with x, so x is unique.
+
+    On an affinely independent support T the squared radius is -M_T/C_T
+    in t = x^2/2, so it equals r^2 = p/q at the roots of q*M_T + p*C_T.
+    A float ball proposes T (its points of positive weight), starting at
+    the window end; a root t of T's polynomial in (1, tau1] is the answer
+    once ``_support_certified`` holds at t.  Otherwise the float ball at
+    the root whose radius is nearest r proposes the next T, and a T
+    proposed twice raises ``UndecidableEnclosureError``.  Requires
     sqrt((n-1)/n) < r <= 1 and a non-complete graph."""
     if is_complete(g):
         raise CompleteGraphError("complete graphs admit no such solve")
@@ -242,48 +297,48 @@ def solve_phi(g: Graph, r: float) -> float:
     lo_r = math.sqrt((n - 1) / n)
     if not (lo_r < r <= 1.0 + 1e-12):
         raise ValueError(f"radius {r} outside (sqrt((n-1)/n), 1]")
-    lo = SQRT2
-    hi = _bracket_upper(g, r)
-    phi_hi = phi(g, hi)
-    if phi_hi < r:
-        # Theory puts phi at the window endpoint at >= 1 >= r; allow only
-        # rounding-level shortfalls.
-        if r - phi_hi <= 1e-9:
-            return hi
-        raise GeometricInconsistencyError(
-            f"phi({hi:.12g}) = {phi_hi:.12g} fails to reach r = {r:.12g}"
-        )
-    while hi - lo > BISECT_RTOL * hi:
-        mid = 0.5 * (lo + hi)
-        if phi(g, mid) < r:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    r2 = Fraction(r) ** 2
+    tau1, _ = invariants.tau1_mu(g)
+    ball = _ball_at(g, 4.0 if tau1 is None else float(tau1))
+    proposed = set()
+    while True:
+        # The pivot's final support: affinely independent, unlike the
+        # near-sphere set ``ball.support``, which may hold ties.
+        support = tuple(np.flatnonzero(ball.weights > 0.0).tolist())
+        if support in proposed:
+            raise UndecidableEnclosureError(
+                f"enclosing-ball support {support} proposed twice"
+            )
+        proposed.add(support)
+        c_t, m_t = invariants.cm_polynomials(g.induced(support))
+        radius_poly = m_t.scale(r2.denominator) + c_t.scale(r2.numerator)
+        balls = []  # no root keeps the ball, so T is proposed again and raises
+        for t in _roots_in_window(radius_poly, tau1):
+            t = t.refined(Fraction(1, 2**64))  # once, for every sign and the float
+            if _support_certified(g, support, t):
+                return t.scaled(2)
+            ball = _ball_at(g, float(t))
+            balls.append(ball)
+            if ball.radius >= r:
+                break  # the radius grows with t: later roots are farther from r
+        ball = min(balls, key=lambda b: abs(b.radius - r), default=ball)
 
 
 def beta_star_numeric(g: Graph) -> float:
     """Long distance of the J-spherical representation (unit sphere, short
-    distance sqrt(2)), read from the cached ``invariants.profile``: the
-    exact sqrt(2*tau1) when the representation stays in the minimal
-    dimension, the ``solve_phi`` bisection otherwise."""
+    distance sqrt(2)), read from the exact beta*^2 of the cached
+    ``invariants.profile``."""
     if is_complete(g):
         raise CompleteGraphError("complete graphs have no such representation")
-    return invariants.profile(g).beta_star_squared.beta_star
+    return math.sqrt(float(invariants.profile(g).beta_star_squared))
 
 
 def jspherical_embedding(g: Graph) -> PointConfig:
     """Coordinates of the unit-sphere representation with short distance
-    sqrt(2) and long distance beta* from ``invariants.profile`` (an exact
-    value refined to width 1e-14): recentered at the enclosing-ball center
-    and scaled onto the sphere.  Its rank is the J-spherical dimension."""
-    if is_complete(g):
-        raise CompleteGraphError("complete graphs have no such representation")
-    beta = invariants.profile(g).beta_star_squared
-    if beta.exact is not None:
-        b = math.sqrt(float(beta.exact.refined(Fraction(1, 10**14))))
-    else:
-        b = beta.beta_star
+    sqrt(2) and long distance beta* from ``invariants.profile``:
+    recentered at the enclosing-ball center and scaled onto the sphere.
+    Its rank is the J-spherical dimension."""
+    b = beta_star_numeric(g)
     config = realize(g, b, SQRT2)
     ball = min_enclosing_ball(config.points)
     if abs(ball.radius - 1.0) > 1e-6:

@@ -77,27 +77,6 @@ class RSquared:
 
 
 @dataclass(frozen=True)
-class BetaStarSquared:
-    """Squared long distance of the J-spherical representation.
-
-    ``exact`` carries the algebraic value 2*tau1 when the representation
-    stays in the minimal dimension; otherwise the value comes from
-    bisection and only the float enclosure [lo, hi] is available."""
-
-    exact: Optional[AlgebraicReal]
-    lo: float
-    hi: float
-
-    @property
-    def value(self) -> float:
-        return (self.lo + self.hi) / 2
-
-    @property
-    def beta_star(self) -> float:
-        return self.value**0.5
-
-
-@dataclass(frozen=True)
 class TwoDistanceProfile:
     n: int
     tau1: Optional[AlgebraicReal]  # None means +infinity
@@ -107,31 +86,32 @@ class TwoDistanceProfile:
     dim_s: int
     dim_j: Optional[int]  # None for complete graphs
     r_squared: RSquared
-    beta_star_squared: Optional[BetaStarSquared]  # None for complete graphs
+    beta_star_squared: Optional[AlgebraicReal]  # None for complete graphs
     flags: tuple[str, ...] = ()
 
 
-def _poly_entry(is_edge: bool) -> IntPolynomial:
-    return IntPolynomial.const(1) if is_edge else IntPolynomial.x()
+def bordered_matrix(g: Graph) -> list[list[IntPolynomial]]:
+    """The bordered squared-distance matrix [[0, 1^T], [1, D]] of g in
+    t = b^2 with unit short distance: D is 1 on edges, t on the other
+    pairs and 0 on the diagonal."""
+    zero = IntPolynomial.zero()
+    one = IntPolynomial.const(1)
+    t = IntPolynomial.x()
+    rows = [[zero] + [one] * g.n]
+    for i in range(g.n):
+        rows.append(
+            [one]
+            + [zero if i == j else one if g.has_edge(i, j) else t for j in range(g.n)]
+        )
+    return rows
 
 
 @functools.lru_cache(maxsize=None)
 def cm_polynomials(g: Graph) -> tuple[IntPolynomial, IntPolynomial]:
     """The pair (C, M): bordered and plain squared-distance determinants
     as exact polynomials in t = b^2 (unit short distance on edges)."""
-    n = g.n
-    zero = IntPolynomial.zero()
-    one = IntPolynomial.const(1)
-    bordered = [[zero] + [one] * n]
-    for i in range(n):
-        row = [one]
-        for j in range(n):
-            row.append(zero if i == j else _poly_entry(g.has_edge(i, j)))
-        bordered.append(row)
-    plain = [
-        [zero if i == j else _poly_entry(g.has_edge(i, j)) for j in range(n)]
-        for i in range(n)
-    ]
+    bordered = bordered_matrix(g)
+    plain = [row[1:] for row in bordered[1:]]
     return det_poly_matrix(bordered), det_poly_matrix(plain)
 
 
@@ -147,11 +127,14 @@ def tau1_mu(g: Graph) -> tuple[Optional[AlgebraicReal], int]:
     return root.refined(get_config().tau_width), mult
 
 
+@functools.lru_cache(maxsize=None)
 def tau0(g: Graph) -> Optional[AlgebraicReal]:
     """Lower endpoint of the feasible window: 1/tau1 of the complement
-    (None means the window extends to 0)."""
-    root, _ = tau1_mu(complement(g))
-    return None if root is None else root.reciprocal()
+    (None means the window extends to 0).  The complement's C is
+    t^(n-1) C(1/t), so its smallest root above 1 comes from g's own C."""
+    c, _ = cm_polynomials(g)
+    got = smallest_root_greater_than(c.reciprocal(g.n - 1), 1)
+    return None if got is None else got[0].refined(get_config().tau_width).reciprocal()
 
 
 @functools.lru_cache(maxsize=None)
@@ -195,7 +178,8 @@ def feasible_interval(g: Graph) -> tuple[float, float]:
 @functools.lru_cache(maxsize=None)
 def profile(g: Graph) -> TwoDistanceProfile:
     """Full invariant record of a graph, and the one place beta* is
-    obtained: exactly when r^2 = 1/2, by ``geometry.solve_phi`` otherwise."""
+    obtained, as the exact algebraic number beta*^2: 2*tau1 when
+    r^2 = 1/2, ``geometry.solve_phi`` otherwise."""
     n = g.n
     root, mu = tau1_mu(g)
     t0 = tau0(g)
@@ -211,15 +195,13 @@ def profile(g: Graph) -> TwoDistanceProfile:
         )
     if r2.is_half:
         dim_j = dim_e
-        exact = root.scaled(2).refined(get_config().tau_width)
-        beta = BetaStarSquared(exact, float(exact.lo), float(exact.hi))
+        beta = root.scaled(2)
     else:
         dim_j = n - 1
         from . import geometry  # deferred: geometry depends on this module
 
-        x = geometry.solve_phi(g, 1.0)
-        err = 4 * geometry.BISECT_RTOL * x + 1e-15
-        beta = BetaStarSquared(None, (x - err) ** 2, (x + err) ** 2)
+        beta = geometry.solve_phi(g, 1.0)
+    beta = beta.refined(get_config().tau_width)
     return TwoDistanceProfile(
         n, root, mu, t0, dim_e, dim_s, dim_j, r2, beta, tuple(flags)
     )
@@ -269,6 +251,7 @@ def clear_caches() -> None:
     """Drop memoized invariants (use after changing tolerances)."""
     cm_polynomials.cache_clear()
     tau1_mu.cache_clear()
+    tau0.cache_clear()
     circumradius_invariant.cache_clear()
     feasible_interval.cache_clear()
     profile.cache_clear()

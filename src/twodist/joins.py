@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cmp_to_key
 
-from .config import get_config
 from .graphs import Graph, MultipartiteSignature, complement_components, is_complete
 from .invariants import circumradius_invariant, profile, tau1_mu
 from . import geometry
@@ -35,20 +35,23 @@ class JoinFactorization:
 
 def join_decompose(g: Graph) -> JoinFactorization:
     """Factor g into its join-indecomposable parts and group them by long
-    distance.  Complete factors (necessarily single vertices here) sort
-    last with an infinite marker."""
+    distance, compared exactly.  Complete factors (necessarily single
+    vertices here) sort last with an infinite marker."""
     comps = complement_components(g)
-    annotated = [
-        (h, math.inf if is_complete(h) else geometry.beta_star_numeric(h))
+    finite = [
+        (h, profile(h).beta_star_squared, geometry.beta_star_numeric(h))
         for h in comps
+        if not is_complete(h)
     ]
-    annotated.sort(key=lambda pair: pair[1])
-    tie = get_config().beta_tie_tol
-    finite = [b for _, b in annotated if math.isfinite(b)]
-    k = sum(1 for b in finite if b <= finite[0] + tie) if finite else 0
+    # Exact order; the float pre-sort only orders exact ties, whose floats
+    # may differ in the last place.
+    finite.sort(key=lambda f: f[2])
+    finite.sort(key=cmp_to_key(lambda u, v: u[1].compare(v[1])))
+    k = sum(1 for _, b, _ in finite if b.compare(finite[0][1]) == 0)
+    complete = [h for h in comps if is_complete(h)]
     return JoinFactorization(
-        tuple(h for h, _ in annotated),
-        tuple(b for _, b in annotated),
+        tuple(h for h, _, _ in finite) + tuple(complete),
+        tuple(x for _, _, x in finite) + (math.inf,) * len(complete),
         k,
     )
 

@@ -26,8 +26,9 @@ from .invariants import (
 )
 from . import geometry
 
-# Frozen by the calibration scan over all small graphs: the complement's
-# bordered determinant is the reciprocal with exponent n-1 and sign +1.
+# Frozen by a calibration scan over all graphs with n <= 5 (repeated in
+# the tests): the complement's bordered determinant is the reciprocal
+# with exponent n-1 and sign +1.
 RECIPROCAL_SIGN = 1
 RECIPROCAL_EXPONENT_OFFSET = -1  # exponent = n + offset
 
@@ -175,32 +176,6 @@ def reciprocal_check(g: Graph) -> OracleReport:
         f"complement coeffs {c_bar.coeffs} vs reciprocal {expected.coeffs}",
     )
     return report
-
-
-def calibrate_reciprocal(max_n: int = 5) -> set[tuple[int, int]]:
-    """Empirical calibration of the reciprocal relation over all graphs
-    with at most max_n vertices: returns the set of (sign, exponent - n)
-    pairs that fit every graph of each order."""
-    from .graphs import enumerate_graphs
-
-    fits: set[tuple[int, int]] = set()
-    first = True
-    for n in range(1, max_n + 1):
-        for g in enumerate_graphs(n):
-            c_g, _ = cm_polynomials(g)
-            c_bar, _ = cm_polynomials(complement(g))
-            local = set()
-            for sign in (1, -1):
-                for off in (-1, 0):
-                    exponent = n + off
-                    deg = c_g.degree or 0
-                    if deg > exponent:
-                        continue
-                    if c_bar == c_g.reciprocal(exponent).scale(sign):
-                        local.add((sign, off))
-            fits = local if first else fits & local
-            first = False
-    return fits
 
 
 def probe_f_monotonicity(g: Graph, grid: int = 100) -> OracleReport:

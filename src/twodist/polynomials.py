@@ -2,8 +2,9 @@
 
 Coefficients are arbitrary-precision integers, stored lowest degree first.
 On top of the ring arithmetic this module provides fraction-free
-determinants of polynomial matrices, Yun squarefree decomposition, Sturm
-root counting, isolation of real roots, and certified interval refinement.
+determinants and adjugate columns of polynomial matrices, Yun squarefree
+decomposition, Sturm root counting, isolation of real roots, certified
+interval refinement, and exact signs at algebraic points.
 No floating point enters any decision made here.
 """
 
@@ -356,14 +357,11 @@ class AlgebraicReal:
 # ---------------------------------------------------------------------------
 
 
-def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
-    """Fraction-free elimination; exact integer determinant."""
-    a = [list(int(v) for v in row) for row in matrix]
+def _bareiss_eliminate(a: list[list[int]]) -> int:
+    """Fraction-free forward elimination, in place, on the leading square
+    block of the rows ``a``; further columns ride along.  Returns the sign
+    of the row swaps, or 0 when the block is singular."""
     n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
-    if n == 0:
-        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -377,11 +375,38 @@ def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
         for i in range(k + 1, n):
             aik = a[i][k]
             row_i, row_k = a[i], a[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, len(row_i)):
                 row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return sign * a[-1][-1]
+    return sign
+
+
+def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
+    """Fraction-free elimination; exact integer determinant."""
+    a = [list(int(v) for v in row) for row in matrix]
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix must be square")
+    if n == 0:
+        return 1
+    return _bareiss_eliminate(a) * a[-1][-1]
+
+
+def _bareiss_adjugate_column(matrix: Sequence[Sequence[int]]) -> list[int]:
+    """adj(A) e_0 of a nonsingular integer matrix A: fraction-free
+    elimination of [A | e_0], then back substitution.  The last pivot is
+    sign * det(A), so that multiple of the solution of A y = e_0 is an
+    integer vector."""
+    n = len(matrix)
+    a = [list(row) + [int(i == 0)] for i, row in enumerate(matrix)]
+    sign = _bareiss_eliminate(a)
+    last = a[-1][n - 1]
+    y = [0] * n
+    for i in reversed(range(n)):
+        acc = last * a[i][n] - sum(a[i][j] * y[j] for j in range(i + 1, n))
+        y[i] = acc // a[i][i]
+    return [sign * v for v in y]
 
 
 def _interpolate_integer(xs: Sequence[int], ys: Sequence[int]) -> IntPolynomial:
@@ -425,6 +450,28 @@ def det_poly_matrix(matrix: Sequence[Sequence[IntPolynomial]]) -> IntPolynomial:
         bareiss_determinant([[p(x) for p in row] for row in matrix]) for x in xs
     ]
     return _interpolate_integer(xs, ys)
+
+
+def adjugate_column(
+    matrix: Sequence[Sequence[IntPolynomial]], det: IntPolynomial
+) -> list[IntPolynomial]:
+    """Column 0 of the adjugate of a square matrix of degree-at-most-1
+    polynomials whose determinant ``det`` is not the zero polynomial:
+    entry i is the determinant of the matrix with column i replaced by
+    e_0.  Each entry, a minor, has degree below the matrix size, so it is
+    interpolated from solves at that many integer points off the roots of
+    ``det``."""
+    size = len(matrix)
+    xs: list[int] = []
+    x = 0
+    while len(xs) < size:
+        if det(x):
+            xs.append(x)
+        x += 1
+    columns = [
+        _bareiss_adjugate_column([[p(x) for p in row] for row in matrix]) for x in xs
+    ]
+    return [_interpolate_integer(xs, [col[i] for col in columns]) for i in range(size)]
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +603,28 @@ def multiplicity_at(p: IntPolynomial, a: AlgebraicReal) -> int:
         cur = exact_div(cur, g).primitive()
         mult += 1
     return mult
+
+
+def sign_at(p: IntPolynomial, a: AlgebraicReal) -> int:
+    """Sign of ``p`` at the algebraic point ``a``, decided exactly.
+
+    The interval image of ``p`` over the enclosure of ``a`` decides a
+    nonzero sign; while it contains 0, ``multiplicity_at`` tells a root
+    apart from a value the enclosure is still too wide to separate."""
+    if p.is_zero:
+        return 0
+    zero_tested = False
+    while True:
+        lo, hi = p.eval_interval(a.lo, a.hi)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        if not zero_tested:
+            if multiplicity_at(p, a):
+                return 0
+            zero_tested = True
+        a = a.refined(a.width / 2)
 
 
 def enclose_rational_limit(

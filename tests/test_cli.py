@@ -71,6 +71,16 @@ class TestAnalyze:
         rec = json.loads(out)
         assert rec["factors"] == [{"size": 2, "type": "I"}] * 3
 
+    def test_undecidable_exit(self, capsys, monkeypatch):
+        from twodist import geometry, invariants
+
+        invariants.clear_caches()
+        monkeypatch.setattr(geometry, "_support_certified", lambda g, s, t: False)
+        code, out, err = run(capsys, "analyze", C5)
+        assert code == 4
+        assert out == ""
+        assert "proposed twice" in err
+
 
 class TestEmbed:
     def test_octahedron_jspherical(self, capsys):

@@ -10,6 +10,7 @@ from twodist.errors import (
     CompleteGraphError,
     GeometricInconsistencyError,
     InfeasibleDistanceError,
+    UndecidableEnclosureError,
 )
 from twodist.geometry import (
     PointConfig,
@@ -27,6 +28,7 @@ from twodist.graphs import (
     MultipartiteSignature,
     complement_component_sets,
     complete_multipartite,
+    is_complete,
 )
 from twodist.invariants import cm_polynomials, feasible_interval
 
@@ -298,22 +300,42 @@ class TestPhi:
 
 class TestSolvePhi:
     def test_empty3(self):
-        assert abs(solve_phi(Graph.empty(3), 1.0) - math.sqrt(3)) < 1e-9
+        got = math.sqrt(float(solve_phi(Graph.empty(3), 1.0)))
+        assert abs(got - math.sqrt(3)) < 1e-9
 
     def test_empty_family(self):
         for n in range(2, 7):
-            got = solve_phi(Graph.empty(n), 1.0)
+            got = math.sqrt(float(solve_phi(Graph.empty(n), 1.0)))
             assert abs(got - math.sqrt(2 * n / (n - 1))) < 1e-9
 
     def test_square_hits_window_end(self):
         g = complete_multipartite(MultipartiteSignature((2, 2)))
-        assert abs(solve_phi(g, 1.0) - 2.0) < 1e-9
+        assert abs(math.sqrt(float(solve_phi(g, 1.0))) - 2.0) < 1e-9
 
     def test_intermediate_radius(self):
         # unique x with radius 0.95 for the empty triangle: scale the
         # circumscribed equilateral by 0.95
-        got = solve_phi(Graph.empty(3), 0.95)
+        got = math.sqrt(float(solve_phi(Graph.empty(3), 0.95)))
         assert abs(got - 0.95 * math.sqrt(3)) < 1e-9
+
+    def test_unit_radius_at_solution(self, rng):
+        # A float cross-check apart from the exact certificate: the ball
+        # solved at the returned long distance has radius 1.
+        checked = 0
+        while checked < 25:
+            g = random_graph(rng, rng.randrange(2, 9))
+            if is_complete(g):
+                continue
+            x = math.sqrt(float(solve_phi(g, 1.0)))
+            assert abs(phi(g, x) - 1.0) < 1e-9
+            checked += 1
+
+    def test_uncertified_support_raises(self, monkeypatch):
+        from twodist import geometry
+
+        monkeypatch.setattr(geometry, "_support_certified", lambda g, s, t: False)
+        with pytest.raises(UndecidableEnclosureError):
+            solve_phi(Graph.cycle(5), 1.0)
 
     def test_complete_rejected(self):
         with pytest.raises(CompleteGraphError):

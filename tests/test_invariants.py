@@ -22,7 +22,7 @@ from twodist.invariants import (
     tau0,
     tau1_mu,
 )
-from twodist.polynomials import IntPolynomial
+from twodist.polynomials import AlgebraicReal, IntPolynomial
 
 
 def poly(*coeffs):
@@ -125,11 +125,19 @@ class TestTau0:
         # complement of the square is a disjoint clique union: tau0 = 0
         assert tau0(cross_polytope_graph(2)) is None
 
-    def test_reciprocal_pair(self):
+    def test_reciprocal_pair(self, rng):
         g = Graph.path(4)
         t1, _ = tau1_mu(complement(g))
         t0 = tau0(g)
         assert abs(float(t0) * float(t1) - 1.0) < 1e-10
+        # tau0 is read from g's own C; the complement's root checks it.
+        for _ in range(20):
+            g = random_graph(rng, rng.randrange(1, 9))
+            t1, _ = tau1_mu(complement(g))
+            t0 = tau0(g)
+            assert (t0 is None) == (t1 is None)
+            if t1 is not None:
+                assert t0.compare(t1.reciprocal()) == 0
 
 
 class TestCircumradius:
@@ -186,8 +194,8 @@ class TestProfile:
             assert p.dim_s == n - 1
             assert p.dim_j == n - 1
             beta_sq = p.beta_star_squared
-            assert beta_sq.exact is None
-            assert abs(beta_sq.value - 2 * n / (n - 1)) < 1e-8
+            assert beta_sq.cmp_rational(Fraction(2 * n, n - 1)) == 0
+            assert abs(float(beta_sq) - 2 * n / (n - 1)) < 1e-8
 
     def test_complete_graph_conventions(self):
         p = profile(Graph.complete(4))
@@ -204,8 +212,8 @@ class TestProfile:
         p = profile(cross_polytope_graph(2))
         assert (p.dim_e, p.dim_s, p.dim_j) == (2, 2, 2)
         beta_sq = p.beta_star_squared
-        assert beta_sq.exact is not None
-        assert beta_sq.exact.cmp_rational(4) == 0  # beta* = 2 exactly
+        assert isinstance(beta_sq, AlgebraicReal)
+        assert beta_sq.cmp_rational(4) == 0  # beta* = 2 exactly
 
     def test_dimension_identity(self, rng):
         for _ in range(20):
@@ -215,6 +223,7 @@ class TestProfile:
             assert p.dim_e <= p.dim_s <= g.n - 1
             if p.dim_j is not None:
                 assert g.n / 2 <= p.dim_j <= g.n - 1
+                assert isinstance(p.beta_star_squared, AlgebraicReal)
 
     def test_cardinality_bounds_small(self):
         for n in range(1, 6):

@@ -54,6 +54,16 @@ class TestJoinDecompose:
         assert fz.k == 0
         assert all(math.isinf(b) for b in fz.beta_stars)
 
+    def test_relabelled_copies_tie_exactly(self):
+        # Two copies of one factor under different labelings form the
+        # minimal group, decided by exact comparison of beta*^2.
+        for h in (Graph.path(4), Graph.cycle(5), Graph.empty(3)):
+            perm = tuple(reversed(range(h.n)))
+            fz = join_decompose(join(h, h.permuted(perm)))
+            assert len(fz.factors) == 2 and fz.k == 2
+            first, second = (profile(f).beta_star_squared for f in fz.factors)
+            assert first.compare(second) == 0
+
     def test_beta_stars_sorted(self, rng):
         for _ in range(10):
             g = random_graph(rng, rng.randrange(2, 8))

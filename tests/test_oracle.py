@@ -5,12 +5,12 @@ import pytest
 from twodist.graphs import (
     Graph,
     MultipartiteSignature,
+    complement,
     complete_multipartite,
     enumerate_graphs,
 )
-from twodist.invariants import profile
+from twodist.invariants import cm_polynomials, profile
 from twodist.oracle import (
-    calibrate_reciprocal,
     probe_f_monotonicity,
     reciprocal_check,
     verify_profile,
@@ -47,6 +47,27 @@ class TestVerifyProfile:
         parsed = json.loads(rep.to_json())
         assert parsed["ok"] is True
         assert parsed["subject"] == "Bg"  # path 0-1-2 in graph6
+
+
+def calibrate_reciprocal(max_n: int) -> set[tuple[int, int]]:
+    """The (sign, exponent - n) pairs for which the complement's bordered
+    determinant is sign * t^exponent * C(1/t) on every graph with at most
+    max_n vertices."""
+    fits: set[tuple[int, int]] | None = None
+    for n in range(1, max_n + 1):
+        for g in enumerate_graphs(n):
+            c_g, _ = cm_polynomials(g)
+            c_bar, _ = cm_polynomials(complement(g))
+            local = set()
+            for sign in (1, -1):
+                for off in (-1, 0):
+                    exponent = n + off
+                    if (c_g.degree or 0) > exponent:
+                        continue
+                    if c_bar == c_g.reciprocal(exponent).scale(sign):
+                        local.add((sign, off))
+            fits = local if fits is None else fits & local
+    return fits
 
 
 class TestReciprocal:

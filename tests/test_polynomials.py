@@ -9,12 +9,14 @@ from twodist.polynomials import (
     AlgebraicReal,
     IntPolynomial,
     SturmChain,
+    adjugate_column,
     bareiss_determinant,
     count_real_roots,
     det_poly_matrix,
     exact_div,
     multiplicity_at,
     poly_gcd,
+    sign_at,
     smallest_root_greater_than,
     squarefree_decomposition,
 )
@@ -121,6 +123,31 @@ class TestDeterminant:
                 )
                 exact = float(d(x))
                 assert abs(numeric - exact) <= 1e-8 * max(1.0, abs(exact))
+
+    def test_adjugate_column_is_cramer(self, rng):
+        # Entry i is the determinant with column i replaced by e_0; the
+        # square's bordered matrix has det -4t^2 (t - 2), so x = 0 and 2 are
+        # skipped as solve points.
+        square = [[ZERO, ONE, ONE, ONE, ONE], [ONE, ZERO, ONE, T, ONE],
+                  [ONE, ONE, ZERO, ONE, T], [ONE, T, ONE, ZERO, ONE],
+                  [ONE, ONE, T, ONE, ZERO]]
+        cases = [square]
+        for _ in range(12):
+            n = rng.randrange(1, 8)
+            cases.append([
+                [poly(rng.randrange(-9, 10), rng.randrange(-9, 10)) for _ in range(n)]
+                for _ in range(n)
+            ])
+        for m in cases:
+            det = det_poly_matrix(m)
+            if det.is_zero:
+                continue
+            e0 = [ONE] + [ZERO] * (len(m) - 1)
+            cramer = [
+                det_poly_matrix([row[:i] + [e] + row[i + 1 :] for row, e in zip(m, e0)])
+                for i in range(len(m))
+            ]
+            assert adjugate_column(m, det) == cramer
 
     def test_matches_sympy(self, rng):
         sympy = pytest.importorskip("sympy")
@@ -342,6 +369,18 @@ class TestMultiplicity:
             p = p * target**k
         a = AlgebraicReal(target, Fraction(3), Fraction(4))
         assert multiplicity_at(p, a) == k
+
+
+class TestSignAt:
+    def test_signs_at_sqrt2(self):
+        a = AlgebraicReal(poly(-2, 0, 1), Fraction(1), Fraction(2))
+        assert sign_at(poly(-2, 0, 1) * poly(5, 1), a) == 0
+        assert sign_at(poly(-1, 1), a) == 1
+        # 1414213562373095 / 10^15 is below sqrt 2 by about 5e-17
+        assert sign_at(poly(-1414213562373095, 10**15), a) == 1
+        assert sign_at(poly(1414213562373096, -(10**15)), a) == 1
+        assert sign_at(poly(-1414213562373096, 10**15), a) == -1
+        assert sign_at(ZERO, a) == 0
 
 
 class TestSturm:
