@@ -33,7 +33,7 @@ from .graphs import Graph, complement_component_sets, is_complete
 from .polynomials import (
     AlgebraicReal,
     IntPolynomial,
-    adjugate_column,
+    det_poly_matrix,
     exact_div,
     poly_gcd,
     sign_at,
@@ -250,17 +250,17 @@ def _support_certified(g: Graph, support: tuple[int, ...], t: AlgebraicReal) -> 
     g is the center of the enclosing ball of all n points, decided exactly.
 
     With B the bordered matrix of the support and C_T = det B, Cramer's
-    rule gives adj(B) e_0 = (M_T, L_1, ..., L_k): the circumcenter's
-    barycentric weights are L_i / C_T, and the squared circumradius is
-    -M_T / (2 C_T) at unit short distance.  Certified when C_T != 0, every
-    weight is >= 0 and every other point j lies inside or on the sphere:
+    rule gives adj(B) e_0 = (M_T, L_1, ..., L_k), all from one
+    ``det_poly_matrix`` pass: the circumcenter's barycentric weights are
+    L_i / C_T, and the squared circumradius is -M_T / (2 C_T) at unit short
+    distance.  Certified when C_T != 0, every weight is >= 0 and every
+    other point j lies inside or on the sphere:
     sign(sum_i D_ji L_i + M_T) * sign(C_T) <= 0."""
-    h = g.induced(support)
-    c_t, _ = invariants.cm_polynomials(h)
+    bordered = invariants.bordered_matrix(g.induced(support))
+    c_t, m_t, *weights = det_poly_matrix(bordered, len(bordered))
     sign_c = sign_at(c_t, t)
     if sign_c == 0:
         return False
-    m_t, *weights = adjugate_column(invariants.bordered_matrix(h), c_t)
     x = IntPolynomial.x()
     powers = [
         sum((w if g.has_edge(i, j) else x * w for i, w in zip(support, weights)), m_t)
@@ -284,7 +284,8 @@ def solve_phi(g: Graph, r: float) -> AlgebraicReal:
     number.  The radius grows with x, so x is unique.
 
     On an affinely independent support T the squared radius is -M_T/C_T
-    in t = x^2/2, so it equals r^2 = p/q at the roots of q*M_T + p*C_T.
+    in t = x^2/2, so it equals r^2 at the roots of T's tie polynomial for
+    r0 = r^2/2 (``invariants.tie_polynomial``).
     A float ball proposes T (its points of positive weight), starting at
     the window end; a root t of T's polynomial in (1, tau1] is the answer
     once ``_support_certified`` holds at t.  Otherwise the float ball at
@@ -297,7 +298,7 @@ def solve_phi(g: Graph, r: float) -> AlgebraicReal:
     lo_r = math.sqrt((n - 1) / n)
     if not (lo_r < r <= 1.0 + 1e-12):
         raise ValueError(f"radius {r} outside (sqrt((n-1)/n), 1]")
-    r2 = Fraction(r) ** 2
+    r0 = Fraction(r) ** 2 / 2  # the squared radius at unit short distance
     tau1, _ = invariants.tau1_mu(g)
     ball = _ball_at(g, 4.0 if tau1 is None else float(tau1))
     proposed = set()
@@ -310,8 +311,7 @@ def solve_phi(g: Graph, r: float) -> AlgebraicReal:
                 f"enclosing-ball support {support} proposed twice"
             )
         proposed.add(support)
-        c_t, m_t = invariants.cm_polynomials(g.induced(support))
-        radius_poly = m_t.scale(r2.denominator) + c_t.scale(r2.numerator)
+        radius_poly = invariants.tie_polynomial(g.induced(support), r0)
         balls = []  # no root keeps the ball, so T is proposed again and raises
         for t in _roots_in_window(radius_poly, tau1):
             t = t.refined(Fraction(1, 2**64))  # once, for every sign and the float

@@ -11,9 +11,13 @@ minimal representation exactly, and assembles the full invariant profile:
     dim_j = dim_e if the squared circumradius equals 1/2 exactly, else n - 1
             (undefined for complete graphs)
 
-The 1/2 test is algebraic: the limit of -M/(2C) at the root equals 1/2
-exactly iff M + C vanishes there to higher order than C.  Everything else
-about the limit is certified interval arithmetic over rationals.
+The squared circumradius is the limit of -M/(2C) at the root.  Whether it
+equals a rational r0 = p/q is algebraic: it does iff the tie polynomial
+q*M + 2p*C vanishes there to higher order than C.  The 1/2 test is the case
+r0 = 1/2; ``dim_s_bounded`` asks about any r0, and ``geometry.solve_phi``
+finds beta* among the roots of a support's tie polynomial.  Otherwise the
+limit is enclosed by certified interval arithmetic over rationals, away
+from r0.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .config import get_config
-from .errors import CompleteGraphError, UndecidableEnclosureError
+from .errors import CompleteGraphError
 from .graphs import (
     Graph,
     complement,
@@ -109,10 +113,34 @@ def bordered_matrix(g: Graph) -> list[list[IntPolynomial]]:
 @functools.lru_cache(maxsize=None)
 def cm_polynomials(g: Graph) -> tuple[IntPolynomial, IntPolynomial]:
     """The pair (C, M): bordered and plain squared-distance determinants
-    as exact polynomials in t = b^2 (unit short distance on edges)."""
-    bordered = bordered_matrix(g)
-    plain = [row[1:] for row in bordered[1:]]
-    return det_poly_matrix(bordered), det_poly_matrix(plain)
+    as exact polynomials in t = b^2 (unit short distance on edges).  M is
+    the first entry of the bordered matrix's adjugate column, so one
+    elimination per point gives both."""
+    return det_poly_matrix(bordered_matrix(g), 1)
+
+
+def tie_polynomial(g: Graph, r0: Fraction) -> IntPolynomial:
+    """q*M + 2p*C for r0 = p/q: its roots are where -M/(2C), the squared
+    circumradius at unit short distance, equals r0 or C and M both vanish."""
+    c, m = cm_polynomials(g)
+    return m.scale(r0.denominator) + c.scale(2 * r0.numerator)
+
+
+def _limit_against(g: Graph, r0: Fraction) -> Optional[tuple[Fraction, Fraction]]:
+    """None when the finite squared circumradius equals r0 exactly, else a
+    certified enclosure (lo, hi) of it that excludes r0.
+
+    Equal iff the tie polynomial vanishes at tau1 to order > mu_C.
+    Otherwise the limit of -M/(2C) is enclosed through the mu_C-th
+    derivatives on a refined interval."""
+    root, mu = tau1_mu(g)
+    tie = tie_polynomial(g, r0)
+    if tie.is_zero or multiplicity_at(tie, root) > mu:
+        return None
+    c, m = cm_polynomials(g)
+    for _ in range(mu):
+        m, c = m.derivative(), c.derivative()
+    return enclose_rational_limit(-m, c.scale(2), root, get_config().r2_width, r0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -142,30 +170,18 @@ def circumradius_invariant(g: Graph) -> RSquared:
     """Exact classification of the squared circumradius.
 
     With mu_C, mu_M the multiplicities of tau1 in C and M: the limit of
-    -M/(2C) is infinite iff tau1 is infinite or mu_M < mu_C.  It equals
-    1/2 exactly iff M + C vanishes at tau1 to order > mu_C.  Otherwise the
-    limit is enclosed by evaluating the mu_C-th derivatives on a refined
-    interval until the enclosure is narrow and excludes 1/2."""
+    -M/(2C) is infinite iff tau1 is infinite or mu_M < mu_C.  Otherwise
+    it is exactly 1/2 or enclosed away from 1/2 (``_limit_against``)."""
     root, mu = tau1_mu(g)
     if root is None:
         return RSquared.infinite()
-    c, m = cm_polynomials(g)
+    _, m = cm_polynomials(g)
     if multiplicity_at(m, root) < mu:
         return RSquared.infinite()
-    if multiplicity_at(m + c, root) > mu:
-        return RSquared.half()
-    num, den = m, c
-    for _ in range(mu):
-        num = num.derivative()
-        den = den.derivative()
-    cfg = get_config()
-    lo, hi, _ = enclose_rational_limit(
-        -num, den.scale(2), root, cfg.r2_width, exclude=(Fraction(1, 2),)
-    )
-    return RSquared.finite(lo, hi)
+    got = _limit_against(g, Fraction(1, 2))
+    return RSquared.half() if got is None else RSquared.finite(*got)
 
 
-@functools.lru_cache(maxsize=None)
 def feasible_interval(g: Graph) -> tuple[float, float]:
     """Float window [t_lo, t_hi] of realizable squared distance ratios."""
     t1, _ = tau1_mu(g)
@@ -219,32 +235,14 @@ def dim_s_bounded(g: Graph, r0_squared: Fraction | int | float) -> int:
     if r0 < Fraction(1, 2):
         raise ValueError("r0_squared must be at least 1/2")
     n = g.n
-    root, mu = tau1_mu(g)
+    _, mu = tau1_mu(g)
     r2 = circumradius_invariant(g)
     if r2.kind == INFINITE:
         return n - 1
     if r2.kind == HALF:
         return n - mu - 1
-    # Exact tie test: the limit equals r0 = p/q iff q*M + 2p*C vanishes at
-    # tau1 to order > mu_C (same mechanism as the 1/2 test).
-    c, m = cm_polynomials(g)
-    tie = m.scale(r0.denominator) + c.scale(2 * r0.numerator)
-    if not tie.is_zero and multiplicity_at(tie, root) > mu:
-        return n - mu - 1
-    num, den = m, c
-    for _ in range(mu):
-        num = num.derivative()
-        den = den.derivative()
-    lo, hi, _ = enclose_rational_limit(
-        -num, den.scale(2), root, get_config().r2_width, exclude=(r0,)
-    )
-    if hi < r0:
-        return n - mu - 1
-    if lo > r0:
-        return n - 1
-    raise UndecidableEnclosureError(
-        f"circumradius enclosure [{lo}, {hi}] straddles {r0}"
-    )
+    got = _limit_against(g, r0)
+    return n - mu - 1 if got is None or got[1] < r0 else n - 1
 
 
 def clear_caches() -> None:
@@ -253,5 +251,4 @@ def clear_caches() -> None:
     tau1_mu.cache_clear()
     tau0.cache_clear()
     circumradius_invariant.cache_clear()
-    feasible_interval.cache_clear()
     profile.cache_clear()

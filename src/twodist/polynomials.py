@@ -1,8 +1,9 @@
 """Exact univariate polynomial algebra over big integers.
 
 Coefficients are arbitrary-precision integers, stored lowest degree first.
-On top of the ring arithmetic this module provides fraction-free
-determinants and adjugate columns of polynomial matrices, Yun squarefree
+On top of the ring arithmetic this module provides the determinant and
+the adjugate column adj(B) e_0 of a polynomial matrix B, both from one
+fraction-free elimination of [B | e_0] per sample point, Yun squarefree
 decomposition, Sturm root counting, isolation of real roots, certified
 interval refinement, and exact signs at algebraic points.
 No floating point enters any decision made here.
@@ -10,6 +11,7 @@ No floating point enters any decision made here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -301,8 +303,13 @@ class AlgebraicReal:
         r = self.refined(width)
         return (r.lo + r.hi) / 2
 
-    def to_float(self) -> float:
+    @functools.cached_property
+    def _float(self) -> float:
         return float(self.approx(Fraction(1, 2**54) * max(1, math.ceil(abs(self.hi)))))
+
+    def to_float(self) -> float:
+        """Nearest float; the refinement runs once per number."""
+        return self._float
 
     __float__ = to_float
 
@@ -321,16 +328,17 @@ class AlgebraicReal:
 
     def compare(self, other: "AlgebraicReal") -> int:
         """Sign of (self - other), decided exactly."""
-        g = poly_gcd(self.defining, other.defining)
-        deg = g.degree
-        if deg is not None and deg > 0:
-            lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-            if lo < hi and SturmChain(g).count(lo, hi) >= 1:
-                return 0
         a, b = self, other
-        while a.hi > b.lo and b.hi > a.lo:
-            a = a.refined(a.width / 4)
-            b = b.refined(b.width / 4)
+        if a.hi > b.lo and b.hi > a.lo:
+            # Overlapping enclosures: equal numbers share a root of the gcd.
+            g = poly_gcd(a.defining, b.defining)
+            deg = g.degree
+            lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+            if deg is not None and deg > 0 and SturmChain(g).count(lo, hi) >= 1:
+                return 0
+            while a.hi > b.lo and b.hi > a.lo:
+                a = a.refined(a.width / 4)
+                b = b.refined(b.width / 4)
         return -1 if a.hi <= b.lo else 1
 
     def scaled(self, k: int) -> "AlgebraicReal":
@@ -347,7 +355,6 @@ class AlgebraicReal:
         """1 / self, for a root known to be positive."""
         if self.lo <= 0:
             raise ValueError("reciprocal requires a positive enclosure")
-        d = len(self.defining.coeffs) - 1
         rev = IntPolynomial.from_coeffs(list(reversed(self.defining.coeffs)))
         return AlgebraicReal(rev.primitive(), 1 / self.hi, 1 / self.lo)
 
@@ -382,33 +389,6 @@ def _bareiss_eliminate(a: list[list[int]]) -> int:
     return sign
 
 
-def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
-    """Fraction-free elimination; exact integer determinant."""
-    a = [list(int(v) for v in row) for row in matrix]
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
-    if n == 0:
-        return 1
-    return _bareiss_eliminate(a) * a[-1][-1]
-
-
-def _bareiss_adjugate_column(matrix: Sequence[Sequence[int]]) -> list[int]:
-    """adj(A) e_0 of a nonsingular integer matrix A: fraction-free
-    elimination of [A | e_0], then back substitution.  The last pivot is
-    sign * det(A), so that multiple of the solution of A y = e_0 is an
-    integer vector."""
-    n = len(matrix)
-    a = [list(row) + [int(i == 0)] for i, row in enumerate(matrix)]
-    sign = _bareiss_eliminate(a)
-    last = a[-1][n - 1]
-    y = [0] * n
-    for i in reversed(range(n)):
-        acc = last * a[i][n] - sum(a[i][j] * y[j] for j in range(i + 1, n))
-        y[i] = acc // a[i][i]
-    return [sign * v for v in y]
-
-
 def _interpolate_integer(xs: Sequence[int], ys: Sequence[int]) -> IntPolynomial:
     """Exact Newton interpolation; the result must have integer coefficients."""
     n = len(xs)
@@ -429,12 +409,19 @@ def _interpolate_integer(xs: Sequence[int], ys: Sequence[int]) -> IntPolynomial:
     return IntPolynomial.from_coeffs([int(f) for f in cur])
 
 
-def det_poly_matrix(matrix: Sequence[Sequence[IntPolynomial]]) -> IntPolynomial:
-    """Exact determinant of a square matrix of degree-at-most-1 polynomials.
+def det_poly_matrix(
+    matrix: Sequence[Sequence[IntPolynomial]], k: int = 0
+) -> tuple[IntPolynomial, ...]:
+    """``(det B, a_0, ..., a_{k-1})`` for a square matrix B of
+    degree-at-most-1 polynomials, where ``a = adj(B) e_0``: a_i is the
+    determinant of B with column i replaced by e_0.
 
-    The matrix is evaluated at size+1 integer points, each determinant is
-    computed fraction-free, and the polynomial is recovered by exact
-    interpolation (its degree is bounded by the matrix size).
+    At each integer x one fraction-free elimination of [B(x) | e_0] gives
+    det B(x) (0 where a pivot vanishes) and, where B(x) is nonsingular,
+    adj(B(x)) e_0 by back substitution.  det B has degree at most the size,
+    so size+1 points recover it; each a_i, a minor, has degree below the
+    size, so it is interpolated from that many nonsingular points.  Asking
+    for a_i when det B is the zero polynomial raises ``ValueError``.
     """
     size = len(matrix)
     if any(len(row) != size for row in matrix):
@@ -443,35 +430,34 @@ def det_poly_matrix(matrix: Sequence[Sequence[IntPolynomial]]) -> IntPolynomial:
         for entry in row:
             if entry.degree is not None and entry.degree > 1:
                 raise ValueError("entries must have degree at most 1")
+    if not 0 <= k <= size:
+        raise ValueError("k must lie in [0, size]")
     if size == 0:
-        return IntPolynomial.const(1)
-    xs = list(range(size + 1))
-    ys = [
-        bareiss_determinant([[p(x) for p in row] for row in matrix]) for x in xs
-    ]
-    return _interpolate_integer(xs, ys)
-
-
-def adjugate_column(
-    matrix: Sequence[Sequence[IntPolynomial]], det: IntPolynomial
-) -> list[IntPolynomial]:
-    """Column 0 of the adjugate of a square matrix of degree-at-most-1
-    polynomials whose determinant ``det`` is not the zero polynomial:
-    entry i is the determinant of the matrix with column i replaced by
-    e_0.  Each entry, a minor, has degree below the matrix size, so it is
-    interpolated from solves at that many integer points off the roots of
-    ``det``."""
-    size = len(matrix)
-    xs: list[int] = []
+        return (IntPolynomial.const(1),)
+    dets: list[int] = []
+    xs: list[int] = []  # the nonsingular points
+    columns: list[list[int]] = []
     x = 0
-    while len(xs) < size:
-        if det(x):
+    while len(dets) <= size or (k and len(xs) < size):
+        if len(dets) == size + 1 and not any(dets):
+            raise ValueError("adjugate entries of a matrix with zero determinant")
+        a = [[p(x) for p in row] + [int(i == 0)] for i, row in enumerate(matrix)]
+        sign = _bareiss_eliminate(a)
+        last = a[-1][size - 1]  # sign * det B(x) unless sign is 0
+        if len(dets) <= size:
+            dets.append(sign * last)
+        if k and sign and last and len(xs) < size:
+            # The last pivot times the solution of B(x) y = e_0 is an
+            # integer vector, sign * adj(B(x)) e_0.
+            y = [0] * size
+            for i in reversed(range(size)):
+                acc = last * a[i][size] - sum(a[i][j] * y[j] for j in range(i + 1, size))
+                y[i] = acc // a[i][i]
             xs.append(x)
+            columns.append([sign * v for v in y])
         x += 1
-    columns = [
-        _bareiss_adjugate_column([[p(x) for p in row] for row in matrix]) for x in xs
-    ]
-    return [_interpolate_integer(xs, [col[i] for col in columns]) for i in range(size)]
+    adj = [_interpolate_integer(xs, [col[i] for col in columns]) for i in range(k)]
+    return (_interpolate_integer(list(range(size + 1)), dets), *adj)
 
 
 # ---------------------------------------------------------------------------
@@ -627,22 +613,25 @@ def sign_at(p: IntPolynomial, a: AlgebraicReal) -> int:
         a = a.refined(a.width / 2)
 
 
+# Halvings of the point's enclosure before a limit enclosure gives up.
+MAX_HALVINGS = 256
+
+
 def enclose_rational_limit(
     numerator: IntPolynomial,
     denominator: IntPolynomial,
     at: AlgebraicReal,
     width: Fraction,
-    exclude: Sequence[Fraction] = (),
-    max_halvings: int = 256,
-) -> tuple[Fraction, Fraction, AlgebraicReal]:
+    exclude: Fraction,
+) -> tuple[Fraction, Fraction]:
     """Certified enclosure of numerator/denominator at an algebraic point.
 
     The denominator must be nonzero at the point.  The point's interval is
     bisected until the quotient enclosure is narrower than ``width`` and
-    excludes every value in ``exclude``.  Returns (lo, hi, refined point).
+    excludes ``exclude``.  Returns (lo, hi).
     """
     a = at
-    for _ in range(max_halvings):
+    for _ in range(MAX_HALVINGS):
         nlo, nhi = numerator.eval_interval(a.lo, a.hi)
         dlo, dhi = denominator.eval_interval(a.lo, a.hi)
         if dlo <= 0 <= dhi:
@@ -650,8 +639,8 @@ def enclose_rational_limit(
             continue
         quotients = (nlo / dlo, nlo / dhi, nhi / dlo, nhi / dhi)
         qlo, qhi = min(quotients), max(quotients)
-        if qhi - qlo <= width and all(not (qlo <= e <= qhi) for e in exclude):
-            return qlo, qhi, a
+        if qhi - qlo <= width and not qlo <= exclude <= qhi:
+            return qlo, qhi
         a = a.refined(a.width / 2)
     raise UndecidableEnclosureError(
         "enclosure failed to separate after maximal refinement"

@@ -9,8 +9,6 @@ from twodist.polynomials import (
     AlgebraicReal,
     IntPolynomial,
     SturmChain,
-    adjugate_column,
-    bareiss_determinant,
     count_real_roots,
     det_poly_matrix,
     exact_div,
@@ -82,28 +80,35 @@ class TestArithmetic:
         assert g == poly(-4, 1)
 
 
+def det_of(matrix):
+    (d,) = det_poly_matrix(matrix)
+    return d
+
+
 class TestDeterminant:
     def test_one_by_one(self):
-        assert det_poly_matrix([[T]]) == T
+        assert det_poly_matrix([[T]]) == (T,)
 
     def test_two_by_two_constant(self):
-        assert det_poly_matrix([[ZERO, ONE], [ONE, ZERO]]) == IntPolynomial.const(-1)
+        assert det_poly_matrix([[ZERO, ONE], [ONE, ZERO]]) == (IntPolynomial.const(-1),)
 
     def test_path3_plain_matrix(self):
         # Hollow 3x3 with t in the single non-adjacent slot: cofactor
         # expansion gives 2t.
         m = [[ZERO, ONE, T], [ONE, ZERO, ONE], [T, ONE, ZERO]]
-        assert det_poly_matrix(m) == poly(0, 2)
+        assert det_poly_matrix(m) == (poly(0, 2),)
 
     def test_rejects_high_degree_entries(self):
         with pytest.raises(ValueError):
             det_poly_matrix([[T * T]])
 
     def test_bareiss_matches_numpy(self, rng):
+        # Constant matrices: the determinant polynomial is the integer
+        # determinant.
         for _ in range(30):
             n = rng.randrange(1, 7)
             m = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
-            exact = bareiss_determinant(m)
+            exact = det_of([[IntPolynomial.const(v) for v in row] for row in m])(0)
             approx = np.linalg.det(np.array(m, dtype=float))
             assert abs(exact - approx) <= 1e-6 * max(1.0, abs(approx))
 
@@ -115,7 +120,7 @@ class TestDeterminant:
                 [poly(rng.randrange(-9, 10), rng.randrange(-9, 10)) for _ in range(n)]
                 for _ in range(n)
             ]
-            d = det_poly_matrix(entries)
+            d = det_of(entries)
             for _ in range(10):
                 x = rng.randrange(-6, 7)
                 numeric = np.linalg.det(
@@ -127,11 +132,13 @@ class TestDeterminant:
     def test_adjugate_column_is_cramer(self, rng):
         # Entry i is the determinant with column i replaced by e_0; the
         # square's bordered matrix has det -4t^2 (t - 2), so x = 0 and 2 are
-        # skipped as solve points.
+        # skipped as solve points.  A matrix with det = 0 identically has no
+        # nonsingular point, and asking for its adjugate column raises.
         square = [[ZERO, ONE, ONE, ONE, ONE], [ONE, ZERO, ONE, T, ONE],
                   [ONE, ONE, ZERO, ONE, T], [ONE, T, ONE, ZERO, ONE],
                   [ONE, ONE, T, ONE, ZERO]]
-        cases = [square]
+        singular = [[T, ONE, T], [ONE, T, ONE], [T, ONE, T]]
+        cases = [square, singular]
         for _ in range(12):
             n = rng.randrange(1, 8)
             cases.append([
@@ -139,15 +146,17 @@ class TestDeterminant:
                 for _ in range(n)
             ])
         for m in cases:
-            det = det_poly_matrix(m)
-            if det.is_zero:
+            d = det_of(m)
+            if d.is_zero:
+                with pytest.raises(ValueError):
+                    det_poly_matrix(m, 1)
                 continue
             e0 = [ONE] + [ZERO] * (len(m) - 1)
             cramer = [
-                det_poly_matrix([row[:i] + [e] + row[i + 1 :] for row, e in zip(m, e0)])
+                det_of([row[:i] + [e] + row[i + 1 :] for row, e in zip(m, e0)])
                 for i in range(len(m))
             ]
-            assert adjugate_column(m, det) == cramer
+            assert det_poly_matrix(m, len(m)) == (d, *cramer)
 
     def test_matches_sympy(self, rng):
         sympy = pytest.importorskip("sympy")
@@ -162,7 +171,7 @@ class TestDeterminant:
                 [poly(rng.randrange(-5, 6), rng.randrange(-5, 6)) for _ in range(n)]
                 for _ in range(n)
             ]
-            ours = det_poly_matrix(entries)
+            ours = det_of(entries)
             det = sympy.expand(sympy.Matrix([[to_sympy(e) for e in row]
                                              for row in entries]).det())
             expect = sympy.Poly(det, t).all_coeffs() if det != 0 else []
@@ -297,6 +306,20 @@ class TestRefine:
         r = a.refined(Fraction(1, 10**6))
         assert r.defining(r.lo) != 0 and r.defining(r.hi) != 0
 
+    def test_float_refines_once(self, monkeypatch):
+        a = AlgebraicReal(poly(-1, -1, 1), Fraction(1), Fraction(2))
+        calls = []
+        refined = AlgebraicReal.refined
+
+        def counting(self, width):
+            calls.append(width)
+            return refined(self, width)
+
+        monkeypatch.setattr(AlgebraicReal, "refined", counting)
+        assert float(a) == float(a) == a.to_float()
+        assert abs(float(a) - 1.618033988749894) < 1e-15
+        assert len(calls) == 1
+
 
 class TestAlgebraicCompare:
     def test_same_root_different_defining(self):
@@ -314,6 +337,18 @@ class TestAlgebraicCompare:
         a = AlgebraicReal(poly(-200, 100), Fraction(0), Fraction(10))  # 2
         b = AlgebraicReal(poly(-201, 100), Fraction(0), Fraction(10))  # 2.01
         assert a.compare(b) == -1
+
+    def test_disjoint_enclosures_skip_gcd(self, monkeypatch):
+        from twodist import polynomials
+
+        def no_gcd(a, b):
+            raise AssertionError("gcd computed for disjoint enclosures")
+
+        monkeypatch.setattr(polynomials, "poly_gcd", no_gcd)
+        a = AlgebraicReal(poly(-2, 0, 1), Fraction(1), Fraction(3, 2))  # sqrt 2
+        b = AlgebraicReal(poly(-3, 0, 1), Fraction(3, 2), Fraction(2))  # sqrt 3
+        assert a.compare(b) == -1
+        assert b.compare(a) == 1
 
     def test_cmp_rational(self):
         a = AlgebraicReal(poly(-4, 0, 1), Fraction(1), Fraction(3))  # 2
