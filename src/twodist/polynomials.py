@@ -6,6 +6,15 @@ the adjugate column adj(B) e_0 of a polynomial matrix B, both from one
 fraction-free elimination of [B | e_0] per sample point, Yun squarefree
 decomposition, Sturm root counting, isolation of real roots, certified
 interval refinement, and exact signs at algebraic points.
+
+Every loop runs on integers.  The sign of p at a rational n/d (d > 0) is
+the sign of the integer d**deg * p(n/d), computed by homogeneous Horner;
+bisection points and interval images are integer numerators over one
+shared denominator.  Remainders are pseudo-remainders with a positive
+multiplier, made primitive, so Sturm signs survive; quotients divide over
+the integers; interpolation is Lagrange over one common denominator.
+``Fraction`` appears only at the interface: enclosure endpoints and the
+value of a polynomial at a ``Fraction``.
 No floating point enters any decision made here.
 """
 
@@ -24,6 +33,22 @@ RationalLike = Fraction | int
 
 def _as_fraction(x: RationalLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _on_grid(lo: RationalLike, hi: RationalLike) -> tuple[int, int, int]:
+    """(a, b, den) with lo = a/den and hi = b/den over one denominator."""
+    den = math.lcm(lo.denominator, hi.denominator)
+    return (
+        lo.numerator * (den // lo.denominator),
+        hi.numerator * (den // hi.denominator),
+        den,
+    )
+
+
+def _sign_changes(values: Sequence[int]) -> int:
+    """Sign changes along a sequence, zeros skipped."""
+    signs = [v > 0 for v in values if v]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
 @dataclass(frozen=True)
@@ -98,18 +123,46 @@ class IntPolynomial:
         return out
 
     def __call__(self, x: RationalLike) -> RationalLike:
+        if isinstance(x, Fraction):
+            if self.is_zero:
+                return Fraction(0)
+            return Fraction(
+                self.homogeneous(x.numerator, x.denominator), x.denominator**self.degree
+            )
         acc: RationalLike = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
+    def homogeneous(self, n: int, d: int) -> int:
+        """The integer d**deg * p(n/d); for d > 0 its sign is that of p(n/d)."""
+        coeffs = self.coeffs
+        if not coeffs:
+            return 0
+        acc, dk = coeffs[-1], 1
+        for c in coeffs[-2::-1]:
+            dk *= d
+            acc = acc * n + c * dk
+        return acc
+
     def eval_interval(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
         """Exact interval image bound of the polynomial over [lo, hi]."""
-        rlo = rhi = Fraction(0)
-        for c in reversed(self.coeffs):
-            prods = (rlo * lo, rlo * hi, rhi * lo, rhi * hi)
-            rlo, rhi = min(prods) + c, max(prods) + c
-        return rlo, rhi
+        rlo, rhi, scale = self._image(*_on_grid(lo, hi))
+        return Fraction(rlo, scale), Fraction(rhi, scale)
+
+    def _image(self, a: int, b: int, den: int) -> tuple[int, int, int]:
+        """Interval Horner over [a/den, b/den], den > 0: returns (lo, hi, s)
+        with the image bound [lo/s, hi/s], s a positive power of den."""
+        coeffs = self.coeffs
+        if not coeffs:
+            return 0, 0, 1
+        rlo = rhi = coeffs[-1]
+        scale = 1
+        for c in coeffs[-2::-1]:
+            scale *= den
+            prods = (rlo * a, rlo * b, rhi * a, rhi * b)
+            rlo, rhi = min(prods) + c * scale, max(prods) + c * scale
+        return rlo, rhi, scale
 
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial.from_coeffs(
@@ -117,7 +170,7 @@ class IntPolynomial:
         )
 
     def content(self) -> int:
-        return math.gcd(*(abs(c) for c in self.coeffs)) if self.coeffs else 0
+        return math.gcd(*self.coeffs)
 
     def reduced(self) -> "IntPolynomial":
         """Divide out the content, keeping the sign of the leading term."""
@@ -161,53 +214,56 @@ class IntPolynomial:
         return "IntPolynomial(" + " + ".join(terms) + ")"
 
 
-def _divmod_fractions(
-    num: Sequence[Fraction], den: Sequence[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    """Polynomial division over the rationals on coefficient lists."""
-    num = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    quot = [Fraction(0)] * max(len(num) - dn, 0)
-    for i in range(len(num) - 1, dn - 1, -1):
-        q = num[i] / lead
-        quot[i - dn] = q
-        if q:
-            for j in range(dn + 1):
-                num[i - dn + j] -= q * den[j]
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
 def poly_rem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Remainder of a by b, scaled by a positive constant to integers."""
-    _, rem = _divmod_fractions(
-        [Fraction(c) for c in a.coeffs], [Fraction(c) for c in b.coeffs]
-    )
-    if not rem:
-        return IntPolynomial.zero()
-    den = math.lcm(*(f.denominator for f in rem))
-    return IntPolynomial.from_coeffs([int(f * den) for f in rem]).reduced()
+    """Remainder of a by b over Q, scaled by a positive constant to a
+    content-free integer polynomial.
+
+    Integer pseudo-division: each step multiplies the running remainder by
+    |lc(b)| / g > 0 (g its gcd with the leading term) before cancelling
+    that term, so the result is a positive multiple of the rational
+    remainder and Sturm signs survive."""
+    rem = list(a.coeffs)
+    *low, lead = b.coeffs
+    db = len(low)
+    scale, sign = abs(lead), 1 if lead > 0 else -1
+    while len(rem) > db:
+        top = rem.pop()
+        g = math.gcd(top, scale)
+        m, q = scale // g, sign * top // g
+        if m != 1:
+            rem = [m * v for v in rem]
+        shift = len(rem) - db
+        for j, c in enumerate(low):
+            rem[shift + j] -= q * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return IntPolynomial(tuple(rem)).reduced()
 
 
 def exact_div(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Exact quotient a / b; raises if b does not divide a over Q."""
+    """Exact quotient a / b over the integers.  Callers pass a primitive b,
+    so by Gauss's lemma the quotient is integral whenever b divides a;
+    raises ``ValueError`` when the division is inexact or the quotient is
+    not integral."""
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero:
         return a
-    quot, rem = _divmod_fractions(
-        [Fraction(c) for c in a.coeffs], [Fraction(c) for c in b.coeffs]
-    )
-    if rem:
+    rem = list(a.coeffs)
+    *low, lead = b.coeffs
+    db = len(low)
+    quot = [0] * max(len(rem) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        q, r = divmod(rem[i], lead)
+        if r:
+            raise ValueError("polynomial quotient is not integral")
+        quot[i - db] = q
+        if q:
+            for j, c in enumerate(low):
+                rem[i - db + j] -= q * c
+    if any(rem[:db]):
         raise ValueError("inexact polynomial division")
-    den = math.lcm(*(f.denominator for f in quot)) if quot else 1
-    if den != 1:
-        # a, b primitive implies an integer quotient; tolerate content noise
-        # by clearing denominators (quotient is only used up to constants).
-        quot = [f * den for f in quot]
-    return IntPolynomial.from_coeffs([int(f) for f in quot])
+    return IntPolynomial.from_coeffs(quot)
 
 
 def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
@@ -235,22 +291,23 @@ class SturmChain:
                 chain.append(-r)
         self.chain = chain
 
-    def variations(self, x: Fraction) -> int:
-        signs = []
-        for q in self.chain:
-            v = q(x)
-            if v:
-                signs.append(v > 0)
-        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+    def _values(self, n: int, d: int) -> list[int]:
+        """The chain's homogeneous values at n/d (d > 0): integers with the
+        signs of the chain at n/d; entry 0 vanishes at a root."""
+        return [q.homogeneous(n, d) for q in self.chain]
 
-    def count(self, lo: Fraction, hi: Fraction) -> int:
+    def variations(self, x: RationalLike) -> int:
+        return _sign_changes(self._values(x.numerator, x.denominator))
+
+    def count(self, lo: RationalLike, hi: RationalLike) -> int:
         """Distinct real roots in (lo, hi); endpoints must not be roots."""
-        p = self.chain[0]
-        if p(lo) == 0 or p(hi) == 0:
+        at_lo = self._values(lo.numerator, lo.denominator)
+        at_hi = self._values(hi.numerator, hi.denominator)
+        if not at_lo[0] or not at_hi[0]:
             raise ValueError("Sturm count requires nonroot endpoints")
         if lo >= hi:
             return 0
-        return self.variations(lo) - self.variations(hi)
+        return _sign_changes(at_lo) - _sign_changes(at_hi)
 
 
 def count_real_roots(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
@@ -270,8 +327,8 @@ class AlgebraicReal:
         f = self.defining
         return (
             self.lo < self.hi
-            and f(self.lo) != 0
-            and f(self.hi) != 0
+            and f.homogeneous(self.lo.numerator, self.lo.denominator) != 0
+            and f.homogeneous(self.hi.numerator, self.hi.denominator) != 0
             and count_real_roots(f, self.lo, self.hi) == 1
         )
 
@@ -282,22 +339,25 @@ class AlgebraicReal:
     def refined(self, width: RationalLike) -> "AlgebraicReal":
         """Same root, interval width at most ``width``."""
         width = _as_fraction(width)
-        lo, hi, f = self.lo, self.hi, self.defining
-        if hi - lo <= width:
+        f = self.defining
+        if self.hi - self.lo <= width:
             return self
-        positive_at_lo = f(lo) > 0
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            v = f(mid)
+        # Bisect the numerators lo = a/den, hi = b/den; each halving doubles den.
+        a, b, den = _on_grid(self.lo, self.hi)
+        positive_at_lo = f.homogeneous(a, den) > 0
+        while (b - a) * width.denominator > width.numerator * den:
+            a, mid, b, den = 2 * a, a + b, 2 * b, 2 * den
+            v = f.homogeneous(mid, den)
             if v == 0:
                 # The root itself is rational; shrink symmetrically around it.
-                d = min(mid - lo, hi - mid, width) / 2
-                return AlgebraicReal(f, mid - d, mid + d)
+                m = Fraction(mid, den)
+                d = min(Fraction(mid - a, den), width) / 2
+                return AlgebraicReal(f, m - d, m + d)
             if (v > 0) == positive_at_lo:
-                lo = mid
+                a = mid
             else:
-                hi = mid
-        return AlgebraicReal(f, lo, hi)
+                b = mid
+        return AlgebraicReal(f, Fraction(a, den), Fraction(b, den))
 
     def approx(self, width: RationalLike) -> Fraction:
         r = self.refined(width)
@@ -322,7 +382,7 @@ class AlgebraicReal:
                 return 1
             if r >= a.hi:
                 return -1
-            if a.defining(r) == 0:
+            if a.defining.homogeneous(r.numerator, r.denominator) == 0:
                 return 0  # r is the unique root in the interval
             a = a.refined(a.width / 4)
 
@@ -390,23 +450,37 @@ def _bareiss_eliminate(a: list[list[int]]) -> int:
 
 
 def _interpolate_integer(xs: Sequence[int], ys: Sequence[int]) -> IntPolynomial:
-    """Exact Newton interpolation; the result must have integer coefficients."""
-    n = len(xs)
-    coef = [Fraction(y) for y in ys]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    cur = [coef[-1]]
-    for i in range(n - 2, -1, -1):
-        nxt = [Fraction(0)] * (len(cur) + 1)
-        for k, c in enumerate(cur):
-            nxt[k + 1] += c
-            nxt[k] -= c * xs[i]
-        nxt[0] += coef[i]
-        cur = nxt
-    if any(f.denominator != 1 for f in cur):
-        raise ValueError("interpolation produced non-integer coefficients")
-    return IntPolynomial.from_coeffs([int(f) for f in cur])
+    """The polynomial of degree below len(xs) through the points (xs[i],
+    ys[i]), for distinct integer nodes; raises ``ValueError`` unless its
+    coefficients are integers.
+
+    Lagrange form over one common denominator: with w_i = prod_{j != i}
+    (x_i - x_j) and W = lcm |w_i|, W p = sum_i y_i (W / w_i) P / (t - x_i)
+    for P = prod_j (t - x_j), and one exact division by W gives p."""
+    full = [1]  # P, lowest degree first
+    for x in xs:
+        full = [a - x * b for a, b in zip([0] + full, full + [0])]
+    weights = [
+        math.prod(xi - xj for j, xj in enumerate(xs) if j != i)
+        for i, xi in enumerate(xs)
+    ]
+    common = math.lcm(*weights)
+    acc = [0] * len(xs)
+    for xi, yi, wi in zip(xs, ys, weights):
+        if not yi:
+            continue
+        k = yi * (common // wi)
+        carry = 0  # synthetic division of P by (t - xi), from the top
+        for m in range(len(xs), 0, -1):
+            carry = full[m] + carry * xi
+            acc[m - 1] += k * carry
+    coeffs = []
+    for c in acc:
+        q, r = divmod(c, common)
+        if r:
+            raise ValueError("interpolation produced non-integer coefficients")
+        coeffs.append(q)
+    return IntPolynomial.from_coeffs(coeffs)
 
 
 def det_poly_matrix(
@@ -434,6 +508,8 @@ def det_poly_matrix(
         raise ValueError("k must lie in [0, size]")
     if size == 0:
         return (IntPolynomial.const(1),)
+    # (c0, c1) of each entry c0 + c1 t, so evaluating at x is integer work.
+    lines = [[(entry.coeffs + (0, 0))[:2] for entry in row] for row in matrix]
     dets: list[int] = []
     xs: list[int] = []  # the nonsingular points
     columns: list[list[int]] = []
@@ -441,7 +517,10 @@ def det_poly_matrix(
     while len(dets) <= size or (k and len(xs) < size):
         if len(dets) == size + 1 and not any(dets):
             raise ValueError("adjugate entries of a matrix with zero determinant")
-        a = [[p(x) for p in row] + [int(i == 0)] for i, row in enumerate(matrix)]
+        a = [
+            [c0 + c1 * x for c0, c1 in row] + [int(i == 0)]
+            for i, row in enumerate(lines)
+        ]
         sign = _bareiss_eliminate(a)
         last = a[-1][size - 1]  # sign * det B(x) unless sign is 0
         if len(dets) <= size:
@@ -501,7 +580,7 @@ def _leftmost_root_above(
     """Isolating interval of the smallest real root of squarefree ``f``
     strictly above ``bound``, or None."""
     f = f.primitive()
-    if f(bound) == 0:
+    if f.homogeneous(bound.numerator, bound.denominator) == 0:
         # Deflate the (simple) rational root sitting exactly at the bound.
         f = exact_div(
             f, IntPolynomial.from_coeffs([-bound.numerator, bound.denominator])
@@ -511,38 +590,45 @@ def _leftmost_root_above(
     upper = f.root_bound()
     if upper <= bound:
         return None
-    while f(upper) == 0:  # Cauchy bound is strict; guard anyway
+    # The Cauchy bound is strict; guard anyway.
+    while f.homogeneous(upper.numerator, upper.denominator) == 0:
         upper += 1
     chain = SturmChain(f)
-    count = chain.count(bound, upper)
+    # Bisect numerators over a shared denominator, a/den < b/den, carrying
+    # the sign variations at a; each point's chain is evaluated once.
+    a, b, den = _on_grid(bound, upper)
+    var_a = _sign_changes(chain._values(a, den))
+    count = var_a - _sign_changes(chain._values(b, den))
     if count == 0:
         return None
-    a, b = bound, upper
     while count > 1:
-        mid = (a + b) / 2
-        if f(mid) == 0:
-            delta = (b - a) / 4
-            while (
-                f(mid - delta) == 0
-                or f(mid + delta) == 0
-                or chain.count(mid - delta, mid + delta) != 1
-            ):
-                delta /= 2
-            left = chain.count(a, mid - delta) if mid - delta > a else 0
-            if left >= 1:
-                b = mid - delta
-                count = left
-            else:
-                return (mid - delta, mid + delta)
+        a, mid, b, den = 2 * a, a + b, 2 * b, 2 * den
+        at_mid = chain._values(mid, den)
+        if at_mid[0] == 0:
+            # mid is a root: isolate it in [mid - delta, mid + delta], with
+            # delta = (b - a)/4 halved until the count there is 1.
+            a, mid, b, den = 4 * a, 4 * mid, 4 * b, 4 * den
+            delta = (b - a) // 4
+            while True:
+                at_left = chain._values(mid - delta, den)
+                at_right = chain._values(mid + delta, den)
+                var_left = _sign_changes(at_left)
+                if at_left[0] and at_right[0]:
+                    if var_left - _sign_changes(at_right) == 1:
+                        break
+                a, mid, b, den = 2 * a, 2 * mid, 2 * b, 2 * den
+            left = var_a - var_left
+            if left < 1:
+                return (Fraction(mid - delta, den), Fraction(mid + delta, den))
+            b, count = mid - delta, left
         else:
-            left = chain.count(a, mid)
+            var_mid = _sign_changes(at_mid)
+            left = var_a - var_mid
             if left >= 1:
-                b = mid
-                count = left
+                b, count = mid, left
             else:
-                a = mid
-                count -= left
-    return (a, b)
+                a, var_a = mid, var_mid
+    return (Fraction(a, den), Fraction(b, den))
 
 
 def smallest_root_greater_than(
@@ -601,7 +687,7 @@ def sign_at(p: IntPolynomial, a: AlgebraicReal) -> int:
         return 0
     zero_tested = False
     while True:
-        lo, hi = p.eval_interval(a.lo, a.hi)
+        lo, hi, _ = p._image(*_on_grid(a.lo, a.hi))
         if lo > 0:
             return 1
         if hi < 0:
@@ -632,12 +718,16 @@ def enclose_rational_limit(
     """
     a = at
     for _ in range(MAX_HALVINGS):
-        nlo, nhi = numerator.eval_interval(a.lo, a.hi)
-        dlo, dhi = denominator.eval_interval(a.lo, a.hi)
+        grid = _on_grid(a.lo, a.hi)
+        nlo, nhi, ns = numerator._image(*grid)
+        dlo, dhi, ds = denominator._image(*grid)
         if dlo <= 0 <= dhi:
             a = a.refined(a.width / 2)
             continue
-        quotients = (nlo / dlo, nlo / dhi, nhi / dlo, nhi / dhi)
+        # (n / ns) / (d / ds) for the four corners
+        quotients = tuple(
+            Fraction(n * ds, d * ns) for n in (nlo, nhi) for d in (dlo, dhi)
+        )
         qlo, qhi = min(quotients), max(quotients)
         if qhi - qlo <= width and not qlo <= exclude <= qhi:
             return qlo, qhi

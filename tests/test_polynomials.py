@@ -9,11 +9,13 @@ from twodist.polynomials import (
     AlgebraicReal,
     IntPolynomial,
     SturmChain,
+    _interpolate_integer,
     count_real_roots,
     det_poly_matrix,
     exact_div,
     multiplicity_at,
     poly_gcd,
+    poly_rem,
     sign_at,
     smallest_root_greater_than,
     squarefree_decomposition,
@@ -436,3 +438,130 @@ class TestSturm:
     def test_chain_reuse(self):
         chain = SturmChain(poly(-2, 0, 1) * poly(-3, 0, 1))
         assert chain.count(Fraction(1), Fraction(2)) == 2  # sqrt2, sqrt3
+
+
+def fraction_horner(p, x):
+    """Reference value of p at a rational x, in Fraction arithmetic."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def sign(v):
+    return (v > 0) - (v < 0)
+
+
+def random_product(rng):
+    """A random integer polynomial with rational roots, some repeated, an
+    irreducible quadratic now and then, and a leading coefficient of
+    either sign."""
+    p = IntPolynomial.const(rng.choice([-3, -2, -1, 1, 2, 5]))
+    for _ in range(rng.randrange(1, 5)):
+        root = poly(-rng.randrange(-12, 13), rng.randrange(1, 5))  # b t - a
+        p = p * root ** rng.randrange(1, 4)
+    if rng.random() < 0.5:
+        p = p * poly(-rng.randrange(1, 30), 0, rng.randrange(1, 4))  # c t^2 - k
+    return p
+
+
+class TestIntegerKernel:
+    def test_sturm_counts_match_sympy(self, rng):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.symbols("t")
+        checked = negative_lead = repeated = 0
+        for _ in range(30):
+            p = random_product(rng)
+            negative_lead += p.coeffs[-1] < 0
+            repeated += poly_gcd(p, p.derivative()).degree > 0
+            chain = SturmChain(p)
+            reference = sympy.Poly(list(reversed(p.coeffs)), t)
+            for _ in range(6):
+                lo = Fraction(rng.randrange(-40, 40), rng.choice([1, 3, 7, 9, 10]))
+                hi = lo + Fraction(rng.randrange(1, 60), rng.choice([1, 3, 5, 11]))
+                if fraction_horner(p, lo) == 0 or fraction_horner(p, hi) == 0:
+                    continue
+                expect = reference.count_roots(
+                    sympy.Rational(lo.numerator, lo.denominator),
+                    sympy.Rational(hi.numerator, hi.denominator),
+                )
+                assert chain.count(lo, hi) == expect
+                assert count_real_roots(p, lo, hi) == expect
+                checked += 1
+        assert checked >= 100 and negative_lead >= 5 and repeated >= 5
+
+    def test_poly_rem_is_positive_multiple(self, rng):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.symbols("t")
+
+        def rational_rem(a, b):
+            r = sympy.rem(
+                sympy.Poly(list(reversed(a.coeffs)), t),
+                sympy.Poly(list(reversed(b.coeffs)), t),
+                domain=sympy.QQ,
+            )
+            return [Fraction(int(c.p), int(c.q)) for c in reversed(r.all_coeffs())]
+
+        cases = [(poly(2, 0, 0, 1), poly(1, 3, -2))]  # b = -2t^2 + 3t + 1
+        for _ in range(30):
+            a = IntPolynomial.from_coeffs(
+                [rng.randrange(-20, 21) for _ in range(rng.randrange(3, 9))] + [1]
+            )
+            b = IntPolynomial.from_coeffs(
+                [rng.randrange(-20, 21) for _ in range(rng.randrange(1, 5))]
+                + [rng.choice([-7, -3, -1, 2, 5])]
+            )
+            cases.append((a, b))
+        assert sum(b.coeffs[-1] < 0 for _, b in cases) >= 5
+        for a, b in cases:
+            got, expect = poly_rem(a, b), rational_rem(a, b)
+            if not any(expect):
+                assert got.is_zero
+                continue
+            while expect[-1] == 0:
+                expect.pop()
+            ratio = got.coeffs[-1] / expect[-1]
+            assert ratio > 0
+            assert list(got.coeffs) == [ratio * c for c in expect]
+            assert got.content() == 1
+
+    def test_integer_sign_matches_fraction_horner(self, rng):
+        zeros = 0
+        for _ in range(300):
+            p = IntPolynomial.from_coeffs(
+                [rng.randrange(-50, 51) for _ in range(rng.randrange(1, 10))]
+            )
+            x = Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**4))
+            if rng.random() < 0.2:
+                p = p * poly(-x.numerator, x.denominator)  # x is a root
+            expect = fraction_horner(p, x)
+            zeros += expect == 0
+            assert sign(p.homogeneous(x.numerator, x.denominator)) == sign(expect)
+            value = p(x)
+            assert isinstance(value, Fraction) and value == expect
+        assert zeros >= 20
+
+    def test_interpolation_from_any_distinct_nodes(self, rng):
+        for _ in range(30):
+            p = IntPolynomial.from_coeffs(
+                [rng.randrange(-10**12, 10**12) for _ in range(rng.randrange(1, 12))]
+            )
+            # shuffled, negative and gapped nodes, sometimes more than needed
+            nodes = rng.sample(range(-40, 40), len(p.coeffs) + rng.randrange(3))
+            values = [sum(c * x**i for i, c in enumerate(p.coeffs)) for x in nodes]
+            assert _interpolate_integer(nodes, values) == p
+        assert _interpolate_integer([5, -3], [0, 0]) == ZERO
+        with pytest.raises(ValueError):
+            _interpolate_integer([0, 2], [0, 1])  # t / 2
+        with pytest.raises(ValueError):
+            _interpolate_integer([1, 0, -1], [1, 0, 0])  # (t^2 + t) / 2
+
+    def test_exact_div_integral_only(self):
+        assert exact_div(poly(-4, 0, 1), poly(2, 1)) == poly(-2, 1)
+        assert exact_div(poly(-2, 3, 2), poly(-1, 2)) == poly(2, 1)
+        with pytest.raises(ValueError):
+            exact_div(poly(1, 1), poly(2, 2))  # quotient 1/2
+        with pytest.raises(ValueError):
+            exact_div(poly(0, 0, 1), poly(0, 2))  # quotient t/2, remainder 0
+        with pytest.raises(ValueError):
+            exact_div(poly(1, 0, 1), poly(1, 1))  # remainder 2
