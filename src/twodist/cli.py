@@ -2,10 +2,11 @@
 
 Subcommands: analyze, embed, decompose, batch, catalog, verify.
 
-Exit codes: 0 success; 2 parse error, unreadable input, bad filter or
-environment value; 3 size limit; 4 undecidable enclosure; 5 infeasible
-distance; 6 complete graph where a J-spherical operation was requested;
-7 geometric inconsistency.
+Exit codes: 0 success; 2 parse error, unreadable input, bad filter,
+environment value or configuration (a negative or non-finite tolerance,
+negative precision bits); 3 size limit; 4 undecidable enclosure; 5
+infeasible distance (also one not finite and positive); 6 complete graph
+where a J-spherical operation was requested; 7 geometric inconsistency.
 """
 
 from __future__ import annotations
@@ -354,6 +355,8 @@ def _apply_config(args) -> None:
     if args.max_n_cfg is not None:
         changes["max_n"] = args.max_n_cfg
     if args.precision_bits is not None:
+        if args.precision_bits < 0:
+            raise ValueError(f"--precision-bits must be >= 0, got {args.precision_bits}")
         changes["tau_width"] = Fraction(1, 2**args.precision_bits)
         changes["r2_width"] = Fraction(1, 2**args.precision_bits)
     set_config(replace(cfg, **changes))

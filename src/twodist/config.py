@@ -8,9 +8,10 @@ defaults.  Library code reads the active configuration through
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 
@@ -40,6 +41,12 @@ class Config:
     # Width target for the squared-circumradius enclosure.
     r2_width: Fraction = Fraction(1, 10**12)
 
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not 0 <= value < math.inf:
+                raise ValueError(f"{field.name} must be finite and >= 0, got {value}")
+
     @classmethod
     def from_env(cls) -> "Config":
         kwargs = {}
@@ -50,9 +57,9 @@ class Config:
                 kwargs["max_n"] = int(max_n)
             if tol is not None:
                 kwargs["dist_tol"] = kwargs["feas_slack"] = float(tol)
+            return cls(**kwargs)
         except ValueError as exc:
             raise ValueError(f"TWODIST_MAX_N/TWODIST_TOL: {exc}") from None
-        return cls(**kwargs)
 
 
 _active: Config | None = None

@@ -33,7 +33,6 @@ from .graphs import Graph, complement_component_sets, is_complete
 from .polynomials import (
     AlgebraicReal,
     IntPolynomial,
-    det_poly_matrix,
     exact_div,
     poly_gcd,
     sign_at,
@@ -101,7 +100,10 @@ class PointFactorization:
 def realize(g: Graph, b: float, a: float = 1.0) -> PointConfig:
     """Coordinates of the two-distance configuration of g with distances
     a on edges and b elsewhere.  The ratio (b/a)^2 must lie in the
-    feasible window of g (checked against the exact enclosures)."""
+    feasible window of g (checked against the exact enclosures).  Both
+    distances must be finite and positive."""
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise InfeasibleDistanceError(f"distances must be finite and > 0, got a={a}, b={b}")
     cfg = get_config()
     n = g.n
     if n == 1:
@@ -250,14 +252,14 @@ def _support_certified(g: Graph, support: tuple[int, ...], t: AlgebraicReal) -> 
     g is the center of the enclosing ball of all n points, decided exactly.
 
     With B the bordered matrix of the support and C_T = det B, Cramer's
-    rule gives adj(B) e_0 = (M_T, L_1, ..., L_k), all from one
-    ``det_poly_matrix`` pass: the circumcenter's barycentric weights are
-    L_i / C_T, and the squared circumradius is -M_T / (2 C_T) at unit short
-    distance.  Certified when C_T != 0, every weight is >= 0 and every
-    other point j lies inside or on the sphere:
+    rule gives adj(B) e_0 = (M_T, L_1, ..., L_k), all from
+    ``invariants.bordered_adjugate``, which reuses the walk data that
+    T's tie polynomial already cached: the circumcenter's barycentric
+    weights are L_i / C_T, and the squared circumradius is -M_T / (2 C_T)
+    at unit short distance.  Certified when C_T != 0, every weight is >= 0
+    and every other point j lies inside or on the sphere:
     sign(sum_i D_ji L_i + M_T) * sign(C_T) <= 0."""
-    bordered = invariants.bordered_matrix(g.induced(support))
-    c_t, m_t, *weights = det_poly_matrix(bordered, len(bordered))
+    c_t, m_t, *weights = invariants.bordered_adjugate(g.induced(support))
     sign_c = sign_at(c_t, t)
     if sign_c == 0:
         return False

@@ -2,7 +2,8 @@
 
 Builds the two determinant polynomials of a graph (the bordered
 squared-distance determinant C and its unbordered companion M, both in
-t = b^2 with unit short distance), extracts the smallest root of C above 1
+t = b^2 with unit short distance) from the characteristic and walk
+polynomials of its adjacency matrix, extracts the smallest root of C above 1
 together with its multiplicity, classifies the squared circumradius of the
 minimal representation exactly, and assembles the full invariant profile:
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .config import get_config
 from .errors import CompleteGraphError
@@ -38,7 +39,6 @@ from .graphs import (
 from .polynomials import (
     AlgebraicReal,
     IntPolynomial,
-    det_poly_matrix,
     enclose_rational_limit,
     multiplicity_at,
     smallest_root_greater_than,
@@ -110,13 +110,105 @@ def bordered_matrix(g: Graph) -> list[list[IntPolynomial]]:
     return rows
 
 
+def _newton(power_sums: list[int]) -> list[int]:
+    """Coefficients c_0 = 1, c_1, ..., c_n of det(xI - A) = sum c_i x^(n-i)
+    from the power sums s_k = tr A^k (``power_sums[k]``, k = 0..n), by
+    Newton's identities k c_k = -sum_{i=1..k} c_{k-i} s_i.  Each division
+    is exact for an integer matrix; a remainder raises ``ValueError``."""
+    c = [1]
+    for k in range(1, len(power_sums)):
+        q, r = divmod(-sum(c[k - i] * power_sums[i] for i in range(1, k + 1)), k)
+        if r:
+            raise ValueError(f"Newton's identity leaves remainder {r} / {k} at c_{k}")
+        c.append(q)
+    return c
+
+
+def _slots(x: int, n: int, width: int) -> list[int]:
+    """The n entries packed in x, entry i in bits [i*width, (i+1)*width)."""
+    mask = (1 << width) - 1
+    return [(x >> (width * i)) & mask for i in range(n)]
+
+
+@functools.lru_cache(maxsize=None)
+def _walk_data(g: Graph) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """(c, w, v) for the adjacency matrix A of g: the coefficients of
+    det(xI - A) (``_newton`` on the traces of A^k, k <= n), and the walk
+    vectors v_j = A^j 1, j < n, each packed into one integer with slots
+    of w bits (``_slots``).
+
+    Row i of A^k is packed the same way.  Every entry of A^k and of A^k 1
+    counts walks, so it is at most D^k (D the largest degree) and
+    w = bits(D^n) + 1 keeps the slots apart.  Row i of A^(k+1) is the sum
+    of the packed rows of A^k at i's neighbours, and the sum of all packed
+    rows packs 1^T A^k, which is (A^k 1)^T since A is symmetric."""
+    n = g.n
+    nbrs = [[j for j in range(n) if row >> j & 1] for row in g.rows]
+    width = (max(map(len, nbrs)) ** n).bit_length() + 1
+    mask = (1 << width) - 1
+    rows = [1 << (width * i) for i in range(n)]
+    traces = [n]
+    walks = [sum(rows)]
+    for k in range(1, n + 1):
+        rows = [sum(map(rows.__getitem__, nb)) for nb in nbrs]
+        traces.append(sum((row >> (width * i)) & mask for i, row in enumerate(rows)))
+        if k < n:
+            walks.append(sum(rows))
+    return tuple(_newton(traces)), width, tuple(walks)
+
+
+def _adjugate_coeffs(c: Sequence[int], walk: Sequence[int]) -> list[int]:
+    """Coefficients of x^(n-1-k), k < n, of y^T adj(xI - A) z given
+    walk[j] = y^T A^j z: adj(xI - A) = sum_k x^(n-1-k) sum_{i<=k} c_i A^(k-i)."""
+    return [sum(c[i] * walk[k - i] for i in range(k + 1)) for k in range(len(walk))]
+
+
+def _in_t(d: Sequence[int], sign: int) -> IntPolynomial:
+    """sign * (1-t)^m f(t/(1-t)) for f(x) = sum_k d_k x^(m-k), m = len(d)-1,
+    i.e. sign * sum_k d_k t^(m-k) (1-t)^k, by Horner in (1-t)."""
+    m = len(d) - 1
+    out = [0] * (m + 1)
+    out[0] = d[m]
+    for k in range(m - 1, -1, -1):
+        for i in range(m - k, 0, -1):  # times (1 - t)
+            out[i] -= out[i - 1]
+        out[m - k] += d[k]
+    return IntPolynomial.from_coeffs([sign * v for v in out])
+
+
 @functools.lru_cache(maxsize=None)
 def cm_polynomials(g: Graph) -> tuple[IntPolynomial, IntPolynomial]:
     """The pair (C, M): bordered and plain squared-distance determinants
-    as exact polynomials in t = b^2 (unit short distance on edges).  M is
-    the first entry of the bordered matrix's adjugate column, so one
-    elimination per point gives both."""
-    return det_poly_matrix(bordered_matrix(g), 1)
+    as exact polynomials in t = b^2 (unit short distance on edges), i.e.
+    det B and adj(B)_00 for B = ``bordered_matrix(g)``.
+
+    They come from the characteristic polynomial P(x) = det(xI - A) and
+    the walk polynomial W(x) = 1^T adj(xI - A) 1 of the adjacency matrix A
+    (``_walk_data``).  The distance matrix is (1-t)(A - xI) + tJ with
+    x = t/(1-t); the border removes tJ, and the matrix determinant lemma
+    det(xI - A - sJ) = P(x) - s W(x) gives, with H_k(f) = (1-t)^k f(x),
+    C = (-1)^n H_(n-1)(W) and M = (-1)^n [H_n(P) - t H_(n-1)(W)]."""
+    c, width, walks = _walk_data(g)
+    sign = (-1) ** g.n
+    det = _in_t(_adjugate_coeffs(c, [sum(_slots(v, g.n, width)) for v in walks]), sign)
+    return det, _in_t(c, sign) - IntPolynomial.x() * det
+
+
+def bordered_adjugate(g: Graph) -> tuple[IntPolynomial, ...]:
+    """``(C, M, L_1, ..., L_n)``: det B and adj(B) e_0 for
+    B = ``bordered_matrix(g)``, equal to ``det_poly_matrix(B, n + 1)``.
+    By Cramer's rule L_v / C are the barycentric weights of the
+    circumcenter.  L_v = (-1)^n H_(n-1)(u_v) with u(x) = adj(xI - A) 1,
+    from the cached walk data, and row 0 of B adj(B) = det(B) I gives
+    C = sum_v L_v (W = 1^T u); M follows as in ``cm_polynomials``."""
+    c, width, walks = _walk_data(g)
+    sign = (-1) ** g.n
+    entries = [_slots(v, g.n, width) for v in walks]
+    weights = [
+        _in_t(_adjugate_coeffs(c, [e[u] for e in entries]), sign) for u in range(g.n)
+    ]
+    det = sum(weights, IntPolynomial.zero())
+    return (det, _in_t(c, sign) - IntPolynomial.x() * det, *weights)
 
 
 def tie_polynomial(g: Graph, r0: Fraction) -> IntPolynomial:
@@ -247,6 +339,7 @@ def dim_s_bounded(g: Graph, r0_squared: Fraction | int | float) -> int:
 
 def clear_caches() -> None:
     """Drop memoized invariants (use after changing tolerances)."""
+    _walk_data.cache_clear()
     cm_polynomials.cache_clear()
     tau1_mu.cache_clear()
     tau0.cache_clear()

@@ -496,6 +496,9 @@ def det_poly_matrix(
     so size+1 points recover it; each a_i, a minor, has degree below the
     size, so it is interpolated from that many nonsingular points.  Asking
     for a_i when det B is the zero polynomial raises ``ValueError``.
+    ``invariants.cm_polynomials`` and ``invariants.bordered_adjugate`` get
+    the bordered distance matrix's values from the adjacency's walk data
+    instead; this general route is the reference the tests hold them to.
     """
     size = len(matrix)
     if any(len(row) != size for row in matrix):

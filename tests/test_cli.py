@@ -106,6 +106,12 @@ class TestEmbed:
         code, _, _ = run(capsys, "embed", "Bg", "--model", "euclidean", "--b", "3.0")
         assert code == 5
 
+    def test_nonfinite_or_nonpositive_b_exit(self, capsys):
+        for b in ("nan", "inf", "0", "-1"):
+            code, out, err = run(capsys, "embed", C5, "--model", "euclidean", "--b", b)
+            assert code == 5, b
+            assert out == "" and "finite and > 0" in err
+
     def test_geometric_inconsistency_exit(self, capsys, monkeypatch):
         from twodist import geometry
         from twodist.errors import GeometricInconsistencyError
@@ -347,3 +353,35 @@ class TestConfig:
         code, _, err = run(capsys, "analyze", C5)
         assert code == 2
         assert "TWODIST_TOL" in err
+
+    def test_bad_tol_exit(self, capsys, monkeypatch):
+        for tol in ("-1", "nan", "inf"):
+            code, out, err = run(capsys, "--tol", tol, "analyze", C5)
+            assert code == 2, tol
+            assert out == "" and "finite and >= 0" in err
+            monkeypatch.setenv("TWODIST_TOL", tol)
+            code, out, err = run(capsys, "analyze", C5)
+            assert code == 2, tol
+            assert out == "" and "TWODIST_TOL" in err
+            monkeypatch.delenv("TWODIST_TOL")
+
+    def test_negative_precision_bits_exit(self, capsys):
+        code, out, err = run(capsys, "--precision-bits", "-1", "analyze", C5)
+        assert code == 2
+        assert out == "" and "--precision-bits" in err
+
+    def test_zero_tol_and_precision_bits(self, capsys):
+        from twodist import config as cfgmod
+        from twodist.invariants import clear_caches
+
+        clear_caches()
+        try:
+            for flags in (("--tol", "0"), ("--precision-bits", "0")):
+                code, out, _ = run(capsys, *flags, "analyze", C5)
+                assert code == 0, flags
+                assert json.loads(out)["dim_e"] == 2
+                cfgmod.set_config(cfgmod.Config())
+                clear_caches()
+        finally:
+            cfgmod.set_config(cfgmod.Config())
+            clear_caches()

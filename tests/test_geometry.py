@@ -77,6 +77,16 @@ class TestRealize:
         with pytest.raises(InfeasibleDistanceError):
             realize(Graph.cycle(5), 0.5)  # t = 0.25 < (3-sqrt5)/2
 
+    def test_distances_finite_and_positive(self):
+        # Before any window test: a NaN ratio would pass it and fail in eigh.
+        g = Graph.cycle(5)
+        for a, b in ((1.0, math.nan), (1.0, math.inf), (1.0, 0.0), (1.0, -1.0),
+                     (math.nan, 1.5), (0.0, 1.5), (-1.0, 1.5)):
+            with pytest.raises(InfeasibleDistanceError, match="finite"):
+                realize(g, b, a)
+        with pytest.raises(InfeasibleDistanceError):
+            realize(Graph.empty(1), math.nan)
+
     def test_distance_residuals_random(self, rng):
         for _ in range(30):
             g = random_graph(rng, rng.randrange(2, 8))

@@ -13,7 +13,10 @@ from twodist.graphs import (
     enumerate_graphs,
     is_disjoint_clique_union,
 )
+from twodist import invariants
 from twodist.invariants import (
+    bordered_adjugate,
+    bordered_matrix,
     circumradius_invariant,
     cm_polynomials,
     dim_s_bounded,
@@ -22,7 +25,7 @@ from twodist.invariants import (
     tau0,
     tau1_mu,
 )
-from twodist.polynomials import AlgebraicReal, IntPolynomial
+from twodist.polynomials import AlgebraicReal, IntPolynomial, det_poly_matrix
 
 
 def poly(*coeffs):
@@ -81,6 +84,63 @@ class TestCmPolynomials:
             c, m = cm_polynomials(g)
             assert c(1) != 0
             assert m(1) != 0
+
+
+class TestSpectralRoute:
+    """C, M and adj(B) e_0 from the adjacency's characteristic and walk
+    polynomials, against the per-point Bareiss elimination of B."""
+
+    def test_cm_all_small_graphs(self):
+        count = 0
+        for n in range(1, 8):
+            for g in enumerate_graphs(n):
+                assert cm_polynomials(g) == det_poly_matrix(bordered_matrix(g), 1), g
+                count += 1
+        assert count == 1252
+
+    def test_adjugate_column_small_graphs(self):
+        for n in range(1, 8):
+            graphs = enumerate_graphs(n)
+            for g in graphs if n <= 5 else graphs[::25]:
+                assert bordered_adjugate(g) == det_poly_matrix(bordered_matrix(g), n + 1), g
+
+    def test_adjugate_column_sixteen_vertices(self, rng):
+        for _ in range(3):
+            g = random_graph(rng, 16)
+            assert bordered_adjugate(g) == det_poly_matrix(bordered_matrix(g), 17)
+
+    def test_single_vertex(self):
+        one = IntPolynomial.const(1)
+        assert bordered_adjugate(Graph.empty(1)) == (-one, IntPolynomial.zero(), -one)
+        assert bordered_adjugate(Graph.empty(1)) == det_poly_matrix(
+            bordered_matrix(Graph.empty(1)), 2
+        )
+
+    def test_newton_exact(self):
+        # The triangle: tr A^k = 3, 0, 6, 6, so det(xI - A) = x^3 - 3x - 2.
+        assert invariants._newton([3, 0, 6, 6]) == [1, 0, -3, -2]
+
+    def test_newton_remainder_raises(self):
+        # s_1 = 1, s_2 = 0 gives 2 c_2 = 1, which no integer matrix has.
+        with pytest.raises(ValueError, match="remainder"):
+            invariants._newton([2, 1, 0])
+
+    def test_certificate_reuses_walk_data(self, rng):
+        invariants.clear_caches()
+        g = random_graph(rng, 9)
+        cm_polynomials(g)
+        misses = invariants._walk_data.cache_info().misses
+        assert misses == 1
+        # A frozen dataclass: the induced graph on every vertex equals g.
+        bordered_adjugate(g.induced(range(g.n)))
+        assert invariants._walk_data.cache_info().misses == misses
+
+    def test_clear_caches_empties_walk_data(self):
+        cm_polynomials(Graph.cycle(6))
+        assert invariants._walk_data.cache_info().currsize > 0
+        invariants.clear_caches()
+        assert invariants._walk_data.cache_info().currsize == 0
+        assert cm_polynomials.cache_info().currsize == 0
 
 
 class TestTau1Mu:
