@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 
-from .config import Config, set_config
+from .config import Config, get_config, set_config
 from .errors import (
     CompleteGraphError,
     GeometricInconsistencyError,
@@ -38,7 +38,7 @@ from .graphs import (
     parse_graph6,
     to_graph6,
 )
-from .invariants import circumradius_invariant, profile, tau1_mu
+from .invariants import circumradius_invariant, clear_caches, profile, tau1_mu
 from .joins import join_decompose
 from .oracle import probe_f_monotonicity, reciprocal_check, verify_profile
 from . import geometry
@@ -359,7 +359,10 @@ def _apply_config(args) -> None:
             raise ValueError(f"--precision-bits must be >= 0, got {args.precision_bits}")
         changes["tau_width"] = Fraction(1, 2**args.precision_bits)
         changes["r2_width"] = Fraction(1, 2**args.precision_bits)
-    set_config(replace(cfg, **changes))
+    cfg = replace(cfg, **changes)
+    if cfg != get_config():
+        clear_caches()  # the cached invariants were refined under the old widths
+    set_config(cfg)
 
 
 def main(argv=None) -> int:

@@ -32,7 +32,8 @@ class Config:
     # Largest duality gap an enclosing ball may carry, relative to the
     # squared data scale; a larger one raises.
     meb_gap_rtol: float = 1e-14
-    # Tolerance of the origin-in-convex-hull feasibility test.
+    # Max-norm distance from the origin within which a join block's
+    # enclosing-ball center makes it Type I, and its affine hull flags it.
     hull_tol: float = 1e-8
     # Cross-factor orthogonality tolerance in point-set decomposition.
     orth_tol: float = 1e-7

@@ -7,9 +7,9 @@ the monotone enclosing-ball radius function of the long distance, its
 exact inverse (an algebraic root certified on the ball's support),
 embeddings on the unit sphere with short distance sqrt(2), and the
 orthogonal join decomposition of such point sets with Type I / Type II
-classification.  The long distance beta* is obtained
-once, in ``invariants.profile``; ``beta_star_numeric`` and
-``jspherical_embedding`` read that cached value.
+classification from the center of each block's enclosing ball.  The long
+distance beta* is obtained once, in ``invariants.profile``;
+``beta_star_numeric`` and ``jspherical_embedding`` read that cached value.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .config import get_config
 from .errors import (
@@ -364,30 +363,14 @@ def _linear_rank(points: np.ndarray, rtol: float) -> int:
 
 
 def _origin_in_convex_hull(points: np.ndarray, tol: float) -> bool:
-    """Linear feasibility: exists lam >= 0, sum lam = 1, |sum lam p|_inf <= tol."""
-    m, d = points.shape
-    if d == 0:
+    """Whether the unit vectors ``points`` hold the origin in their convex
+    hull: their enclosing ball's center, a convex combination of them, is
+    within ``tol`` of it (max-norm).  If some combination q is, the center
+    c is within 2|q|: the weighted mean 1 - 2 q.c + |c|^2 of |p - c|^2 is
+    at most the squared radius, which is at most 1."""
+    if points.shape[1] == 0:
         return True
-    # Variables: lam (m), t.  Minimize t with +-(P^T lam) <= t.
-    c = np.zeros(m + 1)
-    c[-1] = 1.0
-    a_ub = np.zeros((2 * d, m + 1))
-    a_ub[:d, :m] = points.T
-    a_ub[d:, :m] = -points.T
-    a_ub[:, -1] = -1.0
-    a_eq = np.zeros((1, m + 1))
-    a_eq[0, :m] = 1.0
-    bounds = [(0.0, None)] * m + [(0.0, None)]
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=np.zeros(2 * d),
-        A_eq=a_eq,
-        b_eq=[1.0],
-        bounds=bounds,
-        method="highs",
-    )
-    return bool(res.success) and res.fun <= tol
+    return float(np.abs(min_enclosing_ball(points).center).max()) <= tol
 
 
 def _origin_affine_distance(points: np.ndarray) -> float:
@@ -407,7 +390,9 @@ def kuperberg_decompose(config: PointConfig) -> PointFactorization:
     The partition comes from the connected components of the complement of
     the short-distance graph; each block is then verified geometrically
     (cross-block orthogonality) and labeled Type I when the origin lies in
-    its convex hull, Type II when the origin is off its affine hull.
+    its convex hull (the block's enclosing ball is centered at the origin,
+    ``_origin_in_convex_hull``), Type II otherwise; a Type II block whose
+    affine hull passes within ``hull_tol`` of the origin is flagged.
     Exactly |S| - rank(S) blocks must be Type I."""
     cfg = get_config()
     pts = config.points

@@ -33,6 +33,7 @@ from .errors import CompleteGraphError
 from .graphs import (
     Graph,
     complement,
+    complement_components,
     is_complete,
     is_complete_multipartite,
 )
@@ -194,6 +195,7 @@ def cm_polynomials(g: Graph) -> tuple[IntPolynomial, IntPolynomial]:
     return det, _in_t(c, sign) - IntPolynomial.x() * det
 
 
+@functools.lru_cache(maxsize=None)
 def bordered_adjugate(g: Graph) -> tuple[IntPolynomial, ...]:
     """``(C, M, L_1, ..., L_n)``: det B and adj(B) e_0 for
     B = ``bordered_matrix(g)``, equal to ``det_poly_matrix(B, n + 1)``.
@@ -287,7 +289,9 @@ def feasible_interval(g: Graph) -> tuple[float, float]:
 def profile(g: Graph) -> TwoDistanceProfile:
     """Full invariant record of a graph, and the one place beta* is
     obtained, as the exact algebraic number beta*^2: 2*tau1 when
-    r^2 = 1/2, ``geometry.solve_phi`` otherwise."""
+    r^2 = 1/2; else, for a join, the least beta*^2 of its non-complete
+    factors (the complement's components, the join structure that
+    ``joins`` orders by), compared exactly; else ``geometry.solve_phi``."""
     n = g.n
     root, mu = tau1_mu(g)
     t0 = tau0(g)
@@ -301,11 +305,13 @@ def profile(g: Graph) -> TwoDistanceProfile:
         return TwoDistanceProfile(
             n, root, mu, t0, dim_e, dim_s, None, r2, None, tuple(flags)
         )
+    dim_j = dim_e if r2.is_half else n - 1
     if r2.is_half:
-        dim_j = dim_e
         beta = root.scaled(2)
+    elif len(factors := complement_components(g)) > 1:
+        betas = (profile(h).beta_star_squared for h in factors if not is_complete(h))
+        beta = min(betas, key=functools.cmp_to_key(AlgebraicReal.compare))
     else:
-        dim_j = n - 1
         from . import geometry  # deferred: geometry depends on this module
 
         beta = geometry.solve_phi(g, 1.0)
@@ -341,6 +347,7 @@ def clear_caches() -> None:
     """Drop memoized invariants (use after changing tolerances)."""
     _walk_data.cache_clear()
     cm_polynomials.cache_clear()
+    bordered_adjugate.cache_clear()
     tau1_mu.cache_clear()
     tau0.cache_clear()
     circumradius_invariant.cache_clear()

@@ -342,6 +342,31 @@ class TestConfig:
             cfgmod.set_config(cfgmod.Config())
             clear_caches()
 
+    def test_config_change_clears_caches(self, capsys):
+        # Two calls in one process: the second must not read enclosures
+        # refined under the first call's widths, and an unchanged
+        # configuration keeps what the caches hold.
+        from twodist import config as cfgmod
+        from twodist.invariants import clear_caches, profile
+
+        clear_caches()
+        try:
+            code, coarse, _ = run(capsys, "--precision-bits", "4", "analyze", C5)
+            assert code == 0
+            lo, hi = json.loads(coarse)["tau1"]
+            assert hi - lo > 1e-3
+            code, fine, _ = run(capsys, "analyze", C5)
+            assert code == 0
+            lo, hi = json.loads(fine)["tau1"]
+            assert lo <= (3 + math.sqrt(5)) / 2 <= hi and hi - lo < 1e-9
+            hits = profile.cache_info().hits
+            code, again, _ = run(capsys, "analyze", C5)
+            assert again == fine
+            assert profile.cache_info().hits > hits
+        finally:
+            cfgmod.set_config(cfgmod.Config())
+            clear_caches()
+
     def test_bad_env_max_n_exit(self, capsys, monkeypatch):
         monkeypatch.setenv("TWODIST_MAX_N", "abc")
         code, _, err = run(capsys, "analyze", C5)

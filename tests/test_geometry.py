@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from twodist.errors import (
 from twodist.geometry import (
     PointConfig,
     SQRT2,
+    _origin_in_convex_hull,
     beta_star_numeric,
     jspherical_embedding,
     kuperberg_decompose,
@@ -395,6 +399,32 @@ class TestBetaStar:
         geometry.jspherical_embedding(g)
         assert calls == [(g, 1.0)]
 
+    def test_join_solved_once_per_factor(self, monkeypatch):
+        # A join reads beta*^2 from its factors' profiles: one solve per
+        # non-complete factor whose r^2 is not 1/2, none for the join.
+        from twodist import cli, geometry, invariants
+        from twodist.graphs import complement_components, join
+
+        calls = []
+        solve = geometry.solve_phi
+
+        def counting(g, r):
+            calls.append((g, r))
+            return solve(g, r)
+
+        invariants.clear_caches()
+        monkeypatch.setattr(geometry, "solve_phi", counting)
+        g = join(join(Graph.cycle(5), Graph.path(4)), Graph.complete(1))
+        cli.analysis_record(g)
+        geometry.jspherical_embedding(g)
+        expect = [
+            (h, 1.0)
+            for h in complement_components(g)
+            if not is_complete(h) and not invariants.circumradius_invariant(h).is_half
+        ]
+        assert expect == [(Graph.cycle(5), 1.0), (Graph.path(4), 1.0)]
+        assert calls == expect
+
 
 # ---------------------------------------------------------------------------
 # J-spherical embeddings and decomposition
@@ -533,3 +563,125 @@ class TestKuperbergDecompose:
             w = jspherical_embedding(g)
             fz = kuperberg_decompose(w)
             assert g.n == w.rank + fz.k
+
+
+# ---------------------------------------------------------------------------
+# Type I / II: the enclosing ball's center against a linear program
+# ---------------------------------------------------------------------------
+
+
+def lp_origin_in_hull(points, tol):
+    """Independent oracle: exists lam >= 0, sum lam = 1 with
+    |sum lam p|_inf <= tol, by minimizing t subject to +-(P^T lam) <= t."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    m, d = points.shape
+    c = np.zeros(m + 1)
+    c[-1] = 1.0
+    a_ub = np.zeros((2 * d, m + 1))
+    a_ub[:d, :m] = points.T
+    a_ub[d:, :m] = -points.T
+    a_ub[:, -1] = -1.0
+    a_eq = np.zeros((1, m + 1))
+    a_eq[0, :m] = 1.0
+    res = linprog(
+        c,
+        A_ub=a_ub,
+        b_ub=np.zeros(2 * d),
+        A_eq=a_eq,
+        b_eq=[1.0],
+        bounds=[(0.0, None)] * (m + 1),
+        method="highs",
+    )
+    assert res.success
+    return res.fun <= tol
+
+
+def unit_rows(x):
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def regular_simplex(k):
+    """k + 1 unit vectors in R^k summing to zero."""
+    e = np.eye(k + 1) - 1.0 / (k + 1)
+    basis, _ = np.linalg.qr(e[:, :k])
+    return unit_rows(e @ basis)
+
+
+def placed(points, ambient, np_rng):
+    """The points padded to ``ambient`` coordinates and rotated at random."""
+    m, d = points.shape
+    q, _ = np.linalg.qr(np_rng.standard_normal((ambient, ambient)))
+    return np.hstack([points, np.zeros((m, ambient - d))]) @ q.T
+
+
+def spherical_cap(m, d, np_rng):
+    """m unit vectors within 80 degrees of one pole: the origin is off
+    their convex hull by at least cos(80 degrees)."""
+    pole = unit_rows(np_rng.standard_normal((1, d)))[0]
+    out = []
+    while len(out) < m:
+        p = unit_rows(np_rng.standard_normal((1, d)))[0]
+        if p @ pole > math.cos(math.radians(80)):
+            out.append(p)
+    return np.array(out)
+
+
+class TestOriginInConvexHull:
+    TOL = get_config().hull_tol
+
+    def blocks(self, np_rng):
+        """(points, Type I?) for every family, in a few sizes, rotated,
+        with extra ambient dimensions."""
+        for k in range(1, 6):
+            half = unit_rows(np_rng.standard_normal((k, k + 1)))
+            families = [
+                (regular_simplex(k), True),
+                (np.vstack([half, -half]), True),  # antipodal pairs
+                (unit_rows(np_rng.standard_normal((1, k))), False),
+                (np.eye(k), False),
+                (spherical_cap(k + 2, k + 1, np_rng), False),
+            ]
+            for pts, type_one in families:
+                for extra in (0, 2):
+                    yield placed(pts, pts.shape[1] + extra, np_rng), type_one
+
+    def test_families_agree_with_lp(self):
+        np_rng = np.random.default_rng(20240613)
+        count = 0
+        for pts, type_one in self.blocks(np_rng):
+            assert lp_origin_in_hull(pts, self.TOL) == type_one
+            assert _origin_in_convex_hull(pts, self.TOL) == type_one
+            count += 1
+        assert count == 50
+
+    def test_random_blocks_agree_with_lp(self):
+        # Random unit vectors: the origin is inside or at a distance far
+        # above the tolerance, and both tests see the same side.
+        np_rng = np.random.default_rng(7)
+        seen = set()
+        for _ in range(60):
+            d = int(np_rng.integers(1, 6))
+            m = int(np_rng.integers(1, 2 * d + 3))
+            pts = placed(unit_rows(np_rng.standard_normal((m, d))), d + 1, np_rng)
+            expect = lp_origin_in_hull(pts, self.TOL)
+            assert _origin_in_convex_hull(pts, self.TOL) == expect
+            seen.add(expect)
+        assert seen == {True, False}
+
+    def test_no_coordinates_is_type_one(self):
+        assert _origin_in_convex_hull(np.zeros((3, 0)), self.TOL)
+        assert _origin_in_convex_hull(np.zeros((1, 0)), self.TOL)
+
+
+def test_import_loads_no_scipy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys, twodist, twodist.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

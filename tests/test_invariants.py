@@ -142,6 +142,16 @@ class TestSpectralRoute:
         assert invariants._walk_data.cache_info().currsize == 0
         assert cm_polynomials.cache_info().currsize == 0
 
+    def test_adjugate_cached_and_cleared(self):
+        # The certificate asks for the same induced support many times.
+        invariants.clear_caches()
+        g = Graph.cycle(6)
+        first = bordered_adjugate(g)
+        assert bordered_adjugate(g.induced(range(g.n))) is first
+        assert bordered_adjugate.cache_info().currsize == 1
+        invariants.clear_caches()
+        assert bordered_adjugate.cache_info().currsize == 0
+
 
 class TestTau1Mu:
     def test_cross_polytopes(self):

@@ -1,15 +1,20 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import pytest
 
 from conftest import random_graph
-from twodist.geometry import beta_star_numeric
+from twodist.geometry import beta_star_numeric, solve_phi
 from twodist.graphs import (
     Graph,
     MultipartiteSignature,
+    complement_component_sets,
     complete_multipartite,
+    enumerate_graphs,
     is_complete,
     join,
+    parse_graph6,
 )
 from twodist.invariants import profile
 from twodist.joins import dims_via_join, join_decompose, multipartite_dims
@@ -69,6 +74,36 @@ class TestJoinDecompose:
             g = random_graph(rng, rng.randrange(2, 8))
             fz = join_decompose(g)
             assert list(fz.beta_stars) == sorted(fz.beta_stars)
+
+
+def joins12_corpus(count):
+    """The benchmark's 12-vertex joins, imported from its input module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [parse_graph6(word) for word in module.joins12_corpus(count)]
+
+
+class TestBetaStarOfJoin:
+    """``profile`` takes a join's beta*^2 as the least of its factors';
+    the direct solve on the joined graph is the oracle."""
+
+    def test_small_joins_match_direct_solve(self):
+        count = 0
+        for n in range(2, 8):
+            for g in enumerate_graphs(n):
+                if is_complete(g) or len(complement_component_sets(g)) == 1:
+                    continue
+                beta = profile(g).beta_star_squared
+                assert beta.compare(solve_phi(g, 1.0)) == 0, g
+                count += 1
+        assert count == 250
+
+    def test_twelve_vertex_joins_match_direct_solve(self):
+        for g in joins12_corpus(6):
+            assert len(complement_component_sets(g)) > 1
+            assert profile(g).beta_star_squared.compare(solve_phi(g, 1.0)) == 0, g
 
 
 class TestDimsViaJoin:
