@@ -16,7 +16,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 
@@ -225,6 +224,9 @@ def _cmd_batch(args) -> int:
         if word:
             words.append(word)
     if args.jobs > 1 and len(words) > 1:
+        # Imported here: multiprocessing is a cost only batch runs pay.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             records = list(pool.map(_analyze_word, words, chunksize=8))
     else:
@@ -336,6 +338,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process; each parse_args call returns a new Namespace.
+_PARSER = _build_parser()
+
 _COMMANDS = {
     "analyze": _cmd_analyze,
     "embed": _cmd_embed,
@@ -366,7 +371,7 @@ def _apply_config(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         _apply_config(args)
     except ValueError as exc:

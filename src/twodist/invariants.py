@@ -4,8 +4,10 @@ Builds the two determinant polynomials of a graph (the bordered
 squared-distance determinant C and its unbordered companion M, both in
 t = b^2 with unit short distance) from the characteristic and walk
 polynomials of its adjacency matrix, extracts the smallest root of C above 1
-together with its multiplicity, classifies the squared circumradius of the
-minimal representation exactly, and assembles the full invariant profile:
+together with its multiplicity (proposed by the float spectrum of the
+adjacency matrix compressed to 1^perp, certified by Descartes counts),
+classifies the squared circumradius of the minimal representation exactly,
+and assembles the full invariant profile:
 
     dim_e = n - mu - 1
     dim_s = dim_e if the squared circumradius is finite, else n - 1
@@ -24,9 +26,12 @@ from r0.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .config import get_config
 from .errors import CompleteGraphError
@@ -40,9 +45,12 @@ from .graphs import (
 from .polynomials import (
     AlgebraicReal,
     IntPolynomial,
+    descartes_count,
     enclose_rational_limit,
+    exact_div,
     multiplicity_at,
     smallest_root_greater_than,
+    squarefree_decomposition,
 )
 
 INFINITE = "infinite"
@@ -237,26 +245,138 @@ def _limit_against(g: Graph, r0: Fraction) -> Optional[tuple[Fraction, Fraction]
     return enclose_rational_limit(-m, c.scale(2), root, get_config().r2_width, r0)
 
 
+def _spectrum_end(g: Graph, largest: bool) -> float:
+    """The smallest (or largest) eigenvalue of PAP, P = I - J/n, in floats.
+    PAP has the spectrum of B = Q^T A Q, the adjacency matrix compressed to
+    1^perp (Q an orthonormal basis of it), plus one 0 from the direction 1.
+    The roots of C are x/(1 + x) over the eigenvalues x != -1 of B, since
+    the walk polynomial is n det(xI - B)."""
+    a = (np.array(g.rows)[:, None] >> np.arange(g.n) & 1).astype(float)
+    r = a.sum(axis=0) / g.n
+    a -= r
+    a -= r[:, None]
+    a += r.sum() / g.n
+    ev = np.linalg.eigvalsh(a)
+    return float(ev[-1] if largest else ev[0])
+
+
+# Relative half-width of the interval around a proposed root.
+_PROPOSAL_RTOL = 1e-10
+
+
+def _certified_root(
+    factors: list[tuple[IntPolynomial, int]], t: float
+) -> Optional[tuple[AlgebraicReal, int]]:
+    """The smallest root above 1 of the product of ``factors`` (a
+    squarefree split) and its multiplicity, when a proposal t near it
+    certifies; None when a certificate fails.
+
+    The enclosure is the one ``smallest_root_greater_than`` refined to
+    ``tau_width`` returns: a cell of the grid on [1, root_bound] of the
+    root's factor f (without a root at 1), halved down to the level where
+    ``refined`` stops.  f is the one factor that changes sign across
+    [t(1 - r), t(1 + r)]; take the grid points lo and hi just outside.
+    A Descartes count of 1 for f and 0 for every other factor on (1, hi),
+    with no factor vanishing at hi, proves f's root is the only root in
+    (1, hi], so it lies in (lo, hi).  A sign bisection of grid indices
+    finds its cell.  Isolation by bisection from [1, root_bound] walks
+    through the cell's ancestors and ends elsewhere when one of their
+    midpoints is a root of f, or when the cell is one of the first two,
+    whose refinement goes on until it clears 1; both return None, and the
+    caller isolates the root that way."""
+    lo_t, hi_t = t * (1 - _PROPOSAL_RTOL), t * (1 + _PROPOSAL_RTOL)
+    if not (1 < lo_t and hi_t < math.inf):
+        return None
+    lo_t, hi_t = Fraction(lo_t), Fraction(hi_t)
+    owners = [
+        (f, mult)
+        for f, mult in factors
+        if f.homogeneous(lo_t.numerator, lo_t.denominator)
+        * f.homogeneous(hi_t.numerator, hi_t.denominator)
+        < 0
+    ]
+    if len(owners) != 1:
+        return None
+    f, mult = owners[0]
+    grid_poly = f
+    if f.homogeneous(1, 1) == 0:
+        grid_poly = exact_div(f, IntPolynomial((-1, 1))).primitive()
+    upper = grid_poly.root_bound()
+    # Grid point i is (den + i*step) / den: 1 at i = 0, upper at i = 2**level,
+    # the least level with step / den <= width.
+    width = get_config().tau_width
+    step = upper.numerator - upper.denominator
+    level = ((step * width.denominator - 1) // (width.numerator * upper.denominator)).bit_length()
+    den = upper.denominator << level
+    i = (lo_t.numerator * den - den * lo_t.denominator) // (step * lo_t.denominator)
+    j = -((den * hi_t.denominator - hi_t.numerator * den) // (step * hi_t.denominator))
+    if i < 2:
+        return None
+    hi = Fraction(den + j * step, den)
+    for h, _ in factors:
+        if h.homogeneous(den + j * step, den) == 0 or descartes_count(h, 1, hi) != int(h is f):
+            return None
+    positive_at_lo = f.homogeneous(den + i * step, den) > 0
+    while j - i > 1:
+        mid = (i + j) // 2
+        v = f.homogeneous(den + mid * step, den)
+        if v == 0:
+            return None
+        if (v > 0) == positive_at_lo:
+            i = mid
+        else:
+            j = mid
+    # A rational root p/q of f has q | lc(f): test the ancestors' midpoints.
+    lead = f.coeffs[-1]
+    for k in range(level):
+        num = den + ((2 * (i >> (level - k)) + 1) << (level - k - 1)) * step
+        if lead * num % den == 0 and f.homogeneous(num, den) == 0:
+            return None
+    return AlgebraicReal(f, Fraction(den + i * step, den), Fraction(den + j * step, den)), mult
+
+
+def _root_above_one(
+    p: IntPolynomial, proposal: Optional[float]
+) -> Optional[tuple[AlgebraicReal, int]]:
+    """``smallest_root_greater_than(p, 1)`` with the root refined to
+    ``tau_width``, for a polynomial p whose roots the spectrum proposes:
+    ``proposal`` is a float near the smallest root above 1, or None when
+    there is none.  The proposal is certified (``_certified_root``);
+    otherwise sign variations of f(1 + x) of 0 on every factor f prove
+    there is no root above 1, and failing both, Sturm isolation decides."""
+    factors = squarefree_decomposition(p)
+    if proposal is not None:
+        got = _certified_root(factors, proposal)
+        if got is not None:
+            return got
+    if all(descartes_count(f, 1) == 0 for f, _ in factors):
+        return None
+    got = smallest_root_greater_than(p, 1)
+    return None if got is None else (got[0].refined(get_config().tau_width), got[1])
+
+
 @functools.lru_cache(maxsize=None)
 def tau1_mu(g: Graph) -> tuple[Optional[AlgebraicReal], int]:
     """Smallest root of C strictly above 1 with its exact multiplicity;
-    (None, 0) when every root is <= 1."""
+    (None, 0) when every root is <= 1.  The root is x/(1 + x) for the
+    smallest eigenvalue x of the compressed adjacency B when x < -1, since
+    x/(1 + x) increases there; ``_root_above_one`` certifies it."""
     c, _ = cm_polynomials(g)
-    got = smallest_root_greater_than(c, 1)
-    if got is None:
-        return None, 0
-    root, mult = got
-    return root.refined(get_config().tau_width), mult
+    x = _spectrum_end(g, largest=False)
+    got = _root_above_one(c, x / (1 + x) if x < -1 else None)
+    return (None, 0) if got is None else got
 
 
 @functools.lru_cache(maxsize=None)
 def tau0(g: Graph) -> Optional[AlgebraicReal]:
     """Lower endpoint of the feasible window: 1/tau1 of the complement
     (None means the window extends to 0).  The complement's C is
-    t^(n-1) C(1/t), so its smallest root above 1 comes from g's own C."""
+    t^(n-1) C(1/t), so its smallest root above 1 comes from g's own C:
+    it is (1 + x)/x for the largest eigenvalue x of B when x > 0."""
     c, _ = cm_polynomials(g)
-    got = smallest_root_greater_than(c.reciprocal(g.n - 1), 1)
-    return None if got is None else got[0].refined(get_config().tau_width).reciprocal()
+    x = _spectrum_end(g, largest=True)
+    got = _root_above_one(c.reciprocal(g.n - 1), (1 + x) / x if x > 0 else None)
+    return None if got is None else got[0].reciprocal()
 
 
 @functools.lru_cache(maxsize=None)

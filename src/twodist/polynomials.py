@@ -4,8 +4,16 @@ Coefficients are arbitrary-precision integers, stored lowest degree first.
 On top of the ring arithmetic this module provides the determinant and
 the adjugate column adj(B) e_0 of a polynomial matrix B, both from one
 fraction-free elimination of [B | e_0] per sample point, Yun squarefree
-decomposition, Sturm root counting, isolation of real roots, certified
-interval refinement, and exact signs at algebraic points.
+decomposition, Descartes and Sturm root counting, isolation of real
+roots, certified interval refinement, and exact signs at algebraic points.
+
+Descartes' rule of signs, after a Moebius map of an interval onto
+(0, inf), bounds the roots there from above with the right parity, so a
+count of 0 or 1 is a proof for any polynomial, and every count is exact on
+a polynomial with only real roots; ``invariants`` certifies the roots of
+the real-rooted C with it.  Sturm chains count the distinct roots of any
+polynomial and serve the rest: tie polynomials, ``multiplicity_at`` and
+the general isolation in ``smallest_root_greater_than``.
 
 Every loop runs on integers.  The sign of p at a rational n/d (d > 0) is
 the sign of the integer d**deg * p(n/d), computed by homogeneous Horner;
@@ -310,6 +318,41 @@ class SturmChain:
         return _sign_changes(at_lo) - _sign_changes(at_hi)
 
 
+def _taylor_shift(coeffs: Sequence[int], a: int) -> list[int]:
+    """Coefficients of p(x + a) from those of p, lowest degree first."""
+    c = list(coeffs)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += a * c[j + 1]
+    return c
+
+
+def descartes_count(
+    p: IntPolynomial, lo: RationalLike, hi: Optional[RationalLike] = None
+) -> int:
+    """Sign variations of p carried from the open interval (lo, hi), lo < hi,
+    or (lo, inf) when hi is None, onto (0, inf).
+
+    By Descartes' rule of signs this bounds the number of roots of p in the
+    interval, counted with multiplicity, from above, and has the same
+    parity: 0 and 1 are exact counts for any p, and every count is exact
+    when p has only real roots (Collins & Akritas, SYMSAC 1976).  Roots at
+    the endpoints are not counted.  With lo = a/den and hi = b/den,
+    q(x) = den**deg p((a + x)/den) has integer coefficients, and
+    (1 + y)**deg q((b - a)/(1 + y)) maps y in (0, inf) onto (lo, hi)."""
+    if p.is_zero:
+        raise ValueError("zero polynomial")
+    deg = len(p.coeffs) - 1
+    if hi is None:
+        a, den = lo.numerator, lo.denominator
+    else:
+        a, b, den = _on_grid(lo, hi)
+    q = _taylor_shift([c * den ** (deg - i) for i, c in enumerate(p.coeffs)], a)
+    if hi is not None:
+        q = _taylor_shift([c * (b - a) ** i for i, c in enumerate(q)][::-1], 1)
+    return _sign_changes(q)
+
+
 def count_real_roots(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
     return SturmChain(p).count(lo, hi)
 
@@ -547,6 +590,33 @@ def det_poly_matrix(
 # ---------------------------------------------------------------------------
 
 
+# A prime for the modular coprimality test: 2**61 - 1.
+_PRIME = (1 << 61) - 1
+
+
+def _coprime_mod_p(a: IntPolynomial, b: IntPolynomial) -> bool:
+    """True when gcd(a, b) modulo ``_PRIME`` is a nonzero constant and the
+    prime divides neither leading coefficient.  That proves a and b coprime
+    over Q, since reduction then cannot lower the degree of their gcd
+    (Brown, J. ACM 18, 1971); False decides nothing."""
+    p = _PRIME
+    if a.coeffs[-1] % p == 0 or b.coeffs[-1] % p == 0:
+        return False
+    u = [c % p for c in a.coeffs]
+    v = [c % p for c in b.coeffs]
+    while len(v) > 1:
+        inv = pow(v[-1], -1, p)
+        while len(u) >= len(v):  # u <- u mod v
+            q = u.pop() * inv % p
+            shift = len(u) - len(v) + 1
+            for j, c in enumerate(v[:-1]):
+                u[shift + j] = (u[shift + j] - q * c) % p
+            while u and u[-1] == 0:
+                u.pop()
+        u, v = v, u
+    return len(v) == 1
+
+
 def squarefree_decomposition(
     p: IntPolynomial,
 ) -> list[tuple[IntPolynomial, int]]:
@@ -560,6 +630,8 @@ def squarefree_decomposition(
     if f.degree == 0:
         return []
     fp = f.derivative()
+    if _coprime_mod_p(f, fp):
+        return [(f, 1)]
     g = poly_gcd(f, fp)
     if g.degree == 0:
         return [(f, 1)]

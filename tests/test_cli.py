@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 
 from twodist.cli import main
@@ -15,6 +17,18 @@ SQUARE = to_graph6(complete_multipartite(MultipartiteSignature((2, 2))))
 OCTA = to_graph6(complete_multipartite(MultipartiteSignature((2, 2, 2))))
 C5 = "Dhc"
 K3 = to_graph6(Graph.complete(3))
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_fresh(*argv):
+    """stdout of the CLI in a new interpreter."""
+    code = "import sys; from twodist.cli import main; sys.exit(main(sys.argv[1:]))"
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
 
 
 def run(capsys, *argv):
@@ -83,6 +97,16 @@ class TestAnalyze:
 
 
 class TestEmbed:
+    def test_parser_reuse_leaks_no_option(self, capsys):
+        # main reuses one parser per process; --b of a first call must not
+        # reach a second call that omits it.
+        code, first, _ = run(capsys, "embed", C5, "--b", "1.2")
+        assert code == 0 and json.loads(first)["b"] == 1.2
+        code, second, _ = run(capsys, "embed", C5)
+        assert code == 0
+        assert second == run_fresh("embed", C5)
+        assert json.loads(second)["b"] != 1.2
+
     def test_octahedron_jspherical(self, capsys):
         code, out, _ = run(capsys, "embed", OCTA, "--model", "jspherical")
         assert code == 0
@@ -213,6 +237,20 @@ class TestBatch:
         code, serial, _ = run(capsys, "batch", str(path))
         code, parallel, _ = run(capsys, "batch", str(path), "--jobs", "2")
         assert serial == parallel
+
+    def test_import_loads_no_multiprocessing(self):
+        # the process pool is imported by batch --jobs alone
+        code = (
+            "import sys, twodist, twodist.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('multiprocessing', 'concurrent')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC), timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
     def test_json_array_output(self, capsys, tmp_path):
         path = tmp_path / "batch.g6"

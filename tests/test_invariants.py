@@ -1,9 +1,13 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import random_graph
+from twodist.config import get_config, override
 from twodist.errors import CompleteGraphError
 from twodist.graphs import (
     Graph,
@@ -12,6 +16,7 @@ from twodist.graphs import (
     complete_multipartite,
     enumerate_graphs,
     is_disjoint_clique_union,
+    parse_graph6,
 )
 from twodist import invariants
 from twodist.invariants import (
@@ -25,7 +30,13 @@ from twodist.invariants import (
     tau0,
     tau1_mu,
 )
-from twodist.polynomials import AlgebraicReal, IntPolynomial, det_poly_matrix
+from twodist.polynomials import (
+    AlgebraicReal,
+    IntPolynomial,
+    det_poly_matrix,
+    smallest_root_greater_than,
+    squarefree_decomposition,
+)
 
 
 def poly(*coeffs):
@@ -358,3 +369,141 @@ class TestDimSBounded:
     def test_small_budget_rejected(self):
         with pytest.raises(ValueError):
             dim_s_bounded(Graph.path(3), Fraction(1, 4))
+
+
+def spectral_window(g):
+    """Float oracle for (tau1, mu, tau0): C's roots are x/(1 + x) over the
+    eigenvalues x of the adjacency matrix compressed to the complement of
+    the all-ones vector, so tau1 comes from the smallest eigenvalue when it
+    is below -1 (mu its multiplicity) and tau0 from the largest when it is
+    positive."""
+    n = g.n
+    a = np.array([[float(g.has_edge(i, j)) for j in range(n)] for i in range(n)])
+    # the last n - 1 columns of a QR of [1 | e_1 .. e_(n-1)] span 1^perp
+    q, _ = np.linalg.qr(np.column_stack([np.ones(n), np.eye(n)[:, : n - 1]]))
+    ev = np.linalg.eigvalsh(q[:, 1:].T @ a @ q[:, 1:])
+    tau1, mu, tau0 = math.inf, 0, 0.0
+    if len(ev) and ev[0] < -1 - 1e-9:
+        tau1, mu = ev[0] / (1 + ev[0]), int(np.sum(ev < ev[0] + 1e-7))
+    if len(ev) and ev[-1] > 1e-9:
+        tau0 = ev[-1] / (1 + ev[-1])
+    return tau1, mu, tau0
+
+
+def embed16_pool():
+    """The benchmark's 500 G(16, 1/2) graphs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "embed16.json"
+    return [parse_graph6(ref["g6"]) for ref in json.loads(path.read_text())["graphs"]]
+
+
+def sturm_window(g):
+    """(tau1, mu, tau0) by Sturm isolation of C and of its reciprocal."""
+    c, _ = cm_polynomials(g)
+    width = get_config().tau_width
+    got = smallest_root_greater_than(c, 1)
+    t1 = (None, 0) if got is None else (got[0].refined(width), got[1])
+    got = smallest_root_greater_than(c.reciprocal(g.n - 1), 1)
+    return t1, None if got is None else got[0].refined(width).reciprocal()
+
+
+class TestSpectralWindow:
+    """tau1, mu and tau0 come from a spectral proposal certified by
+    Descartes counts; the float spectrum and Sturm isolation check them."""
+
+    def check_against_spectrum(self, g):
+        tau1, mu, tau0_ = spectral_window(g)
+        root, got_mu = tau1_mu(g)
+        low = invariants.tau0(g)
+        assert got_mu == mu
+        assert (root is None) == math.isinf(tau1)
+        if root is not None:
+            assert abs(float(root) - tau1) <= 1e-9 * tau1
+        assert (low is None) == (tau0_ == 0)
+        if low is not None:
+            assert abs(float(low) - tau0_) <= 1e-9
+
+    def test_small_graphs_match_spectrum(self):
+        for n in range(1, 8):
+            for g in enumerate_graphs(n):
+                self.check_against_spectrum(g)
+
+    @pytest.mark.parametrize("n, count", [(16, 6), (24, 3), (32, 3)])
+    def test_random_graphs_match_spectrum(self, rng, n, count):
+        with override(max_n=n):
+            invariants.clear_caches()
+            try:
+                for _ in range(count):
+                    self.check_against_spectrum(random_graph(rng, n))
+            finally:
+                invariants.clear_caches()
+
+    @pytest.mark.parametrize("width, max_n", [(None, 7), (1, 6)])
+    def test_small_enclosures_equal_sturm_isolation(self, width, max_n):
+        # rational roots on the grid and, with wide cells, roots in its
+        # first two cells take the Sturm route; every enclosure is the same
+        changes = {} if width is None else {"tau_width": Fraction(width)}
+        with override(**changes):
+            invariants.clear_caches()
+            try:
+                for n in range(1, max_n + 1):
+                    for g in enumerate_graphs(n):
+                        t1, t0 = sturm_window(g)
+                        assert tau1_mu(g) == t1
+                        assert invariants.tau0(g) == t0
+            finally:
+                invariants.clear_caches()
+
+    def test_wrong_proposal_does_not_certify(self):
+        # roots sqrt5 (simple) and sqrt11 (double); a proposal at sqrt11
+        # changes its factor's sign but misses the smaller root
+        p = poly(-5, 0, 1) * poly(-11, 0, 1) ** 2
+        factors = squarefree_decomposition(p)
+        assert invariants._certified_root(factors, math.sqrt(11)) is None
+        assert invariants._certified_root(factors[::-1], math.sqrt(11)) is None
+        root, mult = invariants._root_above_one(p, math.sqrt(11))
+        assert mult == 1 and root.cmp_rational(Fraction(2236, 1000)) > 0
+        assert root.cmp_rational(Fraction(2237, 1000)) < 0
+        got, mult = invariants._root_above_one(p, math.sqrt(5))
+        assert (got, mult) == (root, 1)
+        single = poly(-11, 0, 1) * poly(-13, 0, 1)  # one factor, two roots
+        assert invariants._certified_root(squarefree_decomposition(single), math.sqrt(13)) is None
+
+    def test_pool_enclosures_equal_sturm_isolation(self, monkeypatch):
+        fallbacks = []
+        original = invariants.smallest_root_greater_than
+        monkeypatch.setattr(
+            invariants,
+            "smallest_root_greater_than",
+            lambda *args: fallbacks.append(args) or original(*args),
+        )
+        invariants.clear_caches()
+        for g in embed16_pool():
+            t1, t0 = sturm_window(g)
+            assert tau1_mu(g) == t1
+            assert invariants.tau0(g) == t0
+        assert fallbacks == []
+
+    def test_forced_fallback_same_enclosures(self, monkeypatch):
+        graphs = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+        graphs += embed16_pool()[:20]
+        invariants.clear_caches()
+        expect = [(tau1_mu(g), invariants.tau0(g)) for g in graphs]
+        invariants.clear_caches()
+        fallbacks = []
+        original_root = invariants.smallest_root_greater_than
+        original_end = invariants._spectrum_end
+        monkeypatch.setattr(
+            invariants,
+            "smallest_root_greater_than",
+            lambda *args: fallbacks.append(args) or original_root(*args),
+        )
+        monkeypatch.setattr(
+            invariants, "_spectrum_end", lambda g, largest: original_end(g, largest) + 1e-3
+        )
+        try:
+            assert [(tau1_mu(g), invariants.tau0(g)) for g in graphs] == expect
+        finally:
+            invariants.clear_caches()
+        # every proposal missed: each root above 1 came from Sturm isolation
+        roots = sum((t1[0] is not None) + (t0 is not None) for t1, t0 in expect)
+        assert len(fallbacks) == roots > 100

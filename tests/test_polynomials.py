@@ -9,8 +9,11 @@ from twodist.polynomials import (
     AlgebraicReal,
     IntPolynomial,
     SturmChain,
+    _PRIME,
+    _coprime_mod_p,
     _interpolate_integer,
     count_real_roots,
+    descartes_count,
     det_poly_matrix,
     exact_div,
     multiplicity_at,
@@ -565,3 +568,125 @@ class TestIntegerKernel:
             exact_div(poly(0, 0, 1), poly(0, 2))  # quotient t/2, remainder 0
         with pytest.raises(ValueError):
             exact_div(poly(1, 0, 1), poly(1, 1))  # remainder 2
+
+
+def open_count(reference, sympy, lo, hi):
+    """Roots of a sympy polynomial in the open interval (lo, hi), with
+    multiplicity, from ``count_roots`` on its squarefree factors."""
+    total = 0
+    for factor, mult in reference.sqf_list()[1]:
+        inside = int(factor.count_roots(lo, hi))
+        inside -= (factor.eval(lo) == 0) + (factor.eval(hi) == 0)
+        total += mult * inside
+    return total
+
+
+class TestDescartes:
+    def linear_product(self, rng):
+        """A random product of rational linear factors, some repeated."""
+        p = IntPolynomial.const(rng.choice([-3, -1, 1, 2]))
+        for _ in range(rng.randrange(1, 6)):
+            p = p * poly(-rng.randrange(-12, 13), rng.randrange(1, 5)) ** rng.randrange(1, 3)
+        return p
+
+    def intervals(self, rng, p):
+        """Random intervals, about half with an endpoint at a root of p."""
+        roots = [Fraction(-f.coeffs[0], f.coeffs[1]) for f, _ in squarefree_decomposition(p)
+                 if f.degree == 1]
+        for _ in range(8):
+            lo = Fraction(rng.randrange(-40, 40), rng.choice([1, 3, 4, 7]))
+            if roots and rng.random() < 0.5:
+                lo = rng.choice(roots)
+            hi = lo + Fraction(rng.randrange(1, 60), rng.choice([1, 2, 5, 11]))
+            if roots and rng.random() < 0.3:
+                hi = max(roots) if max(roots) > lo else hi
+            yield lo, hi
+
+    def test_exact_on_linear_products(self, rng):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.symbols("t")
+        checked = at_root = 0
+        for _ in range(40):
+            p = self.linear_product(rng)
+            reference = sympy.Poly(list(reversed(p.coeffs)), t)
+            for lo, hi in self.intervals(rng, p):
+                slo = sympy.Rational(lo.numerator, lo.denominator)
+                shi = sympy.Rational(hi.numerator, hi.denominator)
+                at_root += p(lo) == 0 or p(hi) == 0
+                assert descartes_count(p, lo, hi) == open_count(reference, sympy, slo, shi)
+                checked += 1
+            # (lo, inf): above every root there is nothing left to count
+            lo = Fraction(rng.randrange(-15, 15), rng.choice([1, 2, 3]))
+            above = open_count(reference, sympy, sympy.Rational(lo.numerator, lo.denominator),
+                               sympy.Integer(10**6))
+            assert descartes_count(p, lo) == above
+        assert checked >= 250 and at_root >= 60
+
+    def test_upper_bound_with_parity(self, rng):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.symbols("t")
+        loose = 0
+        for _ in range(40):
+            p = random_product(rng)
+            for _ in range(rng.randrange(1, 3)):  # complex pairs (t - a)^2 + b
+                a, b = rng.randrange(-6, 7), rng.randrange(1, 5)
+                p = p * poly(a * a + b, -2 * a, 1)
+            reference = sympy.Poly(list(reversed(p.coeffs)), t)
+            for _ in range(6):
+                lo = Fraction(rng.randrange(-20, 20), rng.choice([1, 2, 3]))
+                hi = lo + Fraction(rng.randrange(1, 40), rng.choice([1, 2, 7]))
+                true = open_count(reference, sympy, sympy.Rational(lo.numerator, lo.denominator),
+                                  sympy.Rational(hi.numerator, hi.denominator))
+                got = descartes_count(p, lo, hi)
+                assert got >= true and (got - true) % 2 == 0
+                loose += got > true
+        assert loose >= 5
+
+    def test_endpoints_excluded(self):
+        p = poly(-1, 1) * poly(-2, 1) * poly(-3, 1)  # roots 1, 2, 3
+        assert descartes_count(p, 1, 3) == 1
+        assert descartes_count(p, 1, 2) == 0
+        assert descartes_count(p, Fraction(1, 2), 2) == 1
+        assert descartes_count(p, 1) == 2
+        assert descartes_count(p, 3) == 0
+        assert descartes_count(poly(0, 0, 1), -1, 1) == 2  # t^2, double root 0
+        with pytest.raises(ValueError):
+            descartes_count(ZERO, 0, 1)
+
+
+class TestModularSquarefree:
+    def test_matches_sympy_sqf_list(self, rng):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.symbols("t")
+        repeated = shortcut = 0
+        for _ in range(60):
+            p = IntPolynomial.const(rng.choice([-2, 1, 3]))
+            for _ in range(rng.randrange(1, 5)):
+                factor = poly(*[rng.randrange(-9, 10) for _ in range(rng.randrange(2, 4))])
+                if factor.degree:
+                    p = p * factor ** rng.choice([1, 1, 1, 2, 3])
+            if not p.degree:
+                continue
+            f = p.primitive()
+            shortcut += _coprime_mod_p(f, f.derivative())
+            got = squarefree_decomposition(p)
+            expect = []
+            for factor, mult in sympy.Poly(list(reversed(p.coeffs)), t).sqf_list()[1]:
+                coeffs = [int(c) for c in reversed(factor.all_coeffs())]
+                expect.append((IntPolynomial.from_coeffs(coeffs).primitive(), mult))
+            expect = [fm for fm in expect if fm[0].degree]
+            assert sorted(got, key=lambda fm: fm[1]) == sorted(expect, key=lambda fm: fm[1])
+            repeated += any(m > 1 for _, m in got)
+        assert repeated >= 10 and shortcut >= 10
+
+    def test_modular_test_is_sound(self, rng):
+        for _ in range(50):
+            g = poly(rng.randrange(-9, 10), rng.randrange(1, 9))
+            a = g * poly(*[rng.randrange(-9, 10) for _ in range(4)])
+            b = g * poly(*[rng.randrange(-9, 10) for _ in range(3)])
+            if a.degree and b.degree:
+                assert not _coprime_mod_p(a, b)
+        # coprime pairs: decided, unless the prime divides a leading coefficient
+        assert _coprime_mod_p(poly(-2, 0, 1), poly(0, 2))
+        assert not _coprime_mod_p(poly(-2, 0, _PRIME), poly(0, 2 * _PRIME))
+        assert squarefree_decomposition(poly(-2, 0, _PRIME)) == [(poly(-2, 0, _PRIME), 1)]
