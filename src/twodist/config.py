@@ -22,21 +22,8 @@ class Config:
     max_n: int = 16
     # Slack when testing membership of t in the feasible window.
     feas_slack: float = 1e-9
-    # Relative tolerance below which a negative Gram eigenvalue means the
-    # requested distances are not realizable.
-    psd_tol: float = 1e-8
-    # Eigenvalue cutoff for numerical rank, relative to the largest one.
-    rank_rtol: float = 1e-9
     # Tolerance for classifying observed distances as "short" or "long".
     dist_tol: float = 1e-7
-    # Largest duality gap an enclosing ball may carry, relative to the
-    # squared data scale; a larger one raises.
-    meb_gap_rtol: float = 1e-14
-    # Max-norm distance from the origin within which a join block's
-    # enclosing-ball center makes it Type I, and its affine hull flags it.
-    hull_tol: float = 1e-8
-    # Cross-factor orthogonality tolerance in point-set decomposition.
-    orth_tol: float = 1e-7
     # Width to which root enclosures are refined before being reported.
     tau_width: Fraction = Fraction(1, 10**13)
     # Width target for the squared-circumradius enclosure.

@@ -40,6 +40,20 @@ from .polynomials import (
 from . import invariants
 
 SQRT2 = math.sqrt(2.0)
+# Relative tolerance below which a negative Gram eigenvalue means the
+# requested distances are not realizable.
+PSD_TOL = 1e-8
+# Eigenvalue (or singular value) cutoff for numerical rank, relative to the
+# largest one.
+RANK_RTOL = 1e-9
+# Largest duality gap an enclosing ball may carry, relative to the squared
+# data scale; a larger one raises.
+MEB_GAP_RTOL = 1e-14
+# Max-norm distance from the origin within which a join block's
+# enclosing-ball center makes it Type I, and its affine hull flags it.
+HULL_TOL = 1e-8
+# Cross-factor orthogonality tolerance in point-set decomposition.
+ORTH_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -51,7 +65,6 @@ class PointConfig:
     a: float
     b: float
     rank: int
-    tol: float
 
     @property
     def n(self) -> int:
@@ -100,16 +113,20 @@ def realize(g: Graph, b: float, a: float = 1.0) -> PointConfig:
     """Coordinates of the two-distance configuration of g with distances
     a on edges and b elsewhere.  The ratio (b/a)^2 must lie in the
     feasible window of g (checked against the exact enclosures).  Both
-    distances must be finite and positive."""
+    distances and their squared ratio must be finite and positive."""
     if not (0 < a < math.inf and 0 < b < math.inf):
         raise InfeasibleDistanceError(f"distances must be finite and > 0, got a={a}, b={b}")
-    cfg = get_config()
     n = g.n
     if n == 1:
-        return PointConfig(np.zeros((1, 0)), a, b, 0, cfg.dist_tol)
-    t = (b / a) ** 2
+        return PointConfig(np.zeros((1, 0)), a, b, 0)
+    try:
+        t = (b / a) ** 2
+    except OverflowError:
+        t = math.inf
+    if t == math.inf:
+        raise InfeasibleDistanceError(f"squared distance ratio (b/a)^2 = {b / a:.3g}^2 is not finite")
     lo, hi = invariants.feasible_interval(g)
-    slack = cfg.feas_slack * max(1.0, abs(t))
+    slack = get_config().feas_slack * max(1.0, abs(t))
     if t < lo - slack or t > hi + slack:
         raise InfeasibleDistanceError(
             f"t={t:.12g} outside feasible window [{lo:.12g}, {hi:.12g}]"
@@ -123,15 +140,14 @@ def realize(g: Graph, b: float, a: float = 1.0) -> PointConfig:
     gram = 0.5 * (gram + gram.T)
     eigvals, eigvecs = np.linalg.eigh(gram)
     scale = max(float(np.abs(eigvals).max()), 1e-300)
-    if float(eigvals.min()) < -cfg.psd_tol * scale:
+    if float(eigvals.min()) < -PSD_TOL * scale:
         raise InfeasibleDistanceError(
             f"Gram matrix has eigenvalue {eigvals.min():.3g} "
             f"(scale {scale:.3g}); distances not realizable"
         )
-    cutoff = cfg.rank_rtol * scale
-    keep = eigvals > cutoff
+    keep = eigvals > RANK_RTOL * scale
     pts = eigvecs[:, keep] * np.sqrt(eigvals[keep])
-    return PointConfig(pts, a, b, int(keep.sum()), cfg.dist_tol)
+    return PointConfig(pts, a, b, int(keep.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +172,7 @@ def min_enclosing_ball(points: Sequence[Sequence[float]] | np.ndarray) -> Ball:
     toward the circumcenter of aff(T), T the points on its sphere; a point
     reaching the sphere joins T, and at the circumcenter the most negative
     barycentric weight leaves T until none is negative.  A duality gap of
-    those weights above ``meb_gap_rtol`` of the squared data scale, or no
+    those weights above ``MEB_GAP_RTOL`` of the squared data scale, or no
     optimum in 20n pivots, raises ``GeometricInconsistencyError``.
     ``support`` lists every point within 1e-7 * max(1, radius) of the sphere."""
     pts = np.asarray(points, dtype=float)
@@ -187,7 +203,8 @@ def min_enclosing_ball(points: Sequence[Sequence[float]] | np.ndarray) -> Ball:
             # Rate at which p's squared distance gains on the radius^2.
             grow = 2.0 * (t0 - rel) @ step
             grow[support] = 0.0
-            moving = grow > 1e-14 * math.sqrt(r2 * step2)
+            # sqrt of each factor: r2 * step2 overflows past ~1e77 coordinates
+            moving = grow > 1e-14 * math.sqrt(r2) * math.sqrt(step2)
             room = r2 - ((rel[moving] - c) ** 2).sum(axis=1)
             frac[moving] = np.maximum(room, 0.0) / grow[moving]
         j = int(np.argmin(frac))
@@ -207,7 +224,7 @@ def min_enclosing_ball(points: Sequence[Sequence[float]] | np.ndarray) -> Ball:
     lam = np.bincount(support, weights, n)
     sqnorms = (pts * pts).sum(axis=1)
     c, r2, gap = _dual_certificate(pts, sqnorms, lam)
-    bound = get_config().meb_gap_rtol * max(1.0, float(sqnorms.max()))
+    bound = MEB_GAP_RTOL * max(1.0, float(sqnorms.max()))
     if gap > bound:
         raise GeometricInconsistencyError(
             f"enclosing ball duality gap {gap:.3g} above {bound:.3g}"
@@ -347,7 +364,7 @@ def jspherical_embedding(g: Graph) -> PointConfig:
             f"expected unit enclosing radius, got {ball.radius:.12g}"
         )
     pts = (config.points - ball.center) / ball.radius
-    return PointConfig(pts, SQRT2, b, config.rank, get_config().dist_tol)
+    return PointConfig(pts, SQRT2, b, config.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +409,7 @@ def kuperberg_decompose(config: PointConfig) -> PointFactorization:
     (cross-block orthogonality) and labeled Type I when the origin lies in
     its convex hull (the block's enclosing ball is centered at the origin,
     ``_origin_in_convex_hull``), Type II otherwise; a Type II block whose
-    affine hull passes within ``hull_tol`` of the origin is flagged.
+    affine hull passes within ``HULL_TOL`` of the origin is flagged.
     Exactly |S| - rank(S) blocks must be Type I."""
     cfg = get_config()
     pts = config.points
@@ -417,7 +434,7 @@ def kuperberg_decompose(config: PointConfig) -> PointFactorization:
     for bi in range(len(blocks)):
         for bj in range(bi + 1, len(blocks)):
             inner = pts[blocks[bi]] @ pts[blocks[bj]].T
-            if float(np.abs(inner).max()) > cfg.orth_tol:
+            if float(np.abs(inner).max()) > ORTH_TOL:
                 raise GeometricInconsistencyError(
                     "cross-factor inner products are not zero"
                 )
@@ -426,16 +443,16 @@ def kuperberg_decompose(config: PointConfig) -> PointFactorization:
     k = 0
     for idx, block in enumerate(blocks):
         sub = pts[block]
-        if _origin_in_convex_hull(sub, cfg.hull_tol):
+        if _origin_in_convex_hull(sub, HULL_TOL):
             factors.append((tuple(block), "I"))
             k += 1
         else:
-            if _origin_affine_distance(sub) <= cfg.hull_tol:
+            if _origin_affine_distance(sub) <= HULL_TOL:
                 # Origin on the affine hull but outside the hull interior:
                 # a further decomposition exists in exact arithmetic.
                 flags.append(f"factor-{idx}-origin-on-affine-hull")
             factors.append((tuple(block), "II"))
-    rank = _linear_rank(pts, cfg.rank_rtol)
+    rank = _linear_rank(pts, RANK_RTOL)
     if n != rank + k:
         raise GeometricInconsistencyError(
             f"|S| = {n} but rank + #TypeI = {rank} + {k}"

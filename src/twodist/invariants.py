@@ -103,22 +103,6 @@ class TwoDistanceProfile:
     flags: tuple[str, ...] = ()
 
 
-def bordered_matrix(g: Graph) -> list[list[IntPolynomial]]:
-    """The bordered squared-distance matrix [[0, 1^T], [1, D]] of g in
-    t = b^2 with unit short distance: D is 1 on edges, t on the other
-    pairs and 0 on the diagonal."""
-    zero = IntPolynomial.zero()
-    one = IntPolynomial.const(1)
-    t = IntPolynomial.x()
-    rows = [[zero] + [one] * g.n]
-    for i in range(g.n):
-        rows.append(
-            [one]
-            + [zero if i == j else one if g.has_edge(i, j) else t for j in range(g.n)]
-        )
-    return rows
-
-
 def _newton(power_sums: list[int]) -> list[int]:
     """Coefficients c_0 = 1, c_1, ..., c_n of det(xI - A) = sum c_i x^(n-i)
     from the power sums s_k = tr A^k (``power_sums[k]``, k = 0..n), by
@@ -189,7 +173,8 @@ def _in_t(d: Sequence[int], sign: int) -> IntPolynomial:
 def cm_polynomials(g: Graph) -> tuple[IntPolynomial, IntPolynomial]:
     """The pair (C, M): bordered and plain squared-distance determinants
     as exact polynomials in t = b^2 (unit short distance on edges), i.e.
-    det B and adj(B)_00 for B = ``bordered_matrix(g)``.
+    det B and adj(B)_00 for the bordered matrix B = [[0, 1^T], [1, D]],
+    D being 1 on edges, t on the other pairs and 0 on the diagonal.
 
     They come from the characteristic polynomial P(x) = det(xI - A) and
     the walk polynomial W(x) = 1^T adj(xI - A) 1 of the adjacency matrix A
@@ -205,8 +190,8 @@ def cm_polynomials(g: Graph) -> tuple[IntPolynomial, IntPolynomial]:
 
 @functools.lru_cache(maxsize=None)
 def bordered_adjugate(g: Graph) -> tuple[IntPolynomial, ...]:
-    """``(C, M, L_1, ..., L_n)``: det B and adj(B) e_0 for
-    B = ``bordered_matrix(g)``, equal to ``det_poly_matrix(B, n + 1)``.
+    """``(C, M, L_1, ..., L_n)``: det B and adj(B) e_0 for the bordered
+    matrix B of ``cm_polynomials``, equal to ``det_poly_matrix(B, n + 1)``.
     By Cramer's rule L_v / C are the barycentric weights of the
     circumcenter.  L_v = (-1)^n H_(n-1)(u_v) with u(x) = adj(xI - A) 1,
     from the cached walk data, and row 0 of B adj(B) = det(B) I gives
@@ -283,7 +268,7 @@ def _certified_root(
     through the cell's ancestors and ends elsewhere when one of their
     midpoints is a root of f, or when the cell is one of the first two,
     whose refinement goes on until it clears 1; both return None, and the
-    caller isolates the root that way."""
+    caller isolates the root by that bisection."""
     lo_t, hi_t = t * (1 - _PROPOSAL_RTOL), t * (1 + _PROPOSAL_RTOL)
     if not (1 < lo_t and hi_t < math.inf):
         return None
@@ -343,7 +328,8 @@ def _root_above_one(
     ``proposal`` is a float near the smallest root above 1, or None when
     there is none.  The proposal is certified (``_certified_root``);
     otherwise sign variations of f(1 + x) of 0 on every factor f prove
-    there is no root above 1, and failing both, Sturm isolation decides."""
+    there is no root above 1, and failing both, Descartes bisection
+    (``smallest_root_greater_than``) decides."""
     factors = squarefree_decomposition(p)
     if proposal is not None:
         got = _certified_root(factors, proposal)

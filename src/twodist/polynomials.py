@@ -4,16 +4,19 @@ Coefficients are arbitrary-precision integers, stored lowest degree first.
 On top of the ring arithmetic this module provides the determinant and
 the adjugate column adj(B) e_0 of a polynomial matrix B, both from one
 fraction-free elimination of [B | e_0] per sample point, Yun squarefree
-decomposition, Descartes and Sturm root counting, isolation of real
-roots, certified interval refinement, and exact signs at algebraic points.
+decomposition, Descartes root counting, isolation of real roots,
+certified interval refinement, and exact signs at algebraic points.
 
 Descartes' rule of signs, after a Moebius map of an interval onto
 (0, inf), bounds the roots there from above with the right parity, so a
 count of 0 or 1 is a proof for any polynomial, and every count is exact on
 a polynomial with only real roots; ``invariants`` certifies the roots of
-the real-rooted C with it.  Sturm chains count the distinct roots of any
-polynomial and serve the rest: tie polynomials, ``multiplicity_at`` and
-the general isolation in ``smallest_root_greater_than``.
+the real-rooted C with it.  Bisection until every count is 0 or 1
+isolates the real roots of any squarefree polynomial, tie polynomials
+included (``smallest_root_greater_than``).  Where a polynomial has at most
+one root in an interval, simple, a sign change decides it with no count:
+``multiplicity_at`` and ``AlgebraicReal.compare`` test gcds that way.
+``SturmChain`` is built by no program path; the tests count with it.
 
 Every loop runs on integers.  The sign of p at a rational n/d (d > 0) is
 the sign of the integer d**deg * p(n/d), computed by homogeneous Horner;
@@ -153,11 +156,6 @@ class IntPolynomial:
             acc = acc * n + c * dk
         return acc
 
-    def eval_interval(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-        """Exact interval image bound of the polynomial over [lo, hi]."""
-        rlo, rhi, scale = self._image(*_on_grid(lo, hi))
-        return Fraction(rlo, scale), Fraction(rhi, scale)
-
     def _image(self, a: int, b: int, den: int) -> tuple[int, int, int]:
         """Interval Horner over [a/den, b/den], den > 0: returns (lo, hi, s)
         with the image bound [lo/s, hi/s], s a positive power of den."""
@@ -283,7 +281,11 @@ def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
 
 
 class SturmChain:
-    """Sturm sequence of a polynomial; counts distinct real roots exactly."""
+    """Sturm sequence of a polynomial; counts distinct real roots exactly.
+
+    No program path builds one.  It stays here as the tests' reference
+    counter, independent of Descartes' rule, and because the benchmark's
+    tracer resolves it by name."""
 
     def __init__(self, p: IntPolynomial):
         if p.is_zero:
@@ -303,9 +305,6 @@ class SturmChain:
         """The chain's homogeneous values at n/d (d > 0): integers with the
         signs of the chain at n/d; entry 0 vanishes at a root."""
         return [q.homogeneous(n, d) for q in self.chain]
-
-    def variations(self, x: RationalLike) -> int:
-        return _sign_changes(self._values(x.numerator, x.denominator))
 
     def count(self, lo: RationalLike, hi: RationalLike) -> int:
         """Distinct real roots in (lo, hi); endpoints must not be roots."""
@@ -327,6 +326,16 @@ def _taylor_shift(coeffs: Sequence[int], a: int) -> list[int]:
     return c
 
 
+def _descartes(coeffs: Sequence[int], a: int, b: Optional[int], den: int) -> int:
+    """``descartes_count`` of the polynomial with ``coeffs`` on (a/den,
+    b/den), or on (a/den, inf) when b is None; den > 0."""
+    deg = len(coeffs) - 1
+    q = _taylor_shift([c * den ** (deg - i) for i, c in enumerate(coeffs)], a)
+    if b is not None:
+        q = _taylor_shift([c * (b - a) ** i for i, c in enumerate(q)][::-1], 1)
+    return _sign_changes(q)
+
+
 def descartes_count(
     p: IntPolynomial, lo: RationalLike, hi: Optional[RationalLike] = None
 ) -> int:
@@ -342,19 +351,18 @@ def descartes_count(
     (1 + y)**deg q((b - a)/(1 + y)) maps y in (0, inf) onto (lo, hi)."""
     if p.is_zero:
         raise ValueError("zero polynomial")
-    deg = len(p.coeffs) - 1
     if hi is None:
-        a, den = lo.numerator, lo.denominator
-    else:
-        a, b, den = _on_grid(lo, hi)
-    q = _taylor_shift([c * den ** (deg - i) for i, c in enumerate(p.coeffs)], a)
-    if hi is not None:
-        q = _taylor_shift([c * (b - a) ** i for i, c in enumerate(q)][::-1], 1)
-    return _sign_changes(q)
+        return _descartes(p.coeffs, lo.numerator, None, lo.denominator)
+    return _descartes(p.coeffs, *_on_grid(lo, hi))
 
 
-def count_real_roots(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
-    return SturmChain(p).count(lo, hi)
+def _changes_sign(g: IntPolynomial, lo: Fraction, hi: Fraction) -> bool:
+    """Whether g has opposite signs at lo and hi.  Where g has at most one
+    root in (lo, hi), simple, and none at either end, that is whether it
+    has one."""
+    return (g.homogeneous(lo.numerator, lo.denominator) > 0) != (
+        g.homogeneous(hi.numerator, hi.denominator) > 0
+    )
 
 
 @dataclass(frozen=True)
@@ -365,15 +373,6 @@ class AlgebraicReal:
     defining: IntPolynomial
     lo: Fraction
     hi: Fraction
-
-    def is_valid(self) -> bool:
-        f = self.defining
-        return (
-            self.lo < self.hi
-            and f.homogeneous(self.lo.numerator, self.lo.denominator) != 0
-            and f.homogeneous(self.hi.numerator, self.hi.denominator) != 0
-            and count_real_roots(f, self.lo, self.hi) == 1
-        )
 
     @property
     def width(self) -> Fraction:
@@ -386,8 +385,10 @@ class AlgebraicReal:
         if self.hi - self.lo <= width:
             return self
         # Bisect the numerators lo = a/den, hi = b/den; each halving doubles den.
+        # Signs are read against hi: ``smallest_root_greater_than`` refines
+        # candidates whose lo is the bound, which may be a root of f.
         a, b, den = _on_grid(self.lo, self.hi)
-        positive_at_lo = f.homogeneous(a, den) > 0
+        positive_at_hi = f.homogeneous(b, den) > 0
         while (b - a) * width.denominator > width.numerator * den:
             a, mid, b, den = 2 * a, a + b, 2 * b, 2 * den
             v = f.homogeneous(mid, den)
@@ -396,10 +397,10 @@ class AlgebraicReal:
                 m = Fraction(mid, den)
                 d = min(Fraction(mid - a, den), width) / 2
                 return AlgebraicReal(f, m - d, m + d)
-            if (v > 0) == positive_at_lo:
-                a = mid
-            else:
+            if (v > 0) == positive_at_hi:
                 b = mid
+            else:
+                a = mid
         return AlgebraicReal(f, Fraction(a, den), Fraction(b, den))
 
     def approx(self, width: RationalLike) -> Fraction:
@@ -434,10 +435,11 @@ class AlgebraicReal:
         a, b = self, other
         if a.hi > b.lo and b.hi > a.lo:
             # Overlapping enclosures: equal numbers share a root of the gcd.
+            # g divides a's defining polynomial, so it has at most one root
+            # in the overlap, simple, and the endpoints, each an endpoint
+            # of a or of b, are not roots of g.
             g = poly_gcd(a.defining, b.defining)
-            deg = g.degree
-            lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
-            if deg is not None and deg > 0 and SturmChain(g).count(lo, hi) >= 1:
+            if g.degree and _changes_sign(g, max(a.lo, b.lo), min(a.hi, b.hi)):
                 return 0
             while a.hi > b.lo and b.hi > a.lo:
                 a = a.refined(a.width / 4)
@@ -653,7 +655,14 @@ def _leftmost_root_above(
     f: IntPolynomial, bound: Fraction
 ) -> Optional[tuple[Fraction, Fraction]]:
     """Isolating interval of the smallest real root of squarefree ``f``
-    strictly above ``bound``, or None."""
+    strictly above ``bound``, or None.
+
+    Descartes bisection of the grid from ``bound`` to the Cauchy bound,
+    leftmost interval first: a count of 0 drops an interval, 1 isolates
+    its root, and more splits it at the midpoint.  A midpoint that is a
+    root is isolated in (mid - delta, mid + delta), and the search goes on
+    to its left.  Bisection ends because f is squarefree (Collins &
+    Akritas, SYMSAC 1976)."""
     f = f.primitive()
     if f.homogeneous(bound.numerator, bound.denominator) == 0:
         # Deflate the (simple) rational root sitting exactly at the bound.
@@ -668,42 +677,32 @@ def _leftmost_root_above(
     # The Cauchy bound is strict; guard anyway.
     while f.homogeneous(upper.numerator, upper.denominator) == 0:
         upper += 1
-    chain = SturmChain(f)
-    # Bisect numerators over a shared denominator, a/den < b/den, carrying
-    # the sign variations at a; each point's chain is evaluated once.
-    a, b, den = _on_grid(bound, upper)
-    var_a = _sign_changes(chain._values(a, den))
-    count = var_a - _sign_changes(chain._values(b, den))
-    if count == 0:
-        return None
-    while count > 1:
+    # Pending intervals (a/den, b/den), the leftmost last.  A midpoint
+    # root's interval is marked isolated: it is the answer once everything
+    # to its left has dropped.
+    todo = [(*_on_grid(bound, upper), False)]
+    while todo:
+        a, b, den, isolated = todo.pop()
+        count = 1 if isolated else _descartes(f.coeffs, a, b, den)
+        if count == 1:
+            return (Fraction(a, den), Fraction(b, den))
+        if count == 0:
+            continue
         a, mid, b, den = 2 * a, a + b, 2 * b, 2 * den
-        at_mid = chain._values(mid, den)
-        if at_mid[0] == 0:
-            # mid is a root: isolate it in [mid - delta, mid + delta], with
-            # delta = (b - a)/4 halved until the count there is 1.
+        if f.homogeneous(mid, den) == 0:
+            # delta = (b - a)/4, halved until the interval isolates mid.
             a, mid, b, den = 4 * a, 4 * mid, 4 * b, 4 * den
             delta = (b - a) // 4
-            while True:
-                at_left = chain._values(mid - delta, den)
-                at_right = chain._values(mid + delta, den)
-                var_left = _sign_changes(at_left)
-                if at_left[0] and at_right[0]:
-                    if var_left - _sign_changes(at_right) == 1:
-                        break
-                a, mid, b, den = 2 * a, 2 * mid, 2 * b, 2 * den
-            left = var_a - var_left
-            if left < 1:
-                return (Fraction(mid - delta, den), Fraction(mid + delta, den))
-            b, count = mid - delta, left
+            while (
+                f.homogeneous(mid - delta, den) == 0
+                or f.homogeneous(mid + delta, den) == 0
+                or _descartes(f.coeffs, mid - delta, mid + delta, den) != 1
+            ):
+                a, mid, den = 2 * a, 2 * mid, 2 * den
+            todo += [(mid - delta, mid + delta, den, True), (a, mid - delta, den, False)]
         else:
-            var_mid = _sign_changes(at_mid)
-            left = var_a - var_mid
-            if left >= 1:
-                b, count = mid, left
-            else:
-                a, var_a = mid, var_mid
-    return (Fraction(a, den), Fraction(b, den))
+            todo += [(mid, b, den, False), (a, mid, den, False)]
+    return None
 
 
 def smallest_root_greater_than(
@@ -733,8 +732,10 @@ def smallest_root_greater_than(
 def multiplicity_at(p: IntPolynomial, a: AlgebraicReal) -> int:
     """Exact multiplicity of the root ``a`` in ``p`` (0 when p(a) != 0).
 
-    Decided by repeated gcd with the defining polynomial of ``a`` plus a
-    Sturm count on the isolating interval; no floating point."""
+    Decided by repeated gcd with the defining polynomial of ``a``: each
+    gcd divides it, so it has at most one root in the isolating interval,
+    simple, and holds ``a`` exactly when it changes sign there; no
+    floating point."""
     if p.is_zero:
         raise ValueError("zero polynomial")
     d = a.defining.primitive()
@@ -742,10 +743,7 @@ def multiplicity_at(p: IntPolynomial, a: AlgebraicReal) -> int:
     mult = 0
     while True:
         g = poly_gcd(cur, d)
-        deg = g.degree
-        if deg is None or deg == 0:
-            break
-        if SturmChain(g).count(a.lo, a.hi) == 0:
+        if not g.degree or not _changes_sign(g, a.lo, a.hi):
             break
         cur = exact_div(cur, g).primitive()
         mult += 1

@@ -1,0 +1,175 @@
+"""Reference routes the tests hold the program to.
+
+Sturm isolation of real roots, Sturm root counts and the decisions
+``multiplicity_at`` and ``AlgebraicReal.compare`` made with them, interval
+images and the bordered distance matrix: independent of the Descartes
+bisection, sign tests and walk polynomials that ``twodist`` uses, and
+called by no program path.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Optional
+
+from twodist.graphs import Graph
+from twodist.polynomials import (
+    AlgebraicReal,
+    IntPolynomial,
+    RationalLike,
+    SturmChain,
+    _as_fraction,
+    _on_grid,
+    _sign_changes,
+    exact_div,
+    poly_gcd,
+    squarefree_decomposition,
+)
+
+
+def count_real_roots(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
+    """Distinct real roots of p in (lo, hi); endpoints must not be roots."""
+    return SturmChain(p).count(lo, hi)
+
+
+def is_valid(a: AlgebraicReal) -> bool:
+    """Whether a's interval has nonroot endpoints and isolates one root."""
+    f = a.defining
+    return (
+        a.lo < a.hi
+        and f.homogeneous(a.lo.numerator, a.lo.denominator) != 0
+        and f.homogeneous(a.hi.numerator, a.hi.denominator) != 0
+        and count_real_roots(f, a.lo, a.hi) == 1
+    )
+
+
+def eval_interval(p: IntPolynomial, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """Exact interval image bound of p over [lo, hi]."""
+    rlo, rhi, scale = p._image(*_on_grid(lo, hi))
+    return Fraction(rlo, scale), Fraction(rhi, scale)
+
+
+def bordered_matrix(g: Graph) -> list[list[IntPolynomial]]:
+    """The bordered squared-distance matrix [[0, 1^T], [1, D]] of g in
+    t = b^2 with unit short distance: D is 1 on edges, t on the other
+    pairs and 0 on the diagonal."""
+    zero = IntPolynomial.zero()
+    one = IntPolynomial.const(1)
+    t = IntPolynomial.x()
+    rows = [[zero] + [one] * g.n]
+    for i in range(g.n):
+        rows.append(
+            [one]
+            + [zero if i == j else one if g.has_edge(i, j) else t for j in range(g.n)]
+        )
+    return rows
+
+
+def sturm_leftmost_root_above(
+    f: IntPolynomial, bound: Fraction
+) -> Optional[tuple[Fraction, Fraction]]:
+    """Isolating interval of the smallest real root of squarefree ``f``
+    strictly above ``bound``, or None, by Sturm counts on the grid from
+    ``bound`` to the Cauchy bound."""
+    f = f.primitive()
+    if f.homogeneous(bound.numerator, bound.denominator) == 0:
+        # Deflate the (simple) rational root sitting exactly at the bound.
+        f = exact_div(
+            f, IntPolynomial.from_coeffs([-bound.numerator, bound.denominator])
+        ).primitive()
+    if f.degree in (None, 0):
+        return None
+    upper = f.root_bound()
+    if upper <= bound:
+        return None
+    # The Cauchy bound is strict; guard anyway.
+    while f.homogeneous(upper.numerator, upper.denominator) == 0:
+        upper += 1
+    chain = SturmChain(f)
+    # Bisect numerators over a shared denominator, a/den < b/den, carrying
+    # the sign variations at a; each point's chain is evaluated once.
+    a, b, den = _on_grid(bound, upper)
+    var_a = _sign_changes(chain._values(a, den))
+    count = var_a - _sign_changes(chain._values(b, den))
+    if count == 0:
+        return None
+    while count > 1:
+        a, mid, b, den = 2 * a, a + b, 2 * b, 2 * den
+        at_mid = chain._values(mid, den)
+        if at_mid[0] == 0:
+            # mid is a root: isolate it in [mid - delta, mid + delta], with
+            # delta = (b - a)/4 halved until the count there is 1.
+            a, mid, b, den = 4 * a, 4 * mid, 4 * b, 4 * den
+            delta = (b - a) // 4
+            while True:
+                at_left = chain._values(mid - delta, den)
+                at_right = chain._values(mid + delta, den)
+                var_left = _sign_changes(at_left)
+                if at_left[0] and at_right[0]:
+                    if var_left - _sign_changes(at_right) == 1:
+                        break
+                a, mid, b, den = 2 * a, 2 * mid, 2 * b, 2 * den
+            left = var_a - var_left
+            if left < 1:
+                return (Fraction(mid - delta, den), Fraction(mid + delta, den))
+            b, count = mid - delta, left
+        else:
+            var_mid = _sign_changes(at_mid)
+            left = var_a - var_mid
+            if left >= 1:
+                b, count = mid, left
+            else:
+                a, var_a = mid, var_mid
+    return (Fraction(a, den), Fraction(b, den))
+
+
+def sturm_smallest_root_greater_than(
+    p: IntPolynomial, bound: RationalLike
+) -> Optional[tuple[AlgebraicReal, int]]:
+    """``polynomials.smallest_root_greater_than`` with each squarefree
+    factor isolated by ``sturm_leftmost_root_above``."""
+    if p.is_zero:
+        raise ValueError("zero polynomial")
+    bound = _as_fraction(bound)
+    best: Optional[AlgebraicReal] = None
+    best_mult = 0
+    for factor, mult in squarefree_decomposition(p):
+        got = sturm_leftmost_root_above(factor, bound)
+        if got is None:
+            continue
+        cand = AlgebraicReal(factor, got[0], got[1])
+        if best is None or cand.compare(best) < 0:
+            best, best_mult = cand, mult
+    if best is None:
+        return None
+    while best.lo <= bound:  # keep the enclosure clear of the bound
+        best = best.refined(best.width / 4)
+    return best, best_mult
+
+
+def sturm_multiplicity_at(p: IntPolynomial, a: AlgebraicReal) -> int:
+    """``polynomials.multiplicity_at`` with each gcd's root in a's
+    interval counted by a Sturm chain."""
+    d = a.defining.primitive()
+    cur = p.primitive()
+    mult = 0
+    while True:
+        g = poly_gcd(cur, d)
+        if not g.degree or SturmChain(g).count(a.lo, a.hi) == 0:
+            return mult
+        cur = exact_div(cur, g).primitive()
+        mult += 1
+
+
+def sturm_compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
+    """``AlgebraicReal.compare`` with the common root in the overlap of
+    the enclosures counted by a Sturm chain."""
+    if a.hi > b.lo and b.hi > a.lo:
+        g = poly_gcd(a.defining, b.defining)
+        lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+        if g.degree and SturmChain(g).count(lo, hi) >= 1:
+            return 0
+        while a.hi > b.lo and b.hi > a.lo:
+            a = a.refined(a.width / 4)
+            b = b.refined(b.width / 4)
+    return -1 if a.hi <= b.lo else 1

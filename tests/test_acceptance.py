@@ -304,7 +304,7 @@ def test_criterion_9_kuperberg_decomposition():
 
     # the right isosceles triangle on the unit circle
     pts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-    fz = kuperberg_decompose(PointConfig(pts, SQRT2, 2.0, 2, 1e-7))
+    fz = kuperberg_decompose(PointConfig(pts, SQRT2, 2.0, 2))
     labels = dict(fz.factors)
     assert labels[(0, 1)] == "I" and labels[(2,)] == "II"
     assert fz.k == 1

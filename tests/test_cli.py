@@ -136,6 +136,17 @@ class TestEmbed:
             assert code == 5, b
             assert out == "" and "finite and > 0" in err
 
+    def test_huge_b(self, capsys):
+        # B? is three vertices, no edge: an equilateral triangle of side b
+        code, out, _ = run(capsys, "embed", "B?", "--b", "1e100")
+        assert code == 0
+        assert abs(json.loads(out)["radius"] - 1e100 / math.sqrt(3)) <= 1e-12 * 1e100
+        # (b/a)^2 overflows: B?'s window is unbounded, Dhc's is not
+        for word in ("B?", "Dhc"):
+            code, out, err = run(capsys, "embed", word, "--b", "1e160")
+            assert code == 5, word
+            assert out == "" and "not finite" in err
+
     def test_geometric_inconsistency_exit(self, capsys, monkeypatch):
         from twodist import geometry
         from twodist.errors import GeometricInconsistencyError

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from conftest import random_graph
-from twodist.config import get_config
 from twodist.errors import (
     CompleteGraphError,
     GeometricInconsistencyError,
@@ -16,6 +15,8 @@ from twodist.errors import (
     UndecidableEnclosureError,
 )
 from twodist.geometry import (
+    HULL_TOL,
+    MEB_GAP_RTOL,
     PointConfig,
     SQRT2,
     _origin_in_convex_hull,
@@ -152,7 +153,7 @@ def assert_certified(points, ball, support):
     boundary points."""
     pts = np.asarray(points, float)
     scale = max(1.0, float((pts * pts).sum(axis=1).max()))
-    assert ball.gap <= get_config().meb_gap_rtol * scale
+    assert ball.gap <= MEB_GAP_RTOL * scale
     assert np.linalg.norm(pts - ball.center, axis=1).max() <= ball.radius + 1e-9
     assert set(ball.support) == set(support)
 
@@ -229,9 +230,22 @@ class TestEnclosingBall:
             assert abs(ball.radius - expect) < 1e-7
             # certificate and coverage
             scale = max(1.0, max(x * x + y * y for x, y in pts))
-            assert ball.gap <= 10 * get_config().meb_gap_rtol * scale
+            assert ball.gap <= 10 * MEB_GAP_RTOL * scale
             for p in pts:
                 assert np.linalg.norm(np.asarray(p) - ball.center) <= ball.radius + 1e-9
+
+    def test_huge_coordinates_scale_the_ball(self):
+        # Past ~1e77 the walk's stop threshold once overflowed to inf: no
+        # point stopped the walk and the duality gap check raised.
+        triangle = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
+        cloud = np.random.default_rng(12).standard_normal((12, 5))
+        for pts in (triangle, cloud):
+            unit = min_enclosing_ball(pts)
+            for scale in (1e100, 1e150):
+                ball = min_enclosing_ball(pts * scale)
+                assert abs(ball.radius / scale - unit.radius) <= 1e-12 * unit.radius
+                assert ball.gap <= MEB_GAP_RTOL * scale**2
+                assert set(ball.support) == set(unit.support)
 
     def test_high_dimension_simplex(self):
         cfg = realize(Graph.empty(9), math.sqrt(2) * 1.01, 1.0)
@@ -482,7 +496,7 @@ class TestJSphericalEmbedding:
 class TestKuperbergDecompose:
     def test_right_isosceles_triangle(self):
         pts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-        cfg = PointConfig(pts, SQRT2, 2.0, 2, 1e-7)
+        cfg = PointConfig(pts, SQRT2, 2.0, 2)
         fz = kuperberg_decompose(cfg)
         assert fz.k == 1
         types = dict(fz.factors)
@@ -518,7 +532,7 @@ class TestKuperbergDecompose:
     def test_orthonormal_basis(self):
         # The origin is off the affine hull of the basis, so the linear
         # rank (3), not the affine rank (2), satisfies |S| = rank + #TypeI.
-        cfg = PointConfig(np.eye(3), SQRT2, SQRT2, 3, 1e-7)
+        cfg = PointConfig(np.eye(3), SQRT2, SQRT2, 3)
         fz = kuperberg_decompose(cfg)
         assert fz.k == 0
         assert fz.factors == (((0,), "II"), ((1,), "II"), ((2,), "II"))
@@ -541,14 +555,14 @@ class TestKuperbergDecompose:
 
     def test_off_sphere_rejected(self):
         pts = np.array([[2.0, 0.0], [-2.0, 0.0]])
-        cfg = PointConfig(pts, SQRT2, 4.0, 1, 1e-7)
+        cfg = PointConfig(pts, SQRT2, 4.0, 1)
         with pytest.raises(GeometricInconsistencyError):
             kuperberg_decompose(cfg)
 
     def test_close_points_rejected(self):
         theta = 0.3
         pts = np.array([[1.0, 0.0], [math.cos(theta), math.sin(theta)]])
-        cfg = PointConfig(pts, SQRT2, 2.0, 2, 1e-7)
+        cfg = PointConfig(pts, SQRT2, 2.0, 2)
         with pytest.raises(GeometricInconsistencyError):
             kuperberg_decompose(cfg)
 
@@ -627,7 +641,7 @@ def spherical_cap(m, d, np_rng):
 
 
 class TestOriginInConvexHull:
-    TOL = get_config().hull_tol
+    TOL = HULL_TOL
 
     def blocks(self, np_rng):
         """(points, Type I?) for every family, in a few sizes, rotated,

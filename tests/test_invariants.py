@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_graph
+from conftest import joins12_corpus, random_graph
 from twodist.config import get_config, override
 from twodist.errors import CompleteGraphError
 from twodist.graphs import (
@@ -18,10 +18,10 @@ from twodist.graphs import (
     is_disjoint_clique_union,
     parse_graph6,
 )
-from twodist import invariants
+from twodist import geometry, invariants, polynomials
+from twodist.cli import analysis_record
 from twodist.invariants import (
     bordered_adjugate,
-    bordered_matrix,
     circumradius_invariant,
     cm_polynomials,
     dim_s_bounded,
@@ -34,9 +34,9 @@ from twodist.polynomials import (
     AlgebraicReal,
     IntPolynomial,
     det_poly_matrix,
-    smallest_root_greater_than,
     squarefree_decomposition,
 )
+from reference import bordered_matrix, sturm_smallest_root_greater_than
 
 
 def poly(*coeffs):
@@ -400,9 +400,9 @@ def sturm_window(g):
     """(tau1, mu, tau0) by Sturm isolation of C and of its reciprocal."""
     c, _ = cm_polynomials(g)
     width = get_config().tau_width
-    got = smallest_root_greater_than(c, 1)
+    got = sturm_smallest_root_greater_than(c, 1)
     t1 = (None, 0) if got is None else (got[0].refined(width), got[1])
-    got = smallest_root_greater_than(c.reciprocal(g.n - 1), 1)
+    got = sturm_smallest_root_greater_than(c.reciprocal(g.n - 1), 1)
     return t1, None if got is None else got[0].refined(width).reciprocal()
 
 
@@ -440,7 +440,7 @@ class TestSpectralWindow:
     @pytest.mark.parametrize("width, max_n", [(None, 7), (1, 6)])
     def test_small_enclosures_equal_sturm_isolation(self, width, max_n):
         # rational roots on the grid and, with wide cells, roots in its
-        # first two cells take the Sturm route; every enclosure is the same
+        # first two cells take the bisection fallback; every enclosure is the same
         changes = {} if width is None else {"tau_width": Fraction(width)}
         with override(**changes):
             invariants.clear_caches()
@@ -504,6 +504,25 @@ class TestSpectralWindow:
             assert [(tau1_mu(g), invariants.tau0(g)) for g in graphs] == expect
         finally:
             invariants.clear_caches()
-        # every proposal missed: each root above 1 came from Sturm isolation
+        # every proposal missed: each root above 1 came from the bisection fallback
         roots = sum((t1[0] is not None) + (t0 is not None) for t1, t0 in expect)
         assert len(fallbacks) == roots > 100
+
+
+def test_no_program_path_builds_a_sturm_chain(monkeypatch):
+    # Descartes counts and sign tests decide every root; SturmChain stays
+    # only as the tests' reference counter.
+    def refuse(*args):
+        raise AssertionError("a program path built a Sturm chain")
+
+    monkeypatch.setattr(polynomials, "SturmChain", refuse)
+    invariants.clear_caches()
+    try:
+        for n in range(1, 7):
+            for g in enumerate_graphs(n):
+                analysis_record(g)
+        for g in joins12_corpus(6):
+            analysis_record(g)
+            geometry.kuperberg_decompose(geometry.jspherical_embedding(g))
+    finally:
+        invariants.clear_caches()

@@ -1,10 +1,8 @@
-import importlib.util
 import math
-from pathlib import Path
 
 import pytest
 
-from conftest import random_graph
+from conftest import joins12_corpus, random_graph
 from twodist.geometry import beta_star_numeric, solve_phi
 from twodist.graphs import (
     Graph,
@@ -14,7 +12,6 @@ from twodist.graphs import (
     enumerate_graphs,
     is_complete,
     join,
-    parse_graph6,
 )
 from twodist.invariants import profile
 from twodist.joins import dims_via_join, join_decompose, multipartite_dims
@@ -74,15 +71,6 @@ class TestJoinDecompose:
             g = random_graph(rng, rng.randrange(2, 8))
             fz = join_decompose(g)
             assert list(fz.beta_stars) == sorted(fz.beta_stars)
-
-
-def joins12_corpus(count):
-    """The benchmark's 12-vertex joins, imported from its input module."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return [parse_graph6(word) for word in module.joins12_corpus(count)]
 
 
 class TestBetaStarOfJoin:

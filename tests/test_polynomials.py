@@ -12,7 +12,6 @@ from twodist.polynomials import (
     _PRIME,
     _coprime_mod_p,
     _interpolate_integer,
-    count_real_roots,
     descartes_count,
     det_poly_matrix,
     exact_div,
@@ -22,6 +21,14 @@ from twodist.polynomials import (
     sign_at,
     smallest_root_greater_than,
     squarefree_decomposition,
+)
+from reference import (
+    count_real_roots,
+    eval_interval,
+    is_valid,
+    sturm_compare,
+    sturm_multiplicity_at,
+    sturm_smallest_root_greater_than,
 )
 
 T = IntPolynomial.x()
@@ -56,7 +63,7 @@ class TestArithmetic:
 
     def test_interval_eval_contains_values(self):
         p = poly(3, -2, 0, 1)
-        lo, hi = p.eval_interval(Fraction(-1), Fraction(2))
+        lo, hi = eval_interval(p, Fraction(-1), Fraction(2))
         for x in (Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(2)):
             assert lo <= p(x) <= hi
 
@@ -365,13 +372,13 @@ class TestAlgebraicCompare:
         a = AlgebraicReal(poly(-1, -1, 1), Fraction(1), Fraction(2))
         b = a.scaled(2)
         assert abs(float(b) - 2 * 1.618033988749894) < 1e-9
-        assert b.is_valid()
+        assert is_valid(b)
 
     def test_reciprocal(self):
         a = AlgebraicReal(poly(-4, 0, 1), Fraction(1), Fraction(3))  # 2
         r = a.reciprocal()
         assert r.cmp_rational(Fraction(1, 2)) == 0
-        assert r.is_valid()
+        assert is_valid(r)
 
 
 class TestMultiplicity:
@@ -409,6 +416,68 @@ class TestMultiplicity:
             p = p * target**k
         a = AlgebraicReal(target, Fraction(3), Fraction(4))
         assert multiplicity_at(p, a) == k
+
+
+def isolated_roots(d):
+    """Every real root of the squarefree d, by Sturm isolation."""
+    roots, bound = [], -d.root_bound()
+    while (got := sturm_smallest_root_greater_than(d, bound)) is not None:
+        roots.append(got[0])
+        bound = got[0].hi
+    return roots
+
+
+class TestSignDecisions:
+    """``multiplicity_at`` and ``compare`` decide a root of a gcd in an
+    enclosure by a sign change; Sturm counts decide the same."""
+
+    def squarefree(self, rng, shared):
+        """A squarefree product of ``shared`` and a few random factors."""
+        while True:
+            d = shared
+            for _ in range(rng.randrange(1, 4)):
+                d = d * rng.choice([
+                    poly(-rng.randrange(-9, 10), rng.randrange(1, 4)),
+                    poly(-rng.randrange(2, 30), 0, rng.randrange(1, 3)),
+                    poly(1, -1, 1),
+                ])
+            if poly_gcd(d, d.derivative()).degree == 0:
+                return d.primitive()
+
+    def narrowed(self, rng, a):
+        return a.refined(a.width / rng.choice([1, 3, 16, 1000]))
+
+    def test_sqrt2_from_two_defining_polynomials(self):
+        a = AlgebraicReal(poly(-2, 0, 1), Fraction(1), Fraction(2))
+        b = AlgebraicReal(poly(-2, 0, 1) * poly(-3, 1), Fraction(13, 10), Fraction(3, 2))
+        assert a.compare(b) == b.compare(a) == sturm_compare(a, b) == 0
+        c = AlgebraicReal(poly(-3, 0, 1) * poly(-3, 1), Fraction(3, 2), Fraction(2))
+        assert a.compare(c) == sturm_compare(a, c) == -1
+        p = poly(-2, 0, 1) ** 3 * poly(-3, 1)
+        assert multiplicity_at(p, a) == multiplicity_at(p, b) == sturm_multiplicity_at(p, b) == 3
+        assert multiplicity_at(p, c) == sturm_multiplicity_at(p, c) == 0  # sqrt 3
+
+    def test_random_divisors_match_sturm(self, rng):
+        shared_factors = [poly(-2, 0, 1), poly(-7, 3), poly(-5, 0, 2) * poly(1, 1)]
+        equal = multiple = 0
+        for _ in range(25):
+            shared = rng.choice(shared_factors)
+            d1, d2 = self.squarefree(rng, shared), self.squarefree(rng, shared)
+            roots1, roots2 = isolated_roots(d1), isolated_roots(d2)
+            for a in roots1:
+                a = self.narrowed(rng, a)
+                p = IntPolynomial.const(rng.choice([-2, 1, 3]))
+                for f, _ in squarefree_decomposition(d1 * d2):
+                    p = p * f ** rng.randrange(0, 4)
+                got = multiplicity_at(p, a)
+                assert got == sturm_multiplicity_at(p, a)
+                multiple += got > 1
+                for b in roots2:
+                    b = self.narrowed(rng, b)
+                    got = a.compare(b)
+                    assert got == sturm_compare(a, b) == -b.compare(a)
+                    equal += got == 0
+        assert equal >= 20 and multiple >= 20
 
 
 class TestSignAt:
@@ -558,6 +627,44 @@ class TestIntegerKernel:
             _interpolate_integer([0, 2], [0, 1])  # t / 2
         with pytest.raises(ValueError):
             _interpolate_integer([1, 0, -1], [1, 0, 0])  # (t^2 + t) / 2
+
+    def test_isolation_matches_sturm_reference(self, rng):
+        # Random products, some times a rational root at the bound, some
+        # times complex pairs t^2 + 1 and t^2 - t + 1.  Two products put a
+        # rational root on a grid midpoint: t (t + 4)(t - 2) from -3 (the
+        # grid (-3, 9) halves to (-3, 3), whose midpoint 0 is the answer)
+        # and (t - 1)(t - 2) from 0 (midpoint 2 of (0, 4), the answer 1
+        # left of it).  Descartes counts are exact on a real-rooted product,
+        # so its enclosure is the Sturm route's own; next to complex roots a
+        # count may exceed the root count and bisection go on, and the
+        # enclosure is of the same root of the same factor.
+        cases = [(T * poly(4, 1) * poly(-2, 1), Fraction(-3)), (poly(-1, 1) * poly(-2, 1), Fraction(0))]
+        for _ in range(150):
+            p = random_product(rng)
+            bound = Fraction(rng.randrange(-12, 13), rng.randrange(1, 5))
+            if rng.random() < 0.4:
+                p = p * poly(-bound.numerator, bound.denominator) ** rng.randrange(1, 3)
+            for _ in range(rng.choice([0, 0, 1, 2])):
+                p = p * rng.choice([poly(1, 0, 1), poly(1, -1, 1)])
+            cases.append((p, bound))
+        same = at_bound = complex_roots = repeated = 0
+        for p, bound in cases:
+            got = smallest_root_greater_than(p, bound)
+            expect = sturm_smallest_root_greater_than(p, bound)
+            if expect is None:
+                assert got is None
+                continue
+            root, mult = got
+            assert mult == expect[1] and root.defining == expect[0].defining
+            assert root.compare(expect[0]) == 0 and root.lo > bound and is_valid(root)
+            f = exact_div(p, poly_gcd(p, p.derivative()))
+            real_rooted = count_real_roots(f, -f.root_bound(), f.root_bound()) == f.degree
+            assert got == expect or not real_rooted
+            same += got == expect
+            at_bound += p(bound) == 0
+            complex_roots += not real_rooted
+            repeated += poly_gcd(p, p.derivative()).degree > 0
+        assert same >= 80 and at_bound >= 30 and complex_roots >= 30 and repeated >= 50
 
     def test_exact_div_integral_only(self):
         assert exact_div(poly(-4, 0, 1), poly(2, 1)) == poly(-2, 1)
