@@ -5,9 +5,9 @@ Subcommands: analyze, embed, decompose, batch, catalog, verify.
 Exit codes: 0 success; 2 parse error, unreadable input, bad filter,
 environment value or configuration (a negative or non-finite tolerance,
 negative precision bits); 3 size limit; 4 undecidable enclosure; 5
-infeasible distance (also one not finite and positive, or with a squared
-ratio that is not finite); 6 complete graph where a J-spherical
-operation was requested; 7 geometric inconsistency.
+infeasible distance (also one not finite and positive, or with a square
+or squared ratio that is not finite or is subnormal); 6 complete graph
+where a J-spherical operation was requested; 7 geometric inconsistency.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ distance beta* is obtained once, in ``invariants.profile``;
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -113,7 +114,9 @@ def realize(g: Graph, b: float, a: float = 1.0) -> PointConfig:
     """Coordinates of the two-distance configuration of g with distances
     a on edges and b elsewhere.  The ratio (b/a)^2 must lie in the
     feasible window of g (checked against the exact enclosures).  Both
-    distances and their squared ratio must be finite and positive."""
+    distances must be finite and positive, and their squares and squared
+    ratio finite and normal: a subnormal square would collapse the Gram
+    matrix below its eigenvalue floor."""
     if not (0 < a < math.inf and 0 < b < math.inf):
         raise InfeasibleDistanceError(f"distances must be finite and > 0, got a={a}, b={b}")
     n = g.n
@@ -123,8 +126,11 @@ def realize(g: Graph, b: float, a: float = 1.0) -> PointConfig:
         t = (b / a) ** 2
     except OverflowError:
         t = math.inf
-    if t == math.inf:
-        raise InfeasibleDistanceError(f"squared distance ratio (b/a)^2 = {b / a:.3g}^2 is not finite")
+    squares = (t, a * a, b * b)
+    if min(squares) < sys.float_info.min or max(squares) == math.inf:
+        raise InfeasibleDistanceError(
+            f"a^2, b^2 or (b/a)^2 is subnormal or not finite (a={a:.3g}, b={b:.3g})"
+        )
     lo, hi = invariants.feasible_interval(g)
     slack = get_config().feas_slack * max(1.0, abs(t))
     if t < lo - slack or t > hi + slack:
@@ -171,39 +177,50 @@ def min_enclosing_ball(points: Sequence[Sequence[float]] | np.ndarray) -> Ball:
     Exact-support pivoting (Fischer, Gaertner & Kutz 2003): the center walks
     toward the circumcenter of aff(T), T the points on its sphere; a point
     reaching the sphere joins T, and at the circumcenter the most negative
-    barycentric weight leaves T until none is negative.  A duality gap of
-    those weights above ``MEB_GAP_RTOL`` of the squared data scale, or no
-    optimum in 20n pivots, raises ``GeometricInconsistencyError``.
-    ``support`` lists every point within 1e-7 * max(1, radius) of the sphere."""
+    barycentric weight leaves T until none is negative.  The QR factors of
+    T's difference vectors are updated, not recomputed: a point that joins
+    T appends one Gram-Schmidt column, orthogonalized twice (Daniel, Gragg,
+    Kaufman & Stewart 1976), and only a point that leaves T refactors.
+
+    The walk and its certificate run on the differences p - p_0 divided by
+    s, the least power of two above their largest absolute coordinate (an
+    exact scaling), so every tolerance is relative to the data.  A duality
+    gap above ``MEB_GAP_RTOL`` * max(s^2, max |p - p_0|^2), or no optimum
+    in 20n pivots, raises ``GeometricInconsistencyError``.  ``support``
+    lists every point within 1e-7 * max(s, radius) of the sphere."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-d array")
     n, d = pts.shape
     rel = pts - pts[0]  # rounding at the ball's scale, not the origin's
-    c = np.zeros(d)
+    e = math.frexp(float(np.abs(rel).max(initial=0.0)))[1]
+    rel = np.ldexp(rel, -e)
+    # T is affinely independent: at most min(n, d + 1) points.  With k + 1
+    # points, q.T = basis[:, :k] @ tri[:k, :k] for the rows q of
+    # rel[T[1:]] - t0, and the circumcenter t0 + basis[:, :k] @ y[:k] of
+    # aff(T) solves q x = |q|^2 / 2, so tri[:k, :k].T @ y[:k] = |q|^2 / 2.
+    cap = min(n - 1, d)
+    basis = np.empty((d, cap))
+    tri = np.zeros((cap, cap))
+    y = np.empty(cap)
     support = [int(np.argmax((rel * rel).sum(axis=1)))]
+    t0 = rel[support[0]]
+    target = t0
+    c = np.zeros(d)
+    k = 0
     for _ in range(20 * n):
-        t0 = rel[support[0]]
-        q = rel[support[1:]] - t0
-        # With q = tri.T @ basis.T, the circumcenter t0 + basis @ y of aff(T)
-        # solves q x = |q|^2 / 2, and tri @ mu = y gives its weights.
-        basis, tri = np.linalg.qr(q.T)
-        y = np.linalg.solve(tri.T, 0.5 * (q * q).sum(axis=1))
-        mu = np.linalg.solve(tri, y)
-        weights = np.concatenate([[1.0 - mu.sum()], mu])
-        target = t0 + basis @ y
+        q = basis[:, :k]
         # Walk orthogonally to aff(T), as exact arithmetic does, so that no
         # point of aff(T) can stop the walk and T stays affinely independent.
         step = target - c
-        step -= basis @ (basis.T @ step)
+        step -= q @ (q.T @ step)
         r2 = float((t0 - c) @ (t0 - c))
         step2 = float(step @ step)
         frac = np.full(n, np.inf)
-        if step2 > 1e-24 * r2:  # else a rounding-level step: no stops
+        if k < cap and step2 > 1e-24 * r2:  # else T is full or the step rounding-level
             # Rate at which p's squared distance gains on the radius^2.
             grow = 2.0 * (t0 - rel) @ step
             grow[support] = 0.0
-            # sqrt of each factor: r2 * step2 overflows past ~1e77 coordinates
             moving = grow > 1e-14 * math.sqrt(r2) * math.sqrt(step2)
             room = r2 - ((rel[moving] - c) ** 2).sum(axis=1)
             frac[moving] = np.maximum(room, 0.0) / grow[moving]
@@ -211,28 +228,59 @@ def min_enclosing_ball(points: Sequence[Sequence[float]] | np.ndarray) -> Ball:
         if frac[j] < 1.0:
             c = c + frac[j] * step
             support.append(j)
+            # One Gram-Schmidt column, orthogonalized twice.
+            v = rel[j] - t0
+            r = q.T @ v
+            w = v - q @ r
+            again = q.T @ w
+            w -= q @ again
+            r += again
+            rho = math.sqrt(float(w @ w))
+            basis[:, k] = w / rho
+            tri[:k, k] = r
+            tri[k, k] = rho
+            y[k] = (0.5 * float(v @ v) - float(r @ y[:k])) / rho
+            target = target + y[k] * basis[:, k]
+            k += 1
             continue
         c = target
-        k = int(np.argmin(weights))
-        if weights[k] >= 0.0:
+        # The weights, read only here: tri[:k, :k] @ mu = y[:k].
+        mu = np.linalg.solve(tri[:k, :k], y[:k])
+        weights = np.concatenate([[1.0 - mu.sum()], mu])
+        i = int(np.argmin(weights))
+        if weights[i] >= 0.0:
             break
-        support.pop(k)
+        support.pop(i)
+        # A point left T: factor its differences afresh.
+        t0 = rel[support[0]]
+        diff = rel[support[1:]] - t0
+        k -= 1
+        basis[:, :k], tri[:k, :k] = np.linalg.qr(diff.T)
+        y[:k] = np.linalg.solve(tri[:k, :k].T, 0.5 * (diff * diff).sum(axis=1))
+        target = t0 + basis[:, :k] @ y[:k]
     else:
         raise GeometricInconsistencyError(
             f"enclosing ball: no optimum in {20 * n} pivots"
         )
     lam = np.bincount(support, weights, n)
-    sqnorms = (pts * pts).sum(axis=1)
-    c, r2, gap = _dual_certificate(pts, sqnorms, lam)
+    sqnorms = (rel * rel).sum(axis=1)
+    c, r2, gap = _dual_certificate(rel, sqnorms, lam)
     bound = MEB_GAP_RTOL * max(1.0, float(sqnorms.max()))
     if gap > bound:
         raise GeometricInconsistencyError(
-            f"enclosing ball duality gap {gap:.3g} above {bound:.3g}"
+            f"enclosing ball duality gap {np.ldexp(gap, 2 * e):.3g} "
+            f"above {np.ldexp(bound, 2 * e):.3g}"
         )
     radius = math.sqrt(max(r2, 0.0))
-    dist = np.sqrt(np.maximum(sqnorms - 2.0 * pts @ c + c @ c, 0.0))
+    dist = np.sqrt(np.maximum(sqnorms - 2.0 * rel @ c + c @ c, 0.0))
     near = tuple(i for i in range(n) if dist[i] >= radius - 1e-7 * max(1.0, radius))
-    return Ball(c, radius, near, float(max(gap, 0.0)), lam)
+    return Ball(
+        pts[0] + np.ldexp(c, e),
+        float(np.ldexp(radius, e)),
+        near,
+        float(np.ldexp(max(gap, 0.0), 2 * e)),
+        lam,
+    )
 
 
 # ---------------------------------------------------------------------------

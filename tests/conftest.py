@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import random
 from pathlib import Path
 
@@ -33,6 +34,12 @@ def joins12_corpus(count: int) -> list[Graph]:
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return [parse_graph6(word) for word in module.joins12_corpus(count)]
+
+
+def embed16_pool() -> list[Graph]:
+    """The benchmark's 500 G(16, 1/2) graphs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "embed16.json"
+    return [parse_graph6(ref["g6"]) for ref in json.loads(path.read_text())["graphs"]]
 
 
 def random_graph(rng: random.Random, n: int) -> Graph:

@@ -2,16 +2,22 @@
 
 Sturm isolation of real roots, Sturm root counts and the decisions
 ``multiplicity_at`` and ``AlgebraicReal.compare`` made with them, interval
-images and the bordered distance matrix: independent of the Descartes
-bisection, sign tests and walk polynomials that ``twodist`` uses, and
-called by no program path.
+images, the bordered distance matrix, and the enclosing ball that
+factors T afresh at every pivot: independent of the Descartes bisection,
+sign tests, walk polynomials and updated QR factors that ``twodist``
+uses, and called by no program path.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
+import numpy as np
+
+from twodist.errors import GeometricInconsistencyError
+from twodist.geometry import MEB_GAP_RTOL, Ball
 from twodist.graphs import Graph
 from twodist.polynomials import (
     AlgebraicReal,
@@ -173,3 +179,68 @@ def sturm_compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
             a = a.refined(a.width / 4)
             b = b.refined(b.width / 4)
     return -1 if a.hi <= b.lo else 1
+
+
+def reference_min_enclosing_ball(points: Sequence[Sequence[float]] | np.ndarray) -> Ball:
+    """``geometry.min_enclosing_ball`` on the same walk, with aff(T)
+    factored by ``np.linalg.qr`` and both triangular systems solved at
+    every pivot, at the points' own scale."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2:
+        raise ValueError("points must be a 2-d array")
+    n, d = pts.shape
+    rel = pts - pts[0]  # rounding at the ball's scale, not the origin's
+    c = np.zeros(d)
+    support = [int(np.argmax((rel * rel).sum(axis=1)))]
+    for _ in range(20 * n):
+        t0 = rel[support[0]]
+        q = rel[support[1:]] - t0
+        # With q = tri.T @ basis.T, the circumcenter t0 + basis @ y of aff(T)
+        # solves q x = |q|^2 / 2, and tri @ mu = y gives its weights.
+        basis, tri = np.linalg.qr(q.T)
+        y = np.linalg.solve(tri.T, 0.5 * (q * q).sum(axis=1))
+        mu = np.linalg.solve(tri, y)
+        weights = np.concatenate([[1.0 - mu.sum()], mu])
+        target = t0 + basis @ y
+        # Walk orthogonally to aff(T), as exact arithmetic does, so that no
+        # point of aff(T) can stop the walk and T stays affinely independent.
+        step = target - c
+        step -= basis @ (basis.T @ step)
+        r2 = float((t0 - c) @ (t0 - c))
+        step2 = float(step @ step)
+        frac = np.full(n, np.inf)
+        if step2 > 1e-24 * r2:  # else a rounding-level step: no stops
+            # Rate at which p's squared distance gains on the radius^2.
+            grow = 2.0 * (t0 - rel) @ step
+            grow[support] = 0.0
+            moving = grow > 1e-14 * math.sqrt(r2) * math.sqrt(step2)
+            room = r2 - ((rel[moving] - c) ** 2).sum(axis=1)
+            frac[moving] = np.maximum(room, 0.0) / grow[moving]
+        j = int(np.argmin(frac))
+        if frac[j] < 1.0:
+            c = c + frac[j] * step
+            support.append(j)
+            continue
+        c = target
+        k = int(np.argmin(weights))
+        if weights[k] >= 0.0:
+            break
+        support.pop(k)
+    else:
+        raise GeometricInconsistencyError(
+            f"enclosing ball: no optimum in {20 * n} pivots"
+        )
+    lam = np.bincount(support, weights, n)
+    sqnorms = (pts * pts).sum(axis=1)
+    c = lam @ pts
+    r2 = float((sqnorms - 2.0 * pts @ c + c @ c).max())
+    gap = r2 - float(lam @ sqnorms - c @ c)
+    bound = MEB_GAP_RTOL * max(1.0, float(sqnorms.max()))
+    if gap > bound:
+        raise GeometricInconsistencyError(
+            f"enclosing ball duality gap {gap:.3g} above {bound:.3g}"
+        )
+    radius = math.sqrt(max(r2, 0.0))
+    dist = np.sqrt(np.maximum(sqnorms - 2.0 * pts @ c + c @ c, 0.0))
+    near = tuple(i for i in range(n) if dist[i] >= radius - 1e-7 * max(1.0, radius))
+    return Ball(c, radius, near, float(max(gap, 0.0)), lam)

@@ -147,6 +147,23 @@ class TestEmbed:
             assert code == 5, word
             assert out == "" and "not finite" in err
 
+    def test_tiny_b(self, capsys):
+        # (b/a)^2 = 1e-304 is a normal float: the triangle of side b
+        code, out, _ = run(capsys, "embed", "B?", "--b", "1e-152")
+        assert code == 0
+        got = json.loads(out)
+        assert got["rank"] == 2 and got["b"] == 1e-152
+        assert abs(got["radius"] - 1e-152 / math.sqrt(3)) <= 1e-12 * 1e-152
+        expect = [[0.5 / math.sqrt(3), 0.5], [-1 / math.sqrt(3), 0.0], [0.5 / math.sqrt(3), -0.5]]
+        for row, want in zip(got["points"], expect):
+            assert all(abs(x / 1e-152 - w) <= 1e-12 for x, w in zip(row, want))
+        # A subnormal (b/a)^2 once dropped every Gram eigenvalue: rank 0,
+        # three empty points, radius 0, exit 0.
+        for b in ("1e-155", "1e-160"):
+            code, out, err = run(capsys, "embed", "B?", "--b", b)
+            assert code == 5, b
+            assert out == "" and "subnormal" in err
+
     def test_geometric_inconsistency_exit(self, capsys, monkeypatch):
         from twodist import geometry
         from twodist.errors import GeometricInconsistencyError

@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import random_graph
+from conftest import embed16_pool, joins12_corpus, random_graph
+from reference import reference_min_enclosing_ball
 from twodist.errors import (
     CompleteGraphError,
     GeometricInconsistencyError,
@@ -33,6 +34,7 @@ from twodist.graphs import (
     MultipartiteSignature,
     complement_component_sets,
     complete_multipartite,
+    enumerate_graphs,
     is_complete,
 )
 from twodist.invariants import cm_polynomials, feasible_interval
@@ -236,12 +238,15 @@ class TestEnclosingBall:
 
     def test_huge_coordinates_scale_the_ball(self):
         # Past ~1e77 the walk's stop threshold once overflowed to inf: no
-        # point stopped the walk and the duality gap check raised.
+        # point stopped the walk and the duality gap check raised.  Below
+        # unit scale, tolerances floored at 1 once put all 12 points of the
+        # rng(3) cloud on the sphere at 1e-100 and accepted its radius off
+        # by 1.3e-6 at 1e-160.
         triangle = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
-        cloud = np.random.default_rng(12).standard_normal((12, 5))
-        for pts in (triangle, cloud):
+        clouds = [np.random.default_rng(seed).standard_normal((12, 5)) for seed in (12, 3)]
+        for pts in (triangle, *clouds):
             unit = min_enclosing_ball(pts)
-            for scale in (1e100, 1e150):
+            for scale in (1e-160, 1e-100, 1e100, 1e150):
                 ball = min_enclosing_ball(pts * scale)
                 assert abs(ball.radius / scale - unit.radius) <= 1e-12 * unit.radius
                 assert ball.gap <= MEB_GAP_RTOL * scale**2
@@ -271,6 +276,97 @@ class TestEnclosingBall:
         monkeypatch.setattr(geometry, "_dual_certificate", loose)
         with pytest.raises(GeometricInconsistencyError, match="duality gap"):
             min_enclosing_ball([[0, 0], [4, 0], [1, 1]])
+
+
+def random_clouds():
+    """Seeded Gaussian clouds in 2 to 15 dimensions, some shifted and
+    stretched, with fewer and more points than dimensions."""
+    gen = np.random.default_rng(29)
+    for d in range(2, 16):
+        for n in (d, 3 * d):
+            pts = gen.standard_normal((n, d))
+            yield pts
+            yield 7.0 + pts * gen.uniform(0.5, 3.0, d)
+
+
+class TestUpdatedQR:
+    """The ball against ``reference_min_enclosing_ball``, which factors T
+    afresh at every pivot."""
+
+    @staticmethod
+    def assert_same_ball(points):
+        pts = np.asarray(points, float)
+        ball, ref = min_enclosing_ball(pts), reference_min_enclosing_ball(pts)
+        scale = float(np.abs(pts).max())
+        assert abs(ball.radius - ref.radius) <= 1e-12 * scale
+        assert float(np.abs(ball.center - ref.center).max()) <= 1e-12 * scale
+        assert_certified(pts, ball, ref.support)
+
+    def test_catalog_configurations(self):
+        gen = np.random.default_rng(31)
+        for n in range(2, 7):
+            for g in enumerate_graphs(n):
+                lo, hi = feasible_interval(g)
+                top = hi if hi < math.inf else max(lo, 1.0) + 3.0
+                ts = list(lo + (top - lo) * gen.uniform(0.05, 0.95, 3))
+                if hi < math.inf:
+                    ts.append(hi)
+                for t in ts:
+                    self.assert_same_ball(realize(g, math.sqrt(t)).points)
+
+    def test_pool_and_join_blocks(self):
+        for g in embed16_pool()[:60]:
+            hi = feasible_interval(g)[1]
+            self.assert_same_ball(realize(g, math.sqrt(hi)).points)
+        for g in joins12_corpus(6):
+            config = jspherical_embedding(g)
+            self.assert_same_ball(config.points)
+            for block, _ in kuperberg_decompose(config).factors:
+                self.assert_same_ball(config.points[list(block)])
+
+    def test_clouds_and_degenerate_sets(self):
+        for pts in random_clouds():
+            self.assert_same_ball(pts)
+        cube = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
+        for pts in (
+            [[1.0, 2.0]] * 3,
+            [[0, 0], [0, 0], [4, 0], [1, 1], [4, 0], [0, 0]],
+            np.vstack([circle(5), circle(5)]),
+            [[1, 0], [0, 0], [3, 0], [4, 0]],
+            [[0, 0, 0], [1, 1, 1], [4, 4, 4]],
+            circle(8),
+            circle(8, dim=2),
+            cube,
+            2.0 + cube,
+            realize(Graph.empty(16), SQRT2, SQRT2).points,
+        ):
+            self.assert_same_ball(pts)
+
+    def test_factors_only_when_a_point_leaves(self, monkeypatch):
+        calls = []
+        qr = np.linalg.qr
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        # The regular simplex: every pivot adds a point.
+        min_enclosing_ball(realize(Graph.empty(16), SQRT2, SQRT2).points)
+        assert calls == []
+        # The reference factors once per pivot, and each pivot adds a point
+        # to T, removes one, or ends: its pivots P and final |T| give the
+        # removals (P - |T|) / 2.
+        removals = 0
+        for pts in random_clouds():
+            calls.clear()
+            ref = reference_min_enclosing_ball(pts)
+            left = (len(calls) - np.count_nonzero(ref.weights)) // 2
+            calls.clear()
+            min_enclosing_ball(pts)
+            assert len(calls) <= left
+            removals += left
+        assert removals > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,10 @@
-import json
 import math
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import joins12_corpus, random_graph
+from conftest import embed16_pool, joins12_corpus, random_graph
 from twodist.config import get_config, override
 from twodist.errors import CompleteGraphError
 from twodist.graphs import (
@@ -16,7 +14,6 @@ from twodist.graphs import (
     complete_multipartite,
     enumerate_graphs,
     is_disjoint_clique_union,
-    parse_graph6,
 )
 from twodist import geometry, invariants, polynomials
 from twodist.cli import analysis_record
@@ -388,12 +385,6 @@ def spectral_window(g):
     if len(ev) and ev[-1] > 1e-9:
         tau0 = ev[-1] / (1 + ev[-1])
     return tau1, mu, tau0
-
-
-def embed16_pool():
-    """The benchmark's 500 G(16, 1/2) graphs."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "embed16.json"
-    return [parse_graph6(ref["g6"]) for ref in json.loads(path.read_text())["graphs"]]
 
 
 def sturm_window(g):
