@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import json
 import math
 import sys
@@ -58,6 +59,15 @@ def _dec(x) -> float:
     return float(f"{float(x):.15g}")
 
 
+def _enclosure(lo: Fraction, hi: Fraction) -> list[float]:
+    """Decimal rendering of an enclosure: 15 significant digits, lo rounded
+    down and hi up, so the printed interval holds the exact one."""
+    return [
+        float(decimal.Context(prec=15, rounding=mode).divide(x.numerator, x.denominator))
+        for x, mode in ((lo, decimal.ROUND_FLOOR), (hi, decimal.ROUND_CEILING))
+    ]
+
+
 def _load_graph(args) -> Graph:
     if args.format == "edgelist":
         with open(args.input, "r", encoding="ascii") as fh:
@@ -81,19 +91,19 @@ def analysis_record(g: Graph, input_str: str | None = None) -> dict:
     if p.tau1 is None:
         record["tau1"] = "inf"
     elif p.tau1.defining.degree == 1:
-        # rational root: the enclosure collapses to the exact value
+        # rational root: the enclosure collapses onto the exact value
         a0, a1 = p.tau1.defining.coeffs
-        exact = _dec(Fraction(-a0, a1))
-        record["tau1"] = [exact, exact]
+        exact = Fraction(-a0, a1)
+        record["tau1"] = _enclosure(exact, exact)
     else:
-        record["tau1"] = [_dec(p.tau1.lo), _dec(p.tau1.hi)]
+        record["tau1"] = _enclosure(p.tau1.lo, p.tau1.hi)
     record["mu"] = p.mu
     if p.r_squared.kind == "infinite":
         record["r_squared"] = "inf"
     elif p.r_squared.kind == "half":
         record["r_squared"] = "1/2"
     else:
-        record["r_squared"] = [_dec(p.r_squared.lo), _dec(p.r_squared.hi)]
+        record["r_squared"] = _enclosure(p.r_squared.lo, p.r_squared.hi)
     if p.beta_star_squared is None:
         record["beta_star"] = None
     elif p.r_squared.is_half:

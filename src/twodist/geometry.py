@@ -93,7 +93,7 @@ class Ball:
     center: np.ndarray
     radius: float
     support: tuple[int, ...]
-    gap: float  # duality-gap certificate, absolute
+    gap: float  # duality-gap certificate, absolute; inf only past the float range
     weights: np.ndarray  # the center's barycentric weights; 0 off the pivot's support
 
 
@@ -169,6 +169,15 @@ def _dual_certificate(
     primal = float((sqnorms - 2.0 * points @ c + c @ c).max())
     dual = float(lam @ sqnorms - c @ c)
     return c, primal, primal - dual
+
+
+def _unscaled_gap(gap: float, e: int) -> float:
+    """A gap certified on points scaled by 2**-e, at the points' own scale:
+    gap * 4**e, or inf where that exceeds the float range."""
+    try:
+        return math.ldexp(gap, 2 * e)
+    except OverflowError:
+        return math.inf
 
 
 def min_enclosing_ball(points: Sequence[Sequence[float]] | np.ndarray) -> Ball:
@@ -268,8 +277,8 @@ def min_enclosing_ball(points: Sequence[Sequence[float]] | np.ndarray) -> Ball:
     bound = MEB_GAP_RTOL * max(1.0, float(sqnorms.max()))
     if gap > bound:
         raise GeometricInconsistencyError(
-            f"enclosing ball duality gap {np.ldexp(gap, 2 * e):.3g} "
-            f"above {np.ldexp(bound, 2 * e):.3g}"
+            f"enclosing ball duality gap {_unscaled_gap(gap, e):.3g} "
+            f"above {_unscaled_gap(bound, e):.3g}"
         )
     radius = math.sqrt(max(r2, 0.0))
     dist = np.sqrt(np.maximum(sqnorms - 2.0 * rel @ c + c @ c, 0.0))
@@ -278,7 +287,7 @@ def min_enclosing_ball(points: Sequence[Sequence[float]] | np.ndarray) -> Ball:
         pts[0] + np.ldexp(c, e),
         float(np.ldexp(radius, e)),
         near,
-        float(np.ldexp(max(gap, 0.0), 2 * e)),
+        _unscaled_gap(max(gap, 0.0), e),
         lam,
     )
 

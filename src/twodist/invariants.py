@@ -47,7 +47,6 @@ from .polynomials import (
     IntPolynomial,
     descartes_count,
     enclose_rational_limit,
-    exact_div,
     multiplicity_at,
     smallest_root_greater_than,
     squarefree_decomposition,
@@ -245,7 +244,7 @@ def _spectrum_end(g: Graph, largest: bool) -> float:
     return float(ev[-1] if largest else ev[0])
 
 
-# Relative half-width of the interval around a proposed root.
+# Least relative half-width of the interval around a proposed root.
 _PROPOSAL_RTOL = 1e-10
 
 
@@ -253,71 +252,33 @@ def _certified_root(
     factors: list[tuple[IntPolynomial, int]], t: float
 ) -> Optional[tuple[AlgebraicReal, int]]:
     """The smallest root above 1 of the product of ``factors`` (a
-    squarefree split) and its multiplicity, when a proposal t near it
-    certifies; None when a certificate fails.
+    squarefree split) and its multiplicity, refined to ``tau_width``, when
+    a proposal t near it certifies; None when the certificate fails.
 
-    The enclosure is the one ``smallest_root_greater_than`` refined to
-    ``tau_width`` returns: a cell of the grid on [1, root_bound] of the
-    root's factor f (without a root at 1), halved down to the level where
-    ``refined`` stops.  f is the one factor that changes sign across
-    [t(1 - r), t(1 + r)]; take the grid points lo and hi just outside.
-    A Descartes count of 1 for f and 0 for every other factor on (1, hi),
-    with no factor vanishing at hi, proves f's root is the only root in
-    (1, hi], so it lies in (lo, hi).  A sign bisection of grid indices
-    finds its cell.  Isolation by bisection from [1, root_bound] walks
-    through the cell's ancestors and ends elsewhere when one of their
-    midpoints is a root of f, or when the cell is one of the first two,
-    whose refinement goes on until it clears 1; both return None, and the
-    caller isolates the root by that bisection."""
-    lo_t, hi_t = t * (1 - _PROPOSAL_RTOL), t * (1 + _PROPOSAL_RTOL)
-    if not (1 < lo_t and hi_t < math.inf):
+    The interval is [lo, hi] = [t(1 - r), t(1 + r)] with
+    r = max(``_PROPOSAL_RTOL``, tau_width / (2t)), its ends floats.  f is
+    the one factor that changes sign across it, so f has a root in
+    (lo, hi).  With 1 < lo, a Descartes count of 1 for f and 0 for every
+    other factor on (1, hi) proves that root is the only root in (1, hi)."""
+    width = get_config().tau_width
+    r = max(_PROPOSAL_RTOL, float(width) / (2 * t))
+    lo, hi = t * (1 - r), t * (1 + r)
+    if not (1 < lo and hi < math.inf):
         return None
-    lo_t, hi_t = Fraction(lo_t), Fraction(hi_t)
+    lo, hi = Fraction(lo), Fraction(hi)
     owners = [
         (f, mult)
         for f, mult in factors
-        if f.homogeneous(lo_t.numerator, lo_t.denominator)
-        * f.homogeneous(hi_t.numerator, hi_t.denominator)
+        if f.homogeneous(lo.numerator, lo.denominator)
+        * f.homogeneous(hi.numerator, hi.denominator)
         < 0
     ]
     if len(owners) != 1:
         return None
     f, mult = owners[0]
-    grid_poly = f
-    if f.homogeneous(1, 1) == 0:
-        grid_poly = exact_div(f, IntPolynomial((-1, 1))).primitive()
-    upper = grid_poly.root_bound()
-    # Grid point i is (den + i*step) / den: 1 at i = 0, upper at i = 2**level,
-    # the least level with step / den <= width.
-    width = get_config().tau_width
-    step = upper.numerator - upper.denominator
-    level = ((step * width.denominator - 1) // (width.numerator * upper.denominator)).bit_length()
-    den = upper.denominator << level
-    i = (lo_t.numerator * den - den * lo_t.denominator) // (step * lo_t.denominator)
-    j = -((den * hi_t.denominator - hi_t.numerator * den) // (step * hi_t.denominator))
-    if i < 2:
+    if any(descartes_count(h, 1, hi) != int(h is f) for h, _ in factors):
         return None
-    hi = Fraction(den + j * step, den)
-    for h, _ in factors:
-        if h.homogeneous(den + j * step, den) == 0 or descartes_count(h, 1, hi) != int(h is f):
-            return None
-    positive_at_lo = f.homogeneous(den + i * step, den) > 0
-    while j - i > 1:
-        mid = (i + j) // 2
-        v = f.homogeneous(den + mid * step, den)
-        if v == 0:
-            return None
-        if (v > 0) == positive_at_lo:
-            i = mid
-        else:
-            j = mid
-    # A rational root p/q of f has q | lc(f): test the ancestors' midpoints.
-    lead = f.coeffs[-1]
-    for k in range(level):
-        num = den + ((2 * (i >> (level - k)) + 1) << (level - k - 1)) * step
-        if lead * num % den == 0 and f.homogeneous(num, den) == 0:
-            return None
-    return AlgebraicReal(f, Fraction(den + i * step, den), Fraction(den + j * step, den)), mult
+    return AlgebraicReal(f, lo, hi).refined(width), mult
 
 
 def _root_above_one(

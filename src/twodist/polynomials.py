@@ -417,19 +417,6 @@ class AlgebraicReal:
 
     __float__ = to_float
 
-    def cmp_rational(self, r: RationalLike) -> int:
-        """Sign of (self - r), decided exactly."""
-        r = _as_fraction(r)
-        a = self
-        while True:
-            if r <= a.lo:
-                return 1
-            if r >= a.hi:
-                return -1
-            if a.defining.homogeneous(r.numerator, r.denominator) == 0:
-                return 0  # r is the unique root in the interval
-            a = a.refined(a.width / 4)
-
     def compare(self, other: "AlgebraicReal") -> int:
         """Sign of (self - other), decided exactly."""
         a, b = self, other

