@@ -3,11 +3,13 @@
 Builds the two determinant polynomials of a graph (the bordered
 squared-distance determinant C and its unbordered companion M, both in
 t = b^2 with unit short distance) from the characteristic and walk
-polynomials of its adjacency matrix, extracts the smallest root of C above 1
-together with its multiplicity (proposed by the float spectrum of the
-adjacency matrix compressed to 1^perp, certified by Descartes counts),
-classifies the squared circumradius of the minimal representation exactly,
-and assembles the full invariant profile:
+polynomials of its adjacency matrix, extracts the ends of the feasible
+window, the smallest root tau1 of C above 1 together with its multiplicity
+and the largest root tau0 of C below 1 (both proposed by one float
+spectrum of the adjacency matrix compressed to 1^perp, and certified by
+Descartes counts on one squarefree split of C), classifies the squared
+circumradius of the minimal representation exactly, and assembles the
+full invariant profile:
 
     dim_e = n - mu - 1
     dim_s = dim_e if the squared circumradius is finite, else n - 1
@@ -229,43 +231,57 @@ def _limit_against(g: Graph, r0: Fraction) -> Optional[tuple[Fraction, Fraction]
     return enclose_rational_limit(-m, c.scale(2), root, get_config().r2_width, r0)
 
 
-def _spectrum_end(g: Graph, largest: bool) -> float:
-    """The smallest (or largest) eigenvalue of PAP, P = I - J/n, in floats.
-    PAP has the spectrum of B = Q^T A Q, the adjacency matrix compressed to
-    1^perp (Q an orthonormal basis of it), plus one 0 from the direction 1.
-    The roots of C are x/(1 + x) over the eigenvalues x != -1 of B, since
-    the walk polynomial is n det(xI - B)."""
-    a = (np.array(g.rows)[:, None] >> np.arange(g.n) & 1).astype(float)
-    r = a.sum(axis=0) / g.n
+@functools.lru_cache(maxsize=None)
+def _spectrum(g: Graph) -> tuple[float, float]:
+    """The smallest and largest eigenvalue of B = Q^T A Q, the adjacency
+    matrix compressed to 1^perp (Q an orthonormal basis of it), in floats;
+    (0.0, 0.0) for one vertex, where B is empty.  One ``eigvalsh`` of
+    PAP - J, P = I - J/n: it has B's spectrum plus -n from the direction 1,
+    below every eigenvalue of B (those are at least -(n - 1))."""
+    n = g.n
+    a = (np.array(g.rows)[:, None] >> np.arange(n) & 1).astype(float)
+    r = a.sum(axis=0) / n
     a -= r
     a -= r[:, None]
-    a += r.sum() / g.n
+    a += r.sum() / n - 1
     ev = np.linalg.eigvalsh(a)
-    return float(ev[-1] if largest else ev[0])
+    return (float(ev[1]), float(ev[-1])) if n > 1 else (0.0, 0.0)
 
 
-# Least relative half-width of the interval around a proposed root.
-_PROPOSAL_RTOL = 1e-10
+def _spectrum_end(g: Graph, largest: bool) -> float:
+    """The largest (or smallest) eigenvalue of B (``_spectrum``).  The
+    roots of C are x/(1 + x) over the eigenvalues x != -1 of B, since the
+    walk polynomial is n det(xI - B)."""
+    return _spectrum(g)[largest]
+
+
+def _power_of_two_at_most(x: Fraction) -> Fraction:
+    """The largest power of two <= x, for x > 0."""
+    p = Fraction(2) ** (x.numerator.bit_length() - x.denominator.bit_length())
+    return p if p <= x else p / 2
 
 
 def _certified_root(
     factors: list[tuple[IntPolynomial, int]], t: float
 ) -> Optional[tuple[AlgebraicReal, int]]:
-    """The smallest root above 1 of the product of ``factors`` (a
-    squarefree split) and its multiplicity, refined to ``tau_width``, when
-    a proposal t near it certifies; None when the certificate fails.
+    """The root nearest 1 on t's side (the smallest above 1, or the largest
+    in (0, 1)) of the product of ``factors`` (a squarefree split) and its
+    multiplicity, refined to ``tau_width``, when a proposal t near it
+    certifies; None when the certificate fails.
 
-    The interval is [lo, hi] = [t(1 - r), t(1 + r)] with
-    r = max(``_PROPOSAL_RTOL``, tau_width / (2t)), its ends floats.  f is
-    the one factor that changes sign across it, so f has a root in
-    (lo, hi).  With 1 < lo, a Descartes count of 1 for f and 0 for every
-    other factor on (1, hi) proves that root is the only root in (1, hi)."""
+    The interval [lo, hi] is centred on t with half-width the larger of
+    8 ulp(t) and the largest power of two <= tau_width / 2: it has the
+    requested width unless 8 ulp(t) is the larger, and its ends are exact
+    dyadic rationals no finer than t.  It must lie in (1, inf) or in
+    (0, 1).  f is the one factor that changes sign across it, so f has a
+    root in (lo, hi).  A Descartes count of 1 for f and 0 for every other
+    factor on (1, hi), or on (lo, 1) below 1, proves that root is the only
+    root between 1 and the interval."""
     width = get_config().tau_width
-    r = max(_PROPOSAL_RTOL, float(width) / (2 * t))
-    lo, hi = t * (1 - r), t * (1 + r)
-    if not (1 < lo and hi < math.inf):
+    half = max(_power_of_two_at_most(width / 2), Fraction(8 * math.ulp(t)))
+    lo, hi = Fraction(t) - half, Fraction(t) + half
+    if lo <= 0 or lo <= 1 <= hi:
         return None
-    lo, hi = Fraction(lo), Fraction(hi)
     owners = [
         (f, mult)
         for f, mult in factors
@@ -276,22 +292,27 @@ def _certified_root(
     if len(owners) != 1:
         return None
     f, mult = owners[0]
-    if any(descartes_count(h, 1, hi) != int(h is f) for h, _ in factors):
+    span = (1, hi) if lo > 1 else (lo, 1)
+    if any(descartes_count(h, *span) != int(h is f) for h, _ in factors):
         return None
     return AlgebraicReal(f, lo, hi).refined(width), mult
 
 
 def _root_above_one(
-    p: IntPolynomial, proposal: Optional[float]
+    p: IntPolynomial,
+    proposal: Optional[float],
+    factors: Optional[list[tuple[IntPolynomial, int]]] = None,
 ) -> Optional[tuple[AlgebraicReal, int]]:
     """``smallest_root_greater_than(p, 1)`` with the root refined to
     ``tau_width``, for a polynomial p whose roots the spectrum proposes:
     ``proposal`` is a float near the smallest root above 1, or None when
-    there is none.  The proposal is certified (``_certified_root``);
-    otherwise sign variations of f(1 + x) of 0 on every factor f prove
-    there is no root above 1, and failing both, Descartes bisection
+    there is none, and ``factors`` p's squarefree split (made here when not
+    given).  The proposal is certified (``_certified_root``); otherwise
+    sign variations of f(1 + x) of 0 on every factor f prove there is no
+    root above 1, and failing both, Descartes bisection
     (``smallest_root_greater_than``) decides."""
-    factors = squarefree_decomposition(p)
+    if factors is None:
+        factors = squarefree_decomposition(p)
     if proposal is not None:
         got = _certified_root(factors, proposal)
         if got is not None:
@@ -302,28 +323,59 @@ def _root_above_one(
     return None if got is None else (got[0].refined(get_config().tau_width), got[1])
 
 
+def _root_below_one(
+    p: IntPolynomial,
+    proposal: Optional[float],
+    factors: list[tuple[IntPolynomial, int]],
+) -> Optional[AlgebraicReal]:
+    """The largest root of p in (0, 1), refined to ``tau_width``, or None:
+    the mirror of ``_root_above_one`` on p's squarefree split ``factors``.
+    A count of 0 on (0, 1) for every factor proves there is none; failing
+    the proposal and that count, the root is 1/s for the smallest root
+    s > 1 of the reciprocal polynomial t^deg p(1/t), found by Descartes
+    bisection."""
+    if proposal is not None:
+        got = _certified_root(factors, proposal)
+        if got is not None:
+            return got[0]
+    if all(descartes_count(f, 0, 1) == 0 for f, _ in factors):
+        return None
+    got = smallest_root_greater_than(p.reciprocal(p.degree), 1)
+    return None if got is None else got[0].refined(get_config().tau_width).reciprocal()
+
+
+@functools.lru_cache(maxsize=None)
+def _window(
+    g: Graph,
+) -> tuple[Optional[tuple[AlgebraicReal, int]], Optional[AlgebraicReal]]:
+    """The ends of the feasible window from one spectrum and one
+    squarefree split of C: (tau1 with its multiplicity, or None; tau0, or
+    None).  C's roots are x/(1 + x) over the eigenvalues x of B, and
+    x/(1 + x) increases in x on each side of -1: the smallest eigenvalue,
+    when below -1, proposes tau1, the smallest root above 1; the largest,
+    when positive, proposes tau0, the largest root in (0, 1)."""
+    c, _ = cm_polynomials(g)
+    factors = squarefree_decomposition(c)
+    x = _spectrum_end(g, largest=False)
+    above = _root_above_one(c, x / (1 + x) if x < -1 else None, factors)
+    x = _spectrum_end(g, largest=True)
+    return above, _root_below_one(c, x / (1 + x) if x > 0 else None, factors)
+
+
 @functools.lru_cache(maxsize=None)
 def tau1_mu(g: Graph) -> tuple[Optional[AlgebraicReal], int]:
     """Smallest root of C strictly above 1 with its exact multiplicity;
-    (None, 0) when every root is <= 1.  The root is x/(1 + x) for the
-    smallest eigenvalue x of the compressed adjacency B when x < -1, since
-    x/(1 + x) increases there; ``_root_above_one`` certifies it."""
-    c, _ = cm_polynomials(g)
-    x = _spectrum_end(g, largest=False)
-    got = _root_above_one(c, x / (1 + x) if x < -1 else None)
+    (None, 0) when every root is <= 1.  Read from ``_window``."""
+    got = _window(g)[0]
     return (None, 0) if got is None else got
 
 
-@functools.lru_cache(maxsize=None)
 def tau0(g: Graph) -> Optional[AlgebraicReal]:
-    """Lower endpoint of the feasible window: 1/tau1 of the complement
-    (None means the window extends to 0).  The complement's C is
-    t^(n-1) C(1/t), so its smallest root above 1 comes from g's own C:
-    it is (1 + x)/x for the largest eigenvalue x of B when x > 0."""
-    c, _ = cm_polynomials(g)
-    x = _spectrum_end(g, largest=True)
-    got = _root_above_one(c.reciprocal(g.n - 1), (1 + x) / x if x > 0 else None)
-    return None if got is None else got[0].reciprocal()
+    """Lower endpoint of the feasible window (None means the window
+    extends to 0): the largest root of C in (0, 1), which is 1/tau1 of the
+    complement, since the complement's C is t^(n-1) C(1/t).  Read from
+    ``_window``, which certifies it on C's own squarefree split."""
+    return _window(g)[1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -415,7 +467,8 @@ def clear_caches() -> None:
     _walk_data.cache_clear()
     cm_polynomials.cache_clear()
     bordered_adjugate.cache_clear()
+    _spectrum.cache_clear()
+    _window.cache_clear()
     tau1_mu.cache_clear()
-    tau0.cache_clear()
     circumradius_invariant.cache_clear()
     profile.cache_clear()

@@ -403,16 +403,31 @@ class AlgebraicReal:
                 a = mid
         return AlgebraicReal(f, Fraction(a, den), Fraction(b, den))
 
-    def approx(self, width: RationalLike) -> Fraction:
-        r = self.refined(width)
-        return (r.lo + r.hi) / 2
-
     @functools.cached_property
     def _float(self) -> float:
-        return float(self.approx(Fraction(1, 2**54) * max(1, math.ceil(abs(self.hi)))))
+        f, a = self.defining, self
+        if a.lo < 0 < a.hi and f.coeffs[0] == 0:
+            return 0.0
+        while True:
+            lo, hi = float(a.lo), float(a.hi)
+            if lo == hi:  # rounding is monotone: the root rounds there too
+                return lo
+            if math.nextafter(lo, math.inf) == hi:
+                # One half-ulp boundary m lies in the enclosure; its sign
+                # against hi's says on which side of it the root lies.
+                m = (Fraction(lo) + Fraction(hi)) / 2
+                v = f.homogeneous(m.numerator, m.denominator)
+                if v == 0:
+                    return float(m)  # a tie, rounded to even
+                at_hi = f.homogeneous(a.hi.numerator, a.hi.denominator)
+                return lo if (v > 0) == (at_hi > 0) else hi
+            # The float spacing at the end nearer 0, the least in the
+            # enclosure, leaves at most one boundary strictly inside it.
+            a = a.refined(min(a.width / 2, Fraction(math.ulp(min(abs(lo), abs(hi))))))
 
     def to_float(self) -> float:
-        """Nearest float; the refinement runs once per number."""
+        """Nearest float (ties to even); the refinement runs once per
+        number."""
         return self._float
 
     __float__ = to_float

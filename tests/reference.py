@@ -3,10 +3,11 @@
 Sturm isolation of real roots, Sturm root counts and the decisions
 ``multiplicity_at`` and ``AlgebraicReal.compare`` made with them, the exact
 sign of an algebraic number minus a rational, interval images, the
-bordered distance matrix, and the enclosing ball that
-factors T afresh at every pivot: independent of the Descartes bisection,
-sign tests, walk polynomials and updated QR factors that ``twodist``
-uses, and called by no program path.
+bordered distance matrix, the enclosing ball that factors T afresh at
+every pivot, and the pairwise loop for the distance residual:
+independent of the Descartes bisection, sign tests, walk polynomials,
+updated QR factors and array code that ``twodist`` uses, and called by
+no program path.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from twodist.errors import GeometricInconsistencyError
-from twodist.geometry import MEB_GAP_RTOL, Ball
+from twodist.geometry import MEB_GAP_RTOL, Ball, PointConfig
 from twodist.graphs import Graph
 from twodist.polynomials import (
     AlgebraicReal,
@@ -258,3 +259,16 @@ def reference_min_enclosing_ball(points: Sequence[Sequence[float]] | np.ndarray)
     dist = np.sqrt(np.maximum(sqnorms - 2.0 * pts @ c + c @ c, 0.0))
     near = tuple(i for i in range(n) if dist[i] >= radius - 1e-7 * max(1.0, radius))
     return Ball(c, radius, near, float(max(gap, 0.0)), lam)
+
+
+def loop_distance_residual(config: PointConfig, g: Graph) -> float:
+    """``PointConfig.max_distance_residual`` pair by pair: the largest
+    |d_ij - target| / max(a, b, 1), target a on edges and b elsewhere."""
+    d = config.distance_matrix()
+    worst = 0.0
+    scale = max(config.a, config.b, 1.0)
+    for i in range(config.n):
+        for j in range(i + 1, config.n):
+            target = config.a if g.has_edge(i, j) else config.b
+            worst = max(worst, abs(d[i, j] - target) / scale)
+    return worst

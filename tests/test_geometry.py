@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import embed16_pool, joins12_corpus, random_graph
-from reference import reference_min_enclosing_ball
+from reference import loop_distance_residual, reference_min_enclosing_ball
 from twodist.errors import (
     CompleteGraphError,
     GeometricInconsistencyError,
@@ -113,6 +114,22 @@ class TestRealize:
                 continue
             cfg = realize(g, math.sqrt(t))
             assert cfg.rank == g.n - 1
+
+    def test_residual_equals_pairwise_loop(self):
+        # bit for bit, on random points and edge patterns, n = 1 and 2 included
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 3, 5, 9, 16):
+            for _ in range(20):
+                g = random_graph(random.Random(int(rng.integers(1 << 30))), n)
+                scale = 10.0 ** rng.integers(-3, 4)
+                pts = rng.standard_normal((n, int(rng.integers(0, 5)))) * scale
+                a, b = (float(v) for v in rng.uniform(0.1, 3.0, 2))
+                cfg = PointConfig(pts, a, b, pts.shape[1])
+                got = cfg.max_distance_residual(g)
+                assert type(got) is float and got == loop_distance_residual(cfg, g)
+        for g in embed16_pool()[:5]:
+            cfg = realize(g, math.sqrt(feasible_interval(g)[1]))
+            assert cfg.max_distance_residual(g) == loop_distance_residual(cfg, g)
 
 
 # ---------------------------------------------------------------------------

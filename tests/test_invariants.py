@@ -31,6 +31,8 @@ from twodist.polynomials import (
     AlgebraicReal,
     IntPolynomial,
     det_poly_matrix,
+    poly_gcd,
+    poly_rem,
     squarefree_decomposition,
 )
 from reference import (
@@ -154,6 +156,25 @@ class TestSpectralRoute:
         invariants.clear_caches()
         assert invariants._walk_data.cache_info().currsize == 0
         assert cm_polynomials.cache_info().currsize == 0
+
+    def test_clear_caches_empties_every_cache(self):
+        # every lru_cache defined in the module, found by introspection
+        caches = [
+            fn
+            for fn in vars(invariants).values()
+            if hasattr(fn, "cache_clear")
+            and getattr(fn, "__module__", None) == invariants.__name__
+        ]
+        assert {"_walk_data", "_spectrum", "profile"} <= {fn.__name__ for fn in caches}
+        invariants.clear_caches()
+        try:
+            for g in (Graph.cycle(5), Graph.path(4), Graph.petersen()):
+                profile(g)
+                bordered_adjugate(g)
+            assert all(fn.cache_info().currsize > 0 for fn in caches)
+        finally:
+            invariants.clear_caches()
+        assert [fn.__name__ for fn in caches if fn.cache_info().currsize] == []
 
     def test_adjugate_cached_and_cleared(self):
         # The certificate asks for the same induced support many times.
@@ -411,12 +432,29 @@ def assert_same_root(got, expect):
         assert is_valid(got) and got.width <= get_config().tau_width
 
 
-def assert_same_window(g, t1, t0):
-    """tau1_mu(g) and tau0(g) are the roots (t1, t0) of a reference route."""
+def assert_root_of_c(g, got, expect):
+    """got is expect's algebraic number, defined by a squarefree factor of
+    g's C, in a valid enclosure at most ``tau_width`` wide."""
+    assert (got is None) == (expect is None)
+    if got is not None:
+        c, _ = cm_polynomials(g)
+        f = got.defining
+        assert got.compare(expect) == 0
+        assert poly_rem(c, f).is_zero and poly_gcd(f, f.derivative()).degree == 0
+        assert is_valid(got) and got.width <= get_config().tau_width
+
+
+def assert_same_window(g, t1, t0, tau0_on_c=False):
+    """tau1_mu(g) and tau0(g) are the roots (t1, t0) of a reference route.
+    With ``tau0_on_c``, tau0 is certified on C's own squarefree split, so
+    its defining polynomial is a factor of C rather than the reference's."""
     root, mu = tau1_mu(g)
     assert mu == t1[1]
     assert_same_root(root, t1[0])
-    assert_same_root(invariants.tau0(g), t0)
+    if tau0_on_c:
+        assert_root_of_c(g, invariants.tau0(g), t0)
+    else:
+        assert_same_root(invariants.tau0(g), t0)
 
 
 def count_fallbacks(monkeypatch):
@@ -466,7 +504,8 @@ class TestSpectralWindow:
     def test_small_enclosures_equal_sturm_isolation(self, width, max_n):
         # at width 1 the interval t +- 1/2 around a proposal t reaches 1 when
         # t <= 3/2, or holds another root, and the bisection fallback runs;
-        # every root is the same
+        # every root is the same.  It reaches 0 or 1 around every tau0, so
+        # each tau0 comes from the reciprocal fallback, as the reference's.
         changes = {} if width is None else {"tau_width": Fraction(width)}
         with override(**changes):
             invariants.clear_caches()
@@ -474,7 +513,7 @@ class TestSpectralWindow:
                 for n in range(1, max_n + 1):
                     for g in enumerate_graphs(n):
                         t1, t0 = sturm_window(g)
-                        assert_same_window(g, t1, t0)
+                        assert_same_window(g, t1, t0, tau0_on_c=width is None)
             finally:
                 invariants.clear_caches()
 
@@ -499,7 +538,7 @@ class TestSpectralWindow:
         invariants.clear_caches()
         for g in embed16_pool():
             t1, t0 = sturm_window(g)
-            assert_same_window(g, t1, t0)
+            assert_same_window(g, t1, t0, tau0_on_c=True)
         assert fallbacks == []
 
     def test_no_fallback_on_small_graphs_and_joins(self, monkeypatch):
@@ -528,12 +567,53 @@ class TestSpectralWindow:
         )
         try:
             for g, (t1, t0) in zip(graphs, expect):
-                assert_same_window(g, t1, t0)
+                assert_same_window(g, t1, t0, tau0_on_c=True)
         finally:
             invariants.clear_caches()
         # every proposal missed: each root above 1 came from the bisection fallback
         roots = sum((t1[0] is not None) + (t0 is not None) for t1, t0 in expect)
         assert len(fallbacks) == roots > 100
+
+    def test_pool_window_from_one_spectrum_and_split(self, monkeypatch):
+        # per graph one eigvalsh and one squarefree split of C, enclosures
+        # born at the requested width (no halving), and nearest floats
+        counts = {"eigvalsh": 0, "split": 0}
+        halved = []
+
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        def refined(self, width, original=AlgebraicReal.refined):
+            if self.width > width:
+                halved.append((self, width))
+            return original(self, width)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(
+            invariants,
+            "squarefree_decomposition",
+            counting("split", invariants.squarefree_decomposition),
+        )
+        monkeypatch.setattr(AlgebraicReal, "refined", refined)
+        roots = []
+        invariants.clear_caches()
+        try:
+            for g in embed16_pool():
+                cm_polynomials(g)  # C itself is not the window's work
+                counts.update(eigvalsh=0, split=0)
+                roots += [tau1_mu(g)[0], invariants.tau0(g)]
+                assert counts == {"eigvalsh": 1, "split": 1}
+            assert halved == []
+            monkeypatch.undo()
+            for x in roots:  # to_float against a 2**-90 enclosure
+                narrow = x.refined(Fraction(1, 2**90))
+                assert float(narrow.lo) == float(narrow.hi) == float(x)
+        finally:
+            invariants.clear_caches()
 
 
 def test_no_program_path_builds_a_sturm_chain(monkeypatch):
