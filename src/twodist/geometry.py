@@ -3,13 +3,16 @@
 Coordinates come from double-centering the squared-distance matrix and an
 eigendecomposition; enclosing balls from exact-support pivoting, certified
 by the duality gap of the support's barycentric weights.  On top of those:
-the monotone enclosing-ball radius function of the long distance, its
-exact inverse (an algebraic root certified on the ball's support),
-embeddings on the unit sphere with short distance sqrt(2), and the
-orthogonal join decomposition of such point sets with Type I / Type II
-classification from the center of each block's enclosing ball.  The long
-distance beta* is obtained once, in ``invariants.profile``;
-``beta_star_numeric`` and ``jspherical_embedding`` read that cached value.
+the monotone enclosing-ball radius function of the long distance, and its
+exact inverse ``solve_phi``.  That one realizes no coordinates: a float
+active set on the squared distances proposes the ball's support, as the
+standard quadratic program over the simplex, and one exact certificate
+proves the root of the support's tie polynomial.  Then embeddings on the
+unit sphere with short distance sqrt(2), and the orthogonal join
+decomposition of such point sets with Type I / Type II classification
+from the center of each block's enclosing ball.  The long distance beta*
+is obtained once, in ``invariants.profile``; ``beta_star_numeric`` and
+``jspherical_embedding`` read that cached value.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +40,7 @@ from .polynomials import (
     poly_gcd,
     sign_at,
     smallest_root_greater_than,
+    squarefree_decomposition,
 )
 from . import invariants
 
@@ -55,6 +59,9 @@ MEB_GAP_RTOL = 1e-14
 HULL_TOL = 1e-8
 # Cross-factor orthogonality tolerance in point-set decomposition.
 ORTH_TOL = 1e-7
+# Relative distance from the float tau1 within which a float t counts as
+# the window end in ``solve_phi``'s proposals.
+END_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -77,14 +84,15 @@ class PointConfig:
 
     def max_distance_residual(self, g: Graph) -> float:
         """Largest relative deviation of realized distances from (a, b)
-        according to the graph's edge pattern."""
+        according to the graph's edge pattern; inf when a distance is NaN,
+        so that no residual bound accepts it."""
         i, j = np.triu_indices(self.n, 1)
         edge = (np.array(g.rows)[i] >> j & 1).astype(bool)
         target = np.where(edge, self.a, self.b)
         scale = max(self.a, self.b, 1.0)
         residual = np.abs(self.distance_matrix()[i, j] - target) / scale
-        # fmax skips NaN, as a running max() from 0.0 does
-        return float(np.fmax.reduce(residual, initial=0.0))
+        worst = float(np.max(residual, initial=0.0))  # NaN propagates
+        return math.inf if math.isnan(worst) else worst
 
 
 @dataclass(frozen=True)
@@ -347,9 +355,144 @@ def _support_certified(g: Graph, support: tuple[int, ...], t: AlgebraicReal) -> 
     )
 
 
-def _ball_at(g: Graph, t: float) -> Ball:
-    """Enclosing ball of the sqrt(2)-short configuration with t = x^2/2."""
-    return min_enclosing_ball(realize(g, math.sqrt(2.0 * t), SQRT2).points)
+def _squared_distances(adjacency: np.ndarray, t: float) -> np.ndarray:
+    """D(t) = t(J - I) - (t - 1)A: squared distances 1 on edges and t
+    elsewhere, the configuration of unit short distance."""
+    d = t - (t - 1.0) * adjacency
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def _bordered_solve(d: np.ndarray, support: list[int]) -> tuple[np.ndarray, float]:
+    """(lam, nu) solving [[D_T, 1], [1^T, 0]] [lam; nu] = [0; 1] for the
+    points T = ``support``: the barycentric weights of T's circumcenter,
+    and nu = -2 R_T^2.  A singular system raises ``LinAlgError``."""
+    k = len(support)
+    m = np.ones((k + 1, k + 1))
+    m[:k, :k] = d[np.ix_(support, support)]
+    m[k, k] = 0.0
+    rhs = np.zeros(k + 1)
+    rhs[k] = 1.0
+    x = np.linalg.solve(m, rhs)
+    return x[:k], float(x[k])
+
+
+def _active_set(
+    d: np.ndarray, start: Sequence[int]
+) -> Optional[tuple[tuple[int, ...], float]]:
+    """The support of the enclosing ball of the points with squared
+    distances d, and its squared radius, in floats; None when a bordered
+    system is singular or 20n pivots reach no optimum.
+
+    A primal active-set pivot (Gaertner & Schoenherr, SoCG 2000) on the
+    standard quadratic program max lam^T D lam / 2 over the simplex,
+    warm-started at ``start``, which sheds its most negative weight until
+    its circumcenter's weights are >= 0.  On T the bordered solve gives the
+    weights lam and R^2 = -nu/2, and the point j lies outside the sphere
+    when D[j, T] lam > -nu, the float form of ``_support_certified``.  The
+    farthest such point joins T; while a weight is negative, lam steps
+    toward the new solution until a weight reaches 0, and its point
+    leaves."""
+    n = len(d)
+    tol = 1e-12 * max(1.0, float(d.max()))
+    support = list(start)
+    try:
+        lam, nu = _bordered_solve(d, support)
+        while lam.min() < 0.0:
+            support.pop(int(np.argmin(lam)))
+            lam, nu = _bordered_solve(d, support)
+        for _ in range(20 * n):
+            excess = d[:, support] @ lam + nu  # |p_j - c|^2 - R^2
+            excess[support] = 0.0
+            j = int(np.argmax(excess))
+            if excess[j] <= tol:
+                return tuple(sorted(support)), -0.5 * nu
+            support.append(j)
+            lam = np.append(lam, 0.0)
+            while True:
+                new, nu = _bordered_solve(d, support)
+                negative = np.flatnonzero(new < 0.0)
+                if not negative.size:
+                    lam = new
+                    break
+                ratio = lam[negative] / (lam[negative] - new[negative])
+                i = int(np.argmin(ratio))
+                lam = lam + ratio[i] * (new - lam)
+                support.pop(negative[i])
+                lam = np.delete(lam, negative[i])
+    except np.linalg.LinAlgError:
+        return None
+    return None
+
+
+def _propose(
+    adjacency: np.ndarray, t: float, top: float, support: tuple[int, ...]
+) -> Optional[tuple[tuple[int, ...], float]]:
+    """``_active_set`` at t warm-started at ``support``.  At the window end
+    tau1 (``top``, within ``END_RTOL``) C vanishes, the points are affinely
+    dependent and a warm start may keep a dependent T, which no exact
+    certificate accepts; there it starts cold from T's first point, and a
+    point on the sphere never joins."""
+    start = support[:1] if t >= top * (1.0 - END_RTOL) else support
+    return _active_set(_squared_distances(adjacency, t), start)
+
+
+def _float_root_near(f: IntPolynomial, t: float, top: float) -> Optional[float]:
+    """The real root of f in (1, top] nearest t, or None: ``np.roots``
+    proposes it and two Newton steps, each computed exactly at the float
+    and rounded, polish it to about an ulp.  ``top`` gets a relative slack
+    of ``END_RTOL``, for a root at the window end."""
+    if f.degree in (None, 0):
+        return None
+    shift = max(max(abs(c) for c in f.coeffs).bit_length() - 1000, 0)
+    roots = np.roots([float(c >> shift) for c in reversed(f.coeffs)])
+    real = roots.real[np.abs(roots.imag) <= 1e-6 * np.abs(roots)]
+    real = real[(real > 1.0) & (real <= top * (1.0 + END_RTOL))]
+    if not real.size:
+        return None
+    x = float(real[np.argmin(np.abs(real - t))])
+    slope = f.derivative()
+    for _ in range(2):
+        num, den = x.as_integer_ratio()
+        s = slope.homogeneous(num, den)
+        if s == 0:
+            break
+        x = float(Fraction(num, den) - Fraction(f.homogeneous(num, den), s * den))
+    return x if 1.0 < x <= top * (1.0 + END_RTOL) else None
+
+
+def _walk_supports(
+    g: Graph,
+    r0: Fraction,
+    tau1: Optional[AlgebraicReal],
+    adjacency: np.ndarray,
+    support: tuple[int, ...],
+) -> AlgebraicReal:
+    """``solve_phi``'s exact fallback from the support T: every root t of
+    T's tie polynomial in (1, tau1], in increasing order, is tried with
+    ``_support_certified``.  Failing all, the active set at the root whose
+    squared radius is nearest r0 proposes the next T, and a T proposed
+    twice raises ``UndecidableEnclosureError``."""
+    width = get_config().tau_width
+    top = math.inf if tau1 is None else float(tau1)
+    proposed = set()
+    while support not in proposed:
+        proposed.add(support)
+        tie = invariants.tie_polynomial(g.induced(support), r0)
+        best, miss = support, math.inf
+        for t in _roots_in_window(tie, tau1):
+            t = t.refined(width)
+            if _support_certified(g, support, t):
+                return t.scaled(2)
+            got = _propose(adjacency, float(t), top, support)
+            if got is None:
+                continue
+            if abs(got[1] - r0) < miss:
+                best, miss = got[0], abs(got[1] - r0)
+            if got[1] >= r0:
+                break  # the radius grows with t: later roots are farther from r
+        support = best
+    raise UndecidableEnclosureError(f"active-set support {support} proposed twice")
 
 
 def solve_phi(g: Graph, r: float) -> AlgebraicReal:
@@ -359,12 +502,17 @@ def solve_phi(g: Graph, r: float) -> AlgebraicReal:
 
     On an affinely independent support T the squared radius is -M_T/C_T
     in t = x^2/2, so it equals r^2 at the roots of T's tie polynomial for
-    r0 = r^2/2 (``invariants.tie_polynomial``).
-    A float ball proposes T (its points of positive weight), starting at
-    the window end; a root t of T's polynomial in (1, tau1] is the answer
-    once ``_support_certified`` holds at t.  Otherwise the float ball at
-    the root whose radius is nearest r proposes the next T, and a T
-    proposed twice raises ``UndecidableEnclosureError``.  Requires
+    r0 = r^2/2 (``invariants.tie_polynomial``).  No coordinates are
+    realized: at unit short distance the squared distances are
+    D(t) = t(J - I) - (t - 1)A, and a float active set on D(t)
+    (``_active_set``) proposes T, first in the middle of (1, tau1).
+    The next t is the float root of T's tie polynomial in (1, tau1]
+    nearest the last t, until the active set at t returns T again.  Then
+    T's tie polynomial is split once, the root is certified on an interval
+    of the requested width (``invariants._certified_root``), compared with
+    tau1, and ``_support_certified`` holds there: beta*^2 is proved, as
+    the radius is monotone.  Any failure falls back to ``_walk_supports``,
+    which tries every root of the tie polynomial exactly.  Requires
     sqrt((n-1)/n) < r <= 1 and a non-complete graph."""
     if is_complete(g):
         raise CompleteGraphError("complete graphs admit no such solve")
@@ -374,28 +522,35 @@ def solve_phi(g: Graph, r: float) -> AlgebraicReal:
         raise ValueError(f"radius {r} outside (sqrt((n-1)/n), 1]")
     r0 = Fraction(r) ** 2 / 2  # the squared radius at unit short distance
     tau1, _ = invariants.tau1_mu(g)
-    ball = _ball_at(g, 4.0 if tau1 is None else float(tau1))
-    proposed = set()
-    while True:
-        # The pivot's final support: affinely independent, unlike the
-        # near-sphere set ``ball.support``, which may hold ties.
-        support = tuple(np.flatnonzero(ball.weights > 0.0).tolist())
-        if support in proposed:
-            raise UndecidableEnclosureError(
-                f"enclosing-ball support {support} proposed twice"
-            )
-        proposed.add(support)
-        radius_poly = invariants.tie_polynomial(g.induced(support), r0)
-        balls = []  # no root keeps the ball, so T is proposed again and raises
-        for t in _roots_in_window(radius_poly, tau1):
-            t = t.refined(Fraction(1, 2**64))  # once, for every sign and the float
-            if _support_certified(g, support, t):
-                return t.scaled(2)
-            ball = _ball_at(g, float(t))
-            balls.append(ball)
-            if ball.radius >= r:
-                break  # the radius grows with t: later roots are farther from r
-        ball = min(balls, key=lambda b: abs(b.radius - r), default=ball)
+    top = math.inf if tau1 is None else float(tau1)
+    adjacency = (np.array(g.rows)[:, None] >> np.arange(n) & 1).astype(float)
+    t = 2.0 if tau1 is None else 0.5 * (1.0 + top)
+    # Inside the window all n points are affinely independent, and most
+    # of them are usually on the sphere: start from all of them.
+    got = _active_set(_squared_distances(adjacency, t), tuple(range(n)))
+    if got is None:
+        raise UndecidableEnclosureError(f"active set: no support at t = {t:.17g}")
+    support = got[0]
+    for _ in range(n):
+        tie = invariants.tie_polynomial(g.induced(support), r0)
+        t = _float_root_near(tie, t, top)
+        got = None if t is None else _propose(adjacency, t, top, support)
+        if got is None:
+            break
+        if got[0] != support:
+            support = got[0]
+            continue
+        root = invariants._certified_root(
+            squarefree_decomposition(tie), t, nearest_one=False
+        )
+        if (
+            root is not None
+            and (tau1 is None or root[0].compare(tau1) <= 0)
+            and _support_certified(g, support, root[0])
+        ):
+            return root[0].scaled(2)
+        break
+    return _walk_supports(g, r0, tau1, adjacency, support)
 
 
 def beta_star_numeric(g: Graph) -> float:

@@ -15,7 +15,8 @@ the real-rooted C with it.  Bisection until every count is 0 or 1
 isolates the real roots of any squarefree polynomial, tie polynomials
 included (``smallest_root_greater_than``).  Where a polynomial has at most
 one root in an interval, simple, a sign change decides it with no count:
-``multiplicity_at`` and ``AlgebraicReal.compare`` test gcds that way.
+``multiplicity_at`` and ``AlgebraicReal.compare`` test gcds that way,
+and take none when a gcd modulo a prime proves the two polynomials coprime.
 ``SturmChain`` is built by no program path; the tests count with it.
 
 Every loop runs on integers.  The sign of p at a rational n/d (d > 0) is
@@ -436,13 +437,15 @@ class AlgebraicReal:
         """Sign of (self - other), decided exactly."""
         a, b = self, other
         if a.hi > b.lo and b.hi > a.lo:
-            # Overlapping enclosures: equal numbers share a root of the gcd.
+            # Overlapping enclosures: equal numbers share a root of the gcd,
+            # so defining polynomials proved coprime modulo a prime differ.
             # g divides a's defining polynomial, so it has at most one root
             # in the overlap, simple, and the endpoints, each an endpoint
             # of a or of b, are not roots of g.
-            g = poly_gcd(a.defining, b.defining)
-            if g.degree and _changes_sign(g, max(a.lo, b.lo), min(a.hi, b.hi)):
-                return 0
+            if not _coprime_mod_p(a.defining, b.defining):
+                g = poly_gcd(a.defining, b.defining)
+                if g.degree and _changes_sign(g, max(a.lo, b.lo), min(a.hi, b.hi)):
+                    return 0
             while a.hi > b.lo and b.hi > a.lo:
                 a = a.refined(a.width / 4)
                 b = b.refined(b.width / 4)
@@ -737,9 +740,12 @@ def multiplicity_at(p: IntPolynomial, a: AlgebraicReal) -> int:
     Decided by repeated gcd with the defining polynomial of ``a``: each
     gcd divides it, so it has at most one root in the isolating interval,
     simple, and holds ``a`` exactly when it changes sign there; no
-    floating point."""
+    floating point.  Polynomials proved coprime modulo a prime
+    (``_coprime_mod_p``) share no root, and no gcd is taken."""
     if p.is_zero:
         raise ValueError("zero polynomial")
+    if _coprime_mod_p(p, a.defining):
+        return 0
     d = a.defining.primitive()
     cur = p.primitive()
     mult = 0

@@ -4,10 +4,11 @@ Sturm isolation of real roots, Sturm root counts and the decisions
 ``multiplicity_at`` and ``AlgebraicReal.compare`` made with them, the exact
 sign of an algebraic number minus a rational, interval images, the
 bordered distance matrix, the enclosing ball that factors T afresh at
-every pivot, and the pairwise loop for the distance residual:
+every pivot, the beta* solve whose supports enclosing balls of realized
+points propose, and the pairwise loop for the distance residual:
 independent of the Descartes bisection, sign tests, walk polynomials,
-updated QR factors and array code that ``twodist`` uses, and called by
-no program path.
+updated QR factors, active set and array code that ``twodist`` uses, and
+called by no program path.
 """
 
 from __future__ import annotations
@@ -18,9 +19,19 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from twodist.errors import GeometricInconsistencyError
-from twodist.geometry import MEB_GAP_RTOL, Ball, PointConfig
-from twodist.graphs import Graph
+from twodist import invariants
+from twodist.errors import GeometricInconsistencyError, UndecidableEnclosureError
+from twodist.geometry import (
+    MEB_GAP_RTOL,
+    SQRT2,
+    Ball,
+    PointConfig,
+    _roots_in_window,
+    _support_certified,
+    min_enclosing_ball,
+    realize,
+)
+from twodist.graphs import Graph, is_complete
 from twodist.polynomials import (
     AlgebraicReal,
     IntPolynomial,
@@ -263,12 +274,56 @@ def reference_min_enclosing_ball(points: Sequence[Sequence[float]] | np.ndarray)
 
 def loop_distance_residual(config: PointConfig, g: Graph) -> float:
     """``PointConfig.max_distance_residual`` pair by pair: the largest
-    |d_ij - target| / max(a, b, 1), target a on edges and b elsewhere."""
+    |d_ij - target| / max(a, b, 1), target a on edges and b elsewhere, or
+    inf at the first NaN."""
     d = config.distance_matrix()
     worst = 0.0
     scale = max(config.a, config.b, 1.0)
     for i in range(config.n):
         for j in range(i + 1, config.n):
             target = config.a if g.has_edge(i, j) else config.b
-            worst = max(worst, abs(d[i, j] - target) / scale)
+            residual = abs(d[i, j] - target) / scale
+            if math.isnan(residual):
+                return math.inf
+            worst = max(worst, residual)
     return worst
+
+
+def _ball_at(g: Graph, t: float) -> Ball:
+    """Enclosing ball of the sqrt(2)-short configuration with t = x^2/2."""
+    return min_enclosing_ball(realize(g, math.sqrt(2.0 * t), SQRT2).points)
+
+
+def ball_solve_phi(g: Graph, r: float) -> AlgebraicReal:
+    """``geometry.solve_phi`` with float enclosing balls proposing the
+    supports: the ball at the window end proposes T (its points of
+    positive weight), every root t of T's tie polynomial in (1, tau1] is
+    tried with ``_support_certified``, and failing all, the ball at the
+    root whose radius is nearest r proposes the next T; a T proposed
+    twice raises ``UndecidableEnclosureError``."""
+    if is_complete(g):
+        raise ValueError("complete graphs admit no such solve")
+    r0 = Fraction(r) ** 2 / 2  # the squared radius at unit short distance
+    tau1, _ = invariants.tau1_mu(g)
+    ball = _ball_at(g, 4.0 if tau1 is None else float(tau1))
+    proposed = set()
+    while True:
+        # The pivot's final support: affinely independent, unlike the
+        # near-sphere set ``ball.support``, which may hold ties.
+        support = tuple(np.flatnonzero(ball.weights > 0.0).tolist())
+        if support in proposed:
+            raise UndecidableEnclosureError(
+                f"enclosing-ball support {support} proposed twice"
+            )
+        proposed.add(support)
+        radius_poly = invariants.tie_polynomial(g.induced(support), r0)
+        balls = []  # no root keeps the ball, so T is proposed again and raises
+        for t in _roots_in_window(radius_poly, tau1):
+            t = t.refined(Fraction(1, 2**64))  # once, for every sign and the float
+            if _support_certified(g, support, t):
+                return t.scaled(2)
+            ball = _ball_at(g, float(t))
+            balls.append(ball)
+            if ball.radius >= r:
+                break  # the radius grows with t: later roots are farther from r
+        ball = min(balls, key=lambda b: abs(b.radius - r), default=ball)

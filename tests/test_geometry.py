@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import os
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import embed16_pool, joins12_corpus, random_graph
-from reference import loop_distance_residual, reference_min_enclosing_ball
+from reference import ball_solve_phi, loop_distance_residual, reference_min_enclosing_ball
+from twodist import geometry, invariants
 from twodist.errors import (
     CompleteGraphError,
     GeometricInconsistencyError,
@@ -130,6 +132,13 @@ class TestRealize:
         for g in embed16_pool()[:5]:
             cfg = realize(g, math.sqrt(feasible_interval(g)[1]))
             assert cfg.max_distance_residual(g) == loop_distance_residual(cfg, g)
+
+    def test_nan_distance_has_infinite_residual(self):
+        # a NaN coordinate must fail every residual bound, not read as 0
+        cfg = PointConfig(np.array([[math.nan], [0.0], [2.0]]), 1.0, 2.0, 1)
+        g = Graph.from_edges(3, [(0, 1)])
+        assert cfg.max_distance_residual(g) == math.inf
+        assert loop_distance_residual(cfg, g) == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +498,105 @@ class TestSolvePhi:
             solve_phi(Graph.empty(3), 0.5)  # below sqrt(2/3)
         with pytest.raises(ValueError):
             solve_phi(Graph.empty(3), 1.5)
+
+
+def count_calls(monkeypatch, module, *names):
+    """A Counter of the calls made to ``module``'s ``names`` from now on."""
+    counts = collections.Counter()
+
+    def counting(name, original):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return counts
+
+
+class TestActiveSetSolve:
+    """``solve_phi`` proposes supports by a float active set on the squared
+    distances D(t) and certifies one root; ``reference.ball_solve_phi``,
+    which proposes them by enclosing balls of realized points, is the
+    oracle."""
+
+    COUNTED = (
+        "squarefree_decomposition",
+        "_support_certified",
+        "_walk_supports",
+        "realize",
+        "min_enclosing_ball",
+    )
+
+    def solve_against_oracle(self, graphs, monkeypatch):
+        """Per-solve call counts of ``COUNTED``, after checking every
+        beta*^2 against the oracle."""
+        counts = count_calls(monkeypatch, geometry, *self.COUNTED)
+        spent = []
+        for g in graphs:
+            invariants.clear_caches()
+            before = counts.copy()
+            got = solve_phi(g, 1.0)
+            spent.append(counts - before)
+            assert got.compare(ball_solve_phi(g, 1.0)) == 0, g
+        return spent
+
+    def assert_certified_once(self, spent):
+        once = sum(
+            c["squarefree_decomposition"] == 1
+            and c["_support_certified"] == 1
+            and not c["_walk_supports"]
+            for c in spent
+        )
+        fallbacks = sum(c["_walk_supports"] for c in spent)
+        assert once >= 0.98 * len(spent)
+        assert fallbacks <= len(spent) - once
+
+    def test_small_graphs_match_ball_oracle(self, monkeypatch):
+        graphs = [g for n in range(2, 7) for g in enumerate_graphs(n) if not is_complete(g)]
+        assert len(graphs) == 202
+        self.assert_certified_once(self.solve_against_oracle(graphs, monkeypatch))
+
+    def test_joins_match_ball_oracle_without_balls(self, monkeypatch):
+        spent = self.solve_against_oracle(joins12_corpus(60), monkeypatch)
+        self.assert_certified_once(spent)
+        assert not any(c["realize"] or c["min_enclosing_ball"] for c in spent)
+
+    def test_active_set_matches_enclosing_ball(self, rng):
+        # the coordinate-free pivot against the ball of realized points at
+        # unit short distance: same support, same squared radius, from a
+        # cold and from a random warm start
+        checked = 0
+        while checked < 60:
+            g = random_graph(rng, rng.randrange(2, 10))
+            hi = feasible_interval(g)[1]
+            if hi <= 1.002:
+                continue
+            t = rng.uniform(1.0 + 1e-3, min(hi, 6.0) - 1e-3)
+            ball = min_enclosing_ball(realize(g, math.sqrt(t), 1.0).points)
+            support = tuple(np.flatnonzero(ball.weights > 0.0).tolist())
+            adjacency = np.array([[float(g.has_edge(i, j)) for j in range(g.n)] for i in range(g.n)])
+            d = geometry._squared_distances(adjacency, t)
+            warm = tuple(sorted(rng.sample(range(g.n), rng.randrange(1, g.n + 1))))
+            for start in ((0,), warm):
+                got, r2 = geometry._active_set(d, start)
+                assert got == support, (g, t, start)
+                assert abs(r2 - ball.radius**2) <= 1e-9 * max(1.0, r2)
+            checked += 1
+
+    def test_float_root_polished_to_nearest_float(self):
+        from twodist.polynomials import IntPolynomial
+
+        x = IntPolynomial.x()
+        f = x * x - IntPolynomial.const(3)
+        for k in range(1, 8):  # degree 16, real roots +-sqrt(3) only
+            f = f * (x * x + x.scale(k) + IntPolynomial.const(17))
+        got = geometry._float_root_near(f, 1.5, 2.0)
+        assert got == math.sqrt(3)  # the correctly rounded root
+        assert geometry._float_root_near(f, 1.5, 1.7) is None  # above the window
+        assert geometry._float_root_near(IntPolynomial.const(3), 1.5, 2.0) is None
 
 
 class TestBetaStar:

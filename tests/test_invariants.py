@@ -533,6 +533,18 @@ class TestSpectralWindow:
         single = poly(-11, 0, 1) * poly(-13, 0, 1)  # one factor, two roots
         assert invariants._certified_root(squarefree_decomposition(single), math.sqrt(13)) is None
 
+    def test_root_in_interval_certifies_alone(self):
+        # roots sqrt2 and sqrt3 of one factor: the root nearest 1 is sqrt2,
+        # so only the certificate on the interval itself accepts sqrt3;
+        # a factor with complex roots does not stop it
+        factors = squarefree_decomposition(poly(-2, 0, 1) * poly(-3, 0, 1) * poly(1, 1, 1))
+        assert invariants._certified_root(factors, math.sqrt(3)) is None
+        root, mult = invariants._certified_root(factors, math.sqrt(3), nearest_one=False)
+        assert mult == 1 and is_valid(root) and root.width <= get_config().tau_width
+        assert root.compare(AlgebraicReal(poly(-3, 0, 1), Fraction(1), Fraction(2))) == 0
+        # a proposal away from every root, or between two, certifies nothing
+        assert invariants._certified_root(factors, 1.6, nearest_one=False) is None
+
     def test_pool_enclosures_equal_sturm_isolation(self, monkeypatch):
         fallbacks = count_fallbacks(monkeypatch)
         invariants.clear_caches()

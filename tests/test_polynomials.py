@@ -419,6 +419,41 @@ class TestMultiplicity:
         assert multiplicity_at(p, a) == k
 
 
+class TestCoprimeShortcut:
+    """Polynomials proved coprime modulo a prime share no root:
+    ``multiplicity_at`` and ``compare`` then take no gcd, and decide as
+    before."""
+
+    def count_gcds(self, monkeypatch):
+        from twodist import polynomials
+
+        calls = []
+        original = polynomials.poly_gcd
+        monkeypatch.setattr(
+            polynomials, "poly_gcd", lambda *args: calls.append(args) or original(*args)
+        )
+        return calls
+
+    def test_multiplicity_skips_gcd(self, monkeypatch):
+        calls = self.count_gcds(monkeypatch)
+        a = AlgebraicReal(poly(-2, 0, 1), Fraction(1), Fraction(2))  # sqrt 2
+        assert multiplicity_at(poly(-3, 0, 1) ** 2, a) == 0
+        assert multiplicity_at(poly(5), a) == 0
+        assert not calls
+        assert multiplicity_at(poly(-2, 0, 1) ** 2 * poly(1, 1), a) == 2
+        assert calls
+
+    def test_compare_skips_gcd(self, monkeypatch):
+        calls = self.count_gcds(monkeypatch)
+        a = AlgebraicReal(poly(-2, 0, 1), Fraction(1), Fraction(2))  # sqrt 2
+        b = AlgebraicReal(poly(-3, 0, 1), Fraction(1), Fraction(2))  # sqrt 3
+        assert a.compare(b) == sturm_compare(a, b) == -1
+        assert b.compare(a) == 1
+        assert not calls
+        c = AlgebraicReal(poly(-2, 0, 1) * poly(-3, 1), Fraction(13, 10), Fraction(3, 2))
+        assert a.compare(c) == 0 and calls
+
+
 def isolated_roots(d):
     """Every real root of the squarefree d, by Sturm isolation."""
     roots, bound = [], -d.root_bound()
