@@ -508,11 +508,12 @@ def solve_phi(g: Graph, r: float) -> AlgebraicReal:
     (``_active_set``) proposes T, first in the middle of (1, tau1).
     The next t is the float root of T's tie polynomial in (1, tau1]
     nearest the last t, until the active set at t returns T again.  Then
-    T's tie polynomial is split once, the root is certified on an interval
-    of the requested width (``invariants._certified_root``), compared with
-    tau1, and ``_support_certified`` holds there: beta*^2 is proved, as
-    the radius is monotone.  Any failure falls back to ``_walk_supports``,
-    which tries every root of the tie polynomial exactly.  Requires
+    T's tie polynomial is split once, its least root above 1 is certified
+    on an interval of the requested width (``invariants._certified_root``),
+    compared with tau1, and ``_support_certified`` holds there: beta*^2 is
+    proved, as the radius is monotone.  Any failure, a first active set
+    with no support included, falls back to ``_walk_supports``, which
+    tries every root of the tie polynomial exactly.  Requires
     sqrt((n-1)/n) < r <= 1 and a non-complete graph."""
     if is_complete(g):
         raise CompleteGraphError("complete graphs admit no such solve")
@@ -529,7 +530,7 @@ def solve_phi(g: Graph, r: float) -> AlgebraicReal:
     # of them are usually on the sphere: start from all of them.
     got = _active_set(_squared_distances(adjacency, t), tuple(range(n)))
     if got is None:
-        raise UndecidableEnclosureError(f"active set: no support at t = {t:.17g}")
+        return _walk_supports(g, r0, tau1, adjacency, tuple(range(n)))
     support = got[0]
     for _ in range(n):
         tie = invariants.tie_polynomial(g.induced(support), r0)
@@ -540,9 +541,7 @@ def solve_phi(g: Graph, r: float) -> AlgebraicReal:
         if got[0] != support:
             support = got[0]
             continue
-        root = invariants._certified_root(
-            squarefree_decomposition(tie), t, nearest_one=False
-        )
+        root = invariants._certified_root(squarefree_decomposition(tie), t)
         if (
             root is not None
             and (tau1 is None or root[0].compare(tau1) <= 0)

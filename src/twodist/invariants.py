@@ -262,15 +262,13 @@ def _power_of_two_at_most(x: Fraction) -> Fraction:
 
 
 def _certified_root(
-    factors: list[tuple[IntPolynomial, int]], t: float, nearest_one: bool = True
+    factors: list[tuple[IntPolynomial, int]], t: float
 ) -> Optional[tuple[AlgebraicReal, int]]:
-    """A root of the product of ``factors`` (a squarefree split) at a
-    proposal t, and its multiplicity, refined to ``tau_width``, when the
-    proposal certifies; None when the certificate fails.  With
-    ``nearest_one`` it is the root nearest 1 on t's side (the smallest
-    above 1, or the largest in (0, 1)); without, the one root of the
-    product in an interval around t.  One certificate serves tau1, tau0
-    and ``geometry.solve_phi``'s beta*^2.
+    """The root nearest 1 on t's side (the smallest above 1, or the largest
+    in (0, 1)) of the product of ``factors`` (a squarefree split) and its
+    multiplicity, refined to ``tau_width``, when a proposal t near it
+    certifies; None when the certificate fails.  One certificate serves
+    tau1, tau0 and ``geometry.solve_phi``'s beta*^2.
 
     The interval [lo, hi] is centred on t with half-width the larger of
     8 ulp(t) and the largest power of two <= tau_width / 2: it has the
@@ -278,11 +276,10 @@ def _certified_root(
     dyadic rationals no finer than t.  It must lie in (1, inf) or in
     (0, 1).  f is the one factor that changes sign across it, so f has a
     root in (lo, hi).  A Descartes count of 1 for f and 0 for every other
-    factor on (lo, hi) proves that root is the only root of the product
-    there; with ``nearest_one`` the counts are taken on (1, hi), or on
-    (lo, 1) below 1, and prove it is the only root between 1 and the
-    interval.  The counts are exact proofs whether or not the factors are
-    real-rooted, so the tie polynomials of beta*^2 certify alike."""
+    factor on (1, hi), or on (lo, 1) below 1, proves that root is the only
+    root between 1 and the interval.  The counts are exact proofs whether
+    or not the factors are real-rooted, so the tie polynomials of beta*^2
+    certify alike."""
     width = get_config().tau_width
     half = max(_power_of_two_at_most(width / 2), Fraction(8 * math.ulp(t)))
     lo, hi = Fraction(t) - half, Fraction(t) + half
@@ -298,10 +295,7 @@ def _certified_root(
     if len(owners) != 1:
         return None
     f, mult = owners[0]
-    if nearest_one:
-        span = (1, hi) if lo > 1 else (lo, 1)
-    else:
-        span = (lo, hi)
+    span = (1, hi) if lo > 1 else (lo, 1)
     if any(descartes_count(h, *span) != int(h is f) for h, _ in factors):
         return None
     return AlgebraicReal(f, lo, hi).refined(width), mult

@@ -564,6 +564,25 @@ class TestActiveSetSolve:
         self.assert_certified_once(spent)
         assert not any(c["realize"] or c["min_enclosing_ball"] for c in spent)
 
+    def test_first_active_set_failure_falls_back(self, monkeypatch):
+        # a singular first bordered system goes to the exact walk from all
+        # n points, which still finds the oracle's beta*^2
+        original = geometry._active_set
+        for g in [Graph.cycle(5), Graph.path(4), Graph.empty(3)] + joins12_corpus(3):
+            invariants.clear_caches()
+            calls = []
+
+            def first_fails(d, start):
+                calls.append(start)
+                return None if len(calls) == 1 else original(d, start)
+
+            monkeypatch.setattr(geometry, "_active_set", first_fails)
+            walks = count_calls(monkeypatch, geometry, "_walk_supports")
+            got = solve_phi(g, 1.0)
+            monkeypatch.undo()
+            assert walks["_walk_supports"] == 1
+            assert got.compare(ball_solve_phi(g, 1.0)) == 0, g
+
     def test_active_set_matches_enclosing_ball(self, rng):
         # the coordinate-free pivot against the ball of realized points at
         # unit short distance: same support, same squared radius, from a

@@ -533,17 +533,19 @@ class TestSpectralWindow:
         single = poly(-11, 0, 1) * poly(-13, 0, 1)  # one factor, two roots
         assert invariants._certified_root(squarefree_decomposition(single), math.sqrt(13)) is None
 
-    def test_root_in_interval_certifies_alone(self):
-        # roots sqrt2 and sqrt3 of one factor: the root nearest 1 is sqrt2,
-        # so only the certificate on the interval itself accepts sqrt3;
-        # a factor with complex roots does not stop it
-        factors = squarefree_decomposition(poly(-2, 0, 1) * poly(-3, 0, 1) * poly(1, 1, 1))
-        assert invariants._certified_root(factors, math.sqrt(3)) is None
-        root, mult = invariants._certified_root(factors, math.sqrt(3), nearest_one=False)
+    def test_complex_factor_does_not_stop_certificate(self):
+        # the tie polynomials of beta*^2 need not be real-rooted: a factor
+        # with complex roots counts 0 and lets sqrt3 certify, while a root
+        # sqrt2 between 1 and the proposal stops it
+        complex_factor = poly(1, 1, 1)
+        factors = squarefree_decomposition(poly(-3, 0, 1) * complex_factor)
+        root, mult = invariants._certified_root(factors, math.sqrt(3))
         assert mult == 1 and is_valid(root) and root.width <= get_config().tau_width
         assert root.compare(AlgebraicReal(poly(-3, 0, 1), Fraction(1), Fraction(2))) == 0
-        # a proposal away from every root, or between two, certifies nothing
-        assert invariants._certified_root(factors, 1.6, nearest_one=False) is None
+        below = squarefree_decomposition(poly(-2, 0, 1) * poly(-3, 0, 1) * complex_factor)
+        assert invariants._certified_root(below, math.sqrt(3)) is None
+        # a proposal away from every root certifies nothing
+        assert invariants._certified_root(factors, 1.6) is None
 
     def test_pool_enclosures_equal_sturm_isolation(self, monkeypatch):
         fallbacks = count_fallbacks(monkeypatch)
