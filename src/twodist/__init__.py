@@ -42,7 +42,6 @@ from .graphs import (
 from .polynomials import (
     AlgebraicReal,
     IntPolynomial,
-    det_poly_matrix,
     multiplicity_at,
     smallest_root_greater_than,
     squarefree_decomposition,

@@ -6,13 +6,15 @@ by the duality gap of the support's barycentric weights.  On top of those:
 the monotone enclosing-ball radius function of the long distance, and its
 exact inverse ``solve_phi``.  That one realizes no coordinates: a float
 active set on the squared distances proposes the ball's support, as the
-standard quadratic program over the simplex, and one exact certificate
-proves the root of the support's tie polynomial.  Then embeddings on the
-unit sphere with short distance sqrt(2), and the orthogonal join
-decomposition of such point sets with Type I / Type II classification
-from the center of each block's enclosing ball.  The long distance beta*
-is obtained once, in ``invariants.profile``; ``beta_star_numeric`` and
-``jspherical_embedding`` read that cached value.
+standard quadratic program over the simplex, and one loop walks the roots
+of the support's tie polynomial, with tau1's root walk, until the support
+is certified exactly at one; usually the first, certified once on the
+proposal's interval.  Then embeddings on the unit sphere with short
+distance sqrt(2), and the orthogonal join decomposition of such point
+sets with Type I / Type II classification from the center of each
+block's enclosing ball.  The long distance beta* is obtained once, in
+``invariants.profile``; ``beta_star_numeric`` and ``jspherical_embedding``
+read that cached value.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,15 +35,7 @@ from .errors import (
     UndecidableEnclosureError,
 )
 from .graphs import Graph, complement_component_sets, is_complete
-from .polynomials import (
-    AlgebraicReal,
-    IntPolynomial,
-    exact_div,
-    poly_gcd,
-    sign_at,
-    smallest_root_greater_than,
-    squarefree_decomposition,
-)
+from .polynomials import AlgebraicReal, IntPolynomial, sign_at, squarefree_decomposition
 from . import invariants
 
 SQRT2 = math.sqrt(2.0)
@@ -310,23 +304,6 @@ def phi(g: Graph, x: float) -> float:
     return min_enclosing_ball(realize(g, x, SQRT2).points).radius
 
 
-def _roots_in_window(
-    f: IntPolynomial, tau1: AlgebraicReal | None
-) -> Iterator[AlgebraicReal]:
-    """Yield the roots of f in (1, tau1] in increasing order; no upper end
-    when tau1 is None."""
-    # On the squarefree part each enclosure isolates its root among all of
-    # f's roots, so the next search may start at its upper end.
-    f = exact_div(f, poly_gcd(f, f.derivative()))
-    bound = Fraction(1)
-    while (got := smallest_root_greater_than(f, bound)) is not None:
-        t = got[0]
-        if tau1 is not None and t.compare(tau1) > 0:
-            return
-        yield t
-        bound = t.hi
-
-
 def _support_certified(g: Graph, support: tuple[int, ...], t: AlgebraicReal) -> bool:
     """Whether, at t = x^2/2, the circumcenter of the points ``support`` of
     g is the center of the enclosing ball of all n points, decided exactly.
@@ -461,95 +438,66 @@ def _float_root_near(f: IntPolynomial, t: float, top: float) -> Optional[float]:
     return x if 1.0 < x <= top * (1.0 + END_RTOL) else None
 
 
-def _walk_supports(
-    g: Graph,
-    r0: Fraction,
-    tau1: Optional[AlgebraicReal],
-    adjacency: np.ndarray,
-    support: tuple[int, ...],
-) -> AlgebraicReal:
-    """``solve_phi``'s exact fallback from the support T: every root t of
-    T's tie polynomial in (1, tau1], in increasing order, is tried with
-    ``_support_certified``.  Failing all, the active set at the root whose
-    squared radius is nearest r0 proposes the next T, and a T proposed
-    twice raises ``UndecidableEnclosureError``."""
-    width = get_config().tau_width
-    top = math.inf if tau1 is None else float(tau1)
-    proposed = set()
-    while support not in proposed:
-        proposed.add(support)
-        tie = invariants.tie_polynomial(g.induced(support), r0)
-        best, miss = support, math.inf
-        for t in _roots_in_window(tie, tau1):
-            t = t.refined(width)
-            if _support_certified(g, support, t):
-                return t.scaled(2)
-            got = _propose(adjacency, float(t), top, support)
-            if got is None:
-                continue
-            if abs(got[1] - r0) < miss:
-                best, miss = got[0], abs(got[1] - r0)
-            if got[1] >= r0:
-                break  # the radius grows with t: later roots are farther from r
-        support = best
-    raise UndecidableEnclosureError(f"active-set support {support} proposed twice")
-
-
 def solve_phi(g: Graph, r: float) -> AlgebraicReal:
     """The squared long distance x^2 at which the enclosing-ball radius of
     the sqrt(2)-short configuration of g equals r, as an exact algebraic
-    number.  The radius grows with x, so x is unique.
+    number; the radius grows with x, so x is unique.  Requires
+    sqrt((n-1)/n) < r <= 1 and a non-complete graph.
 
-    On an affinely independent support T the squared radius is -M_T/C_T
-    in t = x^2/2, so it equals r^2 at the roots of T's tie polynomial for
-    r0 = r^2/2 (``invariants.tie_polynomial``).  No coordinates are
-    realized: at unit short distance the squared distances are
-    D(t) = t(J - I) - (t - 1)A, and a float active set on D(t)
-    (``_active_set``) proposes T, first in the middle of (1, tau1).
-    The next t is the float root of T's tie polynomial in (1, tau1]
-    nearest the last t, until the active set at t returns T again.  Then
-    T's tie polynomial is split once, its least root above 1 is certified
-    on an interval of the requested width (``invariants._certified_root``),
-    compared with tau1, and ``_support_certified`` holds there: beta*^2 is
-    proved, as the radius is monotone.  Any failure, a first active set
-    with no support included, falls back to ``_walk_supports``, which
-    tries every root of the tie polynomial exactly.  Requires
-    sqrt((n-1)/n) < r <= 1 and a non-complete graph."""
+    On an affinely independent support T the squared radius is r^2 at the
+    roots of T's tie polynomial for r0 = r^2/2 (``invariants.tie_polynomial``).
+    A float active set on the squared distances D(t) = t(J - I) - (t - 1)A
+    (``_active_set``) proposes T, first in the middle of (1, tau1) from all
+    n points (failing that, T is all n points, with no float t).  One loop
+    over T follows.  While a float t is known, t moves to the float root of
+    T's tie polynomial nearest it, and T to the active set's support there
+    while that changes and is untried.  Then the roots of T's tie
+    polynomial in (1, tau1] are walked (``roots_above_one``, the first
+    certified on t's interval), and beta*^2 is the first at which
+    ``_support_certified`` holds.  Failing all, the active set at the root
+    whose squared radius is nearest r0 proposes the next T, with no t; a T
+    proposed again raises ``UndecidableEnclosureError``.  When r = 1 and the
+    squared circumradius is 1/2, beta*^2 is 2 tau1, at the window end."""
     if is_complete(g):
         raise CompleteGraphError("complete graphs admit no such solve")
     n = g.n
-    lo_r = math.sqrt((n - 1) / n)
-    if not (lo_r < r <= 1.0 + 1e-12):
+    if not (math.sqrt((n - 1) / n) < r <= 1.0 + 1e-12):
         raise ValueError(f"radius {r} outside (sqrt((n-1)/n), 1]")
     r0 = Fraction(r) ** 2 / 2  # the squared radius at unit short distance
     tau1, _ = invariants.tau1_mu(g)
+    if r0 == Fraction(1, 2) and invariants.circumradius_invariant(g).is_half:
+        return tau1.scaled(2)
     top = math.inf if tau1 is None else float(tau1)
     adjacency = (np.array(g.rows)[:, None] >> np.arange(n) & 1).astype(float)
     t = 2.0 if tau1 is None else 0.5 * (1.0 + top)
     # Inside the window all n points are affinely independent, and most
     # of them are usually on the sphere: start from all of them.
     got = _active_set(_squared_distances(adjacency, t), tuple(range(n)))
-    if got is None:
-        return _walk_supports(g, r0, tau1, adjacency, tuple(range(n)))
-    support = got[0]
-    for _ in range(n):
+    support, t = (tuple(range(n)), None) if got is None else (got[0], t)
+    tried = set()
+    while support not in tried:
+        tried.add(support)
         tie = invariants.tie_polynomial(g.induced(support), r0)
-        t = _float_root_near(tie, t, top)
-        got = None if t is None else _propose(adjacency, t, top, support)
-        if got is None:
-            break
-        if got[0] != support:
-            support = got[0]
-            continue
-        root = invariants._certified_root(squarefree_decomposition(tie), t)
-        if (
-            root is not None
-            and (tau1 is None or root[0].compare(tau1) <= 0)
-            and _support_certified(g, support, root[0])
-        ):
-            return root[0].scaled(2)
-        break
-    return _walk_supports(g, r0, tau1, adjacency, support)
+        if t is not None:
+            t = _float_root_near(tie, t, top)
+            got = None if t is None else _propose(adjacency, t, top, support)
+            if got is not None and got[0] not in tried:
+                support = got[0]
+                continue
+        best, miss = support, math.inf
+        roots = invariants.roots_above_one(tie, squarefree_decomposition(tie), t, tau1)
+        for root, _ in roots:
+            if _support_certified(g, support, root):
+                return root.scaled(2)
+            got = _propose(adjacency, float(root), top, support)
+            if got is None:
+                continue
+            if abs(got[1] - r0) < miss:
+                best, miss = got[0], abs(got[1] - r0)
+            if got[1] >= r0:
+                break  # the radius grows with t: later roots are farther from r
+        support, t = best, None
+    raise UndecidableEnclosureError(f"active-set support {support} proposed twice")
 
 
 def beta_star_numeric(g: Graph) -> float:

@@ -31,7 +31,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .graphs import (
 from .polynomials import (
     AlgebraicReal,
     IntPolynomial,
+    _changes_sign,
     descartes_count,
     enclose_rational_limit,
     multiplicity_at,
@@ -275,9 +276,10 @@ def _certified_root(
     requested width unless 8 ulp(t) is the larger, and its ends are exact
     dyadic rationals no finer than t.  It must lie in (1, inf) or in
     (0, 1).  f is the one factor that changes sign across it, so f has a
-    root in (lo, hi).  A Descartes count of 1 for f and 0 for every other
-    factor on (1, hi), or on (lo, 1) below 1, proves that root is the only
-    root between 1 and the interval.  The counts are exact proofs whether
+    root in (lo, hi), and no factor vanishes at either end.  A Descartes
+    count of 1 for f and 0 for every other factor on (1, hi), or on (lo, 1)
+    below 1, proves that root is the only root between 1 and the interval
+    end.  The counts are exact proofs whether
     or not the factors are real-rooted, so the tie polynomials of beta*^2
     certify alike."""
     width = get_config().tau_width
@@ -285,14 +287,13 @@ def _certified_root(
     lo, hi = Fraction(t) - half, Fraction(t) + half
     if lo <= 0 or lo <= 1 <= hi:
         return None
-    owners = [
-        (f, mult)
-        for f, mult in factors
-        if f.homogeneous(lo.numerator, lo.denominator)
+    ends = [
+        f.homogeneous(lo.numerator, lo.denominator)
         * f.homogeneous(hi.numerator, hi.denominator)
-        < 0
+        for f, _ in factors
     ]
-    if len(owners) != 1:
+    owners = [fm for fm, v in zip(factors, ends) if v < 0]
+    if len(owners) != 1 or 0 in ends:
         return None
     f, mult = owners[0]
     span = (1, hi) if lo > 1 else (lo, 1)
@@ -301,29 +302,41 @@ def _certified_root(
     return AlgebraicReal(f, lo, hi).refined(width), mult
 
 
-def _root_above_one(
+def roots_above_one(
     p: IntPolynomial,
+    factors: list[tuple[IntPolynomial, int]],
     proposal: Optional[float],
-    factors: Optional[list[tuple[IntPolynomial, int]]] = None,
-) -> Optional[tuple[AlgebraicReal, int]]:
-    """``smallest_root_greater_than(p, 1)`` with the root refined to
-    ``tau_width``, for a polynomial p whose roots the spectrum proposes:
-    ``proposal`` is a float near the smallest root above 1, or None when
-    there is none, and ``factors`` p's squarefree split (made here when not
-    given).  The proposal is certified (``_certified_root``); otherwise
-    sign variations of f(1 + x) of 0 on every factor f prove there is no
-    root above 1, and failing both, Descartes bisection
-    (``smallest_root_greater_than``) decides."""
-    if factors is None:
-        factors = squarefree_decomposition(p)
-    if proposal is not None:
-        got = _certified_root(factors, proposal)
+    top: Optional[AlgebraicReal] = None,
+) -> Iterator[tuple[AlgebraicReal, int]]:
+    """Yield the roots of p in (1, top] (no upper end when top is None) in
+    increasing order, refined to ``tau_width``, with their multiplicities:
+    the walk behind tau1 and ``geometry.solve_phi``'s beta*^2.  ``factors``
+    is p's squarefree split.  The first root is that of the float
+    ``proposal`` when it certifies (``_certified_root``); else counts of 0
+    on every factor prove there is none, or Descartes bisection finds it.
+    Each later root is the least root of the squarefree part above an
+    enclosure isolating the last one among all of p's roots, as a certified
+    one does (its counts cover every factor on (1, hi)); a bisected one is
+    isolated again first.  Its multiplicity is that of the one factor
+    changing sign across its enclosure."""
+    width = get_config().tau_width
+    got = None if proposal is None else _certified_root(factors, proposal)
+    isolated = got is not None
+    if not isolated and any(descartes_count(f, 1) for f, _ in factors):
+        got = smallest_root_greater_than(p, 1)
+    while got is not None:
+        root = got[0].refined(width)
+        if top is not None and root.compare(top) > 0:
+            return
+        yield root, got[1]
+        squarefree = math.prod((f for f, _ in factors), start=IntPolynomial.const(1))
+        if not isolated:
+            root = smallest_root_greater_than(squarefree, root.lo)[0]
+        got = smallest_root_greater_than(squarefree, root.hi)
         if got is not None:
-            return got
-    if all(descartes_count(f, 1) == 0 for f, _ in factors):
-        return None
-    got = smallest_root_greater_than(p, 1)
-    return None if got is None else (got[0].refined(get_config().tau_width), got[1])
+            lo, hi = got[0].lo, got[0].hi
+            got = got[0], next(m for f, m in factors if _changes_sign(f, lo, hi))
+        isolated = True
 
 
 def _root_below_one(
@@ -332,7 +345,7 @@ def _root_below_one(
     factors: list[tuple[IntPolynomial, int]],
 ) -> Optional[AlgebraicReal]:
     """The largest root of p in (0, 1), refined to ``tau_width``, or None:
-    the mirror of ``_root_above_one`` on p's squarefree split ``factors``.
+    the mirror of ``roots_above_one``'s first root, on p's split ``factors``.
     A count of 0 on (0, 1) for every factor proves there is none; failing
     the proposal and that count, the root is 1/s for the smallest root
     s > 1 of the reciprocal polynomial t^deg p(1/t), found by Descartes
@@ -360,7 +373,7 @@ def _window(
     c, _ = cm_polynomials(g)
     factors = squarefree_decomposition(c)
     x = _spectrum_end(g, largest=False)
-    above = _root_above_one(c, x / (1 + x) if x < -1 else None, factors)
+    above = next(roots_above_one(c, factors, x / (1 + x) if x < -1 else None), None)
     x = _spectrum_end(g, largest=True)
     return above, _root_below_one(c, x / (1 + x) if x > 0 else None, factors)
 

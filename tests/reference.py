@@ -5,17 +5,20 @@ Sturm isolation of real roots, Sturm root counts and the decisions
 sign of an algebraic number minus a rational, interval images, the
 bordered distance matrix, the enclosing ball that factors T afresh at
 every pivot, the beta* solve whose supports enclosing balls of realized
-points propose, and the pairwise loop for the distance residual:
-independent of the Descartes bisection, sign tests, walk polynomials,
-updated QR factors, active set and array code that ``twodist`` uses, and
-called by no program path.
+points propose and which tries every root of a support's tie polynomial
+from 1 upward, and the pairwise loop for the distance residual:
+independent of the Descartes counts, sign tests, walk polynomials,
+updated QR factors, active set, certified root walk and array code that
+``twodist`` uses, and called by no program path.  Only the beta* solve's
+root listing (``roots_in_window``) runs the program's Descartes
+bisection, on the tie polynomial's squarefree part.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +29,6 @@ from twodist.geometry import (
     SQRT2,
     Ball,
     PointConfig,
-    _roots_in_window,
     _support_certified,
     min_enclosing_ball,
     realize,
@@ -42,6 +44,7 @@ from twodist.polynomials import (
     _sign_changes,
     exact_div,
     poly_gcd,
+    smallest_root_greater_than,
     squarefree_decomposition,
 )
 
@@ -289,6 +292,23 @@ def loop_distance_residual(config: PointConfig, g: Graph) -> float:
     return worst
 
 
+def roots_in_window(
+    f: IntPolynomial, tau1: AlgebraicReal | None
+) -> Iterator[AlgebraicReal]:
+    """Yield the roots of f in (1, tau1] in increasing order; no upper end
+    when tau1 is None."""
+    # On the squarefree part each enclosure isolates its root among all of
+    # f's roots, so the next search may start at its upper end.
+    f = exact_div(f, poly_gcd(f, f.derivative()))
+    bound = Fraction(1)
+    while (got := smallest_root_greater_than(f, bound)) is not None:
+        t = got[0]
+        if tau1 is not None and t.compare(tau1) > 0:
+            return
+        yield t
+        bound = t.hi
+
+
 def _ball_at(g: Graph, t: float) -> Ball:
     """Enclosing ball of the sqrt(2)-short configuration with t = x^2/2."""
     return min_enclosing_ball(realize(g, math.sqrt(2.0 * t), SQRT2).points)
@@ -318,7 +338,7 @@ def ball_solve_phi(g: Graph, r: float) -> AlgebraicReal:
         proposed.add(support)
         radius_poly = invariants.tie_polynomial(g.induced(support), r0)
         balls = []  # no root keeps the ball, so T is proposed again and raises
-        for t in _roots_in_window(radius_poly, tau1):
+        for t in roots_in_window(radius_poly, tau1):
             t = t.refined(Fraction(1, 2**64))  # once, for every sign and the float
             if _support_certified(g, support, t):
                 return t.scaled(2)

@@ -10,8 +10,14 @@ import numpy as np
 import pytest
 
 from conftest import embed16_pool, joins12_corpus, random_graph
-from reference import ball_solve_phi, loop_distance_residual, reference_min_enclosing_ball
+from reference import (
+    ball_solve_phi,
+    cmp_rational,
+    loop_distance_residual,
+    reference_min_enclosing_ball,
+)
 from twodist import geometry, invariants
+from twodist.config import override
 from twodist.errors import (
     CompleteGraphError,
     GeometricInconsistencyError,
@@ -39,6 +45,7 @@ from twodist.graphs import (
     complete_multipartite,
     enumerate_graphs,
     is_complete,
+    parse_graph6,
 )
 from twodist.invariants import cm_polynomials, feasible_interval
 
@@ -464,6 +471,18 @@ class TestSolvePhi:
         g = complete_multipartite(MultipartiteSignature((2, 2)))
         assert abs(math.sqrt(float(solve_phi(g, 1.0))) - 2.0) < 1e-9
 
+    @pytest.mark.parametrize("word, beta2", [("E]~o", 4), ("FFzn_", 3), ("F]~vw", 4)])
+    def test_half_circumradius_is_twice_tau1(self, monkeypatch, word, beta2):
+        # r^2 = 1/2: beta*^2 = 2*tau1 at the window end, where the all-vertex
+        # tie polynomial has a multiple root; no root walk runs
+        g = parse_graph6(word)
+        invariants.clear_caches()
+        tau1, _ = invariants.tau1_mu(g)
+        walks = count_calls(monkeypatch, invariants, "smallest_root_greater_than")
+        got = solve_phi(g, 1.0)
+        assert walks["smallest_root_greater_than"] == 0
+        assert cmp_rational(got, beta2) == 0 and got.compare(tau1.scaled(2)) == 0
+
     def test_intermediate_radius(self):
         # unique x with radius 0.95 for the empty triangle: scale the
         # circumscribed equilateral by 0.95
@@ -520,37 +539,45 @@ class TestActiveSetSolve:
     """``solve_phi`` proposes supports by a float active set on the squared
     distances D(t) and certifies one root; ``reference.ball_solve_phi``,
     which proposes them by enclosing balls of realized points, is the
-    oracle."""
+    oracle.  The exact walk past a certified root runs the Descartes
+    bisection, ``invariants.smallest_root_greater_than``."""
 
     COUNTED = (
         "squarefree_decomposition",
         "_support_certified",
-        "_walk_supports",
         "realize",
         "min_enclosing_ball",
     )
 
     def solve_against_oracle(self, graphs, monkeypatch):
-        """Per-solve call counts of ``COUNTED``, after checking every
-        beta*^2 against the oracle."""
+        """Per-solve call counts of ``COUNTED`` and of the walk's
+        bisection, with whether r^2 = 1/2, after checking every beta*^2
+        against the oracle."""
         counts = count_calls(monkeypatch, geometry, *self.COUNTED)
+        bisections = count_calls(monkeypatch, invariants, "smallest_root_greater_than")
         spent = []
         for g in graphs:
             invariants.clear_caches()
-            before = counts.copy()
+            half = invariants.circumradius_invariant(g).is_half
+            before = counts + bisections
             got = solve_phi(g, 1.0)
-            spent.append(counts - before)
+            spent.append((counts + bisections - before, half))
             assert got.compare(ball_solve_phi(g, 1.0)) == 0, g
         return spent
 
     def assert_certified_once(self, spent):
-        once = sum(
-            c["squarefree_decomposition"] == 1
-            and c["_support_certified"] == 1
-            and not c["_walk_supports"]
-            for c in spent
+        # r^2 = 1/2 returns 2*tau1 with no tie polynomial and no certificate
+        assert all(
+            c["squarefree_decomposition"] == c["_support_certified"] == 0
+            for c, half in spent
+            if half
         )
-        fallbacks = sum(c["_walk_supports"] for c in spent)
+        once = sum(
+            c["squarefree_decomposition"] == c["_support_certified"] == int(not half)
+            and not c["smallest_root_greater_than"]
+            for c, half in spent
+        )
+        fallbacks = sum(bool(c["smallest_root_greater_than"]) for c, _ in spent)
         assert once >= 0.98 * len(spent)
         assert fallbacks <= len(spent) - once
 
@@ -562,14 +589,27 @@ class TestActiveSetSolve:
     def test_joins_match_ball_oracle_without_balls(self, monkeypatch):
         spent = self.solve_against_oracle(joins12_corpus(60), monkeypatch)
         self.assert_certified_once(spent)
-        assert not any(c["realize"] or c["min_enclosing_ball"] for c in spent)
+        assert not any(c["realize"] or c["min_enclosing_ball"] for c, _ in spent)
+
+    def test_random_32_vertex_graphs_match_ball_oracle(self, rng):
+        # np.roots often misses the float root of a degree-32 tie
+        # polynomial; then the exact walk decides
+        with override(max_n=32):
+            invariants.clear_caches()
+            try:
+                for _ in range(2):
+                    g = random_graph(rng, 32)
+                    assert solve_phi(g, 1.0).compare(ball_solve_phi(g, 1.0)) == 0, g
+            finally:
+                invariants.clear_caches()
 
     def test_first_active_set_failure_falls_back(self, monkeypatch):
         # a singular first bordered system goes to the exact walk from all
-        # n points, which still finds the oracle's beta*^2
+        # n points, which bisects and still finds the oracle's beta*^2
         original = geometry._active_set
         for g in [Graph.cycle(5), Graph.path(4), Graph.empty(3)] + joins12_corpus(3):
             invariants.clear_caches()
+            invariants.tau1_mu(g)  # the window's own work is not the walk's
             calls = []
 
             def first_fails(d, start):
@@ -577,10 +617,10 @@ class TestActiveSetSolve:
                 return None if len(calls) == 1 else original(d, start)
 
             monkeypatch.setattr(geometry, "_active_set", first_fails)
-            walks = count_calls(monkeypatch, geometry, "_walk_supports")
+            walks = count_calls(monkeypatch, invariants, "smallest_root_greater_than")
             got = solve_phi(g, 1.0)
             monkeypatch.undo()
-            assert walks["_walk_supports"] == 1
+            assert walks["smallest_root_greater_than"] >= 1
             assert got.compare(ball_solve_phi(g, 1.0)) == 0, g
 
     def test_active_set_matches_enclosing_ball(self, rng):

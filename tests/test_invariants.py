@@ -524,14 +524,53 @@ class TestSpectralWindow:
         factors = squarefree_decomposition(p)
         assert invariants._certified_root(factors, math.sqrt(11)) is None
         assert invariants._certified_root(factors[::-1], math.sqrt(11)) is None
-        root, mult = invariants._root_above_one(p, math.sqrt(11))
+        root, mult = next(invariants.roots_above_one(p, factors, math.sqrt(11)))
         assert mult == 1 and cmp_rational(root, Fraction(2236, 1000)) > 0
         assert cmp_rational(root, Fraction(2237, 1000)) < 0
-        got, mult = invariants._root_above_one(p, math.sqrt(5))
+        got, mult = next(invariants.roots_above_one(p, factors, math.sqrt(5)))
         assert mult == 1
         assert_same_root(got, root)
         single = poly(-11, 0, 1) * poly(-13, 0, 1)  # one factor, two roots
         assert invariants._certified_root(squarefree_decomposition(single), math.sqrt(13)) is None
+
+    def test_walk_isolates_roots_on_different_factors(self):
+        # 1.414213562373095 and sqrt2, 4.9e-17 apart; with the linear factor
+        # squared they lie on different factors of the squarefree split, and
+        # an enclosure of the first that isolates it on its own factor only
+        # holds the second too, so a walk from its upper end would miss it
+        sqrt2 = AlgebraicReal(poly(-2, 0, 1), Fraction(1), Fraction(2))
+        rational = Fraction(1414213562373095, 10**15)
+        linear = poly(-1414213562373095, 10**15)
+        for square in (1, 2):
+            p = poly(-2, 0, 1) * linear**square
+            factors = squarefree_decomposition(p)
+            assert len(factors) == square
+            # two factors change sign around the float sqrt2: no certificate
+            assert invariants._certified_root(factors, math.sqrt(2)) is None
+            for proposal in (math.sqrt(2), None):
+                got = list(invariants.roots_above_one(p, factors, proposal))
+                assert [mult for _, mult in got] == [square, 1]
+                first, second = (root for root, _ in got)
+                assert cmp_rational(first, rational) == 0
+                assert second.compare(sqrt2) == 0 and cmp_rational(second, rational) > 0
+                for root in (first, second):
+                    assert is_valid(root) and root.width <= get_config().tau_width
+
+    def test_root_at_certificate_end_is_walked(self):
+        # a root of another factor at the upper end of sqrt2's certificate
+        # interval: the counts on (1, hi) miss it, so no certificate, and
+        # the walk from the bisected root still yields it
+        width = get_config().tau_width
+        t = math.sqrt(2)
+        hi = Fraction(t) + invariants._power_of_two_at_most(width / 2)
+        p = poly(-2, 0, 1) * poly(-hi.numerator, hi.denominator) ** 2
+        factors = squarefree_decomposition(p)
+        assert len(factors) == 2
+        assert invariants._certified_root(factors, t) is None
+        got = list(invariants.roots_above_one(p, factors, t))
+        assert [mult for _, mult in got] == [1, 2]
+        assert got[0][0].compare(AlgebraicReal(poly(-2, 0, 1), Fraction(1), Fraction(2))) == 0
+        assert cmp_rational(got[1][0], hi) == 0
 
     def test_complex_factor_does_not_stop_certificate(self):
         # the tie polynomials of beta*^2 need not be real-rooted: a factor
