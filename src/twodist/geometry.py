@@ -4,16 +4,19 @@ Coordinates come from double-centering the squared-distance matrix and an
 eigendecomposition; enclosing balls from exact-support pivoting, certified
 by the duality gap of the support's barycentric weights.  On top of those:
 the monotone enclosing-ball radius function of the long distance, and its
-exact inverse ``solve_phi``.  That one realizes no coordinates: a float
-active set on the squared distances proposes the ball's support, as the
-standard quadratic program over the simplex, and one loop walks the roots
-of the support's tie polynomial, with tau1's root walk, until the support
-is certified exactly at one; usually the first, certified once on the
-proposal's interval.  Then embeddings on the unit sphere with short
-distance sqrt(2), and the orthogonal join decomposition of such point
-sets with Type I / Type II classification from the center of each
-block's enclosing ball.  The long distance beta* is obtained once, in
-``invariants.profile``; ``beta_star_numeric`` and ``jspherical_embedding``
+exact inverse ``solve_phi`` for any radius.  That one realizes no
+coordinates: a float active set on the squared distances proposes the
+ball's support, as the standard quadratic program over the simplex, and
+one loop walks the roots of the support's tie polynomial, with tau1's root
+walk, until the support is certified exactly at one.  Then embeddings on
+the unit sphere with short distance sqrt(2), and the orthogonal join
+decomposition of such point sets.  Neither needs an enclosing ball: the
+embedding's Gram matrix is I + (1 - t)Abar (Abar the complement's
+adjacency matrix, t = beta*^2/2), and each join block, affinely
+independent, is Type I or Type II by the projection of the origin onto its
+affine hull.  The long distance beta* is obtained once, in
+``invariants.profile`` (from the complement's Perron root, certified by
+``invariants.t_star``); ``beta_star_numeric`` and ``jspherical_embedding``
 read that cached value.
 """
 
@@ -48,8 +51,9 @@ RANK_RTOL = 1e-9
 # Largest duality gap an enclosing ball may carry, relative to the squared
 # data scale; a larger one raises.
 MEB_GAP_RTOL = 1e-14
-# Max-norm distance from the origin within which a join block's
-# enclosing-ball center makes it Type I, and its affine hull flags it.
+# Max-norm distance from the origin within which the origin's projection
+# onto a join block's affine hull makes it Type I (with barycentric weights
+# >= -HULL_TOL), and Euclidean distance within which that hull flags it.
 HULL_TOL = 1e-8
 # Cross-factor orthogonality tolerance in point-set decomposition.
 ORTH_TOL = 1e-7
@@ -511,18 +515,31 @@ def beta_star_numeric(g: Graph) -> float:
 
 def jspherical_embedding(g: Graph) -> PointConfig:
     """Coordinates of the unit-sphere representation with short distance
-    sqrt(2) and long distance beta* from ``invariants.profile``:
-    recentered at the enclosing-ball center and scaled onto the sphere.
-    Its rank is the J-spherical dimension."""
+    sqrt(2) and long distance beta* from ``invariants.profile``.  Its Gram
+    matrix is G(t) = I + (1 - t)Abar at t = beta*^2/2, Abar = J - I - A the
+    complement's adjacency matrix: inner products 0 on edges and 1 - t on
+    non-edges, 1 on the diagonal.  The points are G's eigenvectors scaled by
+    the square roots of its eigenvalues above ``RANK_RTOL``, on the unit
+    sphere by construction; their number is the J-spherical dimension, the
+    rank.  A negative eigenvalue below ``PSD_TOL`` or a norm off 1 by more
+    than 1e-6 raises ``GeometricInconsistencyError``."""
     b = beta_star_numeric(g)
-    config = realize(g, b, SQRT2)
-    ball = min_enclosing_ball(config.points)
-    if abs(ball.radius - 1.0) > 1e-6:
+    n = g.n
+    adjacency = (np.array(g.rows)[:, None] >> np.arange(n) & 1).astype(bool)
+    gram = np.where(adjacency, 0.0, 1.0 - 0.5 * b * b)
+    np.fill_diagonal(gram, 1.0)
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    scale = float(eigvals.max())  # at least 1, the mean of the trace n
+    if float(eigvals.min()) < -PSD_TOL * scale:
         raise GeometricInconsistencyError(
-            f"expected unit enclosing radius, got {ball.radius:.12g}"
+            f"Gram matrix at beta* has eigenvalue {eigvals.min():.3g} (scale {scale:.3g})"
         )
-    pts = (config.points - ball.center) / ball.radius
-    return PointConfig(pts, SQRT2, b, config.rank)
+    keep = eigvals > RANK_RTOL * scale
+    pts = eigvecs[:, keep] * np.sqrt(eigvals[keep])
+    off = float(np.abs(np.linalg.norm(pts, axis=1) - 1.0).max())
+    if off > 1e-6:
+        raise GeometricInconsistencyError(f"embedded norms off 1 by {off:.3g}")
+    return PointConfig(pts, SQRT2, b, int(keep.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -537,25 +554,24 @@ def _linear_rank(points: np.ndarray, rtol: float) -> int:
     return int((svals > rtol * svals[0]).sum())
 
 
-def _origin_in_convex_hull(points: np.ndarray, tol: float) -> bool:
-    """Whether the unit vectors ``points`` hold the origin in their convex
-    hull: their enclosing ball's center, a convex combination of them, is
-    within ``tol`` of it (max-norm).  If some combination q is, the center
-    c is within 2|q|: the weighted mean 1 - 2 q.c + |c|^2 of |p - c|^2 is
-    at most the squared radius, which is at most 1."""
-    if points.shape[1] == 0:
-        return True
-    return float(np.abs(min_enclosing_ball(points).center).max()) <= tol
-
-
-def _origin_affine_distance(points: np.ndarray) -> float:
-    """Distance from the origin to the affine hull of the points."""
+def _origin_against_hull(points: np.ndarray) -> tuple[bool, float]:
+    """(Type I?, distance) for the affinely independent ``points``: the
+    projection q of the origin onto their affine hull, one ``lstsq``, with
+    its barycentric weights w.  Type I when |q| <= ``HULL_TOL`` (max-norm)
+    and every w >= -``HULL_TOL``: the origin is in the convex hull.  The
+    distance is |q|.  A ``lstsq`` rank below len(points) - 1 raises
+    ``GeometricInconsistencyError``."""
     q0 = points[0]
-    if len(points) == 1:
-        return float(np.linalg.norm(q0))
-    basis = points[1:] - q0
-    sol, *_ = np.linalg.lstsq(basis.T, -q0, rcond=None)
-    return float(np.linalg.norm(q0 + basis.T @ sol))
+    basis = (points[1:] - q0).T
+    sol, _, rank, _ = np.linalg.lstsq(basis, -q0, rcond=None)
+    if rank < len(points) - 1:
+        raise GeometricInconsistencyError(
+            f"join block of {len(points)} points has affine rank {rank}"
+        )
+    q = q0 + basis @ sol
+    weights = np.append(sol, 1.0 - sol.sum())
+    inside = float(np.abs(q).max()) <= HULL_TOL and float(weights.min()) >= -HULL_TOL
+    return inside, float(np.linalg.norm(q))
 
 
 def kuperberg_decompose(config: PointConfig) -> PointFactorization:
@@ -565,9 +581,12 @@ def kuperberg_decompose(config: PointConfig) -> PointFactorization:
     The partition comes from the connected components of the complement of
     the short-distance graph; each block is then verified geometrically
     (cross-block orthogonality) and labeled Type I when the origin lies in
-    its convex hull (the block's enclosing ball is centered at the origin,
-    ``_origin_in_convex_hull``), Type II otherwise; a Type II block whose
-    affine hull passes within ``HULL_TOL`` of the origin is flagged.
+    its convex hull, Type II otherwise; a Type II block whose affine hull
+    passes within ``HULL_TOL`` of the origin is flagged.  A block's Gram
+    matrix is I + (1 - t)Abar_B with Abar_B connected, so by Perron-Frobenius
+    the block is affinely independent, and when the origin lies in its
+    affine hull its barycentric weights are positive: one projection of
+    the origin onto that hull decides the type (``_origin_against_hull``).
     Exactly |S| - rank(S) blocks must be Type I."""
     cfg = get_config()
     pts = config.points
@@ -600,12 +619,12 @@ def kuperberg_decompose(config: PointConfig) -> PointFactorization:
     flags: list[str] = []
     k = 0
     for idx, block in enumerate(blocks):
-        sub = pts[block]
-        if _origin_in_convex_hull(sub, HULL_TOL):
+        inside, distance = _origin_against_hull(pts[block])
+        if inside:
             factors.append((tuple(block), "I"))
             k += 1
         else:
-            if _origin_affine_distance(sub) <= HULL_TOL:
+            if distance <= HULL_TOL:
                 # Origin on the affine hull but outside the hull interior:
                 # a further decomposition exists in exact arithmetic.
                 flags.append(f"factor-{idx}-origin-on-affine-hull")

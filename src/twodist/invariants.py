@@ -19,8 +19,10 @@ full invariant profile:
 The squared circumradius is the limit of -M/(2C) at the root.  Whether it
 equals a rational r0 = p/q is algebraic: it does iff the tie polynomial
 q*M + 2p*C vanishes there to higher order than C.  The 1/2 test is the case
-r0 = 1/2; ``dim_s_bounded`` asks about any r0, and ``geometry.solve_phi``
-finds beta* among the roots of a support's tie polynomial.  Otherwise the
+r0 = 1/2; ``dim_s_bounded`` asks about any r0.  The r0 = 1/2 tie
+polynomial of the whole graph is also the Gram determinant of the
+J-spherical configuration, so ``t_star`` certifies beta*^2/2 as its least
+root above 1, proposed by the complement's Perron root.  Otherwise the
 limit is enclosed by certified interval arithmetic over rationals, away
 from r0.
 """
@@ -269,7 +271,7 @@ def _certified_root(
     in (0, 1)) of the product of ``factors`` (a squarefree split) and its
     multiplicity, refined to ``tau_width``, when a proposal t near it
     certifies; None when the certificate fails.  One certificate serves
-    tau1, tau0 and ``geometry.solve_phi``'s beta*^2.
+    tau1, tau0, ``t_star`` and ``geometry.solve_phi``.
 
     The interval [lo, hi] is centred on t with half-width the larger of
     8 ulp(t) and the largest power of two <= tau_width / 2: it has the
@@ -310,7 +312,7 @@ def roots_above_one(
 ) -> Iterator[tuple[AlgebraicReal, int]]:
     """Yield the roots of p in (1, top] (no upper end when top is None) in
     increasing order, refined to ``tau_width``, with their multiplicities:
-    the walk behind tau1 and ``geometry.solve_phi``'s beta*^2.  ``factors``
+    the walk behind tau1, ``t_star`` and ``geometry.solve_phi``.  ``factors``
     is p's squarefree split.  The first root is that of the float
     ``proposal`` when it certifies (``_certified_root``); else counts of 0
     on every factor prove there is none, or Descartes bisection finds it.
@@ -421,12 +423,40 @@ def feasible_interval(g: Graph) -> tuple[float, float]:
 
 
 @functools.lru_cache(maxsize=None)
+def t_star(g: Graph) -> AlgebraicReal:
+    """t* = beta*^2 / 2 for a non-complete graph: the largest t at which
+    unit vectors exist with inner product 0 on edges and 1 - t on
+    non-edges (short distance sqrt(2), long distance sqrt(2t)).
+
+    Their Gram matrix is G(t) = I + (1 - t)Abar, Abar = J - I - A the
+    complement's adjacency matrix with Perron root rho >= 1, so G(t) is
+    PSD exactly for t <= 1 + 1/rho.  Below that bound G is definite: the
+    vectors are linearly independent and their enclosing radius is < 1.
+    At it, nonnegative Perron vectors span the kernel: the origin is in
+    their convex hull and the radius is 1.  By the matrix determinant
+    lemma det G(t) = (t - 1)^n det(xI - Abar) at x = 1/(t - 1) is +-(M + C),
+    the r0 = 1/2 tie polynomial up to a factor 2, so t* is its least root
+    above 1: one ``eigvalsh`` of Abar proposes it, and ``roots_above_one``
+    certifies it with tau1's certificate."""
+    if is_complete(g):
+        raise CompleteGraphError("complete graphs have no such configuration")
+    n = g.n
+    adjacency = np.array(g.rows)[:, None] >> np.arange(n) & 1
+    rho = float(np.linalg.eigvalsh(1.0 - np.eye(n) - adjacency)[-1])
+    tie = tie_polynomial(g, Fraction(1, 2))
+    root, _ = next(roots_above_one(tie, squarefree_decomposition(tie), 1.0 + 1.0 / rho))
+    return root
+
+
+@functools.lru_cache(maxsize=None)
 def profile(g: Graph) -> TwoDistanceProfile:
     """Full invariant record of a graph, and the one place beta* is
     obtained, as the exact algebraic number beta*^2: 2*tau1 when
     r^2 = 1/2; else, for a join, the least beta*^2 of its non-complete
     factors (the complement's components, the join structure that
-    ``joins`` orders by), compared exactly; else ``geometry.solve_phi``."""
+    ``joins`` orders by), compared exactly; else 2 t* from ``t_star``.
+    All three are 2 t*; the first two reuse roots the record already
+    holds."""
     n = g.n
     root, mu = tau1_mu(g)
     t0 = tau0(g)
@@ -447,9 +477,7 @@ def profile(g: Graph) -> TwoDistanceProfile:
         betas = (profile(h).beta_star_squared for h in factors if not is_complete(h))
         beta = min(betas, key=functools.cmp_to_key(AlgebraicReal.compare))
     else:
-        from . import geometry  # deferred: geometry depends on this module
-
-        beta = geometry.solve_phi(g, 1.0)
+        beta = t_star(g).scaled(2)
     beta = beta.refined(get_config().tau_width)
     return TwoDistanceProfile(
         n, root, mu, t0, dim_e, dim_s, dim_j, r2, beta, tuple(flags)
@@ -487,4 +515,5 @@ def clear_caches() -> None:
     _window.cache_clear()
     tau1_mu.cache_clear()
     circumradius_invariant.cache_clear()
+    t_star.cache_clear()
     profile.cache_clear()

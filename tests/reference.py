@@ -6,9 +6,10 @@ sign of an algebraic number minus a rational, interval images, the
 bordered distance matrix, the enclosing ball that factors T afresh at
 every pivot, the beta* solve whose supports enclosing balls of realized
 points propose and which tries every root of a support's tie polynomial
-from 1 upward, and the pairwise loop for the distance residual:
-independent of the Descartes counts, sign tests, walk polynomials,
-updated QR factors, active set, certified root walk and array code that
+from 1 upward, the Type I test by an enclosing ball's center, and the
+pairwise loop for the distance residual: independent of the Descartes
+counts, sign tests, walk polynomials, updated QR factors, active set,
+certified root walk, Perron root, affine projection and array code that
 ``twodist`` uses, and called by no program path.  Only the beta* solve's
 root listing (``roots_in_window``) runs the program's Descartes
 bisection, on the tie polynomial's squarefree part.
@@ -273,6 +274,17 @@ def reference_min_enclosing_ball(points: Sequence[Sequence[float]] | np.ndarray)
     dist = np.sqrt(np.maximum(sqnorms - 2.0 * pts @ c + c @ c, 0.0))
     near = tuple(i for i in range(n) if dist[i] >= radius - 1e-7 * max(1.0, radius))
     return Ball(c, radius, near, float(max(gap, 0.0)), lam)
+
+
+def origin_in_convex_hull(points: np.ndarray, tol: float) -> bool:
+    """Whether the unit vectors ``points`` hold the origin in their convex
+    hull: their enclosing ball's center, a convex combination of them, is
+    within ``tol`` of it (max-norm).  If some combination q is, the center
+    c is within 2|q|: the weighted mean 1 - 2 q.c + |c|^2 of |p - c|^2 is
+    at most the squared radius, which is at most 1."""
+    if points.shape[1] == 0:
+        return True
+    return float(np.abs(min_enclosing_ball(points).center).max()) <= tol
 
 
 def loop_distance_residual(config: PointConfig, g: Graph) -> float:

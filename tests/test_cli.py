@@ -116,14 +116,18 @@ class TestAnalyze:
         assert rec["factors"] == [{"size": 2, "type": "I"}] * 3
 
     def test_undecidable_exit(self, capsys, monkeypatch):
-        from twodist import geometry, invariants
+        from twodist import invariants
+        from twodist.errors import UndecidableEnclosureError
+
+        def no_separation(*args):
+            raise UndecidableEnclosureError("limit not separated from r0")
 
         invariants.clear_caches()
-        monkeypatch.setattr(geometry, "_support_certified", lambda g, s, t: False)
+        monkeypatch.setattr(invariants, "enclose_rational_limit", no_separation)
         code, out, err = run(capsys, "analyze", C5)
         assert code == 4
         assert out == ""
-        assert "proposed twice" in err
+        assert "limit not separated from r0" in err
 
 
 class TestEmbed:

@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import math
 import os
@@ -14,6 +15,7 @@ from reference import (
     ball_solve_phi,
     cmp_rational,
     loop_distance_residual,
+    origin_in_convex_hull,
     reference_min_enclosing_ball,
 )
 from twodist import geometry, invariants
@@ -29,7 +31,7 @@ from twodist.geometry import (
     MEB_GAP_RTOL,
     PointConfig,
     SQRT2,
-    _origin_in_convex_hull,
+    _origin_against_hull,
     beta_star_numeric,
     jspherical_embedding,
     kuperberg_decompose,
@@ -41,6 +43,7 @@ from twodist.geometry import (
 from twodist.graphs import (
     Graph,
     MultipartiteSignature,
+    complement,
     complement_component_sets,
     complete_multipartite,
     enumerate_graphs,
@@ -678,48 +681,106 @@ class TestBetaStar:
 
     def test_solved_once_per_graph(self, monkeypatch):
         # profile is the one route to beta*: the record (which also runs the
-        # join decomposition) and the embedding share a single solve.
+        # join decomposition) and the embedding share a single certificate.
         from twodist import cli, geometry, invariants
 
-        calls = []
-        solve = geometry.solve_phi
-
-        def counting(g, r):
-            calls.append((g, r))
-            return solve(g, r)
-
         invariants.clear_caches()
-        monkeypatch.setattr(geometry, "solve_phi", counting)
+        calls = []
+        certify = invariants.t_star
+        monkeypatch.setattr(invariants, "t_star", lambda g: calls.append(g) or certify(g))
         g = Graph.empty(4)
         cli.analysis_record(g)
         geometry.jspherical_embedding(g)
-        assert calls == [(g, 1.0)]
+        assert calls == [g]
 
     def test_join_solved_once_per_factor(self, monkeypatch):
-        # A join reads beta*^2 from its factors' profiles: one solve per
-        # non-complete factor whose r^2 is not 1/2, none for the join.
+        # A join reads beta*^2 from its factors' profiles: one certificate
+        # per non-complete factor whose r^2 is not 1/2, none for the join.
         from twodist import cli, geometry, invariants
         from twodist.graphs import complement_components, join
 
-        calls = []
-        solve = geometry.solve_phi
-
-        def counting(g, r):
-            calls.append((g, r))
-            return solve(g, r)
-
         invariants.clear_caches()
-        monkeypatch.setattr(geometry, "solve_phi", counting)
+        calls = []
+        certify = invariants.t_star
+        monkeypatch.setattr(invariants, "t_star", lambda g: calls.append(g) or certify(g))
         g = join(join(Graph.cycle(5), Graph.path(4)), Graph.complete(1))
         cli.analysis_record(g)
         geometry.jspherical_embedding(g)
         expect = [
-            (h, 1.0)
+            h
             for h in complement_components(g)
             if not is_complete(h) and not invariants.circumradius_invariant(h).is_half
         ]
-        assert expect == [(Graph.cycle(5), 1.0), (Graph.path(4), 1.0)]
+        assert expect == [Graph.cycle(5), Graph.path(4)]
         assert calls == expect
+
+
+@functools.lru_cache(maxsize=None)
+def graphs_up_to_7():
+    return tuple(g for n in range(1, 8) for g in enumerate_graphs(n))
+
+
+def complement_perron_root(g):
+    abar = np.array([[float(i != j and not g.has_edge(i, j)) for j in range(g.n)] for i in range(g.n)])
+    return float(np.linalg.eigvalsh(abar)[-1])
+
+
+class TestPerronRoot:
+    """beta*^2 = 2 t*, t* = 1 + 1/rho with rho the Perron root of the
+    complement, certified as the least root above 1 of the r0 = 1/2 tie
+    polynomial (``invariants.t_star``); ``solve_phi`` and
+    ``reference.ball_solve_phi`` are the oracles."""
+
+    def test_gram_determinant_is_tie_polynomial(self):
+        # det(I + (1 - t)Abar) = (t - 1)^n chi(1/(t - 1)) = +-(M + C),
+        # chi(x) = det(xI - Abar) = sum_i c_i x^(n - i)
+        from twodist.polynomials import IntPolynomial
+
+        shift = [(IntPolynomial.x() - IntPolynomial.const(1)) ** i for i in range(8)]
+        for g in graphs_up_to_7():
+            chi, _, _ = invariants._walk_data(complement(g))
+            det = sum(map(IntPolynomial.scale, shift, chi), IntPolynomial.zero())
+            c, m = cm_polynomials(g)
+            assert det in (m + c, -(m + c)), g
+        assert len(graphs_up_to_7()) == 1252
+
+    def test_matches_solve_phi_and_ball_oracle(self):
+        graphs = [g for g in graphs_up_to_7() if not is_complete(g)]
+        assert len(graphs) == 1245
+        for g in graphs + joins12_corpus(60):
+            got = invariants.t_star(g).scaled(2)
+            assert got.compare(solve_phi(g, 1.0)) == 0, g
+            assert got.compare(ball_solve_phi(g, 1.0)) == 0, g
+
+    def test_pool_agrees_with_perron_root(self):
+        for g in embed16_pool()[:100]:
+            expect = 2.0 + 2.0 / complement_perron_root(g)
+            got = float(invariants.profile(g).beta_star_squared)
+            assert abs(got - expect) <= 1e-12 * expect, g
+
+    def test_proposal_certifies_without_bisection(self, monkeypatch):
+        # the float Perron root proposes t*, and tau1's certificate accepts it
+        graphs = [g for n in range(2, 7) for g in enumerate_graphs(n) if not is_complete(g)]
+        for g in graphs + joins12_corpus(30):
+            invariants.clear_caches()
+            walks = count_calls(monkeypatch, invariants, "smallest_root_greater_than")
+            invariants.t_star(g)
+            monkeypatch.undo()
+            assert walks["smallest_root_greater_than"] == 0, g
+
+    def test_complete_rejected(self):
+        with pytest.raises(CompleteGraphError):
+            invariants.t_star(Graph.complete(4))
+
+    def test_joins_take_no_ball_and_no_solve(self, monkeypatch):
+        from twodist import cli
+
+        counts = count_calls(monkeypatch, geometry, "solve_phi", "realize", "min_enclosing_ball")
+        for g in joins12_corpus(60):
+            invariants.clear_caches()
+            cli.analysis_record(g)
+            kuperberg_decompose(jspherical_embedding(g))
+        assert counts == {}
 
 
 # ---------------------------------------------------------------------------
@@ -862,7 +923,8 @@ class TestKuperbergDecompose:
 
 
 # ---------------------------------------------------------------------------
-# Type I / II: the enclosing ball's center against a linear program
+# Type I / II: the projection of the origin and the reference enclosing
+# ball's center against a linear program
 # ---------------------------------------------------------------------------
 
 
@@ -946,7 +1008,7 @@ class TestOriginInConvexHull:
         count = 0
         for pts, type_one in self.blocks(np_rng):
             assert lp_origin_in_hull(pts, self.TOL) == type_one
-            assert _origin_in_convex_hull(pts, self.TOL) == type_one
+            assert origin_in_convex_hull(pts, self.TOL) == type_one
             count += 1
         assert count == 50
 
@@ -960,13 +1022,43 @@ class TestOriginInConvexHull:
             m = int(np_rng.integers(1, 2 * d + 3))
             pts = placed(unit_rows(np_rng.standard_normal((m, d))), d + 1, np_rng)
             expect = lp_origin_in_hull(pts, self.TOL)
-            assert _origin_in_convex_hull(pts, self.TOL) == expect
+            assert origin_in_convex_hull(pts, self.TOL) == expect
             seen.add(expect)
         assert seen == {True, False}
 
     def test_no_coordinates_is_type_one(self):
-        assert _origin_in_convex_hull(np.zeros((3, 0)), self.TOL)
-        assert _origin_in_convex_hull(np.zeros((1, 0)), self.TOL)
+        assert origin_in_convex_hull(np.zeros((3, 0)), self.TOL)
+        assert origin_in_convex_hull(np.zeros((1, 0)), self.TOL)
+
+    def test_projection_agrees_with_lp_on_independent_families(self):
+        # kuperberg_decompose's one projection of the origin, on the
+        # affinely independent families.  The origin is on the affine hull
+        # of the simplex, and of a cap whose hull spans the cap's own
+        # coordinates, where only the negative weights make it Type II.
+        np_rng = np.random.default_rng(20240613)
+        count = 0
+        for k in range(1, 6):
+            families = [  # (points, Type I?, origin on the affine hull?)
+                (regular_simplex(k), True, True),
+                (np.eye(k), False, False),
+                (spherical_cap(k + 2, k + 1, np_rng), False, True),
+                (unit_rows(np_rng.standard_normal((1, k))), False, False),
+            ]
+            for block, type_one, on_hull in families:
+                for extra in (0, 2):
+                    pts = placed(block, block.shape[1] + extra, np_rng)
+                    assert lp_origin_in_hull(pts, self.TOL) == type_one
+                    inside, distance = _origin_against_hull(pts)
+                    assert inside == type_one
+                    assert (distance <= self.TOL) == on_hull
+                    count += 1
+        assert count == 40
+
+    def test_dependent_block_raises(self):
+        # antipodal pairs in more than one direction: affinely dependent
+        half = unit_rows(np.random.default_rng(3).standard_normal((2, 3)))
+        with pytest.raises(GeometricInconsistencyError, match="affine rank"):
+            _origin_against_hull(np.vstack([half, -half]))
 
 
 def test_import_loads_no_scipy():
