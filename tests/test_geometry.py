@@ -760,7 +760,7 @@ class TestPerronRoot:
 
     def test_proposal_certifies_without_bisection(self, monkeypatch):
         # the float Perron root proposes t*, and tau1's certificate accepts it
-        graphs = [g for n in range(2, 7) for g in enumerate_graphs(n) if not is_complete(g)]
+        graphs = [g for g in graphs_up_to_7() if g.n <= 6 and not is_complete(g)]
         for g in graphs + joins12_corpus(30):
             invariants.clear_caches()
             walks = count_calls(monkeypatch, invariants, "smallest_root_greater_than")
@@ -834,6 +834,13 @@ class TestJSphericalEmbedding:
     def test_complete_rejected(self):
         with pytest.raises(CompleteGraphError):
             jspherical_embedding(Graph.complete(3))
+
+    def test_long_distance_past_beta_star_raises(self, monkeypatch):
+        # above beta* the Gram matrix I + (1 - t)Abar has a negative eigenvalue
+        wrong = beta_star_numeric(Graph.cycle(5)) * 1.01
+        monkeypatch.setattr(geometry, "beta_star_numeric", lambda g: wrong)
+        with pytest.raises(GeometricInconsistencyError, match="eigenvalue"):
+            jspherical_embedding(Graph.cycle(5))
 
 
 class TestKuperbergDecompose:
