@@ -4,10 +4,11 @@ Subcommands: analyze, embed, decompose, batch, catalog, verify.
 
 Exit codes: 0 success; 2 parse error, unreadable input, bad filter,
 environment value or configuration (a negative or non-finite tolerance,
-negative precision bits); 3 size limit; 4 undecidable enclosure; 5
-infeasible distance (also one not finite and positive, or with a square
-or squared ratio that is not finite or is subnormal); 6 complete graph
-where a J-spherical operation was requested; 7 geometric inconsistency.
+negative precision bits, a verify grid below 1); 3 size limit; 4
+undecidable enclosure; 5 infeasible distance (also one not finite and
+positive, or with a square or squared ratio that is not finite or is
+subnormal); 6 complete graph where a J-spherical operation was requested;
+7 geometric inconsistency.
 """
 
 from __future__ import annotations
@@ -155,13 +156,18 @@ def _cmd_embed(args) -> int:
         raise GeometricInconsistencyError(
             f"embedding distance residual {residual:.3e}"
         )
-    ball = geometry.min_enclosing_ball(config.points)
+    if args.model == "jspherical":
+        # On the unit sphere, and at beta* the origin is in the points'
+        # convex hull (invariants.t_star): the enclosing radius is 1.
+        radius = 1.0
+    else:
+        radius = geometry.min_enclosing_ball(config.points).radius
     out = {
         "points": [[_dec(v) for v in row] for row in config.points],
         "a": _dec(config.a),
         "b": _dec(config.b),
         "rank": config.rank,
-        "radius": _dec(ball.radius),
+        "radius": _dec(radius),
     }
     print(json.dumps(out))
     return 0
@@ -276,6 +282,9 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.grid < 1:
+        print(f"--grid must be >= 1, got {args.grid}", file=sys.stderr)
+        return EXIT_PARSE
     graphs: list[Graph] = []
     if args.input:
         with open(args.input, "r", encoding="ascii") as fh:

@@ -1,8 +1,10 @@
 """Numerical realization of two-distance configurations.
 
 Coordinates come from double-centering the squared-distance matrix and an
-eigendecomposition; enclosing balls from exact-support pivoting, certified
-by the duality gap of the support's barycentric weights.  On top of those:
+eigendecomposition.  An enclosing ball is proposed first, its support by
+a few block principal pivots, then certified by the duality gap of the
+support's barycentric weights; failing either, exact-support pivoting
+walks to it, under the same certificate.  On top of those:
 the monotone enclosing-ball radius function of the long distance, and its
 exact inverse ``solve_phi`` for any radius.  That one realizes no
 coordinates: a float active set on the squared distances proposes the
@@ -57,6 +59,9 @@ MEB_GAP_RTOL = 1e-14
 HULL_TOL = 1e-8
 # Cross-factor orthogonality tolerance in point-set decomposition.
 ORTH_TOL = 1e-7
+# Block pivots ``min_enclosing_ball`` spends on proposing a support before
+# it walks.
+PROPOSAL_PIVOTS = 8
 # Relative distance from the float tau1 within which a float t counts as
 # the window end in ``solve_phi``'s proposals.
 END_RTOL = 1e-9
@@ -117,11 +122,12 @@ class PointFactorization:
 
 def realize(g: Graph, b: float, a: float = 1.0) -> PointConfig:
     """Coordinates of the two-distance configuration of g with distances
-    a on edges and b elsewhere.  The ratio (b/a)^2 must lie in the
-    feasible window of g (checked against the exact enclosures).  Both
-    distances must be finite and positive, and their squares and squared
-    ratio finite and normal: a subnormal square would collapse the Gram
-    matrix below its eigenvalue floor."""
+    a on edges and b elsewhere.  The ratio t = (b/a)^2 must lie in the
+    feasible window of g.  As tau0 < 1 < tau1, only the window end on t's
+    side of 1 is certified and checked; the other end is computed only
+    for the error message.  Both distances must be finite and positive,
+    and their squares and squared ratio finite and normal: a subnormal
+    square would collapse the Gram matrix below its eigenvalue floor."""
     if not (0 < a < math.inf and 0 < b < math.inf):
         raise InfeasibleDistanceError(f"distances must be finite and > 0, got a={a}, b={b}")
     n = g.n
@@ -136,9 +142,15 @@ def realize(g: Graph, b: float, a: float = 1.0) -> PointConfig:
         raise InfeasibleDistanceError(
             f"a^2, b^2 or (b/a)^2 is subnormal or not finite (a={a:.3g}, b={b:.3g})"
         )
-    lo, hi = invariants.feasible_interval(g)
     slack = get_config().feas_slack * max(1.0, abs(t))
-    if t < lo - slack or t > hi + slack:
+    if t > 1.0:
+        end = invariants.tau1_mu(g)[0]
+        outside = end is not None and t > float(end) + slack
+    else:
+        end = invariants.tau0(g) if t < 1.0 else None
+        outside = end is not None and t < float(end) - slack
+    if outside:
+        lo, hi = invariants.feasible_interval(g)
         raise InfeasibleDistanceError(
             f"t={t:.12g} outside feasible window [{lo:.12g}, {hi:.12g}]"
         )
@@ -185,23 +197,118 @@ def _unscaled_gap(gap: float, e: int) -> float:
         return math.inf
 
 
+def _ball(
+    pts: np.ndarray, rel: np.ndarray, e: int, sqnorms: np.ndarray, lam: np.ndarray
+) -> Ball:
+    """The ball of the barycentric weights ``lam`` on ``rel``, the points
+    ``pts`` less pts[0], scaled by 2**-e (``sqnorms`` their squared
+    norms), certified there and returned at the points' own scale.  A
+    duality gap above ``MEB_GAP_RTOL`` * max(1, max |rel|^2) raises
+    ``GeometricInconsistencyError``."""
+    c, r2, gap = _dual_certificate(rel, sqnorms, lam)
+    bound = MEB_GAP_RTOL * max(1.0, float(sqnorms.max()))
+    if gap > bound:
+        raise GeometricInconsistencyError(
+            f"enclosing ball duality gap {_unscaled_gap(gap, e):.3g} "
+            f"above {_unscaled_gap(bound, e):.3g}"
+        )
+    radius = math.sqrt(max(r2, 0.0))
+    dist = np.sqrt(np.maximum(sqnorms - 2.0 * rel @ c + c @ c, 0.0))
+    near = tuple(i for i in range(len(rel)) if dist[i] >= radius - 1e-7 * max(1.0, radius))
+    return Ball(
+        pts[0] + np.ldexp(c, e),
+        float(np.ldexp(radius, e)),
+        near,
+        _unscaled_gap(max(gap, 0.0), e),
+        lam,
+    )
+
+
+def _bordered_solve(d: np.ndarray, support: Sequence[int]) -> tuple[np.ndarray, float]:
+    """(lam, nu) solving [[D_T, 1], [1^T, 0]] [lam; nu] = [0; 1] for the
+    points T = ``support``: the barycentric weights of T's circumcenter,
+    and nu = -2 R_T^2.  A singular system raises ``LinAlgError``."""
+    k = len(support)
+    m = np.ones((k + 1, k + 1))
+    m[:k, :k] = d[np.ix_(support, support)]
+    m[k, k] = 0.0
+    rhs = np.zeros(k + 1)
+    rhs[k] = 1.0
+    x = np.linalg.solve(m, rhs)
+    return x[:k], float(x[k])
+
+
+def _proposed_weights(rel: np.ndarray, sqnorms: np.ndarray) -> Optional[np.ndarray]:
+    """The barycentric weights of the enclosing ball's center, 0 off its
+    support T, proposed by block principal pivoting (Judice & Pires 1994);
+    None when no proposal is accepted within ``PROPOSAL_PIVOTS`` pivots.
+
+    The squared distances D come from one Gram matrix of the points
+    ``rel`` (squared norms ``sqnorms``).  T starts as the points whose mean
+    squared distance is at least the mean.  Each pivot is one bordered
+    solve on T (``_bordered_solve``); T then keeps its points of positive
+    weight and takes in every point outside the sphere, by more than
+    ``_active_set``'s tolerance.  A pivot that keeps T is accepted when T
+    is affinely independent: the square of every diagonal entry of the
+    Cholesky factor of its difference Gram matrix exceeds ``RANK_RTOL``
+    times the Gram matrix's own diagonal entry there."""
+    n = len(rel)
+    d = sqnorms[:, None] + sqnorms - 2.0 * (rel @ rel.T)
+    np.fill_diagonal(d, 0.0)
+    tol = 1e-12 * max(1.0, float(d.max()))
+    mean = d.mean(axis=1)
+    member = mean >= mean.mean()
+    for _ in range(PROPOSAL_PIVOTS):
+        support = np.flatnonzero(member)
+        try:
+            lam, nu = _bordered_solve(d, support)
+        except np.linalg.LinAlgError:
+            return None
+        outside = d[:, support] @ lam + nu > tol  # |p_j - c|^2 - R^2
+        outside[support] = False
+        positive = lam > 0.0
+        if positive.all() and not outside.any():
+            diff = rel[support[1:]] - rel[support[0]]
+            gram = diff @ diff.T
+            try:
+                diagonal = np.diag(np.linalg.cholesky(gram))
+            except np.linalg.LinAlgError:
+                return None
+            if not (diagonal * diagonal > RANK_RTOL * np.diag(gram)).all():
+                return None
+            weights = np.zeros(n)
+            weights[support] = lam
+            return weights
+        member[support[~positive]] = False
+        member |= outside
+    return None
+
+
 def min_enclosing_ball(points: Sequence[Sequence[float]] | np.ndarray) -> Ball:
     """Smallest ball containing the points, with a dual certificate.
 
-    Exact-support pivoting (Fischer, Gaertner & Kutz 2003): the center walks
-    toward the circumcenter of aff(T), T the points on its sphere; a point
-    reaching the sphere joins T, and at the circumcenter the most negative
-    barycentric weight leaves T until none is negative.  The QR factors of
-    T's difference vectors are updated, not recomputed: a point that joins
-    T appends one Gram-Schmidt column, orthogonalized twice (Daniel, Gragg,
-    Kaufman & Stewart 1976), and only a point that leaves T refactors.
+    Three steps: a proposal, its certificate, and the walk as fallback.
+    ``_proposed_weights`` proposes the support by block principal
+    pivoting; when it is accepted and its duality gap certifies it, that
+    is the ball.  Otherwise the walk decides, under the same certificate.
 
-    The walk and its certificate run on the differences p - p_0 divided by
-    s, the least power of two above their largest absolute coordinate (an
-    exact scaling), so every tolerance is relative to the data.  A duality
-    gap above ``MEB_GAP_RTOL`` * max(s^2, max |p - p_0|^2), or no optimum
-    in 20n pivots, raises ``GeometricInconsistencyError``.  ``support``
-    lists every point within 1e-7 * max(s, radius) of the sphere."""
+    The walk is exact-support pivoting (Fischer, Gaertner & Kutz 2003):
+    the center walks toward the circumcenter of aff(T), T the points on
+    its sphere; a point reaching the sphere joins T, and at the
+    circumcenter the most negative barycentric weight leaves T until none
+    is negative.  The QR factors of T's difference vectors are updated,
+    not recomputed: a point that joins T appends one Gram-Schmidt column,
+    orthogonalized twice (Daniel, Gragg, Kaufman & Stewart 1976), and only
+    a point that leaves T refactors.
+
+    All three run on the differences p - p_0 divided by s, the least
+    power of two above their largest absolute coordinate (an exact
+    scaling), so every tolerance is relative to the data.  A walk whose
+    duality gap is above ``MEB_GAP_RTOL`` * max(s^2, max |p - p_0|^2), or
+    that reaches no optimum in 20n pivots, raises
+    ``GeometricInconsistencyError``.  ``support`` lists every point within
+    1e-7 * max(s, radius) of the sphere; the points of positive
+    ``weights`` are affinely independent."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-d array")
@@ -209,6 +316,13 @@ def min_enclosing_ball(points: Sequence[Sequence[float]] | np.ndarray) -> Ball:
     rel = pts - pts[0]  # rounding at the ball's scale, not the origin's
     e = math.frexp(float(np.abs(rel).max(initial=0.0)))[1]
     rel = np.ldexp(rel, -e)
+    sqnorms = (rel * rel).sum(axis=1)
+    lam = _proposed_weights(rel, sqnorms)
+    if lam is not None:
+        try:
+            return _ball(pts, rel, e, sqnorms, lam)
+        except GeometricInconsistencyError:
+            pass  # the walk decides
     # T is affinely independent: at most min(n, d + 1) points.  With k + 1
     # points, q.T = basis[:, :k] @ tri[:k, :k] for the rows q of
     # rel[T[1:]] - t0, and the circumcenter t0 + basis[:, :k] @ y[:k] of
@@ -217,7 +331,7 @@ def min_enclosing_ball(points: Sequence[Sequence[float]] | np.ndarray) -> Ball:
     basis = np.empty((d, cap))
     tri = np.zeros((cap, cap))
     y = np.empty(cap)
-    support = [int(np.argmax((rel * rel).sum(axis=1)))]
+    support = [int(np.argmax(sqnorms))]
     t0 = rel[support[0]]
     target = t0
     c = np.zeros(d)
@@ -276,25 +390,7 @@ def min_enclosing_ball(points: Sequence[Sequence[float]] | np.ndarray) -> Ball:
         raise GeometricInconsistencyError(
             f"enclosing ball: no optimum in {20 * n} pivots"
         )
-    lam = np.bincount(support, weights, n)
-    sqnorms = (rel * rel).sum(axis=1)
-    c, r2, gap = _dual_certificate(rel, sqnorms, lam)
-    bound = MEB_GAP_RTOL * max(1.0, float(sqnorms.max()))
-    if gap > bound:
-        raise GeometricInconsistencyError(
-            f"enclosing ball duality gap {_unscaled_gap(gap, e):.3g} "
-            f"above {_unscaled_gap(bound, e):.3g}"
-        )
-    radius = math.sqrt(max(r2, 0.0))
-    dist = np.sqrt(np.maximum(sqnorms - 2.0 * rel @ c + c @ c, 0.0))
-    near = tuple(i for i in range(n) if dist[i] >= radius - 1e-7 * max(1.0, radius))
-    return Ball(
-        pts[0] + np.ldexp(c, e),
-        float(np.ldexp(radius, e)),
-        near,
-        _unscaled_gap(max(gap, 0.0), e),
-        lam,
-    )
+    return _ball(pts, rel, e, sqnorms, np.bincount(support, weights, n))
 
 
 # ---------------------------------------------------------------------------
@@ -342,20 +438,6 @@ def _squared_distances(adjacency: np.ndarray, t: float) -> np.ndarray:
     d = t - (t - 1.0) * adjacency
     np.fill_diagonal(d, 0.0)
     return d
-
-
-def _bordered_solve(d: np.ndarray, support: list[int]) -> tuple[np.ndarray, float]:
-    """(lam, nu) solving [[D_T, 1], [1^T, 0]] [lam; nu] = [0; 1] for the
-    points T = ``support``: the barycentric weights of T's circumcenter,
-    and nu = -2 R_T^2.  A singular system raises ``LinAlgError``."""
-    k = len(support)
-    m = np.ones((k + 1, k + 1))
-    m[:k, :k] = d[np.ix_(support, support)]
-    m[k, k] = 0.0
-    rhs = np.zeros(k + 1)
-    rhs[k] = 1.0
-    x = np.linalg.solve(m, rhs)
-    return x[:k], float(x[k])
 
 
 def _active_set(

@@ -363,37 +363,37 @@ def _root_below_one(
 
 
 @functools.lru_cache(maxsize=None)
-def _window(
-    g: Graph,
-) -> tuple[Optional[tuple[AlgebraicReal, int]], Optional[AlgebraicReal]]:
-    """The ends of the feasible window from one spectrum and one
-    squarefree split of C: (tau1 with its multiplicity, or None; tau0, or
-    None).  C's roots are x/(1 + x) over the eigenvalues x of B, and
-    x/(1 + x) increases in x on each side of -1: the smallest eigenvalue,
-    when below -1, proposes tau1, the smallest root above 1; the largest,
-    when positive, proposes tau0, the largest root in (0, 1)."""
+def _c_split(g: Graph) -> tuple[IntPolynomial, list[tuple[IntPolynomial, int]]]:
+    """C and its squarefree split, on which both ends of the feasible
+    window are certified."""
     c, _ = cm_polynomials(g)
-    factors = squarefree_decomposition(c)
-    x = _spectrum_end(g, largest=False)
-    above = next(roots_above_one(c, factors, x / (1 + x) if x < -1 else None), None)
-    x = _spectrum_end(g, largest=True)
-    return above, _root_below_one(c, x / (1 + x) if x > 0 else None, factors)
+    return c, squarefree_decomposition(c)
 
 
 @functools.lru_cache(maxsize=None)
 def tau1_mu(g: Graph) -> tuple[Optional[AlgebraicReal], int]:
     """Smallest root of C strictly above 1 with its exact multiplicity;
-    (None, 0) when every root is <= 1.  Read from ``_window``."""
-    got = _window(g)[0]
+    (None, 0) when every root is <= 1.  C's roots are x/(1 + x) over the
+    eigenvalues x of B (``_spectrum``), and x/(1 + x) increases in x on
+    each side of -1: the smallest eigenvalue, when below -1, proposes it
+    to ``roots_above_one`` on C's cached split (``_c_split``)."""
+    x = _spectrum_end(g, largest=False)
+    c, factors = _c_split(g)
+    got = next(roots_above_one(c, factors, x / (1 + x) if x < -1 else None), None)
     return (None, 0) if got is None else got
 
 
+@functools.lru_cache(maxsize=None)
 def tau0(g: Graph) -> Optional[AlgebraicReal]:
     """Lower endpoint of the feasible window (None means the window
     extends to 0): the largest root of C in (0, 1), which is 1/tau1 of the
-    complement, since the complement's C is t^(n-1) C(1/t).  Read from
-    ``_window``, which certifies it on C's own squarefree split."""
-    return _window(g)[1]
+    complement, since the complement's C is t^(n-1) C(1/t).  The largest
+    eigenvalue of B, when positive, proposes it to ``_root_below_one`` on
+    the split tau1 uses (``_c_split``), from the same cached spectrum.
+    Certified only when asked: ``realize`` above t = 1 never asks."""
+    x = _spectrum_end(g, largest=True)
+    c, factors = _c_split(g)
+    return _root_below_one(c, x / (1 + x) if x > 0 else None, factors)
 
 
 @functools.lru_cache(maxsize=None)
@@ -512,8 +512,9 @@ def clear_caches() -> None:
     cm_polynomials.cache_clear()
     bordered_adjugate.cache_clear()
     _spectrum.cache_clear()
-    _window.cache_clear()
+    _c_split.cache_clear()
     tau1_mu.cache_clear()
+    tau0.cache_clear()
     circumradius_invariant.cache_clear()
     t_star.cache_clear()
     profile.cache_clear()

@@ -221,10 +221,47 @@ class TestEmbed:
             return c, primal, gap + 1e-6
 
         monkeypatch.setattr(geometry, "_dual_certificate", loose)
-        code, out, err = run(capsys, "embed", OCTA, "--model", "jspherical")
+        code, out, err = run(capsys, "embed", OCTA, "--model", "euclidean")
         assert code == 7
         assert out == ""
         assert "duality gap" in err
+
+    def test_jspherical_radius_without_ball(self, capsys, monkeypatch):
+        # the points lie on the unit sphere and beta* puts the origin in
+        # their hull: radius 1, with no enclosing ball solved
+        from twodist import geometry
+
+        def refuse(points):
+            raise AssertionError("embed --model jspherical solved a ball")
+
+        monkeypatch.setattr(geometry, "min_enclosing_ball", refuse)
+        for word in (OCTA, C5, "Bg"):
+            code, out, _ = run(capsys, "embed", word, "--model", "jspherical")
+            assert code == 0 and json.loads(out)["radius"] == 1.0
+
+    def test_window_end_on_the_side_of_t(self, capsys, monkeypatch):
+        # tau1 bounds t > 1 and tau0 bounds t < 1: embed at tau1 certifies
+        # no tau0, and --b 0.5 certifies it once, also when t is outside
+        from twodist import invariants
+
+        calls = []
+        original = invariants._root_below_one
+        monkeypatch.setattr(
+            invariants, "_root_below_one", lambda *args: calls.append(args) or original(*args)
+        )
+        invariants.clear_caches()
+        try:
+            for word in (OCTA, C5, "Bg", "BW", to_graph6(Graph.petersen())):
+                assert run(capsys, "embed", word)[0] == 0
+            assert calls == []
+            for word, code in (("BW", 0), (C5, 5)):
+                invariants.clear_caches()
+                calls.clear()
+                got, _, err = run(capsys, "embed", word, "--b", "0.5")
+                assert got == code and len(calls) == 1
+            assert "t=0.25 outside feasible window [0.38196601125, 2.61803398875]" in err
+        finally:
+            invariants.clear_caches()
 
     def test_spherical_model(self, capsys):
         code, out, _ = run(capsys, "embed", C5, "--model", "spherical")
@@ -396,6 +433,13 @@ class TestVerifyCommand:
         assert len(reports) == 1 and reports[0]["ok"]
         names = [c["name"] for c in reports[0]["checks"]]
         assert "f-monotonicity-probe" in names
+
+    def test_grid_below_one_exit(self, capsys):
+        for grid in ("0", "-1"):
+            code, out, err = run(capsys, "verify", "--max-n", "3", "--probe", "--grid", grid)
+            assert code == 2
+            assert out == ""
+            assert f"--grid must be >= 1, got {grid}" in err
 
 
 class TestConfig:

@@ -6,6 +6,8 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -51,6 +53,7 @@ from twodist.graphs import (
     parse_graph6,
 )
 from twodist.invariants import cm_polynomials, feasible_interval
+from twodist.polynomials import sign_at
 
 
 def disjoint_cliques(*sizes):
@@ -96,6 +99,18 @@ class TestRealize:
     def test_infeasible_below_window(self):
         with pytest.raises(InfeasibleDistanceError):
             realize(Graph.cycle(5), 0.5)  # t = 0.25 < (3-sqrt5)/2
+
+    def test_window_messages_name_both_ends(self):
+        # only the end on t's side is checked, yet the message holds both
+        for g in graphs_up_to_7()[:60]:
+            lo, hi = feasible_interval(g)
+            for t in (lo / 2, 1.5 * hi):
+                if 0.0 < t < math.inf:
+                    b = math.sqrt(t)
+                    with pytest.raises(InfeasibleDistanceError) as err:
+                        realize(g, b)
+                    expect = f"t={b * b:.12g} outside feasible window [{lo:.12g}, {hi:.12g}]"
+                    assert str(err.value) == expect
 
     def test_distances_finite_and_positive(self):
         # Before any window test: a NaN ratio would pass it and fail in eigh.
@@ -327,18 +342,26 @@ def random_clouds():
             yield 7.0 + pts * gen.uniform(0.5, 3.0, d)
 
 
+def walk_only():
+    """``min_enclosing_ball`` with no proposal: the walk decides."""
+    return mock.patch.object(geometry, "_proposed_weights", return_value=None)
+
+
 class TestUpdatedQR:
-    """The ball against ``reference_min_enclosing_ball``, which factors T
-    afresh at every pivot."""
+    """The ball, and the walk alone, against ``reference_min_enclosing_ball``,
+    which factors T afresh at every pivot."""
 
     @staticmethod
     def assert_same_ball(points):
         pts = np.asarray(points, float)
-        ball, ref = min_enclosing_ball(pts), reference_min_enclosing_ball(pts)
+        ref = reference_min_enclosing_ball(pts)
+        with walk_only():
+            walked = min_enclosing_ball(pts)
         scale = float(np.abs(pts).max())
-        assert abs(ball.radius - ref.radius) <= 1e-12 * scale
-        assert float(np.abs(ball.center - ref.center).max()) <= 1e-12 * scale
-        assert_certified(pts, ball, ref.support)
+        for ball in (min_enclosing_ball(pts), walked):
+            assert abs(ball.radius - ref.radius) <= 1e-12 * scale
+            assert float(np.abs(ball.center - ref.center).max()) <= 1e-12 * scale
+            assert_certified(pts, ball, ref.support)
 
     def test_catalog_configurations(self):
         gen = np.random.default_rng(31)
@@ -390,7 +413,10 @@ class TestUpdatedQR:
 
         monkeypatch.setattr(np.linalg, "qr", counted)
         # The regular simplex: every pivot adds a point.
-        min_enclosing_ball(realize(Graph.empty(16), SQRT2, SQRT2).points)
+        simplex = realize(Graph.empty(16), SQRT2, SQRT2).points
+        min_enclosing_ball(simplex)
+        with walk_only():
+            min_enclosing_ball(simplex)
         assert calls == []
         # The reference factors once per pivot, and each pivot adds a point
         # to T, removes one, or ends: its pivots P and final |T| give the
@@ -403,8 +429,57 @@ class TestUpdatedQR:
             calls.clear()
             min_enclosing_ball(pts)
             assert len(calls) <= left
+            calls.clear()
+            with walk_only():
+                min_enclosing_ball(pts)
+            assert len(calls) <= left
             removals += left
         assert removals > 0
+
+
+class TestBallProposal:
+    """A block-pivoting proposal of the support, certified by the duality
+    gap, comes before the walk; ``reference_min_enclosing_ball``, the walk
+    alone, is the oracle.  Checked at the embedding that ``embed`` prints,
+    t = tau1 (t = 4 where there is no tau1)."""
+
+    @staticmethod
+    def balls_against_oracle(graphs, monkeypatch):
+        """(number of balls, number certified from the proposal)."""
+        proposed = []
+        original = geometry._proposed_weights
+        monkeypatch.setattr(
+            geometry,
+            "_proposed_weights",
+            lambda *args: proposed.append(original(*args)) or proposed[-1],
+        )
+        certified = 0
+        for g in graphs:
+            tau1 = invariants.tau1_mu(g)[0]
+            pts = realize(g, 2.0 if tau1 is None else math.sqrt(float(tau1))).points
+            proposed.clear()
+            ball = min_enclosing_ball(pts)
+            assert abs(ball.radius - reference_min_enclosing_ball(pts).radius) <= 1e-12, g
+            if ball.weights is not proposed[0]:
+                continue  # the walk decided
+            certified += 1
+            # T is affinely independent exactly: its bordered determinant
+            # C_T does not vanish at t
+            support = tuple(np.flatnonzero(ball.weights > 0.0).tolist())
+            c_t = cm_polynomials(g.induced(support))[0]
+            if tau1 is None:
+                assert c_t(Fraction(4)) != 0, g
+            else:
+                assert sign_at(c_t, tau1) != 0, (g, support)
+        return len(graphs), certified
+
+    def test_pool_certified_from_proposal(self, monkeypatch):
+        balls, certified = self.balls_against_oracle(embed16_pool(), monkeypatch)
+        assert certified >= 0.8 * balls
+
+    def test_small_graphs_against_walk(self, monkeypatch):
+        balls, certified = self.balls_against_oracle(graphs_up_to_7(), monkeypatch)
+        assert balls == 1252 and certified >= 0.75 * balls
 
 
 # ---------------------------------------------------------------------------
