@@ -4,11 +4,11 @@ Subcommands: analyze, embed, decompose, batch, catalog, verify.
 
 Exit codes: 0 success; 2 parse error, unreadable input, bad filter,
 environment value or configuration (a negative or non-finite tolerance,
-negative precision bits, a verify grid below 1); 3 size limit; 4
-undecidable enclosure; 5 infeasible distance (also one not finite and
-positive, or with a square or squared ratio that is not finite or is
-subnormal); 6 complete graph where a J-spherical operation was requested;
-7 geometric inconsistency.
+negative precision bits, a vertex limit (--max-n, TWODIST_MAX_N) below 1,
+a verify grid below 1); 3 size limit; 4 undecidable enclosure; 5
+infeasible distance (also one not finite and positive, or with a square or
+squared ratio that is not finite or is subnormal); 6 complete graph
+where a J-spherical operation was requested; 7 geometric inconsistency.
 """
 
 from __future__ import annotations
@@ -127,8 +127,12 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_embed(args) -> int:
     g = _load_graph(args)
+    # J-spherical points lie on the unit sphere with the origin in their hull
+    # (invariants.t_star): radius 1, or 1/sqrt(2) for the scaled copy.
+    radius = None
     if args.model == "jspherical":
         config = geometry.jspherical_embedding(g)
+        radius = 1.0
     elif args.model == "euclidean":
         if args.b is not None:
             b = args.b
@@ -136,31 +140,20 @@ def _cmd_embed(args) -> int:
             root, _ = tau1_mu(g)
             b = math.sqrt(float(root)) if root is not None else 2.0
         config = geometry.realize(g, b)
-    else:  # spherical
-        if is_complete(g):
-            config = geometry.realize(g, 2.0)
-        else:
-            root, _ = tau1_mu(g)
-            if circumradius_invariant(g).is_finite:
-                config = geometry.realize(g, math.sqrt(float(root)))
-            else:
-                js = geometry.jspherical_embedding(g)
-                config = geometry.PointConfig(
-                    js.points / math.sqrt(2.0),
-                    1.0,
-                    js.b / math.sqrt(2.0),
-                    js.rank,
-                )
+    elif is_complete(g):  # spherical from here on
+        config = geometry.realize(g, 2.0)
+    elif circumradius_invariant(g).is_finite:
+        config = geometry.realize(g, math.sqrt(float(tau1_mu(g)[0])))
+    else:
+        js, root2 = geometry.jspherical_embedding(g), math.sqrt(2.0)
+        config = geometry.PointConfig(js.points / root2, 1.0, js.b / root2, js.rank)
+        radius = math.sqrt(0.5)  # correctly rounded, unlike 1 / root2
     residual = config.max_distance_residual(g)
     if residual > 1e-6:
         raise GeometricInconsistencyError(
             f"embedding distance residual {residual:.3e}"
         )
-    if args.model == "jspherical":
-        # On the unit sphere, and at beta* the origin is in the points'
-        # convex hull (invariants.t_star): the enclosing radius is 1.
-        radius = 1.0
-    else:
+    if radius is None:
         radius = geometry.min_enclosing_ball(config.points).radius
     out = {
         "points": [[_dec(v) for v in row] for row in config.points],

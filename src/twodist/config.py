@@ -30,6 +30,8 @@ class Config:
     r2_width: Fraction = Fraction(1, 10**12)
 
     def __post_init__(self):
+        if self.max_n < 1:
+            raise ValueError(f"max_n must be >= 1, got {self.max_n}")
         for field in fields(self):
             value = getattr(self, field.name)
             if isinstance(value, float) and not 0 <= value < math.inf:

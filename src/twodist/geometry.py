@@ -17,9 +17,9 @@ embedding's Gram matrix is I + (1 - t)Abar (Abar the complement's
 adjacency matrix, t = beta*^2/2), and each join block, affinely
 independent, is Type I or Type II by the projection of the origin onto its
 affine hull.  The long distance beta* is obtained once, in
-``invariants.profile`` (from the complement's Perron root, certified by
-``invariants.t_star``); ``beta_star_numeric`` and ``jspherical_embedding``
-read that cached value.
+``invariants.beta_star_squared`` (from the complement's Perron root,
+certified by ``invariants.t_star``); ``beta_star_numeric`` and
+``jspherical_embedding`` read that cached value.
 """
 
 from __future__ import annotations
@@ -588,16 +588,14 @@ def solve_phi(g: Graph, r: float) -> AlgebraicReal:
 
 def beta_star_numeric(g: Graph) -> float:
     """Long distance of the J-spherical representation (unit sphere, short
-    distance sqrt(2)), read from the exact beta*^2 of the cached
-    ``invariants.profile``."""
-    if is_complete(g):
-        raise CompleteGraphError("complete graphs have no such representation")
-    return math.sqrt(float(invariants.profile(g).beta_star_squared))
+    distance sqrt(2)), read from the cached exact
+    ``invariants.beta_star_squared``."""
+    return math.sqrt(float(invariants.beta_star_squared(g)))
 
 
 def jspherical_embedding(g: Graph) -> PointConfig:
     """Coordinates of the unit-sphere representation with short distance
-    sqrt(2) and long distance beta* from ``invariants.profile``.  Its Gram
+    sqrt(2) and long distance beta* from ``beta_star_numeric``.  Its Gram
     matrix is G(t) = I + (1 - t)Abar at t = beta*^2/2, Abar = J - I - A the
     complement's adjacency matrix: inner products 0 on edges and 1 - t on
     non-edges, 1 on the diagonal.  The points are G's eigenvectors scaled by

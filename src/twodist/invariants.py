@@ -95,16 +95,27 @@ class RSquared:
 
 @dataclass(frozen=True)
 class TwoDistanceProfile:
+    graph: Graph
     n: int
     tau1: Optional[AlgebraicReal]  # None means +infinity
     mu: int
-    tau0: Optional[AlgebraicReal]  # None means 0
     dim_e: int
     dim_s: int
     dim_j: Optional[int]  # None for complete graphs
     r_squared: RSquared
     beta_star_squared: Optional[AlgebraicReal]  # None for complete graphs
-    flags: tuple[str, ...] = ()
+
+    @functools.cached_property
+    def tau0(self) -> Optional[AlgebraicReal]:
+        """The window's lower end (None means 0), certified on first access."""
+        return tau0(self.graph)
+
+    @functools.cached_property
+    def flags(self) -> tuple[str, ...]:
+        """("tau0-advisory",) when g or its complement is complete multipartite."""
+        g = self.graph
+        advisory = is_complete_multipartite(g) or is_complete_multipartite(complement(g))
+        return ("tau0-advisory",) if advisory else ()
 
 
 def _newton(power_sums: list[int]) -> list[int]:
@@ -449,39 +460,33 @@ def t_star(g: Graph) -> AlgebraicReal:
 
 
 @functools.lru_cache(maxsize=None)
+def beta_star_squared(g: Graph) -> AlgebraicReal:
+    """beta*^2 = 2 t* of a non-complete graph, refined to ``tau_width``.  For
+    a join, the least over its non-complete factors (the complement's
+    components), compared exactly: Abar is block-diagonal, so its Perron
+    root is the largest block's.  Otherwise 2 t* from ``t_star``."""
+    if is_complete(g):
+        raise CompleteGraphError("complete graphs have no such representation")
+    factors = complement_components(g)
+    if len(factors) == 1:
+        return t_star(g).scaled(2).refined(get_config().tau_width)
+    betas = (beta_star_squared(h) for h in factors if not is_complete(h))
+    return min(betas, key=functools.cmp_to_key(AlgebraicReal.compare))
+
+
+@functools.lru_cache(maxsize=None)
 def profile(g: Graph) -> TwoDistanceProfile:
-    """Full invariant record of a graph, and the one place beta* is
-    obtained, as the exact algebraic number beta*^2: 2*tau1 when
-    r^2 = 1/2; else, for a join, the least beta*^2 of its non-complete
-    factors (the complement's components, the join structure that
-    ``joins`` orders by), compared exactly; else 2 t* from ``t_star``.
-    All three are 2 t*; the first two reuse roots the record already
-    holds."""
+    """Full invariant record of a graph; tau0 and the flags are computed when read."""
     n = g.n
     root, mu = tau1_mu(g)
-    t0 = tau0(g)
     dim_e = n - mu - 1
     r2 = circumradius_invariant(g)
     dim_s = dim_e if r2.is_finite else n - 1
-    flags: list[str] = []
-    if is_complete_multipartite(g) or is_complete_multipartite(complement(g)):
-        flags.append("tau0-advisory")
     if is_complete(g):
-        return TwoDistanceProfile(
-            n, root, mu, t0, dim_e, dim_s, None, r2, None, tuple(flags)
-        )
+        return TwoDistanceProfile(g, n, root, mu, dim_e, dim_s, None, r2, None)
     dim_j = dim_e if r2.is_half else n - 1
-    if r2.is_half:
-        beta = root.scaled(2)
-    elif len(factors := complement_components(g)) > 1:
-        betas = (profile(h).beta_star_squared for h in factors if not is_complete(h))
-        beta = min(betas, key=functools.cmp_to_key(AlgebraicReal.compare))
-    else:
-        beta = t_star(g).scaled(2)
-    beta = beta.refined(get_config().tau_width)
-    return TwoDistanceProfile(
-        n, root, mu, t0, dim_e, dim_s, dim_j, r2, beta, tuple(flags)
-    )
+    beta = beta_star_squared(g)
+    return TwoDistanceProfile(g, n, root, mu, dim_e, dim_s, dim_j, r2, beta)
 
 
 def dim_s_bounded(g: Graph, r0_squared: Fraction | int | float) -> int:
@@ -517,4 +522,5 @@ def clear_caches() -> None:
     tau0.cache_clear()
     circumradius_invariant.cache_clear()
     t_star.cache_clear()
+    beta_star_squared.cache_clear()
     profile.cache_clear()

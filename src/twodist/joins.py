@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 
 from .graphs import Graph, MultipartiteSignature, complement_components, is_complete
-from .invariants import circumradius_invariant, profile, tau1_mu
+from .invariants import beta_star_squared, circumradius_invariant, profile, tau1_mu
 from . import geometry
 
 
@@ -35,11 +35,12 @@ class JoinFactorization:
 
 def join_decompose(g: Graph) -> JoinFactorization:
     """Factor g into its join-indecomposable parts and group them by long
-    distance, compared exactly.  Complete factors (necessarily single
-    vertices here) sort last with an infinite marker."""
+    distance, compared exactly on each factor's ``beta_star_squared``.
+    Complete factors (necessarily single vertices here) sort last with an
+    infinite marker."""
     comps = complement_components(g)
     finite = [
-        (h, profile(h).beta_star_squared, geometry.beta_star_numeric(h))
+        (h, beta_star_squared(h), geometry.beta_star_numeric(h))
         for h in comps
         if not is_complete(h)
     ]

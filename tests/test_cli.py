@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 from conftest import joins12_corpus
-from reference import cmp_rational
+from reference import cmp_rational, reference_min_enclosing_ball
 from twodist.cli import _enclosure, analysis_record, main
 from twodist.config import override
 from twodist.graphs import (
@@ -276,6 +276,26 @@ class TestEmbed:
         assert rec["rank"] == 2
         assert abs(rec["radius"] - 1 / math.sqrt(2)) < 1e-8
 
+    def test_spherical_model_infinite_radius_without_ball(self, capsys, monkeypatch):
+        # the fallback is the J-spherical embedding scaled by 1/sqrt(2): its
+        # radius is 1/sqrt(2) as the jspherical model's is 1, with no ball
+        from twodist import geometry
+
+        def refuse(points):
+            raise AssertionError("embed --model spherical solved a ball")
+
+        star = to_graph6(complete_multipartite(MultipartiteSignature((3, 1))))
+        for word in ("Bg", star):
+            assert not circumradius_invariant(parse_graph6(word)).is_finite
+            with monkeypatch.context() as patch:
+                patch.setattr(geometry, "min_enclosing_ball", refuse)
+                code, out, _ = run(capsys, "embed", word, "--model", "spherical")
+            assert code == 0
+            rec = json.loads(out)
+            assert rec["radius"] == 0.707106781186548  # 1/sqrt(2) to 15 digits
+            ball = reference_min_enclosing_ball(rec["points"])
+            assert abs(ball.radius - rec["radius"]) < 1e-12
+
 
 class TestDecompose:
     def test_octahedron(self, capsys):
@@ -510,6 +530,18 @@ class TestConfig:
         finally:
             cfgmod.set_config(cfgmod.Config())
             clear_caches()
+
+    def test_max_n_below_one_exit(self, capsys, monkeypatch):
+        # a limit below 1 would refuse every graph with exit 3
+        for limit in ("0", "-1"):
+            code, out, err = run(capsys, "--max-n", limit, "analyze", C5)
+            assert code == 2, limit
+            assert out == "" and f"configuration error: max_n must be >= 1, got {limit}" in err
+            monkeypatch.setenv("TWODIST_MAX_N", limit)
+            code, out, err = run(capsys, "analyze", C5)
+            assert code == 2, limit
+            assert out == "" and "TWODIST_MAX_N" in err and "max_n must be >= 1" in err
+            monkeypatch.delenv("TWODIST_MAX_N")
 
     def test_bad_env_max_n_exit(self, capsys, monkeypatch):
         monkeypatch.setenv("TWODIST_MAX_N", "abc")

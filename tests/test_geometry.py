@@ -755,8 +755,9 @@ class TestBetaStar:
             beta_star_numeric(Graph.complete(2))
 
     def test_solved_once_per_graph(self, monkeypatch):
-        # profile is the one route to beta*: the record (which also runs the
-        # join decomposition) and the embedding share a single certificate.
+        # invariants.beta_star_squared is the one route to beta*: the record
+        # (which also runs the join decomposition) and the embedding share a
+        # single certificate.
         from twodist import cli, geometry, invariants
 
         invariants.clear_caches()
@@ -769,8 +770,8 @@ class TestBetaStar:
         assert calls == [g]
 
     def test_join_solved_once_per_factor(self, monkeypatch):
-        # A join reads beta*^2 from its factors' profiles: one certificate
-        # per non-complete factor whose r^2 is not 1/2, none for the join.
+        # A join reads beta*^2 from its factors' beta_star_squared: one
+        # certificate per non-complete factor, none for the join.
         from twodist import cli, geometry, invariants
         from twodist.graphs import complement_components, join
 
@@ -781,11 +782,7 @@ class TestBetaStar:
         g = join(join(Graph.cycle(5), Graph.path(4)), Graph.complete(1))
         cli.analysis_record(g)
         geometry.jspherical_embedding(g)
-        expect = [
-            h
-            for h in complement_components(g)
-            if not is_complete(h) and not invariants.circumradius_invariant(h).is_half
-        ]
+        expect = [h for h in complement_components(g) if not is_complete(h)]
         assert expect == [Graph.cycle(5), Graph.path(4)]
         assert calls == expect
 
@@ -856,6 +853,72 @@ class TestPerronRoot:
             cli.analysis_record(g)
             kuperberg_decompose(jspherical_embedding(g))
         assert counts == {}
+
+
+class TestOneBetaStarRoute:
+    """``invariants.beta_star_squared`` is beta*^2's one route: a join's
+    least factor value, else 2 t*.  ``profile``, ``beta_star_numeric`` and
+    ``join_decompose`` read it, so no join factor gets a full profile."""
+
+    def test_join_minimum_is_twice_t_star(self):
+        # Abar of a join is block-diagonal: its Perron root is the largest
+        # block's, so t* of the whole join is the least over the factors
+        joins = [
+            g
+            for g in graphs_up_to_7()
+            if not is_complete(g) and len(complement_component_sets(g)) > 1
+        ]
+        assert len(joins) == 250
+        for g in joins + joins12_corpus(60):
+            got = invariants.beta_star_squared(g)
+            assert got.compare(invariants.t_star(g).scaled(2)) == 0, g
+
+    def test_half_radius_is_twice_tau1(self):
+        # the identity behind the former r^2 = 1/2 shortcut
+        count = 0
+        for g in graphs_up_to_7():
+            if not is_complete(g) and invariants.circumradius_invariant(g).is_half:
+                tau1, _ = invariants.tau1_mu(g)
+                assert invariants.beta_star_squared(g).compare(tau1.scaled(2)) == 0, g
+                count += 1
+        assert count == 11
+
+    def test_complete_rejected(self):
+        with pytest.raises(CompleteGraphError):
+            invariants.beta_star_squared(Graph.complete(3))
+
+    def test_factors_get_only_beta_star(self, monkeypatch):
+        from twodist import cli, graphs
+
+        for g in joins12_corpus(30):
+            invariants.clear_caches()
+            seen = collections.defaultdict(list)
+            for module, name in (
+                (invariants, "tau1_mu"),
+                (invariants, "circumradius_invariant"),
+                (invariants, "tau0"),
+                (invariants, "is_complete_multipartite"),
+                (graphs, "is_complete_multipartite"),
+            ):
+                original = getattr(module, name)
+                monkeypatch.setattr(
+                    module, name,
+                    lambda h, name=name, original=original: seen[name].append(h) or original(h),
+                )
+            cli.analysis_record(g)
+            kuperberg_decompose(jspherical_embedding(g))
+            monkeypatch.undo()
+            assert set(seen) == {"tau1_mu", "circumradius_invariant"}, g
+            assert set(seen["tau1_mu"]) == set(seen["circumradius_invariant"]) == {g}
+
+    def test_tau0_and_flags_on_first_access(self):
+        invariants.clear_caches()
+        p3, c5 = invariants.profile(Graph.path(3)), invariants.profile(Graph.cycle(5))
+        assert invariants.tau0.cache_info().currsize == 0
+        assert p3.tau0 is None and invariants.tau0(Graph.path(3)) is None
+        assert c5.tau0 == invariants.tau0(Graph.cycle(5))
+        assert abs(float(c5.tau0) - (3 - math.sqrt(5)) / 2) < 1e-12
+        assert p3.flags == ("tau0-advisory",) and c5.flags == ()
 
 
 # ---------------------------------------------------------------------------
