@@ -5,10 +5,11 @@ Subcommands: analyze, embed, decompose, batch, catalog, verify.
 Exit codes: 0 success; 2 parse error, unreadable input, bad filter,
 environment value or configuration (a negative or non-finite tolerance,
 negative precision bits, a vertex limit (--max-n, TWODIST_MAX_N) below 1,
-a verify grid below 1); 3 size limit; 4 undecidable enclosure; 5
-infeasible distance (also one not finite and positive, or with a square or
-squared ratio that is not finite or is subnormal); 6 complete graph
-where a J-spherical operation was requested; 7 geometric inconsistency.
+a catalog or verify --max-n below 1, a verify grid below 1); 3 size
+limit; 4 undecidable enclosure; 5 infeasible distance (also one not
+finite and positive, or with a square or squared ratio that is not finite
+or is subnormal); 6 complete graph where a J-spherical operation was
+requested; 7 geometric inconsistency.
 """
 
 from __future__ import annotations
@@ -254,6 +255,9 @@ def _parse_filter(expr: str, n: int) -> tuple[str, int | None]:
 
 
 def _cmd_catalog(args) -> int:
+    if args.max_n < 1:  # a scan of no graph would pass for success
+        print(f"--max-n must be >= 1, got {args.max_n}", file=sys.stderr)
+        return EXIT_PARSE
     if args.max_n > 8:
         print("catalog supports max-n up to 8", file=sys.stderr)
         return EXIT_SIZE
@@ -277,6 +281,9 @@ def _cmd_catalog(args) -> int:
 def _cmd_verify(args) -> int:
     if args.grid < 1:
         print(f"--grid must be >= 1, got {args.grid}", file=sys.stderr)
+        return EXIT_PARSE
+    if args.max_n < 1:
+        print(f"--max-n must be >= 1, got {args.max_n}", file=sys.stderr)
         return EXIT_PARSE
     graphs: list[Graph] = []
     if args.input:

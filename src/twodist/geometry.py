@@ -90,7 +90,7 @@ class PointConfig:
         according to the graph's edge pattern; inf when a distance is NaN,
         so that no residual bound accepts it."""
         i, j = np.triu_indices(self.n, 1)
-        edge = (np.array(g.rows)[i] >> j & 1).astype(bool)
+        edge = g.adjacency()[i, j].astype(bool)
         target = np.where(edge, self.a, self.b)
         scale = max(self.a, self.b, 1.0)
         residual = np.abs(self.distance_matrix()[i, j] - target) / scale
@@ -554,7 +554,7 @@ def solve_phi(g: Graph, r: float) -> AlgebraicReal:
     if r0 == Fraction(1, 2) and invariants.circumradius_invariant(g).is_half:
         return tau1.scaled(2)
     top = math.inf if tau1 is None else float(tau1)
-    adjacency = (np.array(g.rows)[:, None] >> np.arange(n) & 1).astype(float)
+    adjacency = g.adjacency().astype(float)
     t = 2.0 if tau1 is None else 0.5 * (1.0 + top)
     # Inside the window all n points are affinely independent, and most
     # of them are usually on the sphere: start from all of them.
@@ -604,9 +604,7 @@ def jspherical_embedding(g: Graph) -> PointConfig:
     rank.  A negative eigenvalue below ``PSD_TOL`` or a norm off 1 by more
     than 1e-6 raises ``GeometricInconsistencyError``."""
     b = beta_star_numeric(g)
-    n = g.n
-    adjacency = (np.array(g.rows)[:, None] >> np.arange(n) & 1).astype(bool)
-    gram = np.where(adjacency, 0.0, 1.0 - 0.5 * b * b)
+    gram = np.where(g.adjacency().astype(bool), 0.0, 1.0 - 0.5 * b * b)
     np.fill_diagonal(gram, 1.0)
     eigvals, eigvecs = np.linalg.eigh(gram)
     scale = float(eigvals.max())  # at least 1, the mean of the trace n

@@ -12,6 +12,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import get_config
 from .errors import GraphFormatError, SizeLimitError
 
@@ -74,6 +76,14 @@ class Graph:
             if i < j and not set(a) & set(b)
         ]
         return Graph.from_edges(10, edges)
+
+    def adjacency(self) -> np.ndarray:
+        """The n x n adjacency matrix as 0/1 ``uint8``, for any n: each
+        row's bitmask unpacked from its little-endian bytes."""
+        width = (self.n + 7) // 8
+        buf = b"".join([row.to_bytes(width, "little") for row in self.rows])
+        bits = np.unpackbits(np.frombuffer(buf, np.uint8), bitorder="little")
+        return bits.reshape(self.n, -1)[:, : self.n]
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] & (1 << v))
@@ -142,8 +152,13 @@ class MultipartiteSignature:
 # ---------------------------------------------------------------------------
 
 
+# The largest n of graph6's four-byte size form, ``~`` and 18 bits.
+GRAPH6_MAX_N = 258047
+
+
 def parse_graph6(text: str) -> Graph:
-    """Decode a graph6 word (single-byte size, so n <= 62)."""
+    """Decode a graph6 word: one size byte for n <= 62, or ``~`` and three
+    bytes (18 bits, big-endian) for n <= 258047."""
     s = text.strip()
     if not s:
         raise GraphFormatError("empty graph6 word")
@@ -154,21 +169,27 @@ def parse_graph6(text: str) -> Graph:
     for b in data:
         if not 63 <= b <= 126:
             raise GraphFormatError(f"byte {b} outside graph6 range 63..126")
-    if data[0] == 126:
-        raise GraphFormatError("multi-byte vertex counts are not supported")
-    n = data[0] - 63
+    if data[0] != 126:
+        n, body = data[0] - 63, data[1:]
+    elif data[1:2] == b"~":
+        raise GraphFormatError(f"vertex counts above {GRAPH6_MAX_N} are not supported")
+    elif len(data) < 4:
+        raise GraphFormatError("truncated graph6 vertex count")
+    else:
+        n = (data[1] - 63) << 12 | (data[2] - 63) << 6 | (data[3] - 63)
+        body = data[4:]
     if n < 1:
         raise GraphFormatError("graph must have at least one vertex")
     if n > get_config().max_n:
         raise SizeLimitError(f"n={n} exceeds configured maximum")
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    if len(data) - 1 != nbytes:
+    if len(body) != nbytes:
         raise GraphFormatError(
-            f"expected {nbytes} edge bytes for n={n}, got {len(data) - 1}"
+            f"expected {nbytes} edge bytes for n={n}, got {len(body)}"
         )
     bits = []
-    for b in data[1:]:
+    for b in body:
         v = b - 63
         bits.extend((v >> k) & 1 for k in range(5, -1, -1))
     if any(bits[nbits:]):
@@ -185,16 +206,17 @@ def parse_graph6(text: str) -> Graph:
 
 
 def to_graph6(g: Graph) -> str:
-    """Encode as a graph6 word (n <= 62)."""
-    if g.n > 62:
-        raise ValueError("graph6 single-byte encoding requires n <= 62")
+    """Encode as a graph6 word, with the four-byte size form for n > 62."""
+    if g.n > GRAPH6_MAX_N:
+        raise ValueError(f"graph6 encodes n <= {GRAPH6_MAX_N}")
     bits = []
     for j in range(1, g.n):
         for i in range(j):
             bits.append(1 if g.has_edge(i, j) else 0)
     while len(bits) % 6:
         bits.append(0)
-    out = [chr(g.n + 63)]
+    size = [g.n] if g.n <= 62 else [63, g.n >> 12, g.n >> 6 & 63, g.n & 63]
+    out = [chr(v + 63) for v in size]
     for k in range(0, len(bits), 6):
         val = 0
         for b in bits[k : k + 6]:

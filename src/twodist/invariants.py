@@ -7,9 +7,10 @@ polynomials of its adjacency matrix, extracts the ends of the feasible
 window, the smallest root tau1 of C above 1 together with its multiplicity
 and the largest root tau0 of C below 1 (both proposed by one float
 spectrum of the adjacency matrix compressed to 1^perp, and certified by
-Descartes counts on one squarefree split of C), classifies the squared
-circumradius of the minimal representation exactly, and assembles the
-full invariant profile:
+Descartes counts on C itself: as a rational root with its multiplicity,
+or as a simple root; a squarefree split of C is the fallback when neither
+certifies), classifies the squared circumradius of the minimal
+representation exactly, and assembles the full invariant profile:
 
     dim_e = n - mu - 1
     dim_s = dim_e if the squared circumradius is finite, else n - 1
@@ -22,7 +23,9 @@ q*M + 2p*C vanishes there to higher order than C.  The 1/2 test is the case
 r0 = 1/2; ``dim_s_bounded`` asks about any r0.  The r0 = 1/2 tie
 polynomial of the whole graph is also the Gram determinant of the
 J-spherical configuration, so ``t_star`` certifies beta*^2/2 as its least
-root above 1, proposed by the complement's Perron root.  Otherwise the
+root above 1, proposed by the complement's Perron root, a simple root
+certified on the tie polynomial itself (its split is the fallback).
+Otherwise the
 limit is enclosed by certified interval arithmetic over rationals, away
 from r0.
 """
@@ -52,6 +55,7 @@ from .polynomials import (
     _changes_sign,
     descartes_count,
     enclose_rational_limit,
+    exact_div,
     multiplicity_at,
     smallest_root_greater_than,
     squarefree_decomposition,
@@ -253,7 +257,7 @@ def _spectrum(g: Graph) -> tuple[float, float]:
     PAP - J, P = I - J/n: it has B's spectrum plus -n from the direction 1,
     below every eigenvalue of B (those are at least -(n - 1))."""
     n = g.n
-    a = (np.array(g.rows)[:, None] >> np.arange(n) & 1).astype(float)
+    a = g.adjacency().astype(float)
     r = a.sum(axis=0) / n
     a -= r
     a -= r[:, None]
@@ -269,37 +273,52 @@ def _spectrum_end(g: Graph, largest: bool) -> float:
     return _spectrum(g)[largest]
 
 
-def _power_of_two_at_most(x: Fraction) -> Fraction:
-    """The largest power of two <= x, for x > 0."""
-    p = Fraction(2) ** (x.numerator.bit_length() - x.denominator.bit_length())
-    return p if p <= x else p / 2
+def _log2_floor(p: int, q: int) -> int:
+    """floor(log2(p / q)) for positive integers p and q."""
+    k = p.bit_length() - q.bit_length()
+    return k if p << max(-k, 0) >= q << max(k, 0) else k - 1
+
+
+def _proposal_interval(t: float) -> Optional[tuple[Fraction, Fraction]]:
+    """[lo, hi] centred on t with half-width 2**e, the larger of 8 ulp(t)
+    and the largest power of two <= tau_width / 2: it has the requested
+    width unless 8 ulp(t) is the larger, and its ends are exact dyadic
+    rationals no finer than t, formed on integers.  None unless it lies in
+    (1, inf) or in (0, 1)."""
+    width = get_config().tau_width
+    e = max(
+        _log2_floor(width.numerator, 2 * width.denominator),
+        math.frexp(8 * math.ulp(t))[1] - 1,
+    )
+    n, d = t.as_integer_ratio()
+    den = max(d, 1 << max(-e, 0))  # t and 2**e are both integers over den
+    mid = n * (den // d)
+    half = den << e if e >= 0 else den >> -e
+    lo, hi = Fraction(mid - half, den), Fraction(mid + half, den)
+    return None if lo <= 0 or lo <= 1 <= hi else (lo, hi)
 
 
 def _certified_root(
     factors: list[tuple[IntPolynomial, int]], t: float
 ) -> Optional[tuple[AlgebraicReal, int]]:
     """The root nearest 1 on t's side (the smallest above 1, or the largest
-    in (0, 1)) of the product of ``factors`` (a squarefree split) and its
-    multiplicity, refined to ``tau_width``, when a proposal t near it
-    certifies; None when the certificate fails.  One certificate serves
-    tau1, tau0, ``t_star`` and ``geometry.solve_phi``.
+    in (0, 1)) of the product of ``factors`` and its multiplicity, refined
+    to ``tau_width``, when a proposal t near it certifies; None when the
+    certificate fails.  ``factors`` is a squarefree split, or one
+    polynomial with multiplicity 1, whose root is then proved simple.  One
+    certificate serves tau1, tau0, ``t_star`` and ``geometry.solve_phi``.
 
-    The interval [lo, hi] is centred on t with half-width the larger of
-    8 ulp(t) and the largest power of two <= tau_width / 2: it has the
-    requested width unless 8 ulp(t) is the larger, and its ends are exact
-    dyadic rationals no finer than t.  It must lie in (1, inf) or in
-    (0, 1).  f is the one factor that changes sign across it, so f has a
-    root in (lo, hi), and no factor vanishes at either end.  A Descartes
-    count of 1 for f and 0 for every other factor on (1, hi), or on (lo, 1)
-    below 1, proves that root is the only root between 1 and the interval
-    end.  The counts are exact proofs whether
-    or not the factors are real-rooted, so the tie polynomials of beta*^2
-    certify alike."""
-    width = get_config().tau_width
-    half = max(_power_of_two_at_most(width / 2), Fraction(8 * math.ulp(t)))
-    lo, hi = Fraction(t) - half, Fraction(t) + half
-    if lo <= 0 or lo <= 1 <= hi:
+    On t's interval (``_proposal_interval``) f is the one factor that
+    changes sign, so f has a root in (lo, hi), and no factor vanishes at
+    either end.  A Descartes count of 1 for f and 0 for every other factor
+    on (1, hi), or on (lo, 1) below 1, proves that root is the only root
+    between 1 and the interval end, and a simple root of f.  The counts
+    are exact proofs whether or not the factors are real-rooted, so the
+    tie polynomials of beta*^2 certify alike."""
+    interval = _proposal_interval(t)
+    if interval is None:
         return None
+    lo, hi = interval
     ends = [
         f.homogeneous(lo.numerator, lo.denominator)
         * f.homogeneous(hi.numerator, hi.denominator)
@@ -312,7 +331,59 @@ def _certified_root(
     span = (1, hi) if lo > 1 else (lo, 1)
     if any(descartes_count(h, *span) != int(h is f) for h, _ in factors):
         return None
-    return AlgebraicReal(f, lo, hi).refined(width), mult
+    return AlgebraicReal(f, lo, hi).refined(get_config().tau_width), mult
+
+
+def _rational_root(
+    p: IntPolynomial, n: int, x: float
+) -> Optional[tuple[AlgebraicReal, int]]:
+    """The rational root k/(k + n) of C proposed by an eigenvalue x of B,
+    with its multiplicity, when n x is within 1e-6 of the integer k and the
+    root certifies as C's nearest to 1 on its side; None otherwise.  p is
+    C without its power of t, n the vertex count.  The walk polynomial
+    n det(xI - B) has leading coefficient n, so a rational eigenvalue x has
+    n x integral, and its root x/(1 + x) of C is k/(k + n).
+
+    That root must lie inside the interval ``_certified_root`` builds on
+    the proposal x/(1 + x) (``_proposal_interval``), and it gets the same
+    enclosure, defined by the linear factor.  Its multiplicity is the
+    number of exact divisions of p by that factor, and a Descartes count of
+    0 for the cofactor on (1, hi), or on (lo, 1) below 1, certifies it."""
+    k = round(n * x)
+    if abs(n * x - k) > 1e-6 or k + n == 0:
+        return None
+    interval = _proposal_interval(x / (1 + x))
+    if interval is None:
+        return None
+    lo, hi = interval
+    root = Fraction(k, k + n)
+    if not lo < root < hi:
+        return None
+    linear = IntPolynomial((-root.numerator, root.denominator))
+    mult = 0
+    while p.homogeneous(root.numerator, root.denominator) == 0:
+        p = exact_div(p, linear)
+        mult += 1
+    if not mult or descartes_count(p, *((1, hi) if lo > 1 else (lo, 1))):
+        return None
+    return AlgebraicReal(linear, lo, hi).refined(get_config().tau_width), mult
+
+
+def _without_zero_roots(p: IntPolynomial) -> IntPolynomial:
+    """p / t^k for the largest k with t^k dividing p != 0."""
+    k = next(i for i, c in enumerate(p.coeffs) if c)
+    return IntPolynomial(p.coeffs[k:])
+
+
+def _certified_on_c(g: Graph, x: float) -> Optional[tuple[AlgebraicReal, int]]:
+    """C's root x/(1 + x) nearest 1 on its side, proposed by an eigenvalue x
+    of B (``_spectrum``), with its multiplicity, certified on C itself with
+    its power of t divided out (roots at 0 never matter): as a rational
+    root (``_rational_root``), else as a simple one (``_certified_root``).
+    None when neither certifies; C's squarefree split then decides."""
+    c, _ = cm_polynomials(g)
+    p = _without_zero_roots(c)
+    return _rational_root(p, g.n, x) or _certified_root([(p, 1)], x / (1 + x))
 
 
 def roots_above_one(
@@ -323,7 +394,8 @@ def roots_above_one(
 ) -> Iterator[tuple[AlgebraicReal, int]]:
     """Yield the roots of p in (1, top] (no upper end when top is None) in
     increasing order, refined to ``tau_width``, with their multiplicities:
-    the walk behind tau1, ``t_star`` and ``geometry.solve_phi``.  ``factors``
+    the walk behind ``geometry.solve_phi``, and the fallback of tau1 and
+    ``t_star`` when their roots do not certify on p itself.  ``factors``
     is p's squarefree split.  The first root is that of the float
     ``proposal`` when it certifies (``_certified_root``); else counts of 0
     on every factor prove there is none, or Descartes bisection finds it.
@@ -376,7 +448,7 @@ def _root_below_one(
 @functools.lru_cache(maxsize=None)
 def _c_split(g: Graph) -> tuple[IntPolynomial, list[tuple[IntPolynomial, int]]]:
     """C and its squarefree split, on which both ends of the feasible
-    window are certified."""
+    window are certified when C itself does not certify them."""
     c, _ = cm_polynomials(g)
     return c, squarefree_decomposition(c)
 
@@ -386,11 +458,15 @@ def tau1_mu(g: Graph) -> tuple[Optional[AlgebraicReal], int]:
     """Smallest root of C strictly above 1 with its exact multiplicity;
     (None, 0) when every root is <= 1.  C's roots are x/(1 + x) over the
     eigenvalues x of B (``_spectrum``), and x/(1 + x) increases in x on
-    each side of -1: the smallest eigenvalue, when below -1, proposes it
-    to ``roots_above_one`` on C's cached split (``_c_split``)."""
+    each side of -1: the smallest eigenvalue, when below -1, proposes it,
+    certified on C itself (``_certified_on_c``).  Failing that, or with no
+    proposal, ``roots_above_one`` decides on C's cached split
+    (``_c_split``)."""
     x = _spectrum_end(g, largest=False)
-    c, factors = _c_split(g)
-    got = next(roots_above_one(c, factors, x / (1 + x) if x < -1 else None), None)
+    got = _certified_on_c(g, x) if x < -1 else None
+    if got is None:
+        c, factors = _c_split(g)
+        got = next(roots_above_one(c, factors, x / (1 + x) if x < -1 else None), None)
     return (None, 0) if got is None else got
 
 
@@ -399,10 +475,15 @@ def tau0(g: Graph) -> Optional[AlgebraicReal]:
     """Lower endpoint of the feasible window (None means the window
     extends to 0): the largest root of C in (0, 1), which is 1/tau1 of the
     complement, since the complement's C is t^(n-1) C(1/t).  The largest
-    eigenvalue of B, when positive, proposes it to ``_root_below_one`` on
-    the split tau1 uses (``_c_split``), from the same cached spectrum.
-    Certified only when asked: ``realize`` above t = 1 never asks."""
+    eigenvalue of B, when positive, proposes it from the same cached
+    spectrum, certified on C itself (``_certified_on_c``).  Failing that,
+    or with no proposal, ``_root_below_one`` decides on the split tau1
+    uses (``_c_split``).  Certified only when asked: ``realize`` above
+    t = 1 never asks."""
     x = _spectrum_end(g, largest=True)
+    got = _certified_on_c(g, x) if x > 0 else None
+    if got is not None:
+        return got[0]
     c, factors = _c_split(g)
     return _root_below_one(c, x / (1 + x) if x > 0 else None, factors)
 
@@ -447,16 +528,21 @@ def t_star(g: Graph) -> AlgebraicReal:
     their convex hull and the radius is 1.  By the matrix determinant
     lemma det G(t) = (t - 1)^n det(xI - Abar) at x = 1/(t - 1) is +-(M + C),
     the r0 = 1/2 tie polynomial up to a factor 2, so t* is its least root
-    above 1: one ``eigvalsh`` of Abar proposes it, and ``roots_above_one``
-    certifies it with tau1's certificate."""
+    above 1: one ``eigvalsh`` of Abar proposes it.  The root is simple (the
+    Perron root of the connected complement is), so tau1's certificate
+    proves it on the tie polynomial itself, its power of t divided out;
+    failing that, ``roots_above_one`` decides on the tie polynomial's
+    squarefree split."""
     if is_complete(g):
         raise CompleteGraphError("complete graphs have no such configuration")
     n = g.n
-    adjacency = np.array(g.rows)[:, None] >> np.arange(n) & 1
-    rho = float(np.linalg.eigvalsh(1.0 - np.eye(n) - adjacency)[-1])
+    rho = float(np.linalg.eigvalsh(1.0 - np.eye(n) - g.adjacency())[-1])
     tie = tie_polynomial(g, Fraction(1, 2))
-    root, _ = next(roots_above_one(tie, squarefree_decomposition(tie), 1.0 + 1.0 / rho))
-    return root
+    t = 1.0 + 1.0 / rho
+    got = _certified_root([(_without_zero_roots(tie), 1)], t)
+    if got is None:
+        got = next(roots_above_one(tie, squarefree_decomposition(tie), t))
+    return got[0]
 
 
 @functools.lru_cache(maxsize=None)

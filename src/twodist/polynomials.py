@@ -10,13 +10,17 @@ certified interval refinement, and exact signs at algebraic points.
 Descartes' rule of signs, after a Moebius map of an interval onto
 (0, inf), bounds the roots there from above with the right parity, so a
 count of 0 or 1 is a proof for any polynomial, and every count is exact on
-a polynomial with only real roots; ``invariants`` certifies the roots of
-the real-rooted C with it.  Bisection until every count is 0 or 1
+a polynomial with only real roots; ``invariants`` certifies each root on
+its own polynomial with it (C or a tie polynomial, which need not be
+squarefree) and takes a squarefree split only when that fails.  An
+``AlgebraicReal`` asks only that its enclosure hold exactly one root of
+its defining polynomial, simple.  Bisection until every count is 0 or 1
 isolates the real roots of any squarefree polynomial, tie polynomials
 included (``smallest_root_greater_than``).  Where a polynomial has at most
 one root in an interval, simple, a sign change decides it with no count:
 ``multiplicity_at`` and ``AlgebraicReal.compare`` test gcds that way,
-and take none when a gcd modulo a prime proves the two polynomials coprime.
+and take none when a gcd modulo a prime proves the two polynomials
+coprime, or, in ``multiplicity_at``, when an interval image excludes 0.
 ``SturmChain`` is built by no program path; the tests count with it.
 
 Every loop runs on integers.  The sign of p at a rational n/d (d > 0) is
@@ -27,7 +31,9 @@ multiplier, made primitive, so Sturm signs survive; quotients divide over
 the integers; interpolation is Lagrange over one common denominator.
 ``Fraction`` appears only at the interface: enclosure endpoints and the
 value of a polynomial at a ``Fraction``.
-No floating point enters any decision made here.
+No floating point enters any decision made here: the Newton steps of
+``AlgebraicReal.to_float`` only propose its float, which a sign change
+across the float's rounding interval then certifies.
 """
 
 from __future__ import annotations
@@ -368,8 +374,11 @@ def _changes_sign(g: IntPolynomial, lo: Fraction, hi: Fraction) -> bool:
 
 @dataclass(frozen=True)
 class AlgebraicReal:
-    """A real algebraic number: squarefree defining polynomial plus an
-    isolating rational interval with nonroot endpoints."""
+    """A real algebraic number: a defining polynomial with exactly one root
+    in a rational interval, that root simple, and nonroot endpoints.  The
+    polynomial need not be squarefree: roots elsewhere may be multiple.
+    ``refined``, ``compare``, ``multiplicity_at`` and ``to_float`` rely on
+    nothing more."""
 
     defining: IntPolynomial
     lo: Fraction
@@ -404,11 +413,39 @@ class AlgebraicReal:
                 a = mid
         return AlgebraicReal(f, Fraction(a, den), Fraction(b, den))
 
+    def _newton_float(self) -> Optional[float]:
+        """The nearest float to the root, from two Newton steps off the
+        float midpoint of the enclosure, or None.  Each step subtracts from
+        the float x = n/d the int/int quotient of the exact integers
+        d**deg f(n/d) and d**(deg - 1) f'(n/d) d.  x is the nearest float
+        when f changes sign strictly between the half-ulp boundaries around
+        x, clamped to the enclosure; a zero there (a tie), an overflow or a
+        zero slope gives None."""
+        f = self.defining
+        slope = f.derivative()
+        try:
+            x = (float(self.lo) + float(self.hi)) / 2
+            for _ in range(2):
+                n, d = x.as_integer_ratio()
+                x -= f.homogeneous(n, d) / (slope.homogeneous(n, d) * d)
+            lo = max(self.lo, (Fraction(x) + Fraction(math.nextafter(x, -math.inf))) / 2)
+            hi = min(self.hi, (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2)
+        except (OverflowError, ZeroDivisionError):
+            return None
+        if lo >= hi:
+            return None
+        at_lo = f.homogeneous(lo.numerator, lo.denominator)
+        at_hi = f.homogeneous(hi.numerator, hi.denominator)
+        return x if (at_lo < 0 < at_hi) or (at_hi < 0 < at_lo) else None
+
     @functools.cached_property
     def _float(self) -> float:
         f, a = self.defining, self
         if a.lo < 0 < a.hi and f.coeffs[0] == 0:
             return 0.0
+        x = self._newton_float()
+        if x is not None:
+            return x
         while True:
             lo, hi = float(a.lo), float(a.hi)
             if lo == hi:  # rounding is monotone: the root rounds there too
@@ -740,11 +777,13 @@ def multiplicity_at(p: IntPolynomial, a: AlgebraicReal) -> int:
     Decided by repeated gcd with the defining polynomial of ``a``: each
     gcd divides it, so it has at most one root in the isolating interval,
     simple, and holds ``a`` exactly when it changes sign there; no
-    floating point.  Polynomials proved coprime modulo a prime
-    (``_coprime_mod_p``) share no root, and no gcd is taken."""
+    floating point.  An interval image of p over the enclosure that
+    excludes 0, or polynomials proved coprime modulo a prime
+    (``_coprime_mod_p``), show p(a) != 0, and no gcd is taken."""
     if p.is_zero:
         raise ValueError("zero polynomial")
-    if _coprime_mod_p(p, a.defining):
+    lo, hi, _ = p._image(*_on_grid(a.lo, a.hi))
+    if lo > 0 or hi < 0 or _coprime_mod_p(p, a.defining):
         return 0
     d = a.defining.primitive()
     cur = p.primitive()

@@ -5,15 +5,18 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from conftest import joins12_corpus
 from reference import cmp_rational, reference_min_enclosing_ball
 from twodist.cli import _enclosure, analysis_record, main
-from twodist.config import override
+from twodist.config import Config, override, set_config
 from twodist.graphs import (
     Graph,
     MultipartiteSignature,
     complete_multipartite,
     enumerate_graphs,
+    format_edgelist,
     parse_graph6,
     to_graph6,
 )
@@ -460,6 +463,60 @@ class TestVerifyCommand:
             assert code == 2
             assert out == ""
             assert f"--grid must be >= 1, got {grid}" in err
+
+
+class TestBeyondSixtyTwo:
+    """The 64-cycle: row masks past int64 and graph6's four-byte size form.
+    Its compressed adjacency has the simple smallest eigenvalue -2, so
+    tau1 = 2 exactly with mu = 1, and dim_e = 62."""
+
+    def run_c64(self, capsys, tmp_path, command):
+        path = tmp_path / "c64.txt"
+        path.write_text(format_edgelist(Graph.cycle(64)))
+        try:
+            code, out, err = run(
+                capsys, "--max-n", "70", command, "--format", "edgelist", str(path)
+            )
+        finally:
+            set_config(Config())
+        assert code == 0, err
+        return json.loads(out)
+
+    def test_analyze(self, capsys, tmp_path):
+        rec = self.run_c64(capsys, tmp_path, "analyze")
+        assert rec["n"] == 64 and rec["tau1"] == [2.0, 2.0] and rec["mu"] == 1
+        assert rec["dim_e"] == 62
+        assert rec["factors"] == [{"size": 64, "type": "I"}]
+
+    def test_embed(self, capsys, tmp_path):
+        rec = self.run_c64(capsys, tmp_path, "embed")
+        assert len(rec["points"]) == 64 and rec["rank"] == 62
+
+    def test_decompose(self, capsys, tmp_path):
+        rec = self.run_c64(capsys, tmp_path, "decompose")
+        (factor,) = rec["factors"]
+        assert factor["graph6"].startswith("~")
+        with override(max_n=64):
+            assert parse_graph6(factor["graph6"]) == Graph.cycle(64)
+
+
+class TestScanLimit:
+    """A catalog or verify scan of no graph is an error, as a vertex limit
+    below 1 is everywhere else."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("catalog", "--max-n", "0"),
+            ("catalog", "--max-n", "-3"),
+            ("verify", "--max-n", "0"),
+            ("verify", "--max-n", "-1", "--input", "unused.g6"),
+        ],
+    )
+    def test_max_n_below_one_exit(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and f"--max-n must be >= 1, got {argv[2]}" in err
 
 
 class TestConfig:

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -68,6 +71,22 @@ class TestGraphType:
             MultipartiteSignature((0, 2))
 
 
+class TestAdjacency:
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 63, 64, 65, 100])
+    def test_matches_edges(self, n):
+        # any n: row masks past 63 bits do not fit an int64
+        g = random_graph(random.Random(n), n)
+        a = g.adjacency()
+        assert a.shape == (n, n) and a.dtype == np.uint8
+        expect = [[int(g.has_edge(i, j)) for j in range(n)] for i in range(n)]
+        assert a.tolist() == expect
+
+    def test_cycle_64(self):
+        a = Graph.cycle(64).adjacency()
+        assert (a == a.T).all() and (a.sum(axis=1) == 2).all()
+        assert a[0, 63] == a[63, 0] == a[0, 1] == 1 and a[0, 2] == 0
+
+
 class TestGraph6:
     def test_single_vertex(self):
         g = parse_graph6("@")
@@ -128,6 +147,30 @@ class TestGraph6:
     def test_extended_sizes_rejected(self):
         with pytest.raises(GraphFormatError):
             parse_graph6("~??")
+
+    @pytest.mark.parametrize("n", [63, 64, 100])
+    def test_long_size_form_against_networkx(self, n):
+        # n > 62 takes the four-byte size form "~" + 18 bits
+        nx = pytest.importorskip("networkx")
+        g = random_graph(random.Random(n), n)
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(n))
+        nxg.add_edges_from(g.edges())
+        word = nx.to_graph6_bytes(nxg, header=False).decode().strip()
+        assert word[0] == "~" and to_graph6(g) == word
+        with override(max_n=n):
+            assert parse_graph6(word) == g
+        back = nx.from_graph6_bytes(to_graph6(g).encode())
+        assert sorted(tuple(sorted(e)) for e in back.edges()) == g.edges()
+
+    def test_long_size_form_limits(self):
+        with override(max_n=70):
+            with pytest.raises(SizeLimitError):
+                parse_graph6(to_graph6(Graph.empty(71)))
+            with pytest.raises(GraphFormatError):
+                parse_graph6("~~" + "?" * 6)  # the eight-byte form, n > 258047
+            with pytest.raises(GraphFormatError):
+                parse_graph6(to_graph6(Graph.empty(64))[:-1])  # one edge byte short
 
 
 class TestEdgeList:

@@ -11,12 +11,13 @@ from twodist.graphs import (
     Graph,
     MultipartiteSignature,
     complement,
+    complement_components,
     complete_multipartite,
     enumerate_graphs,
     is_disjoint_clique_union,
 )
 from twodist import geometry, invariants, polynomials
-from twodist.cli import analysis_record
+from twodist.cli import _enclosure, analysis_record
 from twodist.invariants import (
     bordered_adjugate,
     circumradius_invariant,
@@ -433,24 +434,26 @@ def assert_same_root(got, expect):
 
 
 def assert_root_of_c(g, got, expect):
-    """got is expect's algebraic number, defined by a squarefree factor of
-    g's C, in a valid enclosure at most ``tau_width`` wide."""
+    """got is expect's algebraic number, defined by a divisor of g's C (C
+    itself without its power of t, a linear factor or a factor of C's
+    squarefree split), in a valid enclosure at most ``tau_width`` wide."""
     assert (got is None) == (expect is None)
     if got is not None:
         c, _ = cm_polynomials(g)
-        f = got.defining
         assert got.compare(expect) == 0
-        assert poly_rem(c, f).is_zero and poly_gcd(f, f.derivative()).degree == 0
+        assert poly_rem(c, got.defining).is_zero
         assert is_valid(got) and got.width <= get_config().tau_width
 
 
 def assert_same_window(g, t1, t0, tau0_on_c=False):
     """tau1_mu(g) and tau0(g) are the roots (t1, t0) of a reference route.
-    With ``tau0_on_c``, tau0 is certified on C's own squarefree split, so
-    its defining polynomial is a factor of C rather than the reference's."""
+    tau1 is certified on C itself, or on its squarefree split when that
+    fails, so its defining polynomial divides C rather than being the
+    reference's.  With ``tau0_on_c`` the same holds for tau0; without it,
+    tau0 is the reference's, by the same defining polynomial."""
     root, mu = tau1_mu(g)
     assert mu == t1[1]
-    assert_same_root(root, t1[0])
+    assert_root_of_c(g, root, t1[0])
     if tau0_on_c:
         assert_root_of_c(g, invariants.tau0(g), t0)
     else:
@@ -560,9 +563,10 @@ class TestSpectralWindow:
         # a root of another factor at the upper end of sqrt2's certificate
         # interval: the counts on (1, hi) miss it, so no certificate, and
         # the walk from the bisected root still yields it
-        width = get_config().tau_width
         t = math.sqrt(2)
-        hi = Fraction(t) + invariants._power_of_two_at_most(width / 2)
+        _, hi = invariants._proposal_interval(t)
+        # 2**-45, the largest power of two <= tau_width / 2, above 8 ulp(t)
+        assert hi == Fraction(t) + Fraction(1, 2**45)
         p = poly(-2, 0, 1) * poly(-hi.numerator, hi.denominator) ** 2
         factors = squarefree_decomposition(p)
         assert len(factors) == 2
@@ -628,8 +632,9 @@ class TestSpectralWindow:
         assert len(fallbacks) == roots > 100
 
     def test_pool_window_from_one_spectrum_and_split(self, monkeypatch):
-        # per graph one eigvalsh and one squarefree split of C, enclosures
-        # born at the requested width (no halving), and nearest floats
+        # per graph one eigvalsh and no squarefree split of C (both ends
+        # certify on C itself), enclosures born at the requested width (no
+        # halving), and nearest floats
         counts = {"eigvalsh": 0, "split": 0}
         halved = []
 
@@ -659,12 +664,110 @@ class TestSpectralWindow:
                 cm_polynomials(g)  # C itself is not the window's work
                 counts.update(eigvalsh=0, split=0)
                 roots += [tau1_mu(g)[0], invariants.tau0(g)]
-                assert counts == {"eigvalsh": 1, "split": 1}
+                assert counts == {"eigvalsh": 1, "split": 0}
             assert halved == []
             monkeypatch.undo()
             for x in roots:  # to_float against a 2**-90 enclosure
                 narrow = x.refined(Fraction(1, 2**90))
                 assert float(narrow.lo) == float(narrow.hi) == float(x)
+        finally:
+            invariants.clear_caches()
+
+
+class TestRootOnItsPolynomial:
+    """tau1, tau0 and t* are certified on C and the tie polynomial
+    themselves; C's squarefree split is the fallback."""
+
+    def test_rational_root_certificate(self):
+        # (t - 2)^3 (t^2 - 7): n x = -2 proposes t = 2, a triple root
+        p = poly(-2, 1) ** 3 * poly(-7, 0, 1)
+        root, mult = invariants._rational_root(p, 1, -2.0)
+        assert mult == 3 and root.defining == poly(-2, 1)
+        assert (root.lo, root.hi) == invariants._proposal_interval(2.0)
+        assert cmp_rational(root, 2) == 0 and is_valid(root)
+        # n x off an integer proposes nothing
+        assert invariants._rational_root(p, 1, -2.001) is None
+        # a root of the cofactor between 1 and the interval's upper end
+        # (hi = 2 + 2**-45): 3/2, or 2 + 2**-46
+        _, hi = invariants._proposal_interval(2.0)
+        for other in (poly(-3, 2), poly(-(4 * hi.denominator + 1), 2 * hi.denominator)):
+            assert invariants._rational_root(poly(-2, 1) * other, 1, -2.0) is None
+        # below 1: 1/2 (double) is C's largest root in (0, 1) unless 3/4 is one
+        low = poly(-1, 2) ** 2 * poly(-1, 4)
+        root, mult = invariants._rational_root(low, 1, 1.0)
+        assert mult == 2 and cmp_rational(root, Fraction(1, 2)) == 0
+        assert invariants._rational_root(low * poly(-3, 4), 1, 1.0) is None
+
+    def test_simple_root_on_polynomial_with_multiple_roots(self):
+        # the polynomial itself, not its split: a double root elsewhere does
+        # not matter, a double root at the proposal does not certify
+        p = poly(-3, 0, 1) * poly(-5, 1) ** 2
+        root, mult = invariants._certified_root([(p, 1)], math.sqrt(3))
+        assert mult == 1 and root.defining == p and is_valid(root)
+        assert root.compare(AlgebraicReal(poly(-3, 0, 1), Fraction(1), Fraction(2))) == 0
+        assert invariants._certified_root([(poly(-3, 0, 1) ** 2, 1)], math.sqrt(3)) is None
+
+    def test_exact_iff_rational(self):
+        # tau1 is defined by a linear factor, and printed as its exact value,
+        # exactly when it is a rational root of C (sympy's factorization)
+        sympy = pytest.importorskip("sympy")
+        t = sympy.symbols("t")
+        graphs = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+        invariants.clear_caches()
+        try:
+            rational = 0
+            for g in graphs + joins12_corpus(60):
+                root, _ = tau1_mu(g)
+                if root is None:
+                    continue
+                c, _ = cm_polynomials(g)
+                _, factors = sympy.Poly(list(reversed(c.coeffs)), t).factor_list()
+                roots = [-f.nth(0) / f.nth(1) for f, _ in factors if f.degree() == 1]
+                hits = [Fraction(int(r.p), int(r.q)) for r in roots if r > 1]
+                hits = [r for r in hits if cmp_rational(root, r) == 0]
+                printed = analysis_record(g)["tau1"]
+                assert (root.defining.degree == 1) == bool(hits), g
+                if hits:
+                    rational += 1
+                    assert printed == _enclosure(hits[0], hits[0])
+                else:
+                    assert printed == _enclosure(root.lo, root.hi)
+            assert rational == 170  # at n <= 7; none in the joins
+        finally:
+            invariants.clear_caches()
+
+    def test_pool_and_joins_take_no_split_gcd_or_bisection(self, monkeypatch):
+        calls = {"split": 0, "gcd": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            invariants, "squarefree_decomposition",
+            counting("split", invariants.squarefree_decomposition),
+        )
+        monkeypatch.setattr(polynomials, "poly_gcd", counting("gcd", polynomials.poly_gcd))
+        fallbacks = count_fallbacks(monkeypatch)
+        pool, joins = embed16_pool(), joins12_corpus(60)
+        invariants.clear_caches()
+        try:
+            for g in pool + joins:
+                cm_polynomials(g)  # C itself is not root work
+                tau1_mu(g)
+                circumradius_invariant(g)
+                for h in complement_components(g):  # a join's factors
+                    invariants.t_star(h)
+            assert calls == {"split": 0, "gcd": 0} and fallbacks == []
+            monkeypatch.undo()
+            roots = [tau1_mu(g)[0] for g in pool]
+            roots += [invariants.beta_star_squared(g) for g in joins]
+            for x in roots:  # to_float against a 2**-90 enclosure
+                narrow = x.refined(Fraction(1, 2**90))
+                assert float(narrow.lo) == float(narrow.hi) == x.to_float()
         finally:
             invariants.clear_caches()
 

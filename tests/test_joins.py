@@ -1,9 +1,15 @@
 import math
+from functools import cmp_to_key
 
 import pytest
 
 from conftest import joins12_corpus, random_graph
-from twodist.geometry import beta_star_numeric, solve_phi
+from twodist.geometry import (
+    beta_star_numeric,
+    jspherical_embedding,
+    kuperberg_decompose,
+    solve_phi,
+)
 from twodist.graphs import (
     Graph,
     MultipartiteSignature,
@@ -12,8 +18,9 @@ from twodist.graphs import (
     enumerate_graphs,
     is_complete,
     join,
+    to_graph6,
 )
-from twodist.invariants import profile
+from twodist.invariants import beta_star_squared, profile
 from twodist.joins import dims_via_join, join_decompose, multipartite_dims
 
 
@@ -29,6 +36,32 @@ def all_signatures(total, max_parts=None):
                 yield (first,) + rest
 
     return [s for s in parts(total, total) if max_parts is None or len(s) <= max_parts]
+
+
+def test_type_one_blocks_are_the_minimal_tie_group():
+    # on the J-spherical embedding of a join, the Type I blocks are exactly
+    # the vertex sets of join_decompose's minimal beta* tie group
+    joins = [
+        g
+        for n in range(2, 8)
+        for g in enumerate_graphs(n)
+        if len(complement_component_sets(g)) > 1 and not is_complete(g)
+    ]
+    for g in joins + joins12_corpus(60):
+        fz = join_decompose(g)
+        sets = [vs for vs in complement_component_sets(g) if not is_complete(g.induced(vs))]
+        least = min(
+            (beta_star_squared(g.induced(vs)) for vs in sets),
+            key=cmp_to_key(lambda u, v: u.compare(v)),
+        )
+        group = [vs for vs in sets if beta_star_squared(g.induced(vs)).compare(least) == 0]
+        assert len(group) == fz.k
+        assert sorted(map(g.induced, group), key=to_graph6) == sorted(
+            fz.factors[: fz.k], key=to_graph6
+        )
+        split = kuperberg_decompose(jspherical_embedding(g))
+        type_one = sorted(list(block) for block, kind in split.factors if kind == "I")
+        assert type_one == sorted(group), to_graph6(g)
 
 
 class TestJoinDecompose:

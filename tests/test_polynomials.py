@@ -454,6 +454,71 @@ class TestCoprimeShortcut:
         assert a.compare(c) == 0 and calls
 
 
+    def test_multiplicity_image_skips_modular_test(self, monkeypatch):
+        # an interval image of p over the enclosure that excludes 0
+        # decides p(a) != 0 before the modular test
+        from twodist import polynomials
+
+        calls = []
+        original = polynomials._coprime_mod_p
+        monkeypatch.setattr(
+            polynomials, "_coprime_mod_p", lambda *args: calls.append(args) or original(*args)
+        )
+        a = AlgebraicReal(poly(-2, 0, 1), Fraction(1), Fraction(2)).refined(Fraction(1, 10**6))
+        assert multiplicity_at(poly(-3, 0, 1), a) == 0 and not calls
+        assert multiplicity_at(poly(-2, 0, 1) * poly(-3, 0, 1), a) == 1 and calls
+
+
+class TestNearestFloat:
+    """``to_float`` takes two Newton steps from the enclosure's float
+    midpoint and accepts when the defining polynomial changes sign across
+    the half-ulp boundaries; a tie bisects as before."""
+
+    def count_refined(self, monkeypatch):
+        calls = []
+        original = AlgebraicReal.refined
+        monkeypatch.setattr(
+            AlgebraicReal, "refined", lambda *args: calls.append(args) or original(*args)
+        )
+        return calls
+
+    def numbers(self):
+        width = Fraction(1, 10**13)
+        out = [
+            AlgebraicReal(poly(-k, 0, 1), Fraction(1), Fraction(k)).refined(width)
+            for k in range(2, 60)
+            if round(k**0.5) ** 2 != k
+        ]
+        rng = random.Random(11)
+        for _ in range(40):
+            cubic = poly(rng.randint(-50, 50), rng.randint(-50, 50), rng.randint(-9, 9), 1)
+            while (got := smallest_root_greater_than(cubic, -100)) is None:
+                cubic = cubic + poly(1)
+            out.append(got[0].refined(width))
+        # a defining polynomial with a double root elsewhere
+        out.append(AlgebraicReal(poly(-2, 0, 1) * poly(-5, 1) ** 2, Fraction(1), Fraction(2)).refined(width))
+        return out
+
+    def test_newton_without_refinement(self, monkeypatch):
+        numbers = self.numbers()
+        expect = []
+        for a in numbers:
+            narrow = a.refined(Fraction(1, 2**90))
+            assert float(narrow.lo) == float(narrow.hi)
+            expect.append(float(narrow.lo))
+        calls = self.count_refined(monkeypatch)
+        assert [a.to_float() for a in numbers] == expect
+        assert calls == []
+
+    def test_tie_bisects_to_even(self, monkeypatch):
+        calls = self.count_refined(monkeypatch)
+        for num in (2**53 + 1, 2**53 + 3):  # halfway between two floats
+            root = Fraction(num, 2**53)
+            a = AlgebraicReal(poly(-num, 2**53), root - Fraction(1, 2**44), root + Fraction(1, 2**44))
+            assert a.to_float() == float(root)  # rounded half to even
+        assert float(Fraction(2**53 + 1, 2**53)) == 1.0 and calls
+
+
 def isolated_roots(d):
     """Every real root of the squarefree d, by Sturm isolation."""
     roots, bound = [], -d.root_bound()
