@@ -2,13 +2,15 @@
 
 Subcommands: analyze, embed, decompose, batch, catalog, verify.
 
-Exit codes: 0 success; 2 parse error, unreadable input, bad filter,
-environment value or configuration (a negative or non-finite tolerance,
-negative precision bits, a vertex limit (--max-n, TWODIST_MAX_N) below 1,
-a catalog or verify --max-n below 1, a verify grid below 1); 3 size
-limit; 4 undecidable enclosure; 5 infeasible distance (also one not
-finite and positive, or with a square or squared ratio that is not finite
-or is subnormal); 6 complete graph where a J-spherical operation was
+Exit codes: 0 success; 1 a verify cross-check failed; 2 parse error
+(also an input file that is not ASCII text), unreadable input, bad
+filter, environment value or configuration (a negative or non-finite
+tolerance, negative precision bits, a vertex limit (--max-n,
+TWODIST_MAX_N) below 1, a catalog or verify --max-n below 1, a verify
+grid below 1); 3 size limit (also a catalog or verify --max-n above 8);
+4 undecidable enclosure; 5 infeasible distance (also one not finite and
+positive, or with a square or squared ratio that is not finite or is
+subnormal); 6 complete graph where a J-spherical operation was
 requested; 7 geometric inconsistency.
 """
 
@@ -54,6 +56,9 @@ EXIT_COMPLETE = 6
 EXIT_GEOMETRY = 7
 
 GRAPH6_HEADER = ">>graph6<<"
+# The largest n a catalog or verify scan enumerates: 12,346 graphs at 8,
+# and canonical_key gives up on its search space at 10.
+SCAN_MAX_N = 8
 
 
 def _dec(x) -> float:
@@ -70,10 +75,20 @@ def _enclosure(lo: Fraction, hi: Fraction) -> list[float]:
     ]
 
 
+def _read_input(path: str) -> str:
+    """The text of an input file; bytes that are not ASCII are a parse error."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(
+            f"{path}: byte {exc.object[exc.start]:#04x} at offset {exc.start} is not ASCII"
+        ) from None
+
+
 def _load_graph(args) -> Graph:
     if args.format == "edgelist":
-        with open(args.input, "r", encoding="ascii") as fh:
-            return parse_edgelist(fh.read())
+        return parse_edgelist(_read_input(args.input))
     word = args.input
     if word.startswith(GRAPH6_HEADER):
         word = word[len(GRAPH6_HEADER):]
@@ -221,8 +236,7 @@ def _emit_records(records, output: str) -> None:
 
 def _cmd_batch(args) -> int:
     try:
-        with open(args.input, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
+        lines = _read_input(args.input).splitlines()
     except OSError as exc:
         print(f"cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -254,13 +268,22 @@ def _parse_filter(expr: str, n: int) -> tuple[str, int | None]:
     return key, named[raw] if raw in named else int(raw)
 
 
-def _cmd_catalog(args) -> int:
+def _scan_limit_error(args) -> int | None:
+    """The exit code for a catalog or verify --max-n outside 1..SCAN_MAX_N,
+    after a message; None when it is inside."""
     if args.max_n < 1:  # a scan of no graph would pass for success
         print(f"--max-n must be >= 1, got {args.max_n}", file=sys.stderr)
         return EXIT_PARSE
-    if args.max_n > 8:
-        print("catalog supports max-n up to 8", file=sys.stderr)
+    if args.max_n > SCAN_MAX_N:
+        print(f"{args.command} supports max-n up to {SCAN_MAX_N}", file=sys.stderr)
         return EXIT_SIZE
+    return None
+
+
+def _cmd_catalog(args) -> int:
+    error = _scan_limit_error(args)
+    if error is not None:
+        return error
     if args.filter:
         try:  # checked before the first graph is analysed
             _parse_filter(args.filter, 1)
@@ -282,18 +305,17 @@ def _cmd_verify(args) -> int:
     if args.grid < 1:
         print(f"--grid must be >= 1, got {args.grid}", file=sys.stderr)
         return EXIT_PARSE
-    if args.max_n < 1:
-        print(f"--max-n must be >= 1, got {args.max_n}", file=sys.stderr)
-        return EXIT_PARSE
+    error = _scan_limit_error(args)
+    if error is not None:
+        return error
     graphs: list[Graph] = []
     if args.input:
-        with open(args.input, "r", encoding="ascii") as fh:
-            for line in fh.read().splitlines():
-                word = line.strip()
-                if word.startswith(GRAPH6_HEADER):
-                    word = word[len(GRAPH6_HEADER):]
-                if word:
-                    graphs.append(parse_graph6(word))
+        for line in _read_input(args.input).splitlines():
+            word = line.strip()
+            if word.startswith(GRAPH6_HEADER):
+                word = word[len(GRAPH6_HEADER):]
+            if word:
+                graphs.append(parse_graph6(word))
     else:
         for n in range(1, args.max_n + 1):
             graphs.extend(enumerate_graphs(n))

@@ -17,8 +17,10 @@ from fractions import Fraction
 
 @dataclass(frozen=True)
 class Config:
-    # Exact determinant work grows quickly with n; 16 keeps desk-scale
-    # runtimes in seconds.
+    # Vertex limit of every command.  The exact work (walk polynomials,
+    # certified roots) grows polynomially in n, not exponentially; 16
+    # keeps each command well under a second, and --max-n or
+    # TWODIST_MAX_N lifts it for larger graphs.
     max_n: int = 16
     # Slack when testing membership of t in the feasible window.
     feas_slack: float = 1e-9

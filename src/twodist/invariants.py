@@ -4,30 +4,27 @@ Builds the two determinant polynomials of a graph (the bordered
 squared-distance determinant C and its unbordered companion M, both in
 t = b^2 with unit short distance) from the characteristic and walk
 polynomials of its adjacency matrix, extracts the ends of the feasible
-window, the smallest root tau1 of C above 1 together with its multiplicity
-and the largest root tau0 of C below 1 (both proposed by one float
-spectrum of the adjacency matrix compressed to 1^perp, and certified by
-Descartes counts on C itself: as a rational root with its multiplicity,
-or as a simple root; a squarefree split of C is the fallback when neither
-certifies), classifies the squared circumradius of the minimal
-representation exactly, and assembles the full invariant profile:
+window, classifies the squared circumradius of the minimal representation
+exactly, and assembles the full invariant profile:
 
     dim_e = n - mu - 1
     dim_s = dim_e if the squared circumradius is finite, else n - 1
     dim_j = dim_e if the squared circumradius equals 1/2 exactly, else n - 1
             (undefined for complete graphs)
 
-The squared circumradius is the limit of -M/(2C) at the root.  Whether it
+tau1 (C's least root above 1, with its multiplicity mu), tau0 and
+``t_star`` take one route, ``_least_root_above_one``; tau0, C's largest
+root below 1, is read from C's reciprocal polynomial, the complement's C.
+
+The squared circumradius is the limit of -M/(2C) at tau1.  Whether it
 equals a rational r0 = p/q is algebraic: it does iff the tie polynomial
 q*M + 2p*C vanishes there to higher order than C.  The 1/2 test is the case
 r0 = 1/2; ``dim_s_bounded`` asks about any r0.  The r0 = 1/2 tie
 polynomial of the whole graph is also the Gram determinant of the
-J-spherical configuration, so ``t_star`` certifies beta*^2/2 as its least
-root above 1, proposed by the complement's Perron root, a simple root
-certified on the tie polynomial itself (its split is the fallback).
-Otherwise the
-limit is enclosed by certified interval arithmetic over rationals, away
-from r0.
+J-spherical configuration, so ``t_star`` reads beta*^2/2 as its least
+root above 1, proposed by the complement's Perron root.  Otherwise the
+limit is exact at a rational tau1 and enclosed away from r0 by certified
+interval arithmetic over rationals at an irrational one.
 """
 
 from __future__ import annotations
@@ -69,8 +66,9 @@ HALF = "half"
 @dataclass(frozen=True)
 class RSquared:
     """Classification of the squared circumradius of the minimal
-    representation: exactly 1/2, a finite rational enclosure, or infinite
-    (the minimal representation is not spherical)."""
+    representation: exactly 1/2, a finite rational enclosure (lo == hi
+    when the value is exact), or infinite (the minimal representation is
+    not spherical)."""
 
     kind: str
     lo: Optional[Fraction] = None
@@ -237,8 +235,9 @@ def _limit_against(g: Graph, r0: Fraction) -> Optional[tuple[Fraction, Fraction]
     certified enclosure (lo, hi) of it that excludes r0.
 
     Equal iff the tie polynomial vanishes at tau1 to order > mu_C.
-    Otherwise the limit of -M/(2C) is enclosed through the mu_C-th
-    derivatives on a refined interval."""
+    Otherwise the limit of -M/(2C) is -M^(mu_C)/(2 C^(mu_C)) at tau1: an
+    exact rational, as a collapsed enclosure, when tau1 is rational
+    (defined by a linear factor), else enclosed on a refined interval."""
     root, mu = tau1_mu(g)
     tie = tie_polynomial(g, r0)
     if tie.is_zero or multiplicity_at(tie, root) > mu:
@@ -246,6 +245,11 @@ def _limit_against(g: Graph, r0: Fraction) -> Optional[tuple[Fraction, Fraction]
     c, m = cm_polynomials(g)
     for _ in range(mu):
         m, c = m.derivative(), c.derivative()
+    if root.defining.degree == 1:
+        a0, a1 = root.defining.coeffs
+        tau = Fraction(-a0, a1)
+        exact = -m(tau) / (2 * c(tau))
+        return exact, exact
     return enclose_rational_limit(-m, c.scale(2), root, get_config().r2_width, r0)
 
 
@@ -255,7 +259,9 @@ def _spectrum(g: Graph) -> tuple[float, float]:
     matrix compressed to 1^perp (Q an orthonormal basis of it), in floats;
     (0.0, 0.0) for one vertex, where B is empty.  One ``eigvalsh`` of
     PAP - J, P = I - J/n: it has B's spectrum plus -n from the direction 1,
-    below every eigenvalue of B (those are at least -(n - 1))."""
+    below every eigenvalue of B (those are at least -(n - 1)).  The roots
+    of C are x/(1 + x) over the eigenvalues x != -1 of B, since the walk
+    polynomial is n det(xI - B)."""
     n = g.n
     a = g.adjacency().astype(float)
     r = a.sum(axis=0) / n
@@ -264,13 +270,6 @@ def _spectrum(g: Graph) -> tuple[float, float]:
     a += r.sum() / n - 1
     ev = np.linalg.eigvalsh(a)
     return (float(ev[1]), float(ev[-1])) if n > 1 else (0.0, 0.0)
-
-
-def _spectrum_end(g: Graph, largest: bool) -> float:
-    """The largest (or smallest) eigenvalue of B (``_spectrum``).  The
-    roots of C are x/(1 + x) over the eigenvalues x != -1 of B, since the
-    walk polynomial is n det(xI - B)."""
-    return _spectrum(g)[largest]
 
 
 def _log2_floor(p: int, q: int) -> int:
@@ -283,8 +282,7 @@ def _proposal_interval(t: float) -> Optional[tuple[Fraction, Fraction]]:
     """[lo, hi] centred on t with half-width 2**e, the larger of 8 ulp(t)
     and the largest power of two <= tau_width / 2: it has the requested
     width unless 8 ulp(t) is the larger, and its ends are exact dyadic
-    rationals no finer than t, formed on integers.  None unless it lies in
-    (1, inf) or in (0, 1)."""
+    rationals no finer than t, formed on integers.  None unless lo > 1."""
     width = get_config().tau_width
     e = max(
         _log2_floor(width.numerator, 2 * width.denominator),
@@ -295,26 +293,24 @@ def _proposal_interval(t: float) -> Optional[tuple[Fraction, Fraction]]:
     mid = n * (den // d)
     half = den << e if e >= 0 else den >> -e
     lo, hi = Fraction(mid - half, den), Fraction(mid + half, den)
-    return None if lo <= 0 or lo <= 1 <= hi else (lo, hi)
+    return (lo, hi) if lo > 1 else None
 
 
 def _certified_root(
     factors: list[tuple[IntPolynomial, int]], t: float
 ) -> Optional[tuple[AlgebraicReal, int]]:
-    """The root nearest 1 on t's side (the smallest above 1, or the largest
-    in (0, 1)) of the product of ``factors`` and its multiplicity, refined
-    to ``tau_width``, when a proposal t near it certifies; None when the
-    certificate fails.  ``factors`` is a squarefree split, or one
-    polynomial with multiplicity 1, whose root is then proved simple.  One
-    certificate serves tau1, tau0, ``t_star`` and ``geometry.solve_phi``.
+    """The smallest root above 1 of the product of ``factors`` and its
+    multiplicity, refined to ``tau_width``, when a proposal t near it
+    certifies; None when the certificate fails.  ``factors`` is a
+    squarefree split, or one polynomial with multiplicity 1, whose root is
+    then proved simple.
 
     On t's interval (``_proposal_interval``) f is the one factor that
     changes sign, so f has a root in (lo, hi), and no factor vanishes at
     either end.  A Descartes count of 1 for f and 0 for every other factor
-    on (1, hi), or on (lo, 1) below 1, proves that root is the only root
-    between 1 and the interval end, and a simple root of f.  The counts
-    are exact proofs whether or not the factors are real-rooted, so the
-    tie polynomials of beta*^2 certify alike."""
+    on (1, hi) proves that root is the least above 1, and a simple root of
+    f.  The counts are exact proofs whether or not the factors are
+    real-rooted, so the tie polynomials of beta*^2 certify alike."""
     interval = _proposal_interval(t)
     if interval is None:
         return None
@@ -328,34 +324,34 @@ def _certified_root(
     if len(owners) != 1 or 0 in ends:
         return None
     f, mult = owners[0]
-    span = (1, hi) if lo > 1 else (lo, 1)
-    if any(descartes_count(h, *span) != int(h is f) for h, _ in factors):
+    if any(descartes_count(h, 1, hi) != int(h is f) for h, _ in factors):
         return None
     return AlgebraicReal(f, lo, hi).refined(get_config().tau_width), mult
 
 
 def _rational_root(
-    p: IntPolynomial, n: int, x: float
+    p: IntPolynomial, n: int, t: float
 ) -> Optional[tuple[AlgebraicReal, int]]:
-    """The rational root k/(k + n) of C proposed by an eigenvalue x of B,
-    with its multiplicity, when n x is within 1e-6 of the integer k and the
-    root certifies as C's nearest to 1 on its side; None otherwise.  p is
-    C without its power of t, n the vertex count.  The walk polynomial
-    n det(xI - B) has leading coefficient n, so a rational eigenvalue x has
-    n x integral, and its root x/(1 + x) of C is k/(k + n).
+    """The rational root k/(k + n) of p proposed by t, with its
+    multiplicity, when it certifies as p's least root above 1; None
+    otherwise.  p is the C of an n-vertex graph, or its reciprocal, without
+    its power of t.  The walk polynomial n det(xI - B) has leading
+    coefficient n, so a rational eigenvalue x = t/(1 - t) of B has n x
+    integral: n x within 1e-6 of the integer k proposes k/(k + n).
 
-    That root must lie inside the interval ``_certified_root`` builds on
-    the proposal x/(1 + x) (``_proposal_interval``), and it gets the same
-    enclosure, defined by the linear factor.  Its multiplicity is the
-    number of exact divisions of p by that factor, and a Descartes count of
-    0 for the cofactor on (1, hi), or on (lo, 1) below 1, certifies it."""
-    k = round(n * x)
-    if abs(n * x - k) > 1e-6 or k + n == 0:
-        return None
-    interval = _proposal_interval(x / (1 + x))
+    That root must lie inside t's interval (``_proposal_interval``), and it
+    gets the same enclosure as ``_certified_root``'s, defined by the linear
+    factor.  Its multiplicity is the number of exact divisions of p by that
+    factor, and a Descartes count of 0 for the cofactor on (1, hi)
+    certifies it."""
+    interval = _proposal_interval(t)
     if interval is None:
         return None
     lo, hi = interval
+    x = t / (1 - t)
+    k = round(n * x)
+    if abs(n * x - k) > 1e-6 or k + n == 0:
+        return None
     root = Fraction(k, k + n)
     if not lo < root < hi:
         return None
@@ -364,7 +360,7 @@ def _rational_root(
     while p.homogeneous(root.numerator, root.denominator) == 0:
         p = exact_div(p, linear)
         mult += 1
-    if not mult or descartes_count(p, *((1, hi) if lo > 1 else (lo, 1))):
+    if not mult or descartes_count(p, 1, hi):
         return None
     return AlgebraicReal(linear, lo, hi).refined(get_config().tau_width), mult
 
@@ -375,17 +371,6 @@ def _without_zero_roots(p: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(p.coeffs[k:])
 
 
-def _certified_on_c(g: Graph, x: float) -> Optional[tuple[AlgebraicReal, int]]:
-    """C's root x/(1 + x) nearest 1 on its side, proposed by an eigenvalue x
-    of B (``_spectrum``), with its multiplicity, certified on C itself with
-    its power of t divided out (roots at 0 never matter): as a rational
-    root (``_rational_root``), else as a simple one (``_certified_root``).
-    None when neither certifies; C's squarefree split then decides."""
-    c, _ = cm_polynomials(g)
-    p = _without_zero_roots(c)
-    return _rational_root(p, g.n, x) or _certified_root([(p, 1)], x / (1 + x))
-
-
 def roots_above_one(
     p: IntPolynomial,
     factors: list[tuple[IntPolynomial, int]],
@@ -394,16 +379,16 @@ def roots_above_one(
 ) -> Iterator[tuple[AlgebraicReal, int]]:
     """Yield the roots of p in (1, top] (no upper end when top is None) in
     increasing order, refined to ``tau_width``, with their multiplicities:
-    the walk behind ``geometry.solve_phi``, and the fallback of tau1 and
-    ``t_star`` when their roots do not certify on p itself.  ``factors``
-    is p's squarefree split.  The first root is that of the float
-    ``proposal`` when it certifies (``_certified_root``); else counts of 0
-    on every factor prove there is none, or Descartes bisection finds it.
-    Each later root is the least root of the squarefree part above an
-    enclosure isolating the last one among all of p's roots, as a certified
-    one does (its counts cover every factor on (1, hi)); a bisected one is
-    isolated again first.  Its multiplicity is that of the one factor
-    changing sign across its enclosure."""
+    the walk behind ``geometry.solve_phi``, and the fallback of
+    ``_least_root_above_one``.  ``factors`` is p's squarefree split.  The
+    first root is that of the float ``proposal`` when it certifies
+    (``_certified_root``); else counts of 0 on every factor prove there is
+    none, or Descartes bisection finds it.  Each later root is the least
+    root of the squarefree part above an enclosure isolating the last one
+    among all of p's roots, as a certified one does (its counts cover
+    every factor on (1, hi)); a bisected one is isolated again first.  Its
+    multiplicity is that of the one factor changing sign across its
+    enclosure."""
     width = get_config().tau_width
     got = None if proposal is None else _certified_root(factors, proposal)
     isolated = got is not None
@@ -424,49 +409,38 @@ def roots_above_one(
         isolated = True
 
 
-def _root_below_one(
-    p: IntPolynomial,
-    proposal: Optional[float],
-    factors: list[tuple[IntPolynomial, int]],
-) -> Optional[AlgebraicReal]:
-    """The largest root of p in (0, 1), refined to ``tau_width``, or None:
-    the mirror of ``roots_above_one``'s first root, on p's split ``factors``.
-    A count of 0 on (0, 1) for every factor proves there is none; failing
-    the proposal and that count, the root is 1/s for the smallest root
-    s > 1 of the reciprocal polynomial t^deg p(1/t), found by Descartes
-    bisection."""
-    if proposal is not None:
-        got = _certified_root(factors, proposal)
-        if got is not None:
-            return got[0]
-    if all(descartes_count(f, 0, 1) == 0 for f, _ in factors):
-        return None
-    got = smallest_root_greater_than(p.reciprocal(p.degree), 1)
-    return None if got is None else got[0].refined(get_config().tau_width).reciprocal()
+def _least_root_above_one(
+    p: IntPolynomial, t: Optional[float], n: Optional[int] = None
+) -> Optional[tuple[AlgebraicReal, int]]:
+    """p's least root above 1 and its multiplicity, refined to
+    ``tau_width``; None when p has no root above 1.  The one route of
+    tau1, tau0 and ``t_star``.  A float proposal t of the root is
+    certified on p itself, its power of t divided out (roots at 0 never
+    matter): with ``n`` set (p is the C of an n-vertex graph, or its
+    reciprocal) as a rational root (``_rational_root``), else as a simple
+    root (``_certified_root``).  When neither certifies, or with no
+    proposal, ``roots_above_one`` decides on p's squarefree split."""
+    got = None
+    if t is not None:
+        q = _without_zero_roots(p)
+        got = _rational_root(q, n, t) if n else None
+        got = got or _certified_root([(q, 1)], t)
+    return got or next(roots_above_one(p, squarefree_decomposition(p), t), None)
 
 
-@functools.lru_cache(maxsize=None)
-def _c_split(g: Graph) -> tuple[IntPolynomial, list[tuple[IntPolynomial, int]]]:
-    """C and its squarefree split, on which both ends of the feasible
-    window are certified when C itself does not certify them."""
-    c, _ = cm_polynomials(g)
-    return c, squarefree_decomposition(c)
+def _proposal(x: float) -> Optional[float]:
+    """C's root x/(1 + x) above 1 for an eigenvalue x < -1 of B, else None."""
+    return x / (1 + x) if x < -1 else None
 
 
 @functools.lru_cache(maxsize=None)
 def tau1_mu(g: Graph) -> tuple[Optional[AlgebraicReal], int]:
     """Smallest root of C strictly above 1 with its exact multiplicity;
-    (None, 0) when every root is <= 1.  C's roots are x/(1 + x) over the
-    eigenvalues x of B (``_spectrum``), and x/(1 + x) increases in x on
-    each side of -1: the smallest eigenvalue, when below -1, proposes it,
-    certified on C itself (``_certified_on_c``).  Failing that, or with no
-    proposal, ``roots_above_one`` decides on C's cached split
-    (``_c_split``)."""
-    x = _spectrum_end(g, largest=False)
-    got = _certified_on_c(g, x) if x < -1 else None
-    if got is None:
-        c, factors = _c_split(g)
-        got = next(roots_above_one(c, factors, x / (1 + x) if x < -1 else None), None)
+    (None, 0) when every root is <= 1.  x/(1 + x) increases in x on each
+    side of -1, so B's smallest eigenvalue (``_spectrum``), when below -1,
+    proposes it (``_least_root_above_one``)."""
+    c, _ = cm_polynomials(g)
+    got = _least_root_above_one(c, _proposal(_spectrum(g)[0]), g.n)
     return (None, 0) if got is None else got
 
 
@@ -474,18 +448,16 @@ def tau1_mu(g: Graph) -> tuple[Optional[AlgebraicReal], int]:
 def tau0(g: Graph) -> Optional[AlgebraicReal]:
     """Lower endpoint of the feasible window (None means the window
     extends to 0): the largest root of C in (0, 1), which is 1/tau1 of the
-    complement, since the complement's C is t^(n-1) C(1/t).  The largest
-    eigenvalue of B, when positive, proposes it from the same cached
-    spectrum, certified on C itself (``_certified_on_c``).  Failing that,
-    or with no proposal, ``_root_below_one`` decides on the split tau1
-    uses (``_c_split``).  Certified only when asked: ``realize`` above
-    t = 1 never asks."""
-    x = _spectrum_end(g, largest=True)
-    got = _certified_on_c(g, x) if x > 0 else None
-    if got is not None:
-        return got[0]
-    c, factors = _c_split(g)
-    return _root_below_one(c, x / (1 + x) if x > 0 else None, factors)
+    complement, since the complement's C is C's reciprocal t^(n-1) C(1/t).
+    So it is the reciprocal of that polynomial's least root above 1
+    (``_least_root_above_one``), proposed by the complement's smallest
+    eigenvalue -1 - x, x the largest of B (the complement's B is -I - B),
+    from the same cached spectrum, with no complement walk data.
+    Certified only when asked: ``realize`` above t = 1 never asks."""
+    c, _ = cm_polynomials(g)
+    x = -1 - _spectrum(g)[1]
+    got = _least_root_above_one(c.reciprocal(g.n - 1), _proposal(x), g.n)
+    return None if got is None else got[0].reciprocal()
 
 
 @functools.lru_cache(maxsize=None)
@@ -528,21 +500,13 @@ def t_star(g: Graph) -> AlgebraicReal:
     their convex hull and the radius is 1.  By the matrix determinant
     lemma det G(t) = (t - 1)^n det(xI - Abar) at x = 1/(t - 1) is +-(M + C),
     the r0 = 1/2 tie polynomial up to a factor 2, so t* is its least root
-    above 1: one ``eigvalsh`` of Abar proposes it.  The root is simple (the
-    Perron root of the connected complement is), so tau1's certificate
-    proves it on the tie polynomial itself, its power of t divided out;
-    failing that, ``roots_above_one`` decides on the tie polynomial's
-    squarefree split."""
+    above 1 (``_least_root_above_one``): one ``eigvalsh`` of Abar proposes
+    it, a simple root (the Perron root of the connected complement is)."""
     if is_complete(g):
         raise CompleteGraphError("complete graphs have no such configuration")
     n = g.n
     rho = float(np.linalg.eigvalsh(1.0 - np.eye(n) - g.adjacency())[-1])
-    tie = tie_polynomial(g, Fraction(1, 2))
-    t = 1.0 + 1.0 / rho
-    got = _certified_root([(_without_zero_roots(tie), 1)], t)
-    if got is None:
-        got = next(roots_above_one(tie, squarefree_decomposition(tie), t))
-    return got[0]
+    return _least_root_above_one(tie_polynomial(g, Fraction(1, 2)), 1.0 + 1.0 / rho)[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -603,7 +567,6 @@ def clear_caches() -> None:
     cm_polynomials.cache_clear()
     bordered_adjugate.cache_clear()
     _spectrum.cache_clear()
-    _c_split.cache_clear()
     tau1_mu.cache_clear()
     tau0.cache_clear()
     circumradius_invariant.cache_clear()

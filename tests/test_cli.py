@@ -247,21 +247,18 @@ class TestEmbed:
         # no tau0, and --b 0.5 certifies it once, also when t is outside
         from twodist import invariants
 
-        calls = []
-        original = invariants._root_below_one
-        monkeypatch.setattr(
-            invariants, "_root_below_one", lambda *args: calls.append(args) or original(*args)
-        )
+        def certified():  # tau0 certifications since the caches were cleared
+            return invariants.tau0.cache_info().misses
+
         invariants.clear_caches()
         try:
             for word in (OCTA, C5, "Bg", "BW", to_graph6(Graph.petersen())):
                 assert run(capsys, "embed", word)[0] == 0
-            assert calls == []
+            assert certified() == 0
             for word, code in (("BW", 0), (C5, 5)):
                 invariants.clear_caches()
-                calls.clear()
                 got, _, err = run(capsys, "embed", word, "--b", "0.5")
-                assert got == code and len(calls) == 1
+                assert got == code and certified() == 1
             assert "t=0.25 outside feasible window [0.38196601125, 2.61803398875]" in err
         finally:
             invariants.clear_caches()
@@ -485,7 +482,7 @@ class TestBeyondSixtyTwo:
     def test_analyze(self, capsys, tmp_path):
         rec = self.run_c64(capsys, tmp_path, "analyze")
         assert rec["n"] == 64 and rec["tau1"] == [2.0, 2.0] and rec["mu"] == 1
-        assert rec["dim_e"] == 62
+        assert rec["dim_e"] == 62 and rec["r_squared"] == [0.96875, 0.96875]
         assert rec["factors"] == [{"size": 64, "type": "I"}]
 
     def test_embed(self, capsys, tmp_path):
@@ -517,6 +514,45 @@ class TestScanLimit:
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == "" and f"--max-n must be >= 1, got {argv[2]}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("catalog", "--max-n", "9"),
+            ("verify", "--max-n", "9"),
+            ("verify", "--max-n", "10"),
+            ("verify", "--max-n", "12", "--input", "unused.g6"),
+        ],
+    )
+    def test_max_n_above_eight_exit(self, capsys, argv):
+        # verify shares catalog's cap: an n = 9 scan would enumerate for
+        # hours, and canonical_key gives up at n = 10
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == "" and f"{argv[0]} supports max-n up to 8" in err
+
+
+class TestNonAsciiInput:
+    """An input file with bytes outside ASCII is a parse error, not a
+    traceback, wherever a file is read."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--format", "edgelist"),
+            ("embed", "--format", "edgelist"),
+            ("decompose", "--format", "edgelist"),
+            ("batch",),
+            ("verify", "--input"),
+        ],
+    )
+    def test_parse_error_exit(self, capsys, tmp_path, argv):
+        path = tmp_path / "f.txt"
+        body = b"3\n0 1\n# caf\xc3\xa9\n" if "edgelist" in argv else b"Dhc\ncaf\xc3\xa9\n"
+        path.write_bytes(body)
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 2 and out == ""
+        assert "parse error" in err and "0xc3" in err and "Traceback" not in err
 
 
 class TestConfig:

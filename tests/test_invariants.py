@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -267,6 +268,44 @@ class TestCircumradius:
         r2 = circumradius_invariant(Graph.petersen())
         assert r2.kind == "finite"
         assert r2.lo <= Fraction(3, 4) <= r2.hi
+        assert r2.lo == r2.hi == Fraction(3, 4)  # tau1 = 3/2 is rational
+
+    def test_cycle64_exact(self):
+        # tau1 = 2 is rational, so r^2 = 31/32 is exact, not an enclosure
+        # whose ends have thousands of digits
+        with override(max_n=70):
+            invariants.clear_caches()
+            try:
+                r2 = circumradius_invariant(Graph.cycle(64))
+            finally:
+                invariants.clear_caches()
+        assert r2.kind == "finite" and r2.lo == r2.hi == Fraction(31, 32)
+
+    def test_exact_iff_rational_tau1(self):
+        # r^2 collapses onto one rational exactly when tau1 is rational; that
+        # value lies in the interval route's enclosure, and dim_s_bounded
+        # decides budgets just below and above it
+        exact = 0
+        for n in range(2, 7):
+            for g in enumerate_graphs(n):
+                root, mu = tau1_mu(g)
+                r2 = circumradius_invariant(g)
+                if r2.kind != "finite":
+                    continue
+                c, m = cm_polynomials(g)
+                for _ in range(mu):
+                    m, c = m.derivative(), c.derivative()
+                lo, hi = polynomials.enclose_rational_limit(
+                    -m, c.scale(2), root, get_config().r2_width, Fraction(1, 2)
+                )
+                assert lo <= r2.lo <= r2.hi <= hi
+                assert (r2.lo == r2.hi) == (root.defining.degree == 1), g
+                if r2.lo == r2.hi:
+                    exact += 1
+                    eps = Fraction(1, 10**40)
+                    assert dim_s_bounded(g, r2.lo + eps) == n - mu - 1
+                    assert dim_s_bounded(g, r2.lo - eps) == n - 1
+        assert exact == 19
 
     def test_empty_graph_infinite(self):
         assert circumradius_invariant(Graph.empty(4)).kind == "infinite"
@@ -445,19 +484,15 @@ def assert_root_of_c(g, got, expect):
         assert is_valid(got) and got.width <= get_config().tau_width
 
 
-def assert_same_window(g, t1, t0, tau0_on_c=False):
+def assert_same_window(g, t1, t0):
     """tau1_mu(g) and tau0(g) are the roots (t1, t0) of a reference route.
-    tau1 is certified on C itself, or on its squarefree split when that
-    fails, so its defining polynomial divides C rather than being the
-    reference's.  With ``tau0_on_c`` the same holds for tau0; without it,
-    tau0 is the reference's, by the same defining polynomial."""
+    Each is certified on C (tau0 on C's reciprocal) itself, or on its
+    squarefree split when that fails, so its defining polynomial divides C
+    rather than being the reference's."""
     root, mu = tau1_mu(g)
     assert mu == t1[1]
     assert_root_of_c(g, root, t1[0])
-    if tau0_on_c:
-        assert_root_of_c(g, invariants.tau0(g), t0)
-    else:
-        assert_same_root(invariants.tau0(g), t0)
+    assert_root_of_c(g, invariants.tau0(g), t0)
 
 
 def count_fallbacks(monkeypatch):
@@ -507,8 +542,9 @@ class TestSpectralWindow:
     def test_small_enclosures_equal_sturm_isolation(self, width, max_n):
         # at width 1 the interval t +- 1/2 around a proposal t reaches 1 when
         # t <= 3/2, or holds another root, and the bisection fallback runs;
-        # every root is the same.  It reaches 0 or 1 around every tau0, so
-        # each tau0 comes from the reciprocal fallback, as the reference's.
+        # every root is the same.  tau0 is 1/s for the least root s > 1 of
+        # C's reciprocal, certified there when s > 3/2 and no other root
+        # is within 1/2, else bisected, always on a divisor of C.
         changes = {} if width is None else {"tau_width": Fraction(width)}
         with override(**changes):
             invariants.clear_caches()
@@ -516,7 +552,7 @@ class TestSpectralWindow:
                 for n in range(1, max_n + 1):
                     for g in enumerate_graphs(n):
                         t1, t0 = sturm_window(g)
-                        assert_same_window(g, t1, t0, tau0_on_c=width is None)
+                        assert_same_window(g, t1, t0)
             finally:
                 invariants.clear_caches()
 
@@ -595,7 +631,7 @@ class TestSpectralWindow:
         invariants.clear_caches()
         for g in embed16_pool():
             t1, t0 = sturm_window(g)
-            assert_same_window(g, t1, t0, tau0_on_c=True)
+            assert_same_window(g, t1, t0)
         assert fallbacks == []
 
     def test_no_fallback_on_small_graphs_and_joins(self, monkeypatch):
@@ -618,13 +654,12 @@ class TestSpectralWindow:
         expect = [(tau1_mu(g), invariants.tau0(g)) for g in graphs]
         invariants.clear_caches()
         fallbacks = count_fallbacks(monkeypatch)
-        original_end = invariants._spectrum_end
-        monkeypatch.setattr(
-            invariants, "_spectrum_end", lambda g, largest: original_end(g, largest) + 1e-3
-        )
+        original = invariants._spectrum
+        shifted = functools.lru_cache(lambda g: tuple(x + 1e-3 for x in original(g)))
+        monkeypatch.setattr(invariants, "_spectrum", shifted)
         try:
             for g, (t1, t0) in zip(graphs, expect):
-                assert_same_window(g, t1, t0, tau0_on_c=True)
+                assert_same_window(g, t1, t0)
         finally:
             invariants.clear_caches()
         # every proposal missed: each root above 1 came from the bisection fallback
@@ -681,22 +716,26 @@ class TestRootOnItsPolynomial:
     def test_rational_root_certificate(self):
         # (t - 2)^3 (t^2 - 7): n x = -2 proposes t = 2, a triple root
         p = poly(-2, 1) ** 3 * poly(-7, 0, 1)
-        root, mult = invariants._rational_root(p, 1, -2.0)
+        root, mult = invariants._rational_root(p, 1, 2.0)
         assert mult == 3 and root.defining == poly(-2, 1)
         assert (root.lo, root.hi) == invariants._proposal_interval(2.0)
         assert cmp_rational(root, 2) == 0 and is_valid(root)
         # n x off an integer proposes nothing
-        assert invariants._rational_root(p, 1, -2.001) is None
+        x = -2.001
+        assert invariants._rational_root(p, 1, x / (1 + x)) is None
         # a root of the cofactor between 1 and the interval's upper end
         # (hi = 2 + 2**-45): 3/2, or 2 + 2**-46
         _, hi = invariants._proposal_interval(2.0)
         for other in (poly(-3, 2), poly(-(4 * hi.denominator + 1), 2 * hi.denominator)):
-            assert invariants._rational_root(poly(-2, 1) * other, 1, -2.0) is None
-        # below 1: 1/2 (double) is C's largest root in (0, 1) unless 3/4 is one
+            assert invariants._rational_root(poly(-2, 1) * other, 1, 2.0) is None
+        # tau0's side: 1/2 (double) is C's largest root in (0, 1) unless 3/4
+        # is one, so on C's reciprocal 2 (double) is the least root above 1
+        # unless 4/3 is one; the complement's x = -1 - 1 proposes t = 2
         low = poly(-1, 2) ** 2 * poly(-1, 4)
-        root, mult = invariants._rational_root(low, 1, 1.0)
-        assert mult == 2 and cmp_rational(root, Fraction(1, 2)) == 0
-        assert invariants._rational_root(low * poly(-3, 4), 1, 1.0) is None
+        root, mult = invariants._rational_root(low.reciprocal(3), 1, 2.0)
+        assert mult == 2 and cmp_rational(root, 2) == 0
+        assert cmp_rational(root.reciprocal(), Fraction(1, 2)) == 0
+        assert invariants._rational_root((low * poly(-3, 4)).reciprocal(4), 1, 2.0) is None
 
     def test_simple_root_on_polynomial_with_multiple_roots(self):
         # the polynomial itself, not its split: a double root elsewhere does
