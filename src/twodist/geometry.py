@@ -1,22 +1,23 @@
 """Numerical realization of two-distance configurations.
 
 Coordinates come from double-centering the squared-distance matrix and an
-eigendecomposition.  An enclosing ball is proposed first, its support by
-a few block principal pivots, then certified by the duality gap of the
-support's barycentric weights; failing either, exact-support pivoting
-walks to it, under the same certificate.  On top of those:
-the monotone enclosing-ball radius function of the long distance, and its
-exact inverse ``solve_phi`` for any radius.  That one realizes no
-coordinates: a float active set on the squared distances proposes the
-ball's support, as the standard quadratic program over the simplex, and
-one loop walks the roots of the support's tie polynomial, with tau1's root
-walk, until the support is certified exactly at one.  Then embeddings on
-the unit sphere with short distance sqrt(2), and the orthogonal join
-decomposition of such point sets.  Neither needs an enclosing ball: the
-embedding's Gram matrix is I + (1 - t)Abar (Abar the complement's
-adjacency matrix, t = beta*^2/2), and each join block, affinely
-independent, is Type I or Type II by the projection of the origin onto its
-affine hull.  The long distance beta* is obtained once, in
+eigendecomposition.  Every enclosing-ball support is proposed by one float
+active set, ``_active_set``: a few block principal pivots on the squared
+distances, the standard quadratic program over the simplex.  Then comes
+the certificate, then the walk.  ``min_enclosing_ball`` certifies the
+proposal by the duality gap of its barycentric weights; failing either,
+exact-support pivoting walks to the ball, under the same certificate.  On
+top of those: the monotone enclosing-ball radius function of the long
+distance, and its exact inverse ``solve_phi`` for any radius.  That one
+realizes no coordinates: the same active set, on the squared distances
+D(t), proposes the support, and one loop walks the roots of the support's
+tie polynomial, with tau1's root walk, until the support is certified
+exactly at one.  Then embeddings on the unit sphere with short distance
+sqrt(2), and the orthogonal join decomposition of such point sets.
+Neither needs an enclosing ball: the embedding's Gram matrix is
+I + (1 - t)Abar (Abar the complement's adjacency matrix, t = beta*^2/2),
+and each join block, affinely independent, is Type I or Type II by the
+projection of the origin onto its affine hull.  The long distance beta* is obtained once, in
 ``invariants.beta_star_squared`` (from the complement's Perron root,
 certified by ``invariants.t_star``); ``beta_star_numeric`` and
 ``jspherical_embedding`` read that cached value.
@@ -59,11 +60,11 @@ MEB_GAP_RTOL = 1e-14
 HULL_TOL = 1e-8
 # Cross-factor orthogonality tolerance in point-set decomposition.
 ORTH_TOL = 1e-7
-# Block pivots ``min_enclosing_ball`` spends on proposing a support before
-# it walks.
+# Block pivots ``_active_set`` spends on proposing an enclosing ball's
+# support.
 PROPOSAL_PIVOTS = 8
-# Relative distance from the float tau1 within which a float t counts as
-# the window end in ``solve_phi``'s proposals.
+# Relative slack above the float tau1 within which ``solve_phi`` takes a
+# float root of a tie polynomial as inside the window.
 END_RTOL = 1e-9
 
 
@@ -238,49 +239,48 @@ def _bordered_solve(d: np.ndarray, support: Sequence[int]) -> tuple[np.ndarray, 
     return x[:k], float(x[k])
 
 
-def _proposed_weights(rel: np.ndarray, sqnorms: np.ndarray) -> Optional[np.ndarray]:
-    """The barycentric weights of the enclosing ball's center, 0 off its
-    support T, proposed by block principal pivoting (Judice & Pires 1994);
-    None when no proposal is accepted within ``PROPOSAL_PIVOTS`` pivots.
+def _active_set(
+    d: np.ndarray, start: Sequence[int]
+) -> Optional[tuple[tuple[int, ...], np.ndarray, float]]:
+    """(T, lam, R^2): the support T of the enclosing ball of the points
+    with squared distances d, its center's barycentric weights lam on T and
+    its squared radius, in floats; None when no T is accepted within
+    ``PROPOSAL_PIVOTS`` pivots.  The one float support of
+    ``min_enclosing_ball`` and ``solve_phi``.
 
-    The squared distances D come from one Gram matrix of the points
-    ``rel`` (squared norms ``sqnorms``).  T starts as the points whose mean
-    squared distance is at least the mean.  Each pivot is one bordered
-    solve on T (``_bordered_solve``); T then keeps its points of positive
-    weight and takes in every point outside the sphere, by more than
-    ``_active_set``'s tolerance.  A pivot that keeps T is accepted when T
+    Block principal pivoting (Judice & Pires 1994) on the standard
+    quadratic program max lam^T D lam / 2 over the simplex, from T =
+    ``start``.  Each pivot is one bordered solve on T (``_bordered_solve``),
+    which gives lam and R^2 = -nu/2; the point j lies outside the sphere
+    when D[j, T] lam + nu exceeds 1e-12 * max(1, max D), the float form of
+    ``_support_certified``.  T then keeps its points of positive weight and
+    takes in every point outside.  A pivot that keeps T is accepted when T
     is affinely independent: the square of every diagonal entry of the
-    Cholesky factor of its difference Gram matrix exceeds ``RANK_RTOL``
-    times the Gram matrix's own diagonal entry there."""
-    n = len(rel)
-    d = sqnorms[:, None] + sqnorms - 2.0 * (rel @ rel.T)
-    np.fill_diagonal(d, 0.0)
+    Cholesky factor of its difference Gram matrix, (D_0i + D_0j - D_ij)/2,
+    exceeds ``RANK_RTOL`` times the Gram matrix's own diagonal entry
+    there.  A singular bordered system or Gram matrix gives None."""
     tol = 1e-12 * max(1.0, float(d.max()))
-    mean = d.mean(axis=1)
-    member = mean >= mean.mean()
-    for _ in range(PROPOSAL_PIVOTS):
-        support = np.flatnonzero(member)
-        try:
+    member = np.zeros(len(d), dtype=bool)
+    member[list(start)] = True
+    try:
+        for _ in range(PROPOSAL_PIVOTS):
+            support = np.flatnonzero(member)
             lam, nu = _bordered_solve(d, support)
-        except np.linalg.LinAlgError:
-            return None
-        outside = d[:, support] @ lam + nu > tol  # |p_j - c|^2 - R^2
-        outside[support] = False
-        positive = lam > 0.0
-        if positive.all() and not outside.any():
-            diff = rel[support[1:]] - rel[support[0]]
-            gram = diff @ diff.T
-            try:
+            outside = d[:, support] @ lam + nu > tol  # |p_j - c|^2 - R^2
+            outside[support] = False
+            positive = lam > 0.0
+            if positive.all() and not outside.any():
+                rest = support[1:]
+                head = d[support[0], rest]
+                gram = 0.5 * (head[:, None] + head - d[np.ix_(rest, rest)])
                 diagonal = np.diag(np.linalg.cholesky(gram))
-            except np.linalg.LinAlgError:
-                return None
-            if not (diagonal * diagonal > RANK_RTOL * np.diag(gram)).all():
-                return None
-            weights = np.zeros(n)
-            weights[support] = lam
-            return weights
-        member[support[~positive]] = False
-        member |= outside
+                if (diagonal * diagonal > RANK_RTOL * np.diag(gram)).all():
+                    return tuple(support.tolist()), lam, -0.5 * nu
+                break
+            member[support[~positive]] = False
+            member |= outside
+    except np.linalg.LinAlgError:
+        pass
     return None
 
 
@@ -288,9 +288,11 @@ def min_enclosing_ball(points: Sequence[Sequence[float]] | np.ndarray) -> Ball:
     """Smallest ball containing the points, with a dual certificate.
 
     Three steps: a proposal, its certificate, and the walk as fallback.
-    ``_proposed_weights`` proposes the support by block principal
-    pivoting; when it is accepted and its duality gap certifies it, that
-    is the ball.  Otherwise the walk decides, under the same certificate.
+    ``_active_set`` proposes the support by block principal pivoting on
+    the squared distances, from one Gram matrix, starting from the points
+    whose mean squared distance is at least the mean; when it is accepted
+    and its duality gap certifies it, that is the ball.  Otherwise the
+    walk decides, under the same certificate.
 
     The walk is exact-support pivoting (Fischer, Gaertner & Kutz 2003):
     the center walks toward the circumcenter of aff(T), T the points on
@@ -308,19 +310,26 @@ def min_enclosing_ball(points: Sequence[Sequence[float]] | np.ndarray) -> Ball:
     that reaches no optimum in 20n pivots, raises
     ``GeometricInconsistencyError``.  ``support`` lists every point within
     1e-7 * max(s, radius) of the sphere; the points of positive
-    ``weights`` are affinely independent."""
+    ``weights`` are affinely independent.  No point, or a coordinate
+    difference that is not finite, raises ``ValueError``."""
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError("points must be a 2-d array")
+    if pts.ndim != 2 or not len(pts):
+        raise ValueError("points must be a non-empty 2-d array")
+    with np.errstate(over="ignore", invalid="ignore"):  # tested just below
+        rel = pts - pts[0]  # rounding at the ball's scale, not the origin's
+    if not np.isfinite(rel).all():
+        raise ValueError("point coordinates and their differences must be finite")
     n, d = pts.shape
-    rel = pts - pts[0]  # rounding at the ball's scale, not the origin's
     e = math.frexp(float(np.abs(rel).max(initial=0.0)))[1]
     rel = np.ldexp(rel, -e)
     sqnorms = (rel * rel).sum(axis=1)
-    lam = _proposed_weights(rel, sqnorms)
-    if lam is not None:
+    sq = sqnorms[:, None] + sqnorms - 2.0 * (rel @ rel.T)
+    np.fill_diagonal(sq, 0.0)
+    mean = sq.mean(axis=1)
+    got = _active_set(sq, np.flatnonzero(mean >= mean.mean()))
+    if got is not None:
         try:
-            return _ball(pts, rel, e, sqnorms, lam)
+            return _ball(pts, rel, e, sqnorms, np.bincount(got[0], got[1], n))
         except GeometricInconsistencyError:
             pass  # the walk decides
     # T is affinely independent: at most min(n, d + 1) points.  With k + 1
@@ -440,66 +449,6 @@ def _squared_distances(adjacency: np.ndarray, t: float) -> np.ndarray:
     return d
 
 
-def _active_set(
-    d: np.ndarray, start: Sequence[int]
-) -> Optional[tuple[tuple[int, ...], float]]:
-    """The support of the enclosing ball of the points with squared
-    distances d, and its squared radius, in floats; None when a bordered
-    system is singular or 20n pivots reach no optimum.
-
-    A primal active-set pivot (Gaertner & Schoenherr, SoCG 2000) on the
-    standard quadratic program max lam^T D lam / 2 over the simplex,
-    warm-started at ``start``, which sheds its most negative weight until
-    its circumcenter's weights are >= 0.  On T the bordered solve gives the
-    weights lam and R^2 = -nu/2, and the point j lies outside the sphere
-    when D[j, T] lam > -nu, the float form of ``_support_certified``.  The
-    farthest such point joins T; while a weight is negative, lam steps
-    toward the new solution until a weight reaches 0, and its point
-    leaves."""
-    n = len(d)
-    tol = 1e-12 * max(1.0, float(d.max()))
-    support = list(start)
-    try:
-        lam, nu = _bordered_solve(d, support)
-        while lam.min() < 0.0:
-            support.pop(int(np.argmin(lam)))
-            lam, nu = _bordered_solve(d, support)
-        for _ in range(20 * n):
-            excess = d[:, support] @ lam + nu  # |p_j - c|^2 - R^2
-            excess[support] = 0.0
-            j = int(np.argmax(excess))
-            if excess[j] <= tol:
-                return tuple(sorted(support)), -0.5 * nu
-            support.append(j)
-            lam = np.append(lam, 0.0)
-            while True:
-                new, nu = _bordered_solve(d, support)
-                negative = np.flatnonzero(new < 0.0)
-                if not negative.size:
-                    lam = new
-                    break
-                ratio = lam[negative] / (lam[negative] - new[negative])
-                i = int(np.argmin(ratio))
-                lam = lam + ratio[i] * (new - lam)
-                support.pop(negative[i])
-                lam = np.delete(lam, negative[i])
-    except np.linalg.LinAlgError:
-        return None
-    return None
-
-
-def _propose(
-    adjacency: np.ndarray, t: float, top: float, support: tuple[int, ...]
-) -> Optional[tuple[tuple[int, ...], float]]:
-    """``_active_set`` at t warm-started at ``support``.  At the window end
-    tau1 (``top``, within ``END_RTOL``) C vanishes, the points are affinely
-    dependent and a warm start may keep a dependent T, which no exact
-    certificate accepts; there it starts cold from T's first point, and a
-    point on the sphere never joins."""
-    start = support[:1] if t >= top * (1.0 - END_RTOL) else support
-    return _active_set(_squared_distances(adjacency, t), start)
-
-
 def _float_root_near(f: IntPolynomial, t: float, top: float) -> Optional[float]:
     """The real root of f in (1, top] nearest t, or None: ``np.roots``
     proposes it and two Newton steps, each computed exactly at the float
@@ -532,12 +481,13 @@ def solve_phi(g: Graph, r: float) -> AlgebraicReal:
 
     On an affinely independent support T the squared radius is r^2 at the
     roots of T's tie polynomial for r0 = r^2/2 (``invariants.tie_polynomial``).
-    A float active set on the squared distances D(t) = t(J - I) - (t - 1)A
-    (``_active_set``) proposes T, first in the middle of (1, tau1) from all
-    n points (failing that, T is all n points, with no float t).  One loop
-    over T follows.  While a float t is known, t moves to the float root of
-    T's tie polynomial nearest it, and T to the active set's support there
-    while that changes and is untried.  Then the roots of T's tie
+    The float active set of ``min_enclosing_ball`` (``_active_set``), on
+    the squared distances D(t) = t(J - I) - (t - 1)A, proposes T, first in
+    the middle of (1, tau1) from all n points (failing that, T is all n
+    points, with no float t), later warm-started at the current T.  One
+    loop over T follows.  While a float t is known, t moves to the float
+    root of T's tie polynomial nearest it, and T to the active set's
+    support there while that changes and is untried.  Then the roots of T's tie
     polynomial in (1, tau1] are walked (``roots_above_one``, the first
     certified on t's interval), and beta*^2 is the first at which
     ``_support_certified`` holds.  Failing all, the active set at the root
@@ -558,7 +508,7 @@ def solve_phi(g: Graph, r: float) -> AlgebraicReal:
     t = 2.0 if tau1 is None else 0.5 * (1.0 + top)
     # Inside the window all n points are affinely independent, and most
     # of them are usually on the sphere: start from all of them.
-    got = _active_set(_squared_distances(adjacency, t), tuple(range(n)))
+    got = _active_set(_squared_distances(adjacency, t), range(n))
     support, t = (tuple(range(n)), None) if got is None else (got[0], t)
     tried = set()
     while support not in tried:
@@ -566,7 +516,9 @@ def solve_phi(g: Graph, r: float) -> AlgebraicReal:
         tie = invariants.tie_polynomial(g.induced(support), r0)
         if t is not None:
             t = _float_root_near(tie, t, top)
-            got = None if t is None else _propose(adjacency, t, top, support)
+            got = None
+            if t is not None:
+                got = _active_set(_squared_distances(adjacency, t), support)
             if got is not None and got[0] not in tried:
                 support = got[0]
                 continue
@@ -575,12 +527,12 @@ def solve_phi(g: Graph, r: float) -> AlgebraicReal:
         for root, _ in roots:
             if _support_certified(g, support, root):
                 return root.scaled(2)
-            got = _propose(adjacency, float(root), top, support)
+            got = _active_set(_squared_distances(adjacency, float(root)), support)
             if got is None:
                 continue
-            if abs(got[1] - r0) < miss:
-                best, miss = got[0], abs(got[1] - r0)
-            if got[1] >= r0:
+            if abs(got[2] - r0) < miss:
+                best, miss = got[0], abs(got[2] - r0)
+            if got[2] >= r0:
                 break  # the radius grows with t: later roots are farther from r
         support, t = best, None
     raise UndecidableEnclosureError(f"active-set support {support} proposed twice")

@@ -29,14 +29,24 @@ class Graph:
     def __post_init__(self):
         if self.n < 1 or len(self.rows) != self.n:
             raise ValueError("inconsistent vertex count")
+        # Every set bit above the diagonal must be mirrored; then twice
+        # their count equals all set bits exactly when none is unmirrored.
+        upper = total = 0
         for i, row in enumerate(self.rows):
             if row >> self.n:
                 raise ValueError("adjacency bits beyond vertex range")
             if row & (1 << i):
                 raise ValueError("loops are not allowed")
-            for j in range(i + 1, self.n):
-                if bool(row & (1 << j)) != bool(self.rows[j] & (1 << i)):
+            total += row.bit_count()
+            above = row >> (i + 1) << (i + 1)
+            while above:
+                j = above.bit_length() - 1
+                if not self.rows[j] >> i & 1:
                     raise ValueError("adjacency must be symmetric")
+                above ^= 1 << j
+                upper += 1
+        if 2 * upper != total:
+            raise ValueError("adjacency must be symmetric")
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":

@@ -419,13 +419,16 @@ def _least_root_above_one(
     matter): with ``n`` set (p is the C of an n-vertex graph, or its
     reciprocal) as a rational root (``_rational_root``), else as a simple
     root (``_certified_root``).  When neither certifies, or with no
-    proposal, ``roots_above_one`` decides on p's squarefree split."""
+    proposal, a Descartes count of 0 on p over (1, inf) proves there is no
+    root, else ``roots_above_one`` decides on p's squarefree split."""
+    q = _without_zero_roots(p)
     got = None
     if t is not None:
-        q = _without_zero_roots(p)
         got = _rational_root(q, n, t) if n else None
         got = got or _certified_root([(q, 1)], t)
-    return got or next(roots_above_one(p, squarefree_decomposition(p), t), None)
+    if got is not None or not descartes_count(q, 1):
+        return got
+    return next(roots_above_one(p, squarefree_decomposition(p), t), None)
 
 
 def _proposal(x: float) -> Optional[float]:

@@ -317,6 +317,18 @@ class TestEnclosingBall:
             assert abs(ball.radius - math.sqrt((n - 1) / n)) < 1e-12
             assert_certified(cfg.points, ball, range(n))
 
+    def test_no_point_or_non_finite_difference_raises(self):
+        # a NaN gap passes no "gap > bound" test: these raise before any ball
+        for pts in (
+            [[-1e308], [1e308]],  # finite points, infinite difference
+            [[0, 0], [math.inf, 1]],
+            [[0, 0], [math.nan, 1]],
+            [[math.nan, 0], [1, 1]],
+            np.empty((0, 2)),
+        ):
+            with pytest.raises(ValueError):
+                min_enclosing_ball(pts)
+
     def test_missed_certificate_raises(self, monkeypatch):
         from twodist import geometry
 
@@ -344,7 +356,7 @@ def random_clouds():
 
 def walk_only():
     """``min_enclosing_ball`` with no proposal: the walk decides."""
-    return mock.patch.object(geometry, "_proposed_weights", return_value=None)
+    return mock.patch.object(geometry, "_active_set", return_value=None)
 
 
 class TestUpdatedQR:
@@ -446,21 +458,23 @@ class TestBallProposal:
     @staticmethod
     def balls_against_oracle(graphs, monkeypatch):
         """(number of balls, number certified from the proposal)."""
-        proposed = []
-        original = geometry._proposed_weights
+        proposed, balls = [], []
+        original, ball_of = geometry._active_set, geometry._ball
         monkeypatch.setattr(
             geometry,
-            "_proposed_weights",
+            "_active_set",
             lambda *args: proposed.append(original(*args)) or proposed[-1],
         )
+        monkeypatch.setattr(geometry, "_ball", lambda *args: balls.append(args) or ball_of(*args))
         certified = 0
         for g in graphs:
             tau1 = invariants.tau1_mu(g)[0]
             pts = realize(g, 2.0 if tau1 is None else math.sqrt(float(tau1))).points
             proposed.clear()
+            balls.clear()
             ball = min_enclosing_ball(pts)
             assert abs(ball.radius - reference_min_enclosing_ball(pts).radius) <= 1e-12, g
-            if ball.weights is not proposed[0]:
+            if proposed[0] is None or len(balls) > 1:
                 continue  # the walk decided
             certified += 1
             # T is affinely independent exactly: its bordered determinant
@@ -718,7 +732,7 @@ class TestActiveSetSolve:
             d = geometry._squared_distances(adjacency, t)
             warm = tuple(sorted(rng.sample(range(g.n), rng.randrange(1, g.n + 1))))
             for start in ((0,), warm):
-                got, r2 = geometry._active_set(d, start)
+                got, _, r2 = geometry._active_set(d, start)
                 assert got == support, (g, t, start)
                 assert abs(r2 - ball.radius**2) <= 1e-9 * max(1.0, r2)
             checked += 1

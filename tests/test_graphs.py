@@ -46,6 +46,10 @@ class TestGraphType:
         with pytest.raises(ValueError):
             Graph(2, (2, 0))  # asymmetric
         with pytest.raises(ValueError):
+            Graph(2, (0, 1))  # a bit below the diagonal only
+        with pytest.raises(ValueError):
+            Graph(3, (2, 4, 1))  # the directed triangle 0 -> 1 -> 2 -> 0
+        with pytest.raises(ValueError):
             Graph.from_edges(2, [(0, 0)])
 
     def test_builders(self):

@@ -16,6 +16,7 @@ from twodist.graphs import (
     complete_multipartite,
     enumerate_graphs,
     is_disjoint_clique_union,
+    parse_graph6,
 )
 from twodist import geometry, invariants, polynomials
 from twodist.cli import _enclosure, analysis_record
@@ -772,6 +773,28 @@ class TestRootOnItsPolynomial:
                 else:
                     assert printed == _enclosure(root.lo, root.hi)
             assert rational == 170  # at n <= 7; none in the joins
+        finally:
+            invariants.clear_caches()
+
+    def test_no_root_above_one_takes_no_split(self, monkeypatch):
+        # P3: tau1 = 4 certifies on C; tau0's proposal is float noise (B's
+        # largest eigenvalue ~1e-16), and a Descartes count of 0 on C's
+        # reciprocal proves the window reaches 0, with no split
+        splits = []
+        original = invariants.squarefree_decomposition
+        monkeypatch.setattr(
+            invariants,
+            "squarefree_decomposition",
+            lambda *args: splits.append(args) or original(*args),
+        )
+        g = parse_graph6("BW")
+        invariants.clear_caches()
+        try:
+            cm_polynomials(g)
+            root, mu = tau1_mu(g)
+            assert cmp_rational(root, 4) == 0 and mu == 1
+            assert tau0(g) is None
+            assert splits == []
         finally:
             invariants.clear_caches()
 
