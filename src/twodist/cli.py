@@ -7,7 +7,8 @@ Exit codes: 0 success; 1 a verify cross-check failed; 2 parse error
 filter, environment value or configuration (a negative or non-finite
 tolerance, negative precision bits, a vertex limit (--max-n,
 TWODIST_MAX_N) below 1, a catalog or verify --max-n below 1, a verify
-grid below 1); 3 size limit (also a catalog or verify --max-n above 8);
+grid below 1); 3 size limit (also a catalog or verify --max-n above 8,
+or a graph past the exact range of the walk counts);
 4 undecidable enclosure; 5 infeasible distance (also one not finite and
 positive, or with a square or squared ratio that is not finite or is
 subnormal); 6 complete graph where a J-spherical operation was

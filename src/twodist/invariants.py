@@ -3,7 +3,7 @@
 Builds the two determinant polynomials of a graph (the bordered
 squared-distance determinant C and its unbordered companion M, both in
 t = b^2 with unit short distance) from the characteristic and walk
-polynomials of its adjacency matrix, extracts the ends of the feasible
+polynomials of its adjacency matrix A, extracts the ends of the feasible
 window, classifies the squared circumradius of the minimal representation
 exactly, and assembles the full invariant profile:
 
@@ -11,6 +11,13 @@ exactly, and assembles the full invariant profile:
     dim_s = dim_e if the squared circumradius is finite, else n - 1
     dim_j = dim_e if the squared circumradius equals 1/2 exactly, else n - 1
             (undefined for complete graphs)
+
+Those polynomials need the traces tr A^k and the walk counts A^k 1,
+k <= n, as exact integers.  ``_walk_data`` computes them with one float64
+matrix product per power whose entries stay exact integers: directly when
+n D^n <= 2^53 (D the largest degree), else modulo word-size primes, all
+in the same product, lifted by the Chinese remainder theorem.  A graph too
+large for any such set of primes raises ``SizeLimitError``.
 
 tau1 (C's least root above 1, with its multiplicity mu), tau0 and
 ``t_star`` take one route, ``_least_root_above_one``; tau0, C's largest
@@ -31,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -38,7 +46,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .config import get_config
-from .errors import CompleteGraphError
+from .errors import CompleteGraphError, SizeLimitError
 from .graphs import (
     Graph,
     complement,
@@ -127,44 +135,142 @@ def _newton(power_sums: list[int]) -> list[int]:
     is exact for an integer matrix; a remainder raises ``ValueError``."""
     c = [1]
     for k in range(1, len(power_sums)):
-        q, r = divmod(-sum(c[k - i] * power_sums[i] for i in range(1, k + 1)), k)
+        q, r = divmod(-sum(map(operator.mul, c[::-1], power_sums[1:])), k)
         if r:
             raise ValueError(f"Newton's identity leaves remainder {r} / {k} at c_{k}")
         c.append(q)
     return c
 
 
-def _slots(x: int, n: int, width: int) -> list[int]:
-    """The n entries packed in x, entry i in bits [i*width, (i+1)*width)."""
-    mask = (1 << width) - 1
-    return [(x >> (width * i)) & mask for i in range(n)]
+# Every integer of magnitude at most 2^53 is a float64, and so is every sum
+# of such integers whose terms' magnitudes add up to at most 2^53.
+_EXACT = 1 << 53
+# Floats of the powers of A that ``_walk_data`` holds at once (512 KB), but
+# never fewer than two powers.
+_CHUNK = 1 << 16
+_Moduli = tuple[tuple[int, ...], int, tuple[int, ...]]
+
+
+def _is_prime(q: int) -> bool:
+    """Miller-Rabin for odd 3 <= q < 2^32 with the bases 2, 7 and 61, which
+    no composite below 4,759,123,141 passes (Jaeschke 1993): exact here."""
+    s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = 2^s o, o odd
+    for a in (2, 7, 61):
+        x = pow(a, (q - 1) >> s, q)
+        if a % q == 0 or x in (1, q - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @functools.lru_cache(maxsize=None)
-def _walk_data(g: Graph) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
-    """(c, w, v) for the adjacency matrix A of g: the coefficients of
-    det(xI - A) (``_newton`` on the traces of A^k, k <= n), and the walk
-    vectors v_j = A^j 1, j < n, each packed into one integer with slots
-    of w bits (``_slots``).
+def _moduli(n: int, d: int) -> _Moduli:
+    """(moduli, their product m, CRT basis) for ``_walk_data`` on n vertices
+    of largest degree d.  No moduli when n d^n <= 2^53.  Else the fewest
+    largest odd primes p < 2^32 with n^2 d p <= 2^53 whose product m exceeds
+    n d^n, and basis[i] = 1 mod moduli[i], 0 mod the others.  Raises
+    ``SizeLimitError`` when the primes below that cap run out."""
+    bound = n * d**n
+    moduli: list[int] = []
+    m = 1
+    if bound > _EXACT:
+        cap = min((1 << 32) - 1, _EXACT // (n * n * d))
+        q = cap - 1 + cap % 2  # odd
+        while m <= bound:
+            while q >= 3 and not _is_prime(q):
+                q -= 2
+            if q < 3:
+                raise SizeLimitError(f"n={n}: too few primes for exact walk counts")
+            moduli.append(q)
+            m *= q
+            q -= 2
+    basis = tuple(m // p * pow(m // p, -1, p) for p in moduli)
+    return tuple(moduli), m, basis
 
-    Row i of A^k is packed the same way.  Every entry of A^k and of A^k 1
-    counts walks, so it is at most D^k (D the largest degree) and
-    w = bits(D^n) + 1 keeps the slots apart.  Row i of A^(k+1) is the sum
-    of the packed rows of A^k at i's neighbours, and the sum of all packed
-    rows packs 1^T A^k, which is (A^k 1)^T since A is symmetric."""
-    n = g.n
-    nbrs = [[j for j in range(n) if row >> j & 1] for row in g.rows]
-    width = (max(map(len, nbrs)) ** n).bit_length() + 1
-    mask = (1 << width) - 1
-    rows = [1 << (width * i) for i in range(n)]
-    traces = [n]
-    walks = [sum(rows)]
-    for k in range(1, n + 1):
-        rows = [sum(map(rows.__getitem__, nb)) for nb in nbrs]
-        traces.append(sum((row >> (width * i)) & mask for i, row in enumerate(rows)))
-        if k < n:
-            walks.append(sum(rows))
-    return tuple(_newton(traces)), width, tuple(walks)
+
+def _lift(values: np.ndarray, moduli: tuple[int, ...], m: int, basis: tuple[int, ...]) -> list[int]:
+    """Row i of values, exact integers congruent to x_i modulo each of the
+    moduli, lifted to the x_i in [0, m) by the Chinese remainder theorem;
+    without moduli, the row's one entry is x_i itself."""
+    if not moduli:
+        return values.reshape(-1).astype(np.int64).tolist()
+    return [sum(map(operator.mul, row, basis)) % m for row in values.astype(np.int64).tolist()]
+
+
+@functools.lru_cache(maxsize=None)
+def _walk_data(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray, _Moduli]:
+    """(c, w, v, moduli) for the adjacency matrix A of g: the coefficients
+    c of det(xI - A) (``_newton`` on the traces of A^k, k <= n), the walk
+    sums w_j = 1^T A^j 1, and v[j, u] congruent to (A^j 1)_u, j < n,
+    modulo each of ``_moduli`` (v[j, u, i] for the i-th; ``_lift`` reads
+    it), from one float64 ``np.matmul`` per power.
+
+    Exactness.  Every entry of A^k and of A^k 1 counts walks, so it is at
+    most D^k (D the largest degree), and tr A^k and 1^T A^k 1 are at most
+    n D^k.  When n D^n <= 2^53 (every graph with n <= 13) floats hold all
+    of these exactly, and the pass yields the integers themselves.  Else
+    P_1 holds one copy of A per modulus p, side by side (A^0 = I needs no
+    product), and P_k = A P_(k-1) is one matmul for all of them.  Let E
+    bound the magnitude of P's entries, 1 at first.  Since A is 0/1, each
+    entry of A P is a sum of at most D entries of P, so its magnitude and
+    its partial sums' are at most D E, and the product is exact while
+    D E <= L = 2^53 / n^2.  When the next product could pass L, each entry
+    x is reduced modulo its block's p to x - p rint(x fl(1/p)): the float
+    quotient is within 3 |x| 2^-53 / p <= 3 / (p n^2) of x/p, so the result
+    is congruent to x with magnitude at most p/2 + 3/n^2, hence at most
+    (p + 1)/2, and every step is exact.  (``np.fmod`` is exact too, but
+    costs ~65 ns an entry against ~2 ns for this on a 2-core x86-64 host.)
+    The primes satisfy n^2 D p <= 2^53, so D (p + 1)/2 <= L and E <= L
+    always: the traces, the row sums (A^k 1) and the walk sums of a block,
+    sums of at most n^2 entries, stay within 2^53.  The moduli's product m
+    exceeds n D^n, so ``_lift`` recovers each nonnegative count exactly;
+    only the 2n + 1 traces and walk sums are lifted here.  The powers are
+    read in chunks of ``_CHUNK`` floats, so at most max(2, _CHUNK / (n^2 r))
+    powers of n^2 r floats are held at once, r the number of moduli."""
+    n, d = g.n, max(g.degrees())
+    moduli, m, basis = _moduli(n, d)  # before any n x n array
+    a = g.adjacency().astype(np.float64)
+    r = max(len(moduli), 1)
+    if moduli:
+        p = np.repeat(np.array(moduli, dtype=np.float64), n)
+        inv = 1.0 / p
+        top, limit = (max(moduli) + 1) // 2, _EXACT // (n * n)
+    traces = np.empty((n + 1, r))
+    vectors = np.empty((n + 1, n, r))
+    traces[0], vectors[0] = n, 1.0
+    stack = np.empty((min(max(_CHUNK // (n * n * r), 2), n), n, n * r))
+    stack[0].reshape(n, r, n)[...] = a[:, None, :]
+    bound, k = 1, 1  # stack[0] holds A^k
+    while True:
+        j = 0
+        while j + 1 < len(stack) and k + j < n:
+            power = np.matmul(a, stack[j], out=stack[j + 1])
+            bound *= d
+            if moduli and bound * d > limit:  # reduce before the next product
+                scratch = power * inv
+                np.rint(scratch, out=scratch)
+                scratch *= p
+                power -= scratch
+                bound = top
+            j += 1
+        blocks = stack[: j + 1].reshape(j + 1, n, r, n)
+        blocks.trace(axis1=1, axis2=3, out=traces[k : k + j + 1])
+        blocks.sum(axis=3, out=vectors[k : k + j + 1])
+        k += j
+        if k == n:
+            break
+        stack[0] = stack[j]
+    c = _newton(_lift(traces, moduli, m, basis))
+    w = _lift(vectors[:n].sum(axis=1), moduli, m, basis)
+    v = vectors[:n]
+    if moduli:  # cached: residues in [0, p) take 32 bits
+        v = np.mod(v, np.array(moduli, dtype=np.float64)).astype(np.uint32)
+    return tuple(c), tuple(w), v, (moduli, m, basis)
 
 
 def _adjugate_coeffs(c: Sequence[int], walk: Sequence[int]) -> list[int]:
@@ -195,13 +301,16 @@ def cm_polynomials(g: Graph) -> tuple[IntPolynomial, IntPolynomial]:
 
     They come from the characteristic polynomial P(x) = det(xI - A) and
     the walk polynomial W(x) = 1^T adj(xI - A) 1 of the adjacency matrix A
-    (``_walk_data``).  The distance matrix is (1-t)(A - xI) + tJ with
-    x = t/(1-t); the border removes tJ, and the matrix determinant lemma
-    det(xI - A - sJ) = P(x) - s W(x) gives, with H_k(f) = (1-t)^k f(x),
-    C = (-1)^n H_(n-1)(W) and M = (-1)^n [H_n(P) - t H_(n-1)(W)]."""
-    c, width, walks = _walk_data(g)
+    (``_walk_data``: P from the traces tr A^k, W from the walk sums
+    1^T A^k 1, exact integers lifted from float64 products; past the
+    kernel's exact range, ``SizeLimitError``).  The distance matrix is
+    (1-t)(A - xI) + tJ with x = t/(1-t); the border removes tJ, and the
+    matrix determinant lemma det(xI - A - sJ) = P(x) - s W(x) gives, with
+    H_k(f) = (1-t)^k f(x), C = (-1)^n H_(n-1)(W) and
+    M = (-1)^n [H_n(P) - t H_(n-1)(W)]."""
+    c, w, _, _ = _walk_data(g)
     sign = (-1) ** g.n
-    det = _in_t(_adjugate_coeffs(c, [sum(_slots(v, g.n, width)) for v in walks]), sign)
+    det = _in_t(_adjugate_coeffs(c, w), sign)
     return det, _in_t(c, sign) - IntPolynomial.x() * det
 
 
@@ -211,14 +320,14 @@ def bordered_adjugate(g: Graph) -> tuple[IntPolynomial, ...]:
     matrix B of ``cm_polynomials``, equal to ``det_poly_matrix(B, n + 1)``.
     By Cramer's rule L_v / C are the barycentric weights of the
     circumcenter.  L_v = (-1)^n H_(n-1)(u_v) with u(x) = adj(xI - A) 1,
-    from the cached walk data, and row 0 of B adj(B) = det(B) I gives
-    C = sum_v L_v (W = 1^T u); M follows as in ``cm_polynomials``."""
-    c, width, walks = _walk_data(g)
-    sign = (-1) ** g.n
-    entries = [_slots(v, g.n, width) for v in walks]
-    weights = [
-        _in_t(_adjugate_coeffs(c, [e[u] for e in entries]), sign) for u in range(g.n)
-    ]
+    from the cached walk data: only here are its n^2 walk-vector entries
+    (A^j 1)_v lifted from their residues (``_lift``).  Row 0 of
+    B adj(B) = det(B) I gives C = sum_v L_v (W = 1^T u); M follows as in
+    ``cm_polynomials``."""
+    c, _, v, moduli = _walk_data(g)
+    n, sign = g.n, (-1) ** g.n
+    entries = _lift(v.reshape(n * n, -1), *moduli)  # (A^j 1)_u at j n + u
+    weights = [_in_t(_adjugate_coeffs(c, entries[u::n]), sign) for u in range(n)]
     det = sum(weights, IntPolynomial.zero())
     return (det, _in_t(c, sign) - IntPolynomial.x() * det, *weights)
 
@@ -566,6 +675,7 @@ def dim_s_bounded(g: Graph, r0_squared: Fraction | int | float) -> int:
 
 def clear_caches() -> None:
     """Drop memoized invariants (use after changing tolerances)."""
+    _moduli.cache_clear()
     _walk_data.cache_clear()
     cm_polynomials.cache_clear()
     bordered_adjugate.cache_clear()

@@ -3,17 +3,17 @@
 Sturm isolation of real roots, Sturm root counts and the decisions
 ``multiplicity_at`` and ``AlgebraicReal.compare`` made with them, the exact
 sign of an algebraic number minus a rational, interval images, the
-bordered distance matrix, the enclosing ball that factors T afresh at
-every pivot, the beta* solve whose supports enclosing balls of realized
-points propose and which tries every root of a support's tie polynomial
-from 1 upward, the Type I test by an enclosing ball's center, and the
-pairwise loop for the distance residual: independent of the Descartes
-counts, sign tests, walk polynomials, updated QR factors, active set,
-certified root walk, Perron root, affine projection and array code that
-``twodist`` uses, and called by no program path.  Only the beta* solve's
-root listing (``roots_in_window``) runs the program's Descartes
-bisection, on the tie polynomial's squarefree part.
-"""
+bordered distance matrix, walk data from packed-integer row sums, the
+enclosing ball that factors T afresh at every pivot, the beta* solve whose
+supports enclosing balls of realized points propose and which tries every
+root of a support's tie polynomial from 1 upward, the Type I test by an
+enclosing ball's center, and the pairwise loop for the distance residual:
+independent of the Descartes counts, sign tests, float64 walk kernel,
+updated QR factors, active set, certified root walk, Perron root, affine
+projection and array code that ``twodist`` uses, and called by no program
+path.  Only the beta* solve's root listing (``roots_in_window``) runs the
+program's Descartes bisection, on the tie polynomial's squarefree part,
+and the packed walk data the program's Newton identities."""
 
 from __future__ import annotations
 
@@ -99,6 +99,39 @@ def bordered_matrix(g: Graph) -> list[list[IntPolynomial]]:
             + [zero if i == j else one if g.has_edge(i, j) else t for j in range(g.n)]
         )
     return rows
+
+
+def _slots(x: int, n: int, width: int) -> list[int]:
+    """The n entries packed in x, entry i in bits [i*width, (i+1)*width)."""
+    mask = (1 << width) - 1
+    return [(x >> (width * i)) & mask for i in range(n)]
+
+
+def packed_walk_data(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], list[list[int]]]:
+    """(c, w, v) as ``invariants._walk_data`` gives them, with v lifted:
+    the coefficients of det(xI - A), the walk sums w_j = 1^T A^j 1 and the
+    walk vectors v_j = A^j 1, j < n, in Python integers.
+
+    Row i of A^k is packed into one integer with slots of
+    width = bits(D^n) + 1 bits (D the largest degree), which keeps the
+    slots apart since every entry of A^k counts walks and is at most D^k.
+    Row i of A^(k+1) is the sum of the packed rows of A^k at i's
+    neighbours, and the sum of all packed rows packs 1^T A^k, which is
+    (A^k 1)^T since A is symmetric."""
+    n = g.n
+    nbrs = [[j for j in range(n) if row >> j & 1] for row in g.rows]
+    width = (max(map(len, nbrs)) ** n).bit_length() + 1
+    mask = (1 << width) - 1
+    rows = [1 << (width * i) for i in range(n)]
+    traces = [n]
+    walks = [sum(rows)]
+    for k in range(1, n + 1):
+        rows = [sum(map(rows.__getitem__, nb)) for nb in nbrs]
+        traces.append(sum((row >> (width * i)) & mask for i, row in enumerate(rows)))
+        if k < n:
+            walks.append(sum(rows))
+    vectors = [_slots(v, n, width) for v in walks]
+    return tuple(invariants._newton(traces)), tuple(map(sum, vectors)), vectors
 
 
 def sturm_leftmost_root_above(

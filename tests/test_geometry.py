@@ -824,7 +824,7 @@ class TestPerronRoot:
 
         shift = [(IntPolynomial.x() - IntPolynomial.const(1)) ** i for i in range(8)]
         for g in graphs_up_to_7():
-            chi, _, _ = invariants._walk_data(complement(g))
+            chi = invariants._walk_data(complement(g))[0]
             det = sum(map(IntPolynomial.scale, shift, chi), IntPolynomial.zero())
             c, m = cm_polynomials(g)
             assert det in (m + c, -(m + c)), g

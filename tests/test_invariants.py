@@ -1,5 +1,7 @@
 import functools
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from conftest import embed16_pool, joins12_corpus, random_graph
 from twodist.config import get_config, override
-from twodist.errors import CompleteGraphError
+from twodist.errors import CompleteGraphError, SizeLimitError
 from twodist.graphs import (
     Graph,
     MultipartiteSignature,
@@ -16,10 +18,12 @@ from twodist.graphs import (
     complete_multipartite,
     enumerate_graphs,
     is_disjoint_clique_union,
+    is_strongly_regular,
+    join,
     parse_graph6,
 )
 from twodist import geometry, invariants, polynomials
-from twodist.cli import _enclosure, analysis_record
+from twodist.cli import _enclosure, analysis_record, main
 from twodist.invariants import (
     bordered_adjugate,
     circumradius_invariant,
@@ -42,6 +46,7 @@ from reference import (
     bordered_matrix,
     cmp_rational,
     is_valid,
+    packed_walk_data,
     sturm_smallest_root_greater_than,
 )
 
@@ -188,6 +193,207 @@ class TestSpectralRoute:
         assert bordered_adjugate.cache_info().currsize == 1
         invariants.clear_caches()
         assert bordered_adjugate.cache_info().currsize == 0
+
+
+@functools.lru_cache(maxsize=None)
+def graphs_up_to_7():
+    return tuple(g for n in range(1, 8) for g in enumerate_graphs(n))
+
+
+def product(polys):
+    return functools.reduce(lambda p, q: p * q, polys, IntPolynomial.const(1))
+
+
+class TestWalkKernel:
+    """``_walk_data``'s float64 kernel against the packed-integer oracle
+    (``reference.packed_walk_data``), and closed forms of C and M on graphs
+    that reach each of its paths: no moduli (n d^n <= 2^53: every graph
+    with n <= 13, and the empty graphs), moduli with a reduction every few
+    powers (K_n from n = 14 on, the pool, G(n, 1/2) past 16 vertices), and
+    powers read in several chunks (K_n from n = 26 on, G(n, 1/2) from
+    n = 32 on)."""
+
+    @staticmethod
+    def assert_matches_oracle(g):
+        c, w, v, moduli = invariants._walk_data(g)
+        ref_c, ref_w, ref_v = packed_walk_data(g)
+        assert c == ref_c and w == ref_w, g
+        assert invariants._lift(v.reshape(g.n * g.n, -1), *moduli) == sum(ref_v, []), g
+
+    def test_matches_packed_oracle(self):
+        graphs = graphs_up_to_7() + tuple(embed16_pool()) + tuple(joins12_corpus(60))
+        assert len(graphs) == 1252 + 500 + 60
+        invariants.clear_caches()
+        try:
+            for g in graphs:
+                self.assert_matches_oracle(g)
+        finally:
+            invariants.clear_caches()
+
+    def test_matches_packed_oracle_up_to_64_vertices(self):
+        rng = random.Random(24)
+        with override(max_n=70):
+            for n in (20, 24, 32, 48, 62, 64):
+                for _ in range(2):
+                    g = random_graph(rng, n)
+                    assert invariants._moduli(n, max(g.degrees()))[0], g
+                    self.assert_matches_oracle(g)
+        invariants.clear_caches()
+
+    def test_moduli_only_past_the_float_range(self):
+        # n d^n <= 2^53 for every graph with n <= 13; K_14 is past it
+        assert all(invariants._moduli(n, n - 1)[0] == () for n in range(1, 14))
+        moduli, m, basis = invariants._moduli(14, 13)
+        assert len(moduli) == 2 and m > 14 * 13**14
+        for p, b in zip(moduli, basis):
+            assert 14**2 * 13 * p <= 2**53 and p < 2**32
+            assert all(b % q == (q == p) for q in moduli)
+        # past n^2 d = 2^21 the primes shrink below 2^32
+        moduli, m, _ = invariants._moduli(200, 199)
+        assert max(moduli) <= 2**53 // (200**2 * 199) < 2**32 and m > 200 * 199**200
+
+    def test_past_the_exact_range_raises_size_limit(self):
+        # n^2 d p <= 2^53 leaves primes below 9 here, whose product is far
+        # below n d^n: no modulus set keeps the counts exact
+        with pytest.raises(SizeLimitError, match="too few primes"):
+            invariants._moduli(10**5, 10**5 - 1)
+
+    def test_past_the_exact_range_exits_size_limit(self, monkeypatch, capsys):
+        # 2^12 stands in for 2^53: K_10 then needs primes p with
+        # 10^2 * 9 * p <= 2^12, and 3 alone cannot hold 10 * 9^10
+        monkeypatch.setattr(invariants, "_EXACT", 1 << 12)
+        invariants.clear_caches()
+        try:
+            with pytest.raises(SizeLimitError, match="too few primes"):
+                cm_polynomials(Graph.complete(10))
+            assert main(["analyze", "I~~~~~~~w"]) == 3  # K_10
+            assert "size limit" in capsys.readouterr().err
+        finally:
+            invariants.clear_caches()
+
+    def test_complete_and_empty_closed_forms(self):
+        t = IntPolynomial.x()
+        with override(max_n=70):
+            invariants.clear_caches()
+            try:
+                for n in range(1, 71):
+                    sign = (-1) ** n
+                    c, m = cm_polynomials(Graph.complete(n))
+                    assert (c, m) == (poly(sign * n), poly(-sign * (n - 1))), n
+                    c, m = cm_polynomials(Graph.empty(n))
+                    assert c == (t ** (n - 1)).scale(sign * n), n
+                    assert m == (t**n).scale(-sign * (n - 1)), n
+            finally:
+                invariants.clear_caches()
+
+    @staticmethod
+    def assert_join_identity(g):
+        # e_i = C_i + M_i over the factors (the complement's components):
+        # C = sum_i C_i prod_(j != i) e_j and M = prod_j e_j - C
+        parts = [cm_polynomials(f) for f in complement_components(g)]
+        e = [c + m for c, m in parts]
+        expect = sum(
+            (c * product(e[:i] + e[i + 1 :]) for i, (c, _) in enumerate(parts)),
+            IntPolynomial.zero(),
+        )
+        assert cm_polynomials(g) == (expect, product(e) - expect), g
+
+    def test_join_identity(self):
+        joins = [g for g in graphs_up_to_7() if len(complement_components(g)) > 1]
+        assert len(joins) == 256
+        for g in joins + joins12_corpus(60):
+            self.assert_join_identity(g)
+        rng = random.Random(40)
+        with override(max_n=70):
+            invariants.clear_caches()
+            try:
+                for _ in range(30):
+                    sizes = [rng.randint(2, 13) for _ in range(rng.choice((2, 3)))]
+                    factors = [random_graph(rng, k) for k in sizes]
+                    self.assert_join_identity(functools.reduce(join, factors))
+            finally:
+                invariants.clear_caches()
+
+
+def clebsch() -> Graph:
+    """The folded 5-cube srg(16, 5, 0, 2): F_2^4, two vectors adjacent
+    when they differ in one coordinate or in all four."""
+    pairs = itertools.combinations(range(16), 2)
+    return Graph.from_edges(16, [(u, v) for u, v in pairs if (u ^ v).bit_count() in (1, 4)])
+
+
+def schlafli() -> Graph:
+    """srg(27, 16, 10, 8): the 27 lines on a cubic surface, a_i, b_i
+    (i < 6) and c_ij (i < j < 6), adjacent when skew.  a_i meets b_j for
+    j != i, a_i and b_i meet c_ij, and c_ij meets c_kl for {i, j}, {k, l}
+    disjoint; two a's or two b's are skew."""
+    lines = [("a", {i}) for i in range(6)] + [("b", {i}) for i in range(6)]
+    lines += [("c", set(pair)) for pair in itertools.combinations(range(6), 2)]
+
+    def meet(x, y):
+        (kx, sx), (ky, sy) = x, y
+        if kx == ky:
+            return kx == "c" and not sx & sy
+        return bool(sx & sy) if "c" in (kx, ky) else sx != sy
+
+    pairs = itertools.combinations(range(27), 2)
+    return Graph.from_edges(27, [(i, j) for i, j in pairs if not meet(lines[i], lines[j])])
+
+
+def triangular(m: int) -> Graph:
+    """T(m), the line graph of K_m: 2-subsets of m points, adjacent when
+    they share a point."""
+    subsets = list(itertools.combinations(range(m), 2))
+    pairs = itertools.combinations(range(len(subsets)), 2)
+    return Graph.from_edges(
+        len(subsets), [(i, j) for i, j in pairs if set(subsets[i]) & set(subsets[j])]
+    )
+
+
+def paley(q: int) -> Graph:
+    """Paley(q), q a prime 1 mod 4: Z_q, adjacent when the difference is a
+    nonzero square."""
+    squares = {x * x % q for x in range(1, q)}
+    return Graph.from_edges(
+        q, [(i, j) for i, j in itertools.combinations(range(q), 2) if (j - i) % q in squares]
+    )
+
+
+class TestExtremalClosedForms:
+    """Largest two-distance sets of the literature (Lisonek 1997; Musin
+    2009; Neumaier 1981 for conference graphs) through ``profile`` and
+    ``analysis_record``: dim_e = dim_s, and tau1, mu and the exact r^2
+    where tau1 = 2 is rational."""
+
+    @pytest.mark.parametrize(
+        "name, build, degree, dim, mu, r2",
+        [
+            ("Clebsch complement", lambda: complement(clebsch()), 10, 5, 10, Fraction(5, 8)),
+            ("Schlafli", schlafli, 16, 6, 20, Fraction(2, 3)),
+            ("T(8)", lambda: triangular(8), 12, 7, 20, Fraction(3, 4)),
+            ("T(9)", lambda: triangular(9), 14, 8, 27, Fraction(7, 9)),
+            ("Paley(29)", lambda: paley(29), 14, 14, None, None),
+            ("Paley(37)", lambda: paley(37), 18, 18, None, None),
+        ],
+    )
+    def test_closed_form(self, name, build, degree, dim, mu, r2):
+        with override(max_n=40):
+            g = build()
+            assert set(g.degrees()) == {degree} and is_strongly_regular(g), name
+            invariants.clear_caches()
+            try:
+                p = profile(g)
+                record = analysis_record(g)
+            finally:
+                invariants.clear_caches()
+        assert p.dim_e == p.dim_s == record["dim_e"] == record["dim_s"] == dim, name
+        if mu is None:  # a conference graph: tau1 is irrational
+            assert p.tau1.defining.degree == 2 and p.r_squared.lo < p.r_squared.hi, name
+            return
+        assert cmp_rational(p.tau1, 2) == 0 and record["tau1"] == [2.0, 2.0], name
+        assert p.mu == record["mu"] == mu, name
+        assert p.r_squared.lo == p.r_squared.hi == r2, name
+        assert record["r_squared"][0] <= float(r2) <= record["r_squared"][1], name
 
 
 class TestTau1Mu:
