@@ -87,13 +87,18 @@ def _read_input(path: str) -> str:
         ) from None
 
 
+def _graph6_words(path: str) -> list[str]:
+    """The graph6 words of an input file, one a line: each line stripped,
+    a ``>>graph6<<`` header dropped, blank lines skipped."""
+    lines = _read_input(path).splitlines()
+    words = (line.strip().removeprefix(GRAPH6_HEADER) for line in lines)
+    return [word for word in words if word]
+
+
 def _load_graph(args) -> Graph:
     if args.format == "edgelist":
         return parse_edgelist(_read_input(args.input))
-    word = args.input
-    if word.startswith(GRAPH6_HEADER):
-        word = word[len(GRAPH6_HEADER):]
-    return parse_graph6(word)
+    return parse_graph6(args.input.removeprefix(GRAPH6_HEADER))
 
 
 def analysis_record(g: Graph, input_str: str | None = None) -> dict:
@@ -204,10 +209,14 @@ def _cmd_decompose(args) -> int:
 
 
 def _analyze_word(word: str) -> dict:
+    """One batch record.  The invariant caches are cleared after each word,
+    serial or in a ``--jobs`` worker, so a batch holds one graph's worth."""
     try:
         return analysis_record(parse_graph6(word), word)
     except TwoDistError as exc:
         return {"input": word, "error": str(exc)}
+    finally:
+        clear_caches()
 
 
 _CSV_FIELDS = [
@@ -237,17 +246,10 @@ def _emit_records(records, output: str) -> None:
 
 def _cmd_batch(args) -> int:
     try:
-        lines = _read_input(args.input).splitlines()
+        words = _graph6_words(args.input)
     except OSError as exc:
         print(f"cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    words = []
-    for line in lines:
-        word = line.strip()
-        if word.startswith(GRAPH6_HEADER):
-            word = word[len(GRAPH6_HEADER):]
-        if word:
-            words.append(word)
     if args.jobs > 1 and len(words) > 1:
         # Imported here: multiprocessing is a cost only batch runs pay.
         from concurrent.futures import ProcessPoolExecutor
@@ -311,12 +313,7 @@ def _cmd_verify(args) -> int:
         return error
     graphs: list[Graph] = []
     if args.input:
-        for line in _read_input(args.input).splitlines():
-            word = line.strip()
-            if word.startswith(GRAPH6_HEADER):
-                word = word[len(GRAPH6_HEADER):]
-            if word:
-                graphs.append(parse_graph6(word))
+        graphs.extend(map(parse_graph6, _graph6_words(args.input)))
     else:
         for n in range(1, args.max_n + 1):
             graphs.extend(enumerate_graphs(n))

@@ -11,7 +11,7 @@ top of those: the monotone enclosing-ball radius function of the long
 distance, and its exact inverse ``solve_phi`` for any radius.  That one
 realizes no coordinates: the same active set, on the squared distances
 D(t), proposes the support, and one loop walks the roots of the support's
-tie polynomial, with tau1's root walk, until the support is certified
+tie polynomial by tau1's least-root route until the support is certified
 exactly at one.  Then embeddings on the unit sphere with short distance
 sqrt(2), and the orthogonal join decomposition of such point sets.
 Neither needs an enclosing ball: the embedding's Gram matrix is
@@ -29,7 +29,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .errors import (
     UndecidableEnclosureError,
 )
 from .graphs import Graph, complement_component_sets, is_complete
-from .polynomials import AlgebraicReal, IntPolynomial, sign_at, squarefree_decomposition
+from .polynomials import AlgebraicReal, IntPolynomial, sign_at
 from . import invariants
 
 SQRT2 = math.sqrt(2.0)
@@ -473,6 +473,19 @@ def _float_root_near(f: IntPolynomial, t: float, top: float) -> Optional[float]:
     return x if 1.0 < x <= top * (1.0 + END_RTOL) else None
 
 
+def _roots_up_to(
+    p: IntPolynomial, t: Optional[float], top: Optional[AlgebraicReal]
+) -> Iterator[tuple[AlgebraicReal, int]]:
+    """Yield p's roots in (1, top] (no upper end when top is None) in
+    increasing order, with their multiplicities: the first proposed by the
+    float t, each later one the least above the last one's enclosure,
+    which holds no other root of p (``invariants._least_root_above``)."""
+    got = invariants._least_root_above(p, t)
+    while got is not None and (top is None or got[0].compare(top) <= 0):
+        yield got
+        got = invariants._least_root_above(p, None, bound=got[0].hi)
+
+
 def solve_phi(g: Graph, r: float) -> AlgebraicReal:
     """The squared long distance x^2 at which the enclosing-ball radius of
     the sqrt(2)-short configuration of g equals r, as an exact algebraic
@@ -488,7 +501,7 @@ def solve_phi(g: Graph, r: float) -> AlgebraicReal:
     loop over T follows.  While a float t is known, t moves to the float
     root of T's tie polynomial nearest it, and T to the active set's
     support there while that changes and is untried.  Then the roots of T's tie
-    polynomial in (1, tau1] are walked (``roots_above_one``, the first
+    polynomial in (1, tau1] are walked (``_roots_up_to``, the first
     certified on t's interval), and beta*^2 is the first at which
     ``_support_certified`` holds.  Failing all, the active set at the root
     whose squared radius is nearest r0 proposes the next T, with no t; a T
@@ -523,8 +536,7 @@ def solve_phi(g: Graph, r: float) -> AlgebraicReal:
                 support = got[0]
                 continue
         best, miss = support, math.inf
-        roots = invariants.roots_above_one(tie, squarefree_decomposition(tie), t, tau1)
-        for root, _ in roots:
+        for root, _ in _roots_up_to(tie, t, tau1):
             if _support_certified(g, support, root):
                 return root.scaled(2)
             got = _active_set(_squared_distances(adjacency, float(root)), support)

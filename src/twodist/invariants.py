@@ -19,9 +19,10 @@ n D^n <= 2^53 (D the largest degree), else modulo word-size primes, all
 in the same product, lifted by the Chinese remainder theorem.  A graph too
 large for any such set of primes raises ``SizeLimitError``.
 
-tau1 (C's least root above 1, with its multiplicity mu), tau0 and
-``t_star`` take one route, ``_least_root_above_one``; tau0, C's largest
-root below 1, is read from C's reciprocal polynomial, the complement's C.
+tau1 (C's least root above 1, with its multiplicity mu), tau0, ``t_star``
+and the root walk of ``geometry.solve_phi`` take one route,
+``_least_root_above``; tau0, C's largest root below 1, is read from C's
+reciprocal polynomial, the complement's C.
 
 The squared circumradius is the limit of -M/(2C) at tau1.  Whether it
 equals a rational r0 = p/q is algebraic: it does iff the tie polynomial
@@ -41,7 +42,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -57,7 +58,7 @@ from .graphs import (
 from .polynomials import (
     AlgebraicReal,
     IntPolynomial,
-    _changes_sign,
+    RationalLike,
     descartes_count,
     enclose_rational_limit,
     exact_div,
@@ -480,64 +481,33 @@ def _without_zero_roots(p: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(p.coeffs[k:])
 
 
-def roots_above_one(
-    p: IntPolynomial,
-    factors: list[tuple[IntPolynomial, int]],
-    proposal: Optional[float],
-    top: Optional[AlgebraicReal] = None,
-) -> Iterator[tuple[AlgebraicReal, int]]:
-    """Yield the roots of p in (1, top] (no upper end when top is None) in
-    increasing order, refined to ``tau_width``, with their multiplicities:
-    the walk behind ``geometry.solve_phi``, and the fallback of
-    ``_least_root_above_one``.  ``factors`` is p's squarefree split.  The
-    first root is that of the float ``proposal`` when it certifies
-    (``_certified_root``); else counts of 0 on every factor prove there is
-    none, or Descartes bisection finds it.  Each later root is the least
-    root of the squarefree part above an enclosure isolating the last one
-    among all of p's roots, as a certified one does (its counts cover
-    every factor on (1, hi)); a bisected one is isolated again first.  Its
-    multiplicity is that of the one factor changing sign across its
-    enclosure."""
-    width = get_config().tau_width
-    got = None if proposal is None else _certified_root(factors, proposal)
-    isolated = got is not None
-    if not isolated and any(descartes_count(f, 1) for f, _ in factors):
-        got = smallest_root_greater_than(p, 1)
-    while got is not None:
-        root = got[0].refined(width)
-        if top is not None and root.compare(top) > 0:
-            return
-        yield root, got[1]
-        squarefree = math.prod((f for f, _ in factors), start=IntPolynomial.const(1))
-        if not isolated:
-            root = smallest_root_greater_than(squarefree, root.lo)[0]
-        got = smallest_root_greater_than(squarefree, root.hi)
-        if got is not None:
-            lo, hi = got[0].lo, got[0].hi
-            got = got[0], next(m for f, m in factors if _changes_sign(f, lo, hi))
-        isolated = True
-
-
-def _least_root_above_one(
-    p: IntPolynomial, t: Optional[float], n: Optional[int] = None
+def _least_root_above(
+    p: IntPolynomial, t: Optional[float], n: Optional[int] = None, bound: RationalLike = 1
 ) -> Optional[tuple[AlgebraicReal, int]]:
-    """p's least root above 1 and its multiplicity, refined to
-    ``tau_width``; None when p has no root above 1.  The one route of
-    tau1, tau0 and ``t_star``.  A float proposal t of the root is
-    certified on p itself, its power of t divided out (roots at 0 never
-    matter): with ``n`` set (p is the C of an n-vertex graph, or its
-    reciprocal) as a rational root (``_rational_root``), else as a simple
-    root (``_certified_root``).  When neither certifies, or with no
-    proposal, a Descartes count of 0 on p over (1, inf) proves there is no
-    root, else ``roots_above_one`` decides on p's squarefree split."""
+    """p's least root above ``bound`` (>= 1) and its multiplicity, refined
+    to ``tau_width``, in an enclosure that holds no other root of p, or
+    None: the one route of tau1, tau0, ``t_star`` and ``solve_phi``'s root
+    walk.  q is p without its power of t (roots at 0 never matter).  A
+    float proposal t of the least root above 1 is certified on q itself,
+    as a rational root (``_rational_root``) when n is set (p is an n-vertex
+    graph's C or its reciprocal), else as a simple root
+    (``_certified_root``).  Failing that, a Descartes count of 0 on q over
+    (bound, inf) proves there is no root; else q's one squarefree split
+    certifies the proposal, or is bisected (``smallest_root_greater_than``,
+    which finds none when the count came from complex roots)."""
     q = _without_zero_roots(p)
     got = None
     if t is not None:
+        assert bound == 1, "a proposal is of the least root above 1"
         got = _rational_root(q, n, t) if n else None
         got = got or _certified_root([(q, 1)], t)
-    if got is not None or not descartes_count(q, 1):
+    if got is not None or not descartes_count(q, bound):
         return got
-    return next(roots_above_one(p, squarefree_decomposition(p), t), None)
+    factors = squarefree_decomposition(q)
+    if t is not None:
+        got = _certified_root(factors, t)
+    got = got or smallest_root_greater_than(q, bound, factors)
+    return None if got is None else (got[0].refined(get_config().tau_width), got[1])
 
 
 def _proposal(x: float) -> Optional[float]:
@@ -550,9 +520,9 @@ def tau1_mu(g: Graph) -> tuple[Optional[AlgebraicReal], int]:
     """Smallest root of C strictly above 1 with its exact multiplicity;
     (None, 0) when every root is <= 1.  x/(1 + x) increases in x on each
     side of -1, so B's smallest eigenvalue (``_spectrum``), when below -1,
-    proposes it (``_least_root_above_one``)."""
+    proposes it (``_least_root_above``)."""
     c, _ = cm_polynomials(g)
-    got = _least_root_above_one(c, _proposal(_spectrum(g)[0]), g.n)
+    got = _least_root_above(c, _proposal(_spectrum(g)[0]), g.n)
     return (None, 0) if got is None else got
 
 
@@ -562,13 +532,13 @@ def tau0(g: Graph) -> Optional[AlgebraicReal]:
     extends to 0): the largest root of C in (0, 1), which is 1/tau1 of the
     complement, since the complement's C is C's reciprocal t^(n-1) C(1/t).
     So it is the reciprocal of that polynomial's least root above 1
-    (``_least_root_above_one``), proposed by the complement's smallest
+    (``_least_root_above``), proposed by the complement's smallest
     eigenvalue -1 - x, x the largest of B (the complement's B is -I - B),
     from the same cached spectrum, with no complement walk data.
     Certified only when asked: ``realize`` above t = 1 never asks."""
     c, _ = cm_polynomials(g)
     x = -1 - _spectrum(g)[1]
-    got = _least_root_above_one(c.reciprocal(g.n - 1), _proposal(x), g.n)
+    got = _least_root_above(c.reciprocal(g.n - 1), _proposal(x), g.n)
     return None if got is None else got[0].reciprocal()
 
 
@@ -612,13 +582,13 @@ def t_star(g: Graph) -> AlgebraicReal:
     their convex hull and the radius is 1.  By the matrix determinant
     lemma det G(t) = (t - 1)^n det(xI - Abar) at x = 1/(t - 1) is +-(M + C),
     the r0 = 1/2 tie polynomial up to a factor 2, so t* is its least root
-    above 1 (``_least_root_above_one``): one ``eigvalsh`` of Abar proposes
+    above 1 (``_least_root_above``): one ``eigvalsh`` of Abar proposes
     it, a simple root (the Perron root of the connected complement is)."""
     if is_complete(g):
         raise CompleteGraphError("complete graphs have no such configuration")
     n = g.n
     rho = float(np.linalg.eigvalsh(1.0 - np.eye(n) - g.adjacency())[-1])
-    return _least_root_above_one(tie_polynomial(g, Fraction(1, 2)), 1.0 + 1.0 / rho)[0]
+    return _least_root_above(tie_polynomial(g, Fraction(1, 2)), 1.0 + 1.0 / rho)[0]
 
 
 @functools.lru_cache(maxsize=None)

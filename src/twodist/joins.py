@@ -44,9 +44,6 @@ def join_decompose(g: Graph) -> JoinFactorization:
         for h in comps
         if not is_complete(h)
     ]
-    # Exact order; the float pre-sort only orders exact ties, whose floats
-    # may differ in the last place.
-    finite.sort(key=lambda f: f[2])
     finite.sort(key=cmp_to_key(lambda u, v: u[1].compare(v[1])))
     k = sum(1 for _, b, _ in finite if b.compare(finite[0][1]) == 0)
     complete = [h for h in comps if is_complete(h)]

@@ -748,27 +748,31 @@ def _leftmost_root_above(
 
 
 def smallest_root_greater_than(
-    p: IntPolynomial, bound: RationalLike
+    p: IntPolynomial,
+    bound: RationalLike,
+    factors: Optional[list[tuple[IntPolynomial, int]]] = None,
 ) -> Optional[tuple[AlgebraicReal, int]]:
     """Smallest real root of ``p`` strictly greater than ``bound`` with its
-    exact multiplicity, or None when every real root is <= bound."""
+    exact multiplicity, or None when every real root is <= bound.  One
+    Descartes bisection of p's squarefree part (the product of the factors
+    of ``squarefree_decomposition(p)``, passed as ``factors`` when the
+    caller has them) isolates it among all of p's roots; the one factor
+    that changes sign across that enclosure defines it and gives its
+    multiplicity."""
     if p.is_zero:
         raise ValueError("zero polynomial")
     bound = _as_fraction(bound)
-    best: Optional[AlgebraicReal] = None
-    best_mult = 0
-    for factor, mult in squarefree_decomposition(p):
-        got = _leftmost_root_above(factor, bound)
-        if got is None:
-            continue
-        cand = AlgebraicReal(factor, got[0], got[1])
-        if best is None or cand.compare(best) < 0:
-            best, best_mult = cand, mult
-    if best is None:
+    if factors is None:
+        factors = squarefree_decomposition(p)
+    squarefree = math.prod((f for f, _ in factors), start=IntPolynomial.const(1))
+    got = _leftmost_root_above(squarefree, bound)
+    if got is None:
         return None
-    while best.lo <= bound:  # keep the enclosure clear of the bound
-        best = best.refined(best.width / 4)
-    return best, best_mult
+    root = AlgebraicReal(squarefree, *got)
+    while root.lo <= bound:  # keep the enclosure clear of the bound
+        root = root.refined(root.width / 4)
+    f, mult = next((f, m) for f, m in factors if _changes_sign(f, root.lo, root.hi))
+    return AlgebraicReal(f, root.lo, root.hi), mult
 
 
 def multiplicity_at(p: IntPolynomial, a: AlgebraicReal) -> int:

@@ -195,25 +195,22 @@ def sturm_leftmost_root_above(
 def sturm_smallest_root_greater_than(
     p: IntPolynomial, bound: RationalLike
 ) -> Optional[tuple[AlgebraicReal, int]]:
-    """``polynomials.smallest_root_greater_than`` with each squarefree
-    factor isolated by ``sturm_leftmost_root_above``."""
+    """``polynomials.smallest_root_greater_than`` with p's squarefree part
+    isolated by ``sturm_leftmost_root_above``, and the root's factor the
+    one whose Sturm chain counts a root in its enclosure."""
     if p.is_zero:
         raise ValueError("zero polynomial")
     bound = _as_fraction(bound)
-    best: Optional[AlgebraicReal] = None
-    best_mult = 0
-    for factor, mult in squarefree_decomposition(p):
-        got = sturm_leftmost_root_above(factor, bound)
-        if got is None:
-            continue
-        cand = AlgebraicReal(factor, got[0], got[1])
-        if best is None or cand.compare(best) < 0:
-            best, best_mult = cand, mult
-    if best is None:
+    factors = squarefree_decomposition(p)
+    squarefree = math.prod((f for f, _ in factors), start=IntPolynomial.const(1))
+    got = sturm_leftmost_root_above(squarefree, bound)
+    if got is None:
         return None
-    while best.lo <= bound:  # keep the enclosure clear of the bound
-        best = best.refined(best.width / 4)
-    return best, best_mult
+    root = AlgebraicReal(squarefree, *got)
+    while root.lo <= bound:  # keep the enclosure clear of the bound
+        root = root.refined(root.width / 4)
+    f, mult = next((f, m) for f, m in factors if SturmChain(f).count(root.lo, root.hi))
+    return AlgebraicReal(f, root.lo, root.hi), mult
 
 
 def sturm_multiplicity_at(p: IntPolynomial, a: AlgebraicReal) -> int:

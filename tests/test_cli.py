@@ -9,6 +9,7 @@ import pytest
 
 from conftest import joins12_corpus
 from reference import cmp_rational, reference_min_enclosing_ball
+from twodist import invariants
 from twodist.cli import _enclosure, analysis_record, main
 from twodist.config import Config, override, set_config
 from twodist.graphs import (
@@ -356,6 +357,22 @@ class TestBatch:
         code, serial, _ = run(capsys, "batch", str(path))
         code, parallel, _ = run(capsys, "batch", str(path), "--jobs", "2")
         assert serial == parallel
+
+    def test_caches_cleared_after_each_word(self, capsys, tmp_path):
+        # every lru_cache of invariants, found by introspection, is empty
+        # after a batch: a long batch does not keep every graph's invariants
+        caches = [
+            fn
+            for fn in vars(invariants).values()
+            if hasattr(fn, "cache_clear")
+            and getattr(fn, "__module__", None) == invariants.__name__
+        ]
+        assert {"_walk_data", "tau1_mu", "profile"} <= {fn.__name__ for fn in caches}
+        path = tmp_path / "batch.g6"
+        path.write_text("\n".join([SQUARE, C5, "!!bad!!", OCTA, "Bg"]) + "\n")
+        code, out, _ = run(capsys, "batch", str(path))
+        assert code == 0 and len(out.strip().splitlines()) == 5
+        assert [fn.__name__ for fn in caches if fn.cache_info().currsize] == []
 
     def test_import_loads_no_multiprocessing(self):
         # the process pool is imported by batch --jobs alone

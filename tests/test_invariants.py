@@ -770,12 +770,13 @@ class TestSpectralWindow:
         factors = squarefree_decomposition(p)
         assert invariants._certified_root(factors, math.sqrt(11)) is None
         assert invariants._certified_root(factors[::-1], math.sqrt(11)) is None
-        root, mult = next(invariants.roots_above_one(p, factors, math.sqrt(11)))
+        root, mult = invariants._least_root_above(p, math.sqrt(11))
         assert mult == 1 and cmp_rational(root, Fraction(2236, 1000)) > 0
         assert cmp_rational(root, Fraction(2237, 1000)) < 0
-        got, mult = next(invariants.roots_above_one(p, factors, math.sqrt(5)))
-        assert mult == 1
-        assert_same_root(got, root)
+        # sqrt5 is a simple root of p: certified on p itself, not its split
+        got, mult = invariants._least_root_above(p, math.sqrt(5))
+        assert mult == 1 and got.defining == p.primitive() and got.compare(root) == 0
+        assert is_valid(got) and got.width <= get_config().tau_width
         single = poly(-11, 0, 1) * poly(-13, 0, 1)  # one factor, two roots
         assert invariants._certified_root(squarefree_decomposition(single), math.sqrt(13)) is None
 
@@ -794,7 +795,7 @@ class TestSpectralWindow:
             # two factors change sign around the float sqrt2: no certificate
             assert invariants._certified_root(factors, math.sqrt(2)) is None
             for proposal in (math.sqrt(2), None):
-                got = list(invariants.roots_above_one(p, factors, proposal))
+                got = list(geometry._roots_up_to(p, proposal, None))
                 assert [mult for _, mult in got] == [square, 1]
                 first, second = (root for root, _ in got)
                 assert cmp_rational(first, rational) == 0
@@ -814,10 +815,22 @@ class TestSpectralWindow:
         factors = squarefree_decomposition(p)
         assert len(factors) == 2
         assert invariants._certified_root(factors, t) is None
-        got = list(invariants.roots_above_one(p, factors, t))
+        got = list(geometry._roots_up_to(p, t, None))
         assert [mult for _, mult in got] == [1, 2]
         assert got[0][0].compare(AlgebraicReal(poly(-2, 0, 1), Fraction(1), Fraction(2))) == 0
         assert cmp_rational(got[1][0], hi) == 0
+
+    def test_complex_roots_above_bound_end_the_walk(self):
+        # roots 3 +- i: Descartes counts above 1 and above 2 are not 0, yet
+        # there is no real root there, so the walk ends after the root 2
+        complex_pair = poly(10, -6, 1)
+        assert polynomials.descartes_count(complex_pair, 1) == 2
+        assert invariants._least_root_above(complex_pair, None) is None
+        assert invariants._least_root_above(complex_pair, 3.0) is None
+        for proposal in (2.0, None):
+            got = list(geometry._roots_up_to(poly(-2, 1) * complex_pair, proposal, None))
+            assert [mult for _, mult in got] == [1]
+            assert cmp_rational(got[0][0], Fraction(2)) == 0 and is_valid(got[0][0])
 
     def test_complex_factor_does_not_stop_certificate(self):
         # the tie polynomials of beta*^2 need not be real-rooted: a factor

@@ -14,6 +14,7 @@ from twodist.graphs import (
     Graph,
     MultipartiteSignature,
     complement_component_sets,
+    complement_components,
     complete_multipartite,
     enumerate_graphs,
     is_complete,
@@ -94,10 +95,15 @@ class TestJoinDecompose:
         # minimal group, decided by exact comparison of beta*^2.
         for h in (Graph.path(4), Graph.cycle(5), Graph.empty(3)):
             perm = tuple(reversed(range(h.n)))
-            fz = join_decompose(join(h, h.permuted(perm)))
+            g = join(h, h.permuted(perm))
+            fz = join_decompose(g)
             assert len(fz.factors) == 2 and fz.k == 2
             first, second = (profile(f).beta_star_squared for f in fz.factors)
             assert first.compare(second) == 0
+            # equal values have equal nearest floats, and the stable exact
+            # sort keeps the complement components' order
+            assert fz.beta_stars[0] == fz.beta_stars[1]
+            assert list(fz.factors) == complement_components(g)
 
     def test_beta_stars_sorted(self, rng):
         for _ in range(10):

@@ -735,10 +735,11 @@ class TestIntegerKernel:
         # rational root on a grid midpoint: t (t + 4)(t - 2) from -3 (the
         # grid (-3, 9) halves to (-3, 3), whose midpoint 0 is the answer)
         # and (t - 1)(t - 2) from 0 (midpoint 2 of (0, 4), the answer 1
-        # left of it).  Descartes counts are exact on a real-rooted product,
-        # so its enclosure is the Sturm route's own; next to complex roots a
-        # count may exceed the root count and bisection go on, and the
-        # enclosure is of the same root of the same factor.
+        # left of it).  Both routes isolate the root on p's squarefree part.
+        # Descartes counts are exact on a real-rooted product, so its
+        # enclosure is the Sturm route's own; next to complex roots a count
+        # may exceed the root count and bisection go on, and the enclosure
+        # is of the same root of the same factor.
         cases = [(T * poly(4, 1) * poly(-2, 1), Fraction(-3)), (poly(-1, 1) * poly(-2, 1), Fraction(0))]
         for _ in range(150):
             p = random_product(rng)
@@ -756,9 +757,11 @@ class TestIntegerKernel:
                 assert got is None
                 continue
             root, mult = got
-            assert mult == expect[1] and root.defining == expect[0].defining
+            assert mult == expect[1] == sturm_multiplicity_at(p, root)
+            assert root.defining == expect[0].defining
             assert root.compare(expect[0]) == 0 and root.lo > bound and is_valid(root)
             f = exact_div(p, poly_gcd(p, p.derivative()))
+            assert count_real_roots(f, root.lo, root.hi) == 1  # isolated among p's roots
             real_rooted = count_real_roots(f, -f.root_bound(), f.root_bound()) == f.degree
             assert got == expect or not real_rooted
             same += got == expect

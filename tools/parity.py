@@ -1,0 +1,79 @@
+"""Print one line per output of the twodist tree at --src, for a parity diff.
+
+    python tools/parity.py --src src > after.txt
+    python tools/parity.py --src ../parent/src > before.txt
+    diff before.txt after.txt
+
+The lines are, in order:
+
+- ``record``: ``analysis_record`` plus the float tau0 of every graph with
+  n <= 7, of the embed16 pool and of ``joins12_corpus(60)``;
+- ``embed``: the output of ``twodist embed WORD --model euclidean`` on each
+  graph of the embed16 pool;
+- ``solve``: ``float(solve_phi(g, r))`` for r = 1 and r = 0.97 on every
+  non-complete graph with 2 <= n <= 7.
+
+The inputs come from this checkout's ``perfbench/`` (the pool's graph6 words
+and the joins generator), so two trees' dumps share them.  The invariant
+caches are cleared after each graph: a dump holds one graph's worth at a
+time.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib.util
+import io
+import json
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _joins12_words(count: int) -> list[str]:
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.joins12_corpus(count)
+
+
+def _pool_words() -> list[str]:
+    refs = json.loads((PERFBENCH / "refs" / "embed16.json").read_text())
+    return [ref["g6"] for ref in refs["graphs"]]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", required=True, help="directory holding the twodist package")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    from twodist import cli, geometry, invariants
+    from twodist.graphs import enumerate_graphs, is_complete, parse_graph6, to_graph6
+
+    small = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    pool = _pool_words()
+    graphs = [(to_graph6(g), g) for g in small]
+    graphs += [(w, parse_graph6(w)) for w in pool + _joins12_words(60)]
+    for word, g in graphs:
+        tau0 = invariants.tau0(g)
+        rec = cli.analysis_record(g, word)
+        print("record", json.dumps(rec), repr(None if tau0 is None else float(tau0)))
+        invariants.clear_caches()
+    for word in pool:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["embed", word, "--model", "euclidean"])
+        print("embed", word, code, out.getvalue().rstrip("\n"))
+        invariants.clear_caches()
+    for r in (1.0, 0.97):
+        for g in small:
+            if g.n >= 2 and not is_complete(g):
+                print("solve", r, to_graph6(g), repr(float(geometry.solve_phi(g, r))))
+                invariants.clear_caches()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
