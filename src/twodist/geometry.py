@@ -10,10 +10,11 @@ exact-support pivoting walks to the ball, under the same certificate.  On
 top of those: the monotone enclosing-ball radius function of the long
 distance, and its exact inverse ``solve_phi`` for any radius.  That one
 realizes no coordinates: the same active set, on the squared distances
-D(t), proposes the support, and one loop walks the roots of the support's
-tie polynomial by tau1's least-root route until the support is certified
-exactly at one.  Then embeddings on the unit sphere with short distance
-sqrt(2), and the orthogonal join decomposition of such point sets.
+D(t), proposes the support, the pencil of its bordered matrix a float
+root, and one exact elimination of that matrix its tie polynomial, whose
+roots one loop walks by tau1's least-root route until the support is
+certified exactly at one.  Then embeddings on the unit sphere with short
+distance sqrt(2), and the orthogonal join decomposition of such point sets.
 Neither needs an enclosing ball: the embedding's Gram matrix is
 I + (1 - t)Abar (Abar the complement's adjacency matrix, t = beta*^2/2),
 and each join block, affinely independent, is Type I or Type II by the
@@ -41,7 +42,7 @@ from .errors import (
     UndecidableEnclosureError,
 )
 from .graphs import Graph, complement_component_sets, is_complete
-from .polynomials import AlgebraicReal, IntPolynomial, sign_at
+from .polynomials import AlgebraicReal, IntPolynomial, det_poly_matrix, sign_at
 from . import invariants
 
 SQRT2 = math.sqrt(2.0)
@@ -413,19 +414,32 @@ def phi(g: Graph, x: float) -> float:
     return min_enclosing_ball(realize(g, x, SQRT2).points).radius
 
 
-def _support_certified(g: Graph, support: tuple[int, ...], t: AlgebraicReal) -> bool:
+def _bordered_adjugate(g: Graph, support: Sequence[int]) -> tuple[IntPolynomial, ...]:
+    """``(C_T, M_T, L_1, ..., L_k)``: det B and adj(B) e_0 for the bordered
+    matrix B = [[0, 1^T], [1, D_T(t)]] of the points T = ``support`` of g,
+    D_T being 1 on edges, t on the other pairs and 0 on the diagonal, from
+    one ``det_poly_matrix``.  C_T and M_T are T's C and M."""
+    zero, one, x = IntPolynomial.zero(), IntPolynomial.const(1), IntPolynomial.x()
+    rows = [[zero] + [one] * len(support)]
+    for i in support:
+        rows.append([one] + [zero if i == j else one if g.has_edge(i, j) else x for j in support])
+    return det_poly_matrix(rows, len(support) + 1)
+
+
+def _support_certified(
+    g: Graph, support: tuple[int, ...], adjugate: Sequence[IntPolynomial], t: AlgebraicReal
+) -> bool:
     """Whether, at t = x^2/2, the circumcenter of the points ``support`` of
     g is the center of the enclosing ball of all n points, decided exactly.
 
     With B the bordered matrix of the support and C_T = det B, Cramer's
-    rule gives adj(B) e_0 = (M_T, L_1, ..., L_k), all from
-    ``invariants.bordered_adjugate``, which reuses the walk data that
-    T's tie polynomial already cached: the circumcenter's barycentric
-    weights are L_i / C_T, and the squared circumradius is -M_T / (2 C_T)
-    at unit short distance.  Certified when C_T != 0, every weight is >= 0
-    and every other point j lies inside or on the sphere:
-    sign(sum_i D_ji L_i + M_T) * sign(C_T) <= 0."""
-    c_t, m_t, *weights = invariants.bordered_adjugate(g.induced(support))
+    rule gives adj(B) e_0 = (M_T, L_1, ..., L_k), the tuple ``adjugate``
+    = (C_T, M_T, L_1, ..., L_k) of ``_bordered_adjugate``: the
+    circumcenter's barycentric weights are L_i / C_T, and the squared
+    circumradius is -M_T / (2 C_T) at unit short distance.  Certified when
+    C_T != 0, every weight is >= 0 and every other point j lies inside or
+    on the sphere: sign(sum_i D_ji L_i + M_T) * sign(C_T) <= 0."""
+    c_t, m_t, *weights = adjugate
     sign_c = sign_at(c_t, t)
     if sign_c == 0:
         return False
@@ -449,28 +463,38 @@ def _squared_distances(adjacency: np.ndarray, t: float) -> np.ndarray:
     return d
 
 
-def _float_root_near(f: IntPolynomial, t: float, top: float) -> Optional[float]:
-    """The real root of f in (1, top] nearest t, or None: ``np.roots``
-    proposes it and two Newton steps, each computed exactly at the float
-    and rounded, polish it to about an ulp.  ``top`` gets a relative slack
-    of ``END_RTOL``, for a root at the window end."""
-    if f.degree in (None, 0):
-        return None
-    shift = max(max(abs(c) for c in f.coeffs).bit_length() - 1000, 0)
-    roots = np.roots([float(c >> shift) for c in reversed(f.coeffs)])
-    real = roots.real[np.abs(roots.imag) <= 1e-6 * np.abs(roots)]
-    real = real[(real > 1.0) & (real <= top * (1.0 + END_RTOL))]
-    if not real.size:
-        return None
-    x = float(real[np.argmin(np.abs(real - t))])
-    slope = f.derivative()
-    for _ in range(2):
-        num, den = x.as_integer_ratio()
-        s = slope.homogeneous(num, den)
-        if s == 0:
-            break
-        x = float(Fraction(num, den) - Fraction(f.homogeneous(num, den), s * den))
-    return x if 1.0 < x <= top * (1.0 + END_RTOL) else None
+def _float_root_near(
+    adjacency: np.ndarray, support: Sequence[int], r0: Fraction, t: float, top: float
+) -> Optional[float]:
+    """The real root in (1, top] nearest t of the tie polynomial of the
+    points ``support`` for the squared radius r0, or None, from the pencil
+    of their bordered matrix.  ``top`` gets a relative slack of
+    ``END_RTOL``, for a root at the window end.
+
+    The tie polynomial q M_T + 2p C_T (r0 = p/q) is 2p det P(s), P(s) =
+    [[1/(2 r0), 1^T], [1, D_T(s)]], since det P(s) is linear in its corner
+    entry.  P(s) = P(t) + (s - t) Q with Q = [[0, 0], [0, J - I - A_T]], so
+    det P(s) = 0 iff s = t - 1/lam for an eigenvalue lam != 0 of P(t)^-1 Q
+    (real when its imaginary part is within 1e-6 of its modulus): one
+    ``solve`` and one ``eigvals``, with no polynomial coefficients.  A
+    singular P(t) makes t the root."""
+    k = len(support)
+    a = adjacency[np.ix_(support, support)]
+    p = np.ones((k + 1, k + 1))
+    p[0, 0] = 1.0 / (2.0 * float(r0))
+    p[1:, 1:] = _squared_distances(a, t)
+    q = np.zeros((k + 1, k + 1))
+    q[1:, 1:] = 1.0 - a - np.eye(k)
+    try:
+        pencil = np.linalg.solve(p, q)
+    except np.linalg.LinAlgError:  # P(t) is singular
+        return t
+    lam = np.linalg.eigvals(pencil)
+    lam = lam.real[np.abs(lam.imag) <= 1e-6 * np.abs(lam)]
+    with np.errstate(divide="ignore", over="ignore"):  # lam = 0: no finite root
+        roots = t - 1.0 / lam
+    roots = roots[(roots > 1.0) & (roots <= top * (1.0 + END_RTOL))]
+    return float(roots[np.argmin(np.abs(roots - t))]) if roots.size else None
 
 
 def _roots_up_to(
@@ -493,20 +517,22 @@ def solve_phi(g: Graph, r: float) -> AlgebraicReal:
     sqrt((n-1)/n) < r <= 1 and a non-complete graph.
 
     On an affinely independent support T the squared radius is r^2 at the
-    roots of T's tie polynomial for r0 = r^2/2 (``invariants.tie_polynomial``).
-    The float active set of ``min_enclosing_ball`` (``_active_set``), on
-    the squared distances D(t) = t(J - I) - (t - 1)A, proposes T, first in
-    the middle of (1, tau1) from all n points (failing that, T is all n
+    roots of T's tie polynomial q M_T + 2p C_T for r0 = r^2/2 = p/q.  The
+    float active set of ``min_enclosing_ball`` (``_active_set``), on the
+    squared distances D(t) = t(J - I) - (t - 1)A, proposes T, first in the
+    middle of (1, tau1) from all n points (failing that, T is all n
     points, with no float t), later warm-started at the current T.  One
     loop over T follows.  While a float t is known, t moves to the float
-    root of T's tie polynomial nearest it, and T to the active set's
-    support there while that changes and is untried.  Then the roots of T's tie
-    polynomial in (1, tau1] are walked (``_roots_up_to``, the first
-    certified on t's interval), and beta*^2 is the first at which
-    ``_support_certified`` holds.  Failing all, the active set at the root
-    whose squared radius is nearest r0 proposes the next T, with no t; a T
-    proposed again raises ``UndecidableEnclosureError``.  When r = 1 and the
-    squared circumradius is 1/2, beta*^2 is 2 tau1, at the window end."""
+    root nearest it (``_float_root_near``, the pencil of T's bordered
+    matrix), and T to the active set's support there while that changes
+    and is untried.  Then T's bordered matrix gets one exact adjugate
+    column (``_bordered_adjugate``), the roots of its tie polynomial in
+    (1, tau1] are walked (``_roots_up_to``, the first certified on t's
+    interval), and beta*^2 is the first at which ``_support_certified``
+    holds.  Failing all, the active set at the root whose squared radius
+    is nearest r0 proposes the next T, with no t; a T proposed again
+    raises ``UndecidableEnclosureError``.  When r = 1 and the squared
+    circumradius is 1/2, beta*^2 is 2 tau1, at the window end."""
     if is_complete(g):
         raise CompleteGraphError("complete graphs admit no such solve")
     n = g.n
@@ -526,18 +552,19 @@ def solve_phi(g: Graph, r: float) -> AlgebraicReal:
     tried = set()
     while support not in tried:
         tried.add(support)
-        tie = invariants.tie_polynomial(g.induced(support), r0)
         if t is not None:
-            t = _float_root_near(tie, t, top)
+            t = _float_root_near(adjacency, support, r0, t, top)
             got = None
             if t is not None:
                 got = _active_set(_squared_distances(adjacency, t), support)
             if got is not None and got[0] not in tried:
                 support = got[0]
                 continue
+        adjugate = _bordered_adjugate(g, support)
+        tie = adjugate[1].scale(r0.denominator) + adjugate[0].scale(2 * r0.numerator)
         best, miss = support, math.inf
         for root, _ in _roots_up_to(tie, t, tau1):
-            if _support_certified(g, support, root):
+            if _support_certified(g, support, adjugate, root):
                 return root.scaled(2)
             got = _active_set(_squared_distances(adjacency, float(root)), support)
             if got is None:

@@ -12,7 +12,7 @@ exactly, and assembles the full invariant profile:
     dim_j = dim_e if the squared circumradius equals 1/2 exactly, else n - 1
             (undefined for complete graphs)
 
-Those polynomials need the traces tr A^k and the walk counts A^k 1,
+Those polynomials need the traces tr A^k and the walk sums 1^T A^k 1,
 k <= n, as exact integers.  ``_walk_data`` computes them with one float64
 matrix product per power whose entries stay exact integers: directly when
 n D^n <= 2^53 (D the largest degree), else modulo word-size primes, all
@@ -149,7 +149,6 @@ _EXACT = 1 << 53
 # Floats of the powers of A that ``_walk_data`` holds at once (512 KB), but
 # never fewer than two powers.
 _CHUNK = 1 << 16
-_Moduli = tuple[tuple[int, ...], int, tuple[int, ...]]
 
 
 def _is_prime(q: int) -> bool:
@@ -170,7 +169,7 @@ def _is_prime(q: int) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def _moduli(n: int, d: int) -> _Moduli:
+def _moduli(n: int, d: int) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
     """(moduli, their product m, CRT basis) for ``_walk_data`` on n vertices
     of largest degree d.  No moduli when n d^n <= 2^53.  Else the fewest
     largest odd primes p < 2^32 with n^2 d p <= 2^53 whose product m exceeds
@@ -204,17 +203,15 @@ def _lift(values: np.ndarray, moduli: tuple[int, ...], m: int, basis: tuple[int,
 
 
 @functools.lru_cache(maxsize=None)
-def _walk_data(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray, _Moduli]:
-    """(c, w, v, moduli) for the adjacency matrix A of g: the coefficients
-    c of det(xI - A) (``_newton`` on the traces of A^k, k <= n), the walk
-    sums w_j = 1^T A^j 1, and v[j, u] congruent to (A^j 1)_u, j < n,
-    modulo each of ``_moduli`` (v[j, u, i] for the i-th; ``_lift`` reads
-    it), from one float64 ``np.matmul`` per power.
+def _walk_data(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(c, w) for the adjacency matrix A of g: the coefficients c of
+    det(xI - A) (``_newton`` on the traces of A^k, k <= n) and the walk
+    sums w_j = 1^T A^j 1, j < n, from one float64 ``np.matmul`` per power.
 
-    Exactness.  Every entry of A^k and of A^k 1 counts walks, so it is at
-    most D^k (D the largest degree), and tr A^k and 1^T A^k 1 are at most
-    n D^k.  When n D^n <= 2^53 (every graph with n <= 13) floats hold all
-    of these exactly, and the pass yields the integers themselves.  Else
+    Exactness.  Every entry of A^k counts walks, so it is at most D^k (D
+    the largest degree), and tr A^k and 1^T A^k 1 are at most n D^k.  When
+    n D^n <= 2^53 (every graph with n <= 13) floats hold all of these
+    exactly, and the pass yields the integers themselves.  Else
     P_1 holds one copy of A per modulus p, side by side (A^0 = I needs no
     product), and P_k = A P_(k-1) is one matmul for all of them.  Let E
     bound the magnitude of P's entries, 1 at first.  Since A is 0/1, each
@@ -227,10 +224,9 @@ def _walk_data(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray, 
     (p + 1)/2, and every step is exact.  (``np.fmod`` is exact too, but
     costs ~65 ns an entry against ~2 ns for this on a 2-core x86-64 host.)
     The primes satisfy n^2 D p <= 2^53, so D (p + 1)/2 <= L and E <= L
-    always: the traces, the row sums (A^k 1) and the walk sums of a block,
-    sums of at most n^2 entries, stay within 2^53.  The moduli's product m
-    exceeds n D^n, so ``_lift`` recovers each nonnegative count exactly;
-    only the 2n + 1 traces and walk sums are lifted here.  The powers are
+    always: the traces and the walk sums of a block, sums of at most n^2
+    entries, stay within 2^53.  The moduli's product m exceeds n D^n, so
+    ``_lift`` recovers each nonnegative count exactly.  The powers are
     read in chunks of ``_CHUNK`` floats, so at most max(2, _CHUNK / (n^2 r))
     powers of n^2 r floats are held at once, r the number of moduli."""
     n, d = g.n, max(g.degrees())
@@ -241,9 +237,8 @@ def _walk_data(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray, 
         p = np.repeat(np.array(moduli, dtype=np.float64), n)
         inv = 1.0 / p
         top, limit = (max(moduli) + 1) // 2, _EXACT // (n * n)
-    traces = np.empty((n + 1, r))
-    vectors = np.empty((n + 1, n, r))
-    traces[0], vectors[0] = n, 1.0
+    traces = np.full((n + 1, r), float(n))  # row 0: tr I = 1^T I 1 = n
+    walks = traces.copy()
     stack = np.empty((min(max(_CHUNK // (n * n * r), 2), n), n, n * r))
     stack[0].reshape(n, r, n)[...] = a[:, None, :]
     bound, k = 1, 1  # stack[0] holds A^k
@@ -261,17 +256,13 @@ def _walk_data(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray, 
             j += 1
         blocks = stack[: j + 1].reshape(j + 1, n, r, n)
         blocks.trace(axis1=1, axis2=3, out=traces[k : k + j + 1])
-        blocks.sum(axis=3, out=vectors[k : k + j + 1])
+        blocks.sum(axis=(1, 3), out=walks[k : k + j + 1])
         k += j
         if k == n:
             break
         stack[0] = stack[j]
     c = _newton(_lift(traces, moduli, m, basis))
-    w = _lift(vectors[:n].sum(axis=1), moduli, m, basis)
-    v = vectors[:n]
-    if moduli:  # cached: residues in [0, p) take 32 bits
-        v = np.mod(v, np.array(moduli, dtype=np.float64)).astype(np.uint32)
-    return tuple(c), tuple(w), v, (moduli, m, basis)
+    return tuple(c), tuple(_lift(walks[:n], moduli, m, basis))
 
 
 def _adjugate_coeffs(c: Sequence[int], walk: Sequence[int]) -> list[int]:
@@ -309,28 +300,10 @@ def cm_polynomials(g: Graph) -> tuple[IntPolynomial, IntPolynomial]:
     matrix determinant lemma det(xI - A - sJ) = P(x) - s W(x) gives, with
     H_k(f) = (1-t)^k f(x), C = (-1)^n H_(n-1)(W) and
     M = (-1)^n [H_n(P) - t H_(n-1)(W)]."""
-    c, w, _, _ = _walk_data(g)
+    c, w = _walk_data(g)
     sign = (-1) ** g.n
     det = _in_t(_adjugate_coeffs(c, w), sign)
     return det, _in_t(c, sign) - IntPolynomial.x() * det
-
-
-@functools.lru_cache(maxsize=None)
-def bordered_adjugate(g: Graph) -> tuple[IntPolynomial, ...]:
-    """``(C, M, L_1, ..., L_n)``: det B and adj(B) e_0 for the bordered
-    matrix B of ``cm_polynomials``, equal to ``det_poly_matrix(B, n + 1)``.
-    By Cramer's rule L_v / C are the barycentric weights of the
-    circumcenter.  L_v = (-1)^n H_(n-1)(u_v) with u(x) = adj(xI - A) 1,
-    from the cached walk data: only here are its n^2 walk-vector entries
-    (A^j 1)_v lifted from their residues (``_lift``).  Row 0 of
-    B adj(B) = det(B) I gives C = sum_v L_v (W = 1^T u); M follows as in
-    ``cm_polynomials``."""
-    c, _, v, moduli = _walk_data(g)
-    n, sign = g.n, (-1) ** g.n
-    entries = _lift(v.reshape(n * n, -1), *moduli)  # (A^j 1)_u at j n + u
-    weights = [_in_t(_adjugate_coeffs(c, entries[u::n]), sign) for u in range(n)]
-    det = sum(weights, IntPolynomial.zero())
-    return (det, _in_t(c, sign) - IntPolynomial.x() * det, *weights)
 
 
 def tie_polynomial(g: Graph, r0: Fraction) -> IntPolynomial:
@@ -648,7 +621,6 @@ def clear_caches() -> None:
     _moduli.cache_clear()
     _walk_data.cache_clear()
     cm_polynomials.cache_clear()
-    bordered_adjugate.cache_clear()
     _spectrum.cache_clear()
     tau1_mu.cache_clear()
     tau0.cache_clear()

@@ -1,11 +1,11 @@
 """Exact univariate polynomial algebra over big integers.
 
 Coefficients are arbitrary-precision integers, stored lowest degree first.
-On top of the ring arithmetic this module provides the determinant and
-the adjugate column adj(B) e_0 of a polynomial matrix B, both from one
-fraction-free elimination of [B | e_0] per sample point, Yun squarefree
-decomposition, Descartes root counting, isolation of real roots,
-certified interval refinement, and exact signs at algebraic points.
+On top of the ring arithmetic this module provides det B and adj(B) e_0
+of a polynomial matrix B (a support's bordered matrix in ``solve_phi``)
+from one fraction-free elimination of [B | e_0] per sample point, Yun
+squarefree decomposition, Descartes root counting, isolation of real
+roots, certified interval refinement, and exact signs at algebraic points.
 
 Descartes' rule of signs, after a Moebius map of an interval onto
 (0, inf), bounds the roots there from above with the right parity, so a
@@ -583,9 +583,9 @@ def det_poly_matrix(
     so size+1 points recover it; each a_i, a minor, has degree below the
     size, so it is interpolated from that many nonsingular points.  Asking
     for a_i when det B is the zero polynomial raises ``ValueError``.
-    ``invariants.cm_polynomials`` and ``invariants.bordered_adjugate`` get
-    the bordered distance matrix's values from the adjacency's walk data
-    instead; this general route is the reference the tests hold them to.
+    ``geometry.solve_phi`` gets the bordered matrix of a support this way;
+    ``invariants.cm_polynomials`` gets a whole graph's det B and adj(B)_00
+    from the walk data instead, and the tests hold it to this route.
     """
     size = len(matrix)
     if any(len(row) != size for row in matrix):

@@ -3,17 +3,20 @@
 Sturm isolation of real roots, Sturm root counts and the decisions
 ``multiplicity_at`` and ``AlgebraicReal.compare`` made with them, the exact
 sign of an algebraic number minus a rational, interval images, the
-bordered distance matrix, walk data from packed-integer row sums, the
-enclosing ball that factors T afresh at every pivot, the beta* solve whose
+bordered distance matrix, walk data from packed-integer row sums and the
+bordered matrix's adjugate column from its walk vectors, the enclosing
+ball that factors T afresh at every pivot, the beta* solve whose
 supports enclosing balls of realized points propose and which tries every
 root of a support's tie polynomial from 1 upward, the Type I test by an
 enclosing ball's center, and the pairwise loop for the distance residual:
 independent of the Descartes counts, sign tests, float64 walk kernel,
-updated QR factors, active set, certified root walk, Perron root, affine
-projection and array code that ``twodist`` uses, and called by no program
-path.  Only the beta* solve's root listing (``roots_in_window``) runs the
-program's Descartes bisection, on the tie polynomial's squarefree part,
-and the packed walk data the program's Newton identities."""
+updated QR factors, active set, Bareiss elimination, float pencil,
+certified root walk, Perron root, affine projection and array code that
+``twodist`` uses, and called by no program path.  Only the beta* solve's
+root listing (``roots_in_window``) runs the program's Descartes
+bisection, on the tie polynomial's squarefree part, and the packed walk
+data the program's Newton identities and its change of variable to t
+(``invariants._adjugate_coeffs``, ``invariants._in_t``)."""
 
 from __future__ import annotations
 
@@ -108,9 +111,10 @@ def _slots(x: int, n: int, width: int) -> list[int]:
 
 
 def packed_walk_data(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], list[list[int]]]:
-    """(c, w, v) as ``invariants._walk_data`` gives them, with v lifted:
-    the coefficients of det(xI - A), the walk sums w_j = 1^T A^j 1 and the
-    walk vectors v_j = A^j 1, j < n, in Python integers.
+    """(c, w) as ``invariants._walk_data`` gives them, and v (for
+    ``walk_adjugate``): the coefficients of det(xI - A), the walk sums
+    w_j = 1^T A^j 1 and the walk vectors v_j = A^j 1, j < n, in Python
+    integers.
 
     Row i of A^k is packed into one integer with slots of
     width = bits(D^n) + 1 bits (D the largest degree), which keeps the
@@ -132,6 +136,25 @@ def packed_walk_data(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], list[l
             walks.append(sum(rows))
     vectors = [_slots(v, n, width) for v in walks]
     return tuple(invariants._newton(traces)), tuple(map(sum, vectors)), vectors
+
+
+def walk_adjugate(g: Graph) -> tuple[IntPolynomial, ...]:
+    """``(C, M, L_1, ..., L_n)``: det B and adj(B) e_0 for g's bordered
+    matrix B (``bordered_matrix``), from the walk vectors v_j = A^j 1 of
+    ``packed_walk_data``.  By Cramer's rule L_v / C are the barycentric
+    weights of the circumcenter.  L_v = (-1)^n H_(n-1)(u_v), u(x) =
+    adj(xI - A) 1 = sum_k x^(n-1-k) sum_(i<=k) c_i v_(k-i), and
+    H_k(f) = (1-t)^k f(t/(1-t)).  Row 0 of B adj(B) = det(B) I gives
+    C = sum_v L_v, and M = (-1)^n H_n(P) - t C as in
+    ``invariants.cm_polynomials``."""
+    c, _, vectors = packed_walk_data(g)
+    n, sign = g.n, (-1) ** g.n
+    weights = [
+        invariants._in_t(invariants._adjugate_coeffs(c, [v[u] for v in vectors]), sign)
+        for u in range(n)
+    ]
+    det = sum(weights, IntPolynomial.zero())
+    return (det, invariants._in_t(c, sign) - IntPolynomial.x() * det, *weights)
 
 
 def sturm_leftmost_root_above(
@@ -360,9 +383,9 @@ def ball_solve_phi(g: Graph, r: float) -> AlgebraicReal:
     """``geometry.solve_phi`` with float enclosing balls proposing the
     supports: the ball at the window end proposes T (its points of
     positive weight), every root t of T's tie polynomial in (1, tau1] is
-    tried with ``_support_certified``, and failing all, the ball at the
-    root whose radius is nearest r proposes the next T; a T proposed
-    twice raises ``UndecidableEnclosureError``."""
+    tried with ``_support_certified`` on T's ``walk_adjugate``, and
+    failing all, the ball at the root whose radius is nearest r proposes
+    the next T; a T proposed twice raises ``UndecidableEnclosureError``."""
     if is_complete(g):
         raise ValueError("complete graphs admit no such solve")
     r0 = Fraction(r) ** 2 / 2  # the squared radius at unit short distance
@@ -378,11 +401,12 @@ def ball_solve_phi(g: Graph, r: float) -> AlgebraicReal:
                 f"enclosing-ball support {support} proposed twice"
             )
         proposed.add(support)
-        radius_poly = invariants.tie_polynomial(g.induced(support), r0)
+        adjugate = walk_adjugate(g.induced(support))
+        radius_poly = adjugate[1].scale(r0.denominator) + adjugate[0].scale(2 * r0.numerator)
         balls = []  # no root keeps the ball, so T is proposed again and raises
         for t in roots_in_window(radius_poly, tau1):
             t = t.refined(Fraction(1, 2**64))  # once, for every sign and the float
-            if _support_certified(g, support, t):
+            if _support_certified(g, support, adjugate, t):
                 return t.scaled(2)
             ball = _ball_at(g, float(t))
             balls.append(ball)

@@ -596,7 +596,7 @@ class TestSolvePhi:
     def test_uncertified_support_raises(self, monkeypatch):
         from twodist import geometry
 
-        monkeypatch.setattr(geometry, "_support_certified", lambda g, s, t: False)
+        monkeypatch.setattr(geometry, "_support_certified", lambda g, s, adjugate, t: False)
         with pytest.raises(UndecidableEnclosureError):
             solve_phi(Graph.cycle(5), 1.0)
 
@@ -683,17 +683,48 @@ class TestActiveSetSolve:
         self.assert_certified_once(spent)
         assert not any(c["realize"] or c["min_enclosing_ball"] for c, _ in spent)
 
-    def test_random_32_vertex_graphs_match_ball_oracle(self, rng):
-        # np.roots often misses the float root of a degree-32 tie
-        # polynomial; then the exact walk decides
+    def test_random_32_vertex_graphs_match_ball_oracle(self, rng, monkeypatch):
+        # the pencil's float root is certified on its interval: no bisection
+        walks = count_calls(monkeypatch, invariants, "smallest_root_greater_than")
         with override(max_n=32):
             invariants.clear_caches()
             try:
                 for _ in range(2):
                     g = random_graph(rng, 32)
-                    assert solve_phi(g, 1.0).compare(ball_solve_phi(g, 1.0)) == 0, g
+                    invariants.tau1_mu(g)  # the window's own work is not the walk's
+                    before = walks["smallest_root_greater_than"]
+                    got = solve_phi(g, 1.0)
+                    assert walks["smallest_root_greater_than"] == before, g
+                    assert got.compare(ball_solve_phi(g, 1.0)) == 0, g
             finally:
                 invariants.clear_caches()
+
+    @pytest.mark.parametrize("seed, r", [(5, 0.99), (7, 0.995)])
+    def test_random_48_vertex_graphs_solve(self, seed, r):
+        # 48-point supports: each float root comes from the pencil of the
+        # bordered matrix, and the active set then keeps its support
+        rng = random.Random(seed)
+        edges = [(i, j) for i in range(48) for j in range(i + 1, 48) if rng.random() < 0.5]
+        g = Graph.from_edges(48, edges)
+        with override(max_n=48):
+            invariants.clear_caches()
+            try:
+                x = math.sqrt(float(solve_phi(g, r)))
+                assert abs(phi(g, x) - r) <= 1e-12, g
+            finally:
+                invariants.clear_caches()
+
+    def test_solve_caches_only_the_graph_walk_data(self):
+        # the supports' bordered matrices are eliminated directly: no
+        # induced graph reaches the invariant caches
+        graphs = [g for n in range(2, 6) for g in enumerate_graphs(n) if not is_complete(g)]
+        assert len(graphs) == 47
+        for g in graphs:
+            for r in (1.0, 0.97):
+                invariants.clear_caches()
+                solve_phi(g, r)
+                assert invariants._walk_data.cache_info().currsize == 1, (g, r)
+        invariants.clear_caches()
 
     def test_first_active_set_failure_falls_back(self, monkeypatch):
         # a singular first bordered system goes to the exact walk from all
@@ -737,17 +768,28 @@ class TestActiveSetSolve:
                 assert abs(r2 - ball.radius**2) <= 1e-9 * max(1.0, r2)
             checked += 1
 
-    def test_float_root_polished_to_nearest_float(self):
-        from twodist.polynomials import IntPolynomial
-
-        x = IntPolynomial.x()
-        f = x * x - IntPolynomial.const(3)
-        for k in range(1, 8):  # degree 16, real roots +-sqrt(3) only
-            f = f * (x * x + x.scale(k) + IntPolynomial.const(17))
-        got = geometry._float_root_near(f, 1.5, 2.0)
-        assert got == math.sqrt(3)  # the correctly rounded root
-        assert geometry._float_root_near(f, 1.5, 1.7) is None  # above the window
-        assert geometry._float_root_near(IntPolynomial.const(3), 1.5, 2.0) is None
+    def test_float_root_polished_to_nearest_float(self, monkeypatch):
+        # the pencil of the bordered matrix on all n points at r0 = 1/2
+        # finds t* within an ulp, from the middle of (1, tau1)
+        half = Fraction(1, 2)
+        with override(max_n=48):
+            for n, seed in ((7, 1), (16, 2), (32, 3), (48, 4)):
+                g = random_graph(random.Random(seed), n)
+                invariants.clear_caches()
+                expect = float(invariants.t_star(g))
+                top = float(invariants.tau1_mu(g)[0])
+                a, everything = g.adjacency().astype(float), tuple(range(n))
+                got = geometry._float_root_near(a, everything, half, 0.5 * (1.0 + top), top)
+                assert abs(got - expect) <= math.ulp(expect), (n, got, expect)
+                # t* is the least root above 1: none in (1, top] below it
+                below = 0.5 * (1.0 + expect)
+                assert geometry._float_root_near(a, everything, half, below, below) is None
+            invariants.clear_caches()
+        # an independent triple has t = 1.5 at squared radius 1/2: P(1.5) is
+        # singular, and t itself is the root, with no eigenvalues taken
+        a = parse_graph6("DFw").adjacency().astype(float)
+        monkeypatch.setattr(np.linalg, "eigvals", None)
+        assert geometry._float_root_near(a, (0, 1, 2), half, 1.5, 4.0) == 1.5
 
 
 class TestBetaStar:

@@ -25,7 +25,6 @@ from twodist.graphs import (
 from twodist import geometry, invariants, polynomials
 from twodist.cli import _enclosure, analysis_record, main
 from twodist.invariants import (
-    bordered_adjugate,
     circumradius_invariant,
     cm_polynomials,
     dim_s_bounded,
@@ -48,6 +47,7 @@ from reference import (
     is_valid,
     packed_walk_data,
     sturm_smallest_root_greater_than,
+    walk_adjugate,
 )
 
 
@@ -110,8 +110,10 @@ class TestCmPolynomials:
 
 
 class TestSpectralRoute:
-    """C, M and adj(B) e_0 from the adjacency's characteristic and walk
-    polynomials, against the per-point Bareiss elimination of B."""
+    """C and M from the adjacency's characteristic and walk polynomials,
+    against the per-point Bareiss elimination of B; and that elimination's
+    adj(B) e_0, ``solve_phi``'s route, against the walk vectors'
+    (``reference.walk_adjugate``)."""
 
     def test_cm_all_small_graphs(self):
         count = 0
@@ -125,17 +127,22 @@ class TestSpectralRoute:
         for n in range(1, 8):
             graphs = enumerate_graphs(n)
             for g in graphs if n <= 5 else graphs[::25]:
-                assert bordered_adjugate(g) == det_poly_matrix(bordered_matrix(g), n + 1), g
+                assert det_poly_matrix(bordered_matrix(g), n + 1) == walk_adjugate(g), g
 
     def test_adjugate_column_sixteen_vertices(self, rng):
-        for _ in range(3):
-            g = random_graph(rng, 16)
-            assert bordered_adjugate(g) == det_poly_matrix(bordered_matrix(g), 17)
+        graphs = [random_graph(rng, 16) for _ in range(3)]
+        for g in graphs:
+            assert det_poly_matrix(bordered_matrix(g), 17) == walk_adjugate(g)
+        for g in graphs:
+            # solve_phi's bordered matrix of a support, in the support's order
+            support = tuple(sorted(rng.sample(range(16), 9)))
+            got = geometry._bordered_adjugate(g, support)
+            assert got == walk_adjugate(g.induced(support)), (g, support)
 
     def test_single_vertex(self):
         one = IntPolynomial.const(1)
-        assert bordered_adjugate(Graph.empty(1)) == (-one, IntPolynomial.zero(), -one)
-        assert bordered_adjugate(Graph.empty(1)) == det_poly_matrix(
+        assert walk_adjugate(Graph.empty(1)) == (-one, IntPolynomial.zero(), -one)
+        assert walk_adjugate(Graph.empty(1)) == det_poly_matrix(
             bordered_matrix(Graph.empty(1)), 2
         )
 
@@ -147,16 +154,6 @@ class TestSpectralRoute:
         # s_1 = 1, s_2 = 0 gives 2 c_2 = 1, which no integer matrix has.
         with pytest.raises(ValueError, match="remainder"):
             invariants._newton([2, 1, 0])
-
-    def test_certificate_reuses_walk_data(self, rng):
-        invariants.clear_caches()
-        g = random_graph(rng, 9)
-        cm_polynomials(g)
-        misses = invariants._walk_data.cache_info().misses
-        assert misses == 1
-        # A frozen dataclass: the induced graph on every vertex equals g.
-        bordered_adjugate(g.induced(range(g.n)))
-        assert invariants._walk_data.cache_info().misses == misses
 
     def test_clear_caches_empties_walk_data(self):
         cm_polynomials(Graph.cycle(6))
@@ -178,21 +175,10 @@ class TestSpectralRoute:
         try:
             for g in (Graph.cycle(5), Graph.path(4), Graph.petersen()):
                 profile(g).tau0  # certified on first access, into tau0's cache
-                bordered_adjugate(g)
             assert all(fn.cache_info().currsize > 0 for fn in caches)
         finally:
             invariants.clear_caches()
         assert [fn.__name__ for fn in caches if fn.cache_info().currsize] == []
-
-    def test_adjugate_cached_and_cleared(self):
-        # The certificate asks for the same induced support many times.
-        invariants.clear_caches()
-        g = Graph.cycle(6)
-        first = bordered_adjugate(g)
-        assert bordered_adjugate(g.induced(range(g.n))) is first
-        assert bordered_adjugate.cache_info().currsize == 1
-        invariants.clear_caches()
-        assert bordered_adjugate.cache_info().currsize == 0
 
 
 @functools.lru_cache(maxsize=None)
@@ -215,10 +201,8 @@ class TestWalkKernel:
 
     @staticmethod
     def assert_matches_oracle(g):
-        c, w, v, moduli = invariants._walk_data(g)
-        ref_c, ref_w, ref_v = packed_walk_data(g)
-        assert c == ref_c and w == ref_w, g
-        assert invariants._lift(v.reshape(g.n * g.n, -1), *moduli) == sum(ref_v, []), g
+        ref_c, ref_w, _ = packed_walk_data(g)
+        assert invariants._walk_data(g) == (ref_c, ref_w), g
 
     def test_matches_packed_oracle(self):
         graphs = graphs_up_to_7() + tuple(embed16_pool()) + tuple(joins12_corpus(60))

@@ -11,7 +11,9 @@ The lines are, in order:
 - ``embed``: the output of ``twodist embed WORD --model euclidean`` on each
   graph of the embed16 pool;
 - ``solve``: ``float(solve_phi(g, r))`` for r = 1 and r = 0.97 on every
-  non-complete graph with 2 <= n <= 7.
+  non-complete graph with 2 <= n <= 7, then on ``joins12_corpus(60)`` and
+  on the first 50 graphs of the embed16 pool, whose supports pass 7
+  points.
 
 The inputs come from this checkout's ``perfbench/`` (the pool's graph6 words
 and the joins generator), so two trees' dumps share them.  The invariant
@@ -54,8 +56,9 @@ def main(argv: list[str] | None = None) -> int:
 
     small = [g for n in range(1, 8) for g in enumerate_graphs(n)]
     pool = _pool_words()
+    joins = _joins12_words(60)
     graphs = [(to_graph6(g), g) for g in small]
-    graphs += [(w, parse_graph6(w)) for w in pool + _joins12_words(60)]
+    graphs += [(w, parse_graph6(w)) for w in pool + joins]
     for word, g in graphs:
         tau0 = invariants.tau0(g)
         rec = cli.analysis_record(g, word)
@@ -67,11 +70,12 @@ def main(argv: list[str] | None = None) -> int:
             code = cli.main(["embed", word, "--model", "euclidean"])
         print("embed", word, code, out.getvalue().rstrip("\n"))
         invariants.clear_caches()
+    solved = [g for g in small if g.n >= 2 and not is_complete(g)]
+    solved += [parse_graph6(w) for w in joins + pool[:50]]
     for r in (1.0, 0.97):
-        for g in small:
-            if g.n >= 2 and not is_complete(g):
-                print("solve", r, to_graph6(g), repr(float(geometry.solve_phi(g, r))))
-                invariants.clear_caches()
+        for g in solved:
+            print("solve", r, to_graph6(g), repr(float(geometry.solve_phi(g, r))))
+            invariants.clear_caches()
     return 0
 
 
