@@ -8,7 +8,8 @@ the certificate, then the walk.  ``min_enclosing_ball`` certifies the
 proposal by the duality gap of its barycentric weights; failing either,
 exact-support pivoting walks to the ball, under the same certificate.  On
 top of those: the monotone enclosing-ball radius function of the long
-distance, and its exact inverse ``solve_phi`` for any radius.  That one
+distance, and its exact inverse ``solve_phi``.  At radius 1 that inverse
+is beta*^2, read from ``invariants.beta_star_squared``.  Below 1 it
 realizes no coordinates: the same active set, on the squared distances
 D(t), proposes the support, the pencil of its bordered matrix a float
 root, and one exact elimination of that matrix its tie polynomial, whose
@@ -64,9 +65,6 @@ ORTH_TOL = 1e-7
 # Block pivots ``_active_set`` spends on proposing an enclosing ball's
 # support.
 PROPOSAL_PIVOTS = 8
-# Relative slack above the float tau1 within which ``solve_phi`` takes a
-# float root of a tie polynomial as inside the window.
-END_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -468,8 +466,7 @@ def _float_root_near(
 ) -> Optional[float]:
     """The real root in (1, top] nearest t of the tie polynomial of the
     points ``support`` for the squared radius r0, or None, from the pencil
-    of their bordered matrix.  ``top`` gets a relative slack of
-    ``END_RTOL``, for a root at the window end.
+    of their bordered matrix.
 
     The tie polynomial q M_T + 2p C_T (r0 = p/q) is 2p det P(s), P(s) =
     [[1/(2 r0), 1^T], [1, D_T(s)]], since det P(s) is linear in its corner
@@ -493,7 +490,7 @@ def _float_root_near(
     lam = lam.real[np.abs(lam.imag) <= 1e-6 * np.abs(lam)]
     with np.errstate(divide="ignore", over="ignore"):  # lam = 0: no finite root
         roots = t - 1.0 / lam
-    roots = roots[(roots > 1.0) & (roots <= top * (1.0 + END_RTOL))]
+    roots = roots[(roots > 1.0) & (roots <= top)]
     return float(roots[np.argmin(np.abs(roots - t))]) if roots.size else None
 
 
@@ -516,32 +513,36 @@ def solve_phi(g: Graph, r: float) -> AlgebraicReal:
     number; the radius grows with x, so x is unique.  Requires
     sqrt((n-1)/n) < r <= 1 and a non-complete graph.
 
-    On an affinely independent support T the squared radius is r^2 at the
-    roots of T's tie polynomial q M_T + 2p C_T for r0 = r^2/2 = p/q.  The
-    float active set of ``min_enclosing_ball`` (``_active_set``), on the
-    squared distances D(t) = t(J - I) - (t - 1)A, proposes T, first in the
-    middle of (1, tau1) from all n points (failing that, T is all n
+    At r >= 1 (the range check allows 1e-12 above 1, read as radius 1), x^2
+    is beta*^2 from ``invariants.beta_star_squared``, with no active set
+    and no elimination.  So r = 1 + 1e-13 returns beta*^2 also where it is
+    the window end 2 tau1 (the square C4: 4).
+
+    Below 1, on an affinely independent support T the squared radius is r^2
+    at the roots of T's tie polynomial q M_T + 2p C_T for r0 = r^2/2 = p/q.
+    The float active set of ``min_enclosing_ball`` (``_active_set``), on
+    the squared distances D(t) = t(J - I) - (t - 1)A, proposes T, first in
+    the middle of (1, tau1) from all n points (failing that, T is all n
     points, with no float t), later warm-started at the current T.  One
     loop over T follows.  While a float t is known, t moves to the float
     root nearest it (``_float_root_near``, the pencil of T's bordered
-    matrix), and T to the active set's support there while that changes
-    and is untried.  Then T's bordered matrix gets one exact adjugate
-    column (``_bordered_adjugate``), the roots of its tie polynomial in
-    (1, tau1] are walked (``_roots_up_to``, the first certified on t's
-    interval), and beta*^2 is the first at which ``_support_certified``
-    holds.  Failing all, the active set at the root whose squared radius
-    is nearest r0 proposes the next T, with no t; a T proposed again
-    raises ``UndecidableEnclosureError``.  When r = 1 and the squared
-    circumradius is 1/2, beta*^2 is 2 tau1, at the window end."""
+    matrix), and T to the active set's support there while that changes and
+    is untried.  Then T's bordered matrix gets one exact adjugate column
+    (``_bordered_adjugate``), the roots of its tie polynomial in (1, tau1]
+    are walked (``_roots_up_to``, the first certified on t's interval), and
+    x^2 is twice the first at which ``_support_certified`` holds.  Failing
+    all, the active set at the root whose squared radius is nearest r0
+    proposes the next T, with no t; a T proposed again raises
+    ``UndecidableEnclosureError``."""
     if is_complete(g):
         raise CompleteGraphError("complete graphs admit no such solve")
     n = g.n
     if not (math.sqrt((n - 1) / n) < r <= 1.0 + 1e-12):
         raise ValueError(f"radius {r} outside (sqrt((n-1)/n), 1]")
+    if r >= 1.0:
+        return invariants.beta_star_squared(g)
     r0 = Fraction(r) ** 2 / 2  # the squared radius at unit short distance
     tau1, _ = invariants.tau1_mu(g)
-    if r0 == Fraction(1, 2) and invariants.circumradius_invariant(g).is_half:
-        return tau1.scaled(2)
     top = math.inf if tau1 is None else float(tau1)
     adjacency = g.adjacency().astype(float)
     t = 2.0 if tau1 is None else 0.5 * (1.0 + top)

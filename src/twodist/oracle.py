@@ -26,12 +26,6 @@ from .invariants import (
 )
 from . import geometry
 
-# Frozen by a calibration scan over all graphs with n <= 5 (repeated in
-# the tests): the complement's bordered determinant is the reciprocal
-# with exponent n-1 and sign +1.
-RECIPROCAL_SIGN = 1
-RECIPROCAL_EXPONENT_OFFSET = -1  # exponent = n + offset
-
 
 @dataclass
 class OracleReport:
@@ -163,13 +157,13 @@ def verify_profile(g: Graph, p: TwoDistanceProfile | None = None) -> OracleRepor
 
 
 def reciprocal_check(g: Graph) -> OracleReport:
-    """The complement's bordered determinant must equal the calibrated
-    reciprocal of the graph's own."""
+    """The complement's bordered determinant must equal the reciprocal
+    t^(n-1) C(1/t) of the graph's own."""
     report = OracleReport(subject=to_graph6(g))
     c_g, _ = cm_polynomials(g)
     c_bar, _ = cm_polynomials(complement(g))
-    exponent = g.n + RECIPROCAL_EXPONENT_OFFSET
-    expected = c_g.reciprocal(exponent).scale(RECIPROCAL_SIGN)
+    # Since Dbar(1/t) = D(t)/t; tau0 relies on the same identity.
+    expected = c_g.reciprocal(g.n - 1)
     report.add(
         "reciprocal-polynomial",
         c_bar == expected,

@@ -563,17 +563,21 @@ class TestSolvePhi:
         g = complete_multipartite(MultipartiteSignature((2, 2)))
         assert abs(math.sqrt(float(solve_phi(g, 1.0))) - 2.0) < 1e-9
 
-    @pytest.mark.parametrize("word, beta2", [("E]~o", 4), ("FFzn_", 3), ("F]~vw", 4)])
+    @pytest.mark.parametrize(
+        "word, beta2", [("C]", 4), ("E]~o", 4), ("FFzn_", 3), ("F]~vw", 4)]
+    )
     def test_half_circumradius_is_twice_tau1(self, monkeypatch, word, beta2):
         # r^2 = 1/2: beta*^2 = 2*tau1 at the window end, where the all-vertex
-        # tie polynomial has a multiple root; no root walk runs
+        # tie polynomial has a multiple root; no root walk runs, also at the
+        # 1e-12 above radius 1 that the range check allows
         g = parse_graph6(word)
         invariants.clear_caches()
         tau1, _ = invariants.tau1_mu(g)
         walks = count_calls(monkeypatch, invariants, "smallest_root_greater_than")
-        got = solve_phi(g, 1.0)
-        assert walks["smallest_root_greater_than"] == 0
-        assert cmp_rational(got, beta2) == 0 and got.compare(tau1.scaled(2)) == 0
+        for r in (1.0, 1.0 + 1e-13):
+            got = solve_phi(g, r)
+            assert walks["smallest_root_greater_than"] == 0
+            assert cmp_rational(got, beta2) == 0 and got.compare(tau1.scaled(2)) == 0
 
     def test_intermediate_radius(self):
         # unique x with radius 0.95 for the empty triangle: scale the
@@ -598,7 +602,25 @@ class TestSolvePhi:
 
         monkeypatch.setattr(geometry, "_support_certified", lambda g, s, adjugate, t: False)
         with pytest.raises(UndecidableEnclosureError):
-            solve_phi(Graph.cycle(5), 1.0)
+            solve_phi(Graph.cycle(5), 0.97)
+
+    def test_unit_radius_is_beta_star_squared(self, monkeypatch):
+        # radius 1 reads beta*^2's one route: no active set, no bordered
+        # matrix, no certificate, and no split or bisection on the way
+        graphs = [g for g in graphs_up_to_7() if not is_complete(g)] + joins12_corpus(60)
+        counts = count_calls(
+            monkeypatch, geometry,
+            "_active_set", "_bordered_adjugate", "det_poly_matrix", "_support_certified",
+        )
+        walk = count_calls(
+            monkeypatch, invariants, "squarefree_decomposition", "smallest_root_greater_than"
+        )
+        for g in graphs:
+            invariants.clear_caches()
+            got = solve_phi(g, 1.0)
+            assert got.compare(invariants.beta_star_squared(g)) == 0, g
+        invariants.clear_caches()
+        assert counts == {} and walk == {}
 
     def test_complete_rejected(self):
         with pytest.raises(CompleteGraphError):
@@ -628,20 +650,22 @@ def count_calls(monkeypatch, module, *names):
 
 
 class TestActiveSetSolve:
-    """``solve_phi`` proposes supports by a float active set on the squared
-    distances D(t) and certifies one root; ``reference.ball_solve_phi``,
-    which proposes them by enclosing balls of realized points, is the
-    oracle.  The exact walk past a certified root runs the Descartes
-    bisection, ``invariants.smallest_root_greater_than``, and a proposal
-    that fails on the tie polynomial itself is tried on its squarefree
-    split, ``invariants.squarefree_decomposition``."""
+    """Below radius 1, ``solve_phi`` proposes supports by a float active set
+    on the squared distances D(t) and certifies one root;
+    ``reference.ball_solve_phi``, which proposes them by enclosing balls of
+    realized points, is the oracle.  Radius 1 reads beta*^2 instead
+    (``TestSolvePhi::test_unit_radius_is_beta_star_squared``), so these
+    tests solve at r = 0.97 or 0.99.  The exact walk past a certified root
+    runs the Descartes bisection, ``invariants.smallest_root_greater_than``,
+    and a proposal that fails on the tie polynomial itself is tried on its
+    squarefree split, ``invariants.squarefree_decomposition``."""
 
     COUNTED = ("_support_certified", "realize", "min_enclosing_ball")
 
     def solve_against_oracle(self, graphs, monkeypatch):
         """Per-solve call counts of ``COUNTED``, of the walk's split and of
-        its bisection, with whether r^2 = 1/2, after checking every beta*^2
-        against the oracle."""
+        its bisection at r = 0.97, after checking every solve against the
+        oracle."""
         counts = count_calls(monkeypatch, geometry, *self.COUNTED)
         walk = count_calls(
             monkeypatch, invariants, "squarefree_decomposition", "smallest_root_greater_than"
@@ -649,27 +673,21 @@ class TestActiveSetSolve:
         spent = []
         for g in graphs:
             invariants.clear_caches()
-            half = invariants.circumradius_invariant(g).is_half
+            invariants.tau1_mu(g)  # the window's own work is not the walk's
             before = counts + walk
-            got = solve_phi(g, 1.0)
-            spent.append((counts + walk - before, half))
-            assert got.compare(ball_solve_phi(g, 1.0)) == 0, g
+            got = solve_phi(g, 0.97)
+            spent.append(counts + walk - before)
+            assert got.compare(ball_solve_phi(g, 0.97)) == 0, g
         return spent
 
     def assert_certified_once(self, spent):
-        # r^2 = 1/2 returns 2*tau1 with no tie polynomial and no certificate
-        assert all(
-            c["squarefree_decomposition"] == c["_support_certified"] == 0
-            for c, half in spent
-            if half
-        )
         once = sum(
             c["squarefree_decomposition"] == 0
-            and c["_support_certified"] == int(not half)
+            and c["_support_certified"] == 1
             and not c["smallest_root_greater_than"]
-            for c, half in spent
+            for c in spent
         )
-        fallbacks = sum(bool(c["smallest_root_greater_than"]) for c, _ in spent)
+        fallbacks = sum(bool(c["smallest_root_greater_than"]) for c in spent)
         assert once >= 0.98 * len(spent)
         assert fallbacks <= len(spent) - once
 
@@ -681,10 +699,11 @@ class TestActiveSetSolve:
     def test_joins_match_ball_oracle_without_balls(self, monkeypatch):
         spent = self.solve_against_oracle(joins12_corpus(60), monkeypatch)
         self.assert_certified_once(spent)
-        assert not any(c["realize"] or c["min_enclosing_ball"] for c, _ in spent)
+        assert not any(c["realize"] or c["min_enclosing_ball"] for c in spent)
 
     def test_random_32_vertex_graphs_match_ball_oracle(self, rng, monkeypatch):
         # the pencil's float root is certified on its interval: no bisection
+        # (r = 0.99: 0.97 is below sqrt(31/32))
         walks = count_calls(monkeypatch, invariants, "smallest_root_greater_than")
         with override(max_n=32):
             invariants.clear_caches()
@@ -693,9 +712,9 @@ class TestActiveSetSolve:
                     g = random_graph(rng, 32)
                     invariants.tau1_mu(g)  # the window's own work is not the walk's
                     before = walks["smallest_root_greater_than"]
-                    got = solve_phi(g, 1.0)
+                    got = solve_phi(g, 0.99)
                     assert walks["smallest_root_greater_than"] == before, g
-                    assert got.compare(ball_solve_phi(g, 1.0)) == 0, g
+                    assert got.compare(ball_solve_phi(g, 0.99)) == 0, g
             finally:
                 invariants.clear_caches()
 
@@ -720,7 +739,7 @@ class TestActiveSetSolve:
         graphs = [g for n in range(2, 6) for g in enumerate_graphs(n) if not is_complete(g)]
         assert len(graphs) == 47
         for g in graphs:
-            for r in (1.0, 0.97):
+            for r in (0.99, 0.97):
                 invariants.clear_caches()
                 solve_phi(g, r)
                 assert invariants._walk_data.cache_info().currsize == 1, (g, r)
@@ -741,10 +760,10 @@ class TestActiveSetSolve:
 
             monkeypatch.setattr(geometry, "_active_set", first_fails)
             walks = count_calls(monkeypatch, invariants, "smallest_root_greater_than")
-            got = solve_phi(g, 1.0)
+            got = solve_phi(g, 0.97)
             monkeypatch.undo()
             assert walks["smallest_root_greater_than"] >= 1
-            assert got.compare(ball_solve_phi(g, 1.0)) == 0, g
+            assert got.compare(ball_solve_phi(g, 0.97)) == 0, g
 
     def test_active_set_matches_enclosing_ball(self, rng):
         # the coordinate-free pivot against the ball of realized points at
@@ -856,8 +875,9 @@ def complement_perron_root(g):
 class TestPerronRoot:
     """beta*^2 = 2 t*, t* = 1 + 1/rho with rho the Perron root of the
     complement, certified as the least root above 1 of the r0 = 1/2 tie
-    polynomial (``invariants.t_star``); ``solve_phi`` and
-    ``reference.ball_solve_phi`` are the oracles."""
+    polynomial (``invariants.t_star``); ``reference.ball_solve_phi`` is the
+    oracle.  ``solve_phi`` at radius 1 reads ``beta_star_squared``, so
+    comparing it checks that the public names agree."""
 
     def test_gram_determinant_is_tie_polynomial(self):
         # det(I + (1 - t)Abar) = (t - 1)^n chi(1/(t - 1)) = +-(M + C),

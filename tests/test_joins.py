@@ -21,7 +21,7 @@ from twodist.graphs import (
     join,
     to_graph6,
 )
-from twodist.invariants import beta_star_squared, profile
+from twodist.invariants import beta_star_squared, profile, t_star
 from twodist.joins import dims_via_join, join_decompose, multipartite_dims
 
 
@@ -113,8 +113,10 @@ class TestJoinDecompose:
 
 
 class TestBetaStarOfJoin:
-    """``profile`` takes a join's beta*^2 as the least of its factors';
-    the direct solve on the joined graph is the oracle."""
+    """``profile`` takes a join's beta*^2 as the least of its factors'.  The
+    direct solve at radius 1 reads the same ``beta_star_squared``; the
+    oracle is 2 t* of the whole joined graph (``t_star``), certified on
+    that graph's own tie polynomial."""
 
     def test_small_joins_match_direct_solve(self):
         count = 0
@@ -124,13 +126,16 @@ class TestBetaStarOfJoin:
                     continue
                 beta = profile(g).beta_star_squared
                 assert beta.compare(solve_phi(g, 1.0)) == 0, g
+                assert beta.compare(t_star(g).scaled(2)) == 0, g
                 count += 1
         assert count == 250
 
     def test_twelve_vertex_joins_match_direct_solve(self):
         for g in joins12_corpus(6):
             assert len(complement_component_sets(g)) > 1
-            assert profile(g).beta_star_squared.compare(solve_phi(g, 1.0)) == 0, g
+            beta = profile(g).beta_star_squared
+            assert beta.compare(solve_phi(g, 1.0)) == 0, g
+            assert beta.compare(t_star(g).scaled(2)) == 0, g
 
 
 class TestDimsViaJoin:

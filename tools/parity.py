@@ -13,7 +13,9 @@ The lines are, in order:
 - ``solve``: ``float(solve_phi(g, r))`` for r = 1 and r = 0.97 on every
   non-complete graph with 2 <= n <= 7, then on ``joins12_corpus(60)`` and
   on the first 50 graphs of the embed16 pool, whose supports pass 7
-  points.
+  points.  At r = 1 ``solve_phi`` reads ``beta_star_squared``, and at
+  0.97 it runs the active set and the exact certificate; a diff against a
+  tree that solved r = 1 by the certificate cross-checks the two routes.
 
 The inputs come from this checkout's ``perfbench/`` (the pool's graph6 words
 and the joins generator), so two trees' dumps share them.  The invariant
