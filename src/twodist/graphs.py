@@ -279,9 +279,13 @@ def format_edgelist(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 
 
-def complement(g: Graph) -> Graph:
+def _complement_rows(g: Graph) -> tuple[int, ...]:
     full = (1 << g.n) - 1
-    return Graph(g.n, tuple((full ^ r) & ~(1 << i) for i, r in enumerate(g.rows)))
+    return tuple((full ^ r) & ~(1 << i) for i, r in enumerate(g.rows))
+
+
+def complement(g: Graph) -> Graph:
+    return Graph(g.n, _complement_rows(g))
 
 
 def join(g1: Graph, g2: Graph) -> Graph:
@@ -323,11 +327,13 @@ def complete_multipartite(sig: MultipartiteSignature) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def connected_component_sets(g: Graph) -> list[list[int]]:
-    """Vertex sets of connected components, ordered by smallest vertex."""
+def _component_sets(rows: tuple[int, ...]) -> list[list[int]]:
+    """Vertex sets of the connected components of the graph with these
+    adjacency rows, ordered by smallest vertex."""
+    n = len(rows)
     seen = 0
     out = []
-    for start in range(g.n):
+    for start in range(n):
         if seen >> start & 1:
             continue
         comp = 1 << start
@@ -338,12 +344,17 @@ def connected_component_sets(g: Graph) -> list[list[int]]:
             while f:
                 v = (f & -f).bit_length() - 1
                 f &= f - 1
-                nxt |= g.rows[v]
+                nxt |= rows[v]
             frontier = nxt & ~comp
             comp |= nxt
         seen |= comp
-        out.append([v for v in range(g.n) if comp >> v & 1])
+        out.append([v for v in range(n) if comp >> v & 1])
     return out
+
+
+def connected_component_sets(g: Graph) -> list[list[int]]:
+    """Vertex sets of connected components, ordered by smallest vertex."""
+    return _component_sets(g.rows)
 
 
 def is_connected(g: Graph) -> bool:
@@ -351,16 +362,20 @@ def is_connected(g: Graph) -> bool:
 
 
 def complement_component_sets(g: Graph) -> list[list[int]]:
-    return connected_component_sets(complement(g))
+    """Vertex sets of the complement's connected components, read from
+    the complemented rows without building the complement."""
+    return _component_sets(_complement_rows(g))
 
 
 def complement_components(g: Graph) -> list[Graph]:
-    """Induced subgraphs on the connected components of the complement.
+    """Induced subgraphs on the connected components of the complement;
+    [g] itself when the complement is connected.
 
     Their join reconstructs g up to relabeling, and each factor's
     complement is connected (so the factors cannot be joined further).
     Components are ordered by their smallest original vertex."""
-    return [g.induced(vs) for vs in complement_component_sets(g)]
+    sets = complement_component_sets(g)
+    return [g] if len(sets) == 1 else [g.induced(vs) for vs in sets]
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,13 @@ exactly, and assembles the full invariant profile:
     dim_j = dim_e if the squared circumradius equals 1/2 exactly, else n - 1
             (undefined for complete graphs)
 
-Those polynomials need the traces tr A^k and the walk sums 1^T A^k 1,
-k <= n, as exact integers.  ``_walk_data`` computes them with one float64
-matrix product per power whose entries stay exact integers: directly when
-n D^n <= 2^53 (D the largest degree), else modulo word-size primes, all
-in the same product, lifted by the Chinese remainder theorem.  A graph too
+A join's C and M come from its factors' by the paper's join formula
+(``cm_polynomials``), so only a graph whose complement is connected needs
+the traces tr A^k and the walk sums 1^T A^k 1, k <= n, as exact
+integers.  ``_walk_data`` computes them with one float64 matrix product
+per power whose entries stay exact integers: directly when n D^n <= 2^53
+(D the largest degree), else modulo word-size primes, all in the same
+product, lifted by the Chinese remainder theorem.  A graph too
 large for any such set of primes raises ``SizeLimitError``.
 
 tau1 (C's least root above 1, with its multiplicity mu), tau0, ``t_star``
@@ -285,21 +287,46 @@ def _in_t(d: Sequence[int], sign: int) -> IntPolynomial:
 
 
 @functools.lru_cache(maxsize=None)
+def join_factors(g: Graph) -> tuple[Graph, ...]:
+    """g's join factors, the induced subgraphs on its complement's
+    components (``complement_components``); (g,) when the complement is
+    connected.  Found once per graph for ``cm_polynomials``,
+    ``beta_star_squared`` and ``joins.join_decompose``."""
+    return tuple(complement_components(g))
+
+
+@functools.lru_cache(maxsize=None)
 def cm_polynomials(g: Graph) -> tuple[IntPolynomial, IntPolynomial]:
     """The pair (C, M): bordered and plain squared-distance determinants
     as exact polynomials in t = b^2 (unit short distance on edges), i.e.
     det B and adj(B)_00 for the bordered matrix B = [[0, 1^T], [1, D]],
     D being 1 on edges, t on the other pairs and 0 on the diagonal.
 
-    They come from the characteristic polynomial P(x) = det(xI - A) and
-    the walk polynomial W(x) = 1^T adj(xI - A) 1 of the adjacency matrix A
-    (``_walk_data``: P from the traces tr A^k, W from the walk sums
-    1^T A^k 1, exact integers lifted from float64 products; past the
-    kernel's exact range, ``SizeLimitError``).  The distance matrix is
-    (1-t)(A - xI) + tJ with x = t/(1-t); the border removes tJ, and the
-    matrix determinant lemma det(xI - A - sJ) = P(x) - s W(x) gives, with
-    H_k(f) = (1-t)^k f(x), C = (-1)^n H_(n-1)(W) and
-    M = (-1)^n [H_n(P) - t H_(n-1)(W)]."""
+    A join (complement disconnected) takes the paper's join formula over
+    its factors (``join_factors``), with e_i = C_i + M_i:
+    C = sum_i C_i prod_(j != i) e_j and M = prod_j e_j - C, folded
+    pairwise as (C, E) <- (C e_i + E C_i, E e_i).  The factors are
+    co-connected, so the recursion is one level deep, and a complete graph
+    is a join of single vertices.
+
+    Any other graph's C and M come from the characteristic polynomial
+    P(x) = det(xI - A) and the walk polynomial W(x) = 1^T adj(xI - A) 1
+    of its adjacency matrix A (``_walk_data``: P from the traces tr A^k,
+    W from the walk sums 1^T A^k 1, exact integers lifted from float64
+    products; past the kernel's exact range, ``SizeLimitError``).  The
+    distance matrix is (1-t)(A - xI) + tJ with x = t/(1-t); the border
+    removes tJ, and the matrix determinant lemma
+    det(xI - A - sJ) = P(x) - s W(x) gives, with H_k(f) = (1-t)^k f(x),
+    C = (-1)^n H_(n-1)(W) and M = (-1)^n [H_n(P) - t H_(n-1)(W)]."""
+    factors = join_factors(g)
+    if len(factors) > 1:
+        c, m = cm_polynomials(factors[0])
+        e = c + m
+        for h in factors[1:]:
+            ch, mh = cm_polynomials(h)
+            eh = ch + mh
+            c, e = c * eh + e * ch, e * eh
+        return c, e - c
     c, w = _walk_data(g)
     sign = (-1) ** g.n
     det = _in_t(_adjugate_coeffs(c, w), sign)
@@ -572,7 +599,7 @@ def beta_star_squared(g: Graph) -> AlgebraicReal:
     root is the largest block's.  Otherwise 2 t* from ``t_star``."""
     if is_complete(g):
         raise CompleteGraphError("complete graphs have no such representation")
-    factors = complement_components(g)
+    factors = join_factors(g)
     if len(factors) == 1:
         return t_star(g).scaled(2).refined(get_config().tau_width)
     betas = (beta_star_squared(h) for h in factors if not is_complete(h))
@@ -620,6 +647,7 @@ def clear_caches() -> None:
     """Drop memoized invariants (use after changing tolerances)."""
     _moduli.cache_clear()
     _walk_data.cache_clear()
+    join_factors.cache_clear()
     cm_polynomials.cache_clear()
     _spectrum.cache_clear()
     tau1_mu.cache_clear()

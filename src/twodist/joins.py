@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 from functools import cmp_to_key
 
-from .graphs import Graph, MultipartiteSignature, complement_components, is_complete
-from .invariants import beta_star_squared, circumradius_invariant, profile, tau1_mu
+from .graphs import Graph, MultipartiteSignature, is_complete
+from .invariants import beta_star_squared, circumradius_invariant, join_factors, profile, tau1_mu
 from . import geometry
 
 
@@ -38,7 +38,7 @@ def join_decompose(g: Graph) -> JoinFactorization:
     distance, compared exactly on each factor's ``beta_star_squared``.
     Complete factors (necessarily single vertices here) sort last with an
     infinite marker."""
-    comps = complement_components(g)
+    comps = join_factors(g)
     finite = [
         (h, beta_star_squared(h), geometry.beta_star_numeric(h))
         for h in comps

@@ -3,20 +3,21 @@
 Sturm isolation of real roots, Sturm root counts and the decisions
 ``multiplicity_at`` and ``AlgebraicReal.compare`` made with them, the exact
 sign of an algebraic number minus a rational, interval images, the
-bordered distance matrix, walk data from packed-integer row sums and the
-bordered matrix's adjugate column from its walk vectors, the enclosing
-ball that factors T afresh at every pivot, the beta* solve whose
-supports enclosing balls of realized points propose and which tries every
-root of a support's tie polynomial from 1 upward, the Type I test by an
-enclosing ball's center, and the pairwise loop for the distance residual:
-independent of the Descartes counts, sign tests, float64 walk kernel,
-updated QR factors, active set, Bareiss elimination, float pencil,
-certified root walk, Perron root, affine projection and array code that
-``twodist`` uses, and called by no program path.  Only the beta* solve's
-root listing (``roots_in_window``) runs the program's Descartes
-bisection, on the tie polynomial's squarefree part, and the packed walk
-data the program's Newton identities and its change of variable to t
-(``invariants._adjugate_coeffs``, ``invariants._in_t``)."""
+bordered distance matrix, walk data from packed-integer row sums, C and
+M from them for any graph, the bordered matrix's adjugate column from its
+walk vectors, the enclosing ball that factors T afresh at every pivot,
+the beta* solve whose supports enclosing balls of realized points propose
+and which tries every root of a support's tie polynomial from 1 upward,
+the Type I test by an enclosing ball's center, and the pairwise loop for
+the distance residual: independent of the Descartes counts, sign tests,
+float64 walk kernel, join composition, updated QR factors, active set,
+Bareiss elimination, float pencil, certified root walk, Perron root,
+affine projection and array code that ``twodist`` uses, and called by no
+program path.  Only the beta* solve's root listing (``roots_in_window``)
+runs the program's Descartes bisection, on the tie polynomial's
+squarefree part, and the packed walk data the program's Newton
+identities and its change of variable to t (``invariants._adjugate_coeffs``,
+``invariants._in_t``)."""
 
 from __future__ import annotations
 
@@ -136,6 +137,18 @@ def packed_walk_data(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], list[l
             walks.append(sum(rows))
     vectors = [_slots(v, n, width) for v in walks]
     return tuple(invariants._newton(traces)), tuple(map(sum, vectors)), vectors
+
+
+def packed_cm(g: Graph) -> tuple[IntPolynomial, IntPolynomial]:
+    """(C, M) of any graph, a join included, from ``packed_walk_data`` by
+    the kernel formula C = (-1)^n H_(n-1)(W), W(x) = 1^T adj(xI - A) 1,
+    and M = (-1)^n H_n(P) - t C: the direct route, which
+    ``invariants.cm_polynomials`` takes only when g's complement is
+    connected."""
+    c, w, _ = packed_walk_data(g)
+    sign = (-1) ** g.n
+    det = invariants._in_t(invariants._adjugate_coeffs(c, w), sign)
+    return det, invariants._in_t(c, sign) - IntPolynomial.x() * det
 
 
 def walk_adjugate(g: Graph) -> tuple[IntPolynomial, ...]:

@@ -21,6 +21,7 @@ from twodist.graphs import (
     is_strongly_regular,
     join,
     parse_graph6,
+    to_graph6,
 )
 from twodist import geometry, invariants, polynomials
 from twodist.cli import _enclosure, analysis_record, main
@@ -45,6 +46,7 @@ from reference import (
     bordered_matrix,
     cmp_rational,
     is_valid,
+    packed_cm,
     packed_walk_data,
     sturm_smallest_root_greater_than,
     walk_adjugate,
@@ -186,6 +188,11 @@ def graphs_up_to_7():
     return tuple(g for n in range(1, 8) for g in enumerate_graphs(n))
 
 
+@functools.lru_cache(maxsize=None)
+def joins_up_to_7():
+    return tuple(g for g in graphs_up_to_7() if len(complement_components(g)) > 1)
+
+
 def product(polys):
     return functools.reduce(lambda p, q: p * q, polys, IntPolynomial.const(1))
 
@@ -244,13 +251,19 @@ class TestWalkKernel:
 
     def test_past_the_exact_range_exits_size_limit(self, monkeypatch, capsys):
         # 2^12 stands in for 2^53: K_10 then needs primes p with
-        # 10^2 * 9 * p <= 2^12, and 3 alone cannot hold 10 * 9^10
+        # 10^2 * 9 * p <= 2^12, and 3 alone cannot hold 10 * 9^10.  K_10
+        # is a join of single vertices, so cm_polynomials never runs the
+        # kernel on it; the complement of C_10 (D = 7) is connected and
+        # co-connected, and 5 * 3 cannot hold 10 * 7^10
         monkeypatch.setattr(invariants, "_EXACT", 1 << 12)
         invariants.clear_caches()
         try:
             with pytest.raises(SizeLimitError, match="too few primes"):
-                cm_polynomials(Graph.complete(10))
-            assert main(["analyze", "I~~~~~~~w"]) == 3  # K_10
+                invariants._walk_data(Graph.complete(10))
+            g = complement(Graph.cycle(10))
+            with pytest.raises(SizeLimitError, match="too few primes"):
+                cm_polynomials(g)
+            assert main(["analyze", to_graph6(g)]) == 3
             assert "size limit" in capsys.readouterr().err
         finally:
             invariants.clear_caches()
@@ -273,19 +286,25 @@ class TestWalkKernel:
     @staticmethod
     def assert_join_identity(g):
         # e_i = C_i + M_i over the factors (the complement's components):
-        # C = sum_i C_i prod_(j != i) e_j and M = prod_j e_j - C
-        parts = [cm_polynomials(f) for f in complement_components(g)]
+        # C = sum_i C_i prod_(j != i) e_j and M = prod_j e_j - C, on the
+        # packed-integer oracle's C and M, which are the kernel formula on
+        # each graph's own walk data; cm_polynomials composes a join's
+        # from its factors and must give the same pair
+        parts = [packed_cm(f) for f in complement_components(g)]
+        assert len(parts) > 1, g
         e = [c + m for c, m in parts]
         expect = sum(
             (c * product(e[:i] + e[i + 1 :]) for i, (c, _) in enumerate(parts)),
             IntPolynomial.zero(),
         )
-        assert cm_polynomials(g) == (expect, product(e) - expect), g
+        direct = packed_cm(g)
+        assert direct == (expect, product(e) - expect), g
+        assert cm_polynomials(g) == direct, g
 
     def test_join_identity(self):
-        joins = [g for g in graphs_up_to_7() if len(complement_components(g)) > 1]
+        joins = joins_up_to_7()
         assert len(joins) == 256
-        for g in joins + joins12_corpus(60):
+        for g in joins + tuple(joins12_corpus(60)):
             self.assert_join_identity(g)
         rng = random.Random(40)
         with override(max_n=70):
@@ -295,8 +314,27 @@ class TestWalkKernel:
                     sizes = [rng.randint(2, 13) for _ in range(rng.choice((2, 3)))]
                     factors = [random_graph(rng, k) for k in sizes]
                     self.assert_join_identity(functools.reduce(join, factors))
+                # 2-3 G(m, 1/2) factors of 60 and 70 vertices in all
+                for n, k in itertools.product((60, 70), (2, 3)):
+                    cuts = sorted(rng.sample(range(2, n - 1, 2), k - 1))
+                    sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+                    factors = [random_graph(rng, m) for m in sizes]
+                    self.assert_join_identity(functools.reduce(join, factors))
             finally:
                 invariants.clear_caches()
+
+    def test_joins_run_the_kernel_on_their_factors_only(self):
+        # the join itself never reaches _walk_data: one kernel run for each
+        # distinct factor (equal labeled factors, such as K_n's single
+        # vertices, share a cache entry)
+        try:
+            for g in joins_up_to_7():
+                invariants.clear_caches()
+                cm_polynomials(g)
+                factors = set(complement_components(g))
+                assert invariants._walk_data.cache_info().misses == len(factors), g
+        finally:
+            invariants.clear_caches()
 
 
 def clebsch() -> Graph:

@@ -8,6 +8,8 @@ The lines are, in order:
 
 - ``record``: ``analysis_record`` plus the float tau0 of every graph with
   n <= 7, of the embed16 pool and of ``joins12_corpus(60)``;
+- ``decompose``: the exit code and output of ``twodist decompose WORD``
+  on every graph of the ``record`` lines, in the same order;
 - ``embed``: the output of ``twodist embed WORD --model euclidean`` on each
   graph of the embed16 pool;
 - ``solve``: ``float(solve_phi(g, r))`` for r = 1 and r = 0.97 on every
@@ -48,6 +50,16 @@ def _pool_words() -> list[str]:
     return [ref["g6"] for ref in refs["graphs"]]
 
 
+def _run(argv: list[str]) -> tuple[int, str]:
+    """``twodist ARGV``'s exit code and stdout, run in process."""
+    from twodist import cli
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue().rstrip("\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, help="directory holding the twodist package")
@@ -66,11 +78,11 @@ def main(argv: list[str] | None = None) -> int:
         rec = cli.analysis_record(g, word)
         print("record", json.dumps(rec), repr(None if tau0 is None else float(tau0)))
         invariants.clear_caches()
+    for word, _ in graphs:
+        print("decompose", word, *_run(["decompose", word]))
+        invariants.clear_caches()
     for word in pool:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.main(["embed", word, "--model", "euclidean"])
-        print("embed", word, code, out.getvalue().rstrip("\n"))
+        print("embed", word, *_run(["embed", word, "--model", "euclidean"]))
         invariants.clear_caches()
     solved = [g for g in small if g.n >= 2 and not is_complete(g)]
     solved += [parse_graph6(w) for w in joins + pool[:50]]
