@@ -44,8 +44,7 @@ from .graphs import (
     parse_graph6,
     to_graph6,
 )
-from .invariants import circumradius_invariant, clear_caches, profile, tau1_mu
-from .joins import join_decompose
+from .invariants import circumradius_invariant, clear_caches, join_decompose, profile, tau1_mu
 from .oracle import probe_f_monotonicity, reciprocal_check, verify_profile
 from . import geometry
 
@@ -113,11 +112,9 @@ def analysis_record(g: Graph, input_str: str | None = None) -> dict:
     }
     if p.tau1 is None:
         record["tau1"] = "inf"
-    elif p.tau1.defining.degree == 1:
+    elif p.tau1.rational is not None:
         # rational root: the enclosure collapses onto the exact value
-        a0, a1 = p.tau1.defining.coeffs
-        exact = Fraction(-a0, a1)
-        record["tau1"] = _enclosure(exact, exact)
+        record["tau1"] = _enclosure(p.tau1.rational, p.tau1.rational)
     else:
         record["tau1"] = _enclosure(p.tau1.lo, p.tau1.hi)
     record["mu"] = p.mu

@@ -13,13 +13,14 @@ exactly, and assembles the full invariant profile:
             (undefined for complete graphs)
 
 A join's C and M come from its factors' by the paper's join formula
-(``cm_polynomials``), so only a graph whose complement is connected needs
-the traces tr A^k and the walk sums 1^T A^k 1, k <= n, as exact
-integers.  ``_walk_data`` computes them with one float64 matrix product
-per power whose entries stay exact integers: directly when n D^n <= 2^53
-(D the largest degree), else modulo word-size primes, all in the same
-product, lifted by the Chinese remainder theorem.  A graph too
-large for any such set of primes raises ``SizeLimitError``.
+(``cm_polynomials``), and its factors are ranked by beta*^2 once, exactly
+(``join_decompose``).  So only a graph whose complement is connected needs
+the traces tr A^k and the walk sums 1^T A^k 1, k <= n, as exact integers.
+``_walk_data`` computes them with one float64 matrix product per power
+whose entries stay exact integers: directly when n D^n <= 2^53 (D the
+largest degree), else modulo word-size primes, all in the same product,
+lifted by the Chinese remainder theorem.  A graph too large for any such
+set of primes raises ``SizeLimitError``.
 
 tau1 (C's least root above 1, with its multiplicity mu), tau0, ``t_star``
 and the root walk of ``geometry.solve_phi`` take one route,
@@ -291,7 +292,7 @@ def join_factors(g: Graph) -> tuple[Graph, ...]:
     """g's join factors, the induced subgraphs on its complement's
     components (``complement_components``); (g,) when the complement is
     connected.  Found once per graph for ``cm_polynomials``,
-    ``beta_star_squared`` and ``joins.join_decompose``."""
+    ``beta_star_squared`` and ``join_decompose``."""
     return tuple(complement_components(g))
 
 
@@ -355,9 +356,8 @@ def _limit_against(g: Graph, r0: Fraction) -> Optional[tuple[Fraction, Fraction]
     c, m = cm_polynomials(g)
     for _ in range(mu):
         m, c = m.derivative(), c.derivative()
-    if root.defining.degree == 1:
-        a0, a1 = root.defining.coeffs
-        tau = Fraction(-a0, a1)
+    tau = root.rational
+    if tau is not None:
         exact = -m(tau) / (2 * c(tau))
         return exact, exact
     return enclose_rational_limit(-m, c.scale(2), root, get_config().r2_width, r0)
@@ -594,16 +594,49 @@ def t_star(g: Graph) -> AlgebraicReal:
 @functools.lru_cache(maxsize=None)
 def beta_star_squared(g: Graph) -> AlgebraicReal:
     """beta*^2 = 2 t* of a non-complete graph, refined to ``tau_width``.  For
-    a join, the least over its non-complete factors (the complement's
-    components), compared exactly: Abar is block-diagonal, so its Perron
+    a join, the least over its non-complete factors, the head of
+    ``join_decompose``'s exact order: Abar is block-diagonal, so its Perron
     root is the largest block's.  Otherwise 2 t* from ``t_star``."""
     if is_complete(g):
         raise CompleteGraphError("complete graphs have no such representation")
-    factors = join_factors(g)
-    if len(factors) == 1:
+    if len(join_factors(g)) == 1:
         return t_star(g).scaled(2).refined(get_config().tau_width)
-    betas = (beta_star_squared(h) for h in factors if not is_complete(h))
-    return min(betas, key=functools.cmp_to_key(AlgebraicReal.compare))
+    return join_decompose(g).betas[0]
+
+
+@dataclass(frozen=True)
+class JoinFactorization:
+    """Join factors ascending by long distance, the ``k`` of the minimal tie
+    group first.  ``betas`` holds each factor's exact ``beta_star_squared``,
+    None for a complete factor (a single vertex here), which sorts last."""
+
+    factors: tuple[Graph, ...]
+    betas: tuple[Optional[AlgebraicReal], ...]
+    k: int
+
+    @property
+    def beta_stars(self) -> tuple[float, ...]:
+        """The long distances as floats, ``math.inf`` for complete factors."""
+        return tuple(math.inf if b is None else math.sqrt(float(b)) for b in self.betas)
+
+
+@functools.lru_cache(maxsize=None)
+def join_decompose(g: Graph) -> JoinFactorization:
+    """g's join factors (``join_factors``) ranked by long distance, compared
+    exactly on each factor's ``beta_star_squared``: the one place a join's
+    factors are ordered.  A value met twice (one enclosure of one defining
+    polynomial, as isomorphic factors give) is equal with no comparison."""
+    order = functools.cmp_to_key(lambda u, v: 0 if u[0] == v[0] else u[0].compare(v[0]))
+    factors = join_factors(g)
+    ranked = sorted(((beta_star_squared(h), h) for h in factors if not is_complete(h)), key=order)
+    above_head = (i for i in range(1, len(ranked)) if order(ranked[i]) > order(ranked[0]))
+    k = next(above_head, len(ranked))
+    complete = tuple(h for h in factors if is_complete(h))
+    return JoinFactorization(
+        tuple(h for _, h in ranked) + complete,
+        tuple(b for b, _ in ranked) + (None,) * len(complete),
+        k,
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -655,4 +688,5 @@ def clear_caches() -> None:
     circumradius_invariant.cache_clear()
     t_star.cache_clear()
     beta_star_squared.cache_clear()
+    join_decompose.cache_clear()
     profile.cache_clear()

@@ -1,4 +1,4 @@
-"""Join decomposition of graphs and closed-form representation numbers.
+"""Closed-form representation numbers of joins.
 
 A graph is join-decomposable exactly when its complement is disconnected;
 the factors are the induced subgraphs on the complement's components.
@@ -6,52 +6,16 @@ Ordering the factors by their unit-sphere long distance (complete factors
 count as infinite: they admit no such representation) gives the closed
 form for the representation numbers of the join: the factors tied at the
 minimum contribute their own J-spherical dimension, every other factor
-contributes its vertex count.
+contributes its vertex count.  That order is ranked exactly in
+``invariants.join_decompose``, beside the beta*^2 that reads its head;
+this module re-exports it with ``JoinFactorization``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from functools import cmp_to_key
-
-from .graphs import Graph, MultipartiteSignature, is_complete
-from .invariants import beta_star_squared, circumradius_invariant, join_factors, profile, tau1_mu
-from . import geometry
-
-
-@dataclass(frozen=True)
-class JoinFactorization:
-    """Ordered join factors with their long distances.
-
-    ``beta_stars`` uses ``math.inf`` for complete factors.  Factors are
-    sorted ascending by long distance, the minimal tie group first;
-    ``k`` is the size of that group (0 when every factor is complete)."""
-
-    factors: tuple[Graph, ...]
-    beta_stars: tuple[float, ...]
-    k: int
-
-
-def join_decompose(g: Graph) -> JoinFactorization:
-    """Factor g into its join-indecomposable parts and group them by long
-    distance, compared exactly on each factor's ``beta_star_squared``.
-    Complete factors (necessarily single vertices here) sort last with an
-    infinite marker."""
-    comps = join_factors(g)
-    finite = [
-        (h, beta_star_squared(h), geometry.beta_star_numeric(h))
-        for h in comps
-        if not is_complete(h)
-    ]
-    finite.sort(key=cmp_to_key(lambda u, v: u[1].compare(v[1])))
-    k = sum(1 for _, b, _ in finite if b.compare(finite[0][1]) == 0)
-    complete = [h for h in comps if is_complete(h)]
-    return JoinFactorization(
-        tuple(h for h, _, _ in finite) + tuple(complete),
-        tuple(x for _, _, x in finite) + (math.inf,) * len(complete),
-        k,
-    )
+from .graphs import Graph, MultipartiteSignature
+from .invariants import JoinFactorization, join_decompose  # noqa: F401  (re-exported)
+from .invariants import circumradius_invariant, profile, tau1_mu
 
 
 def dims_via_join(g: Graph) -> tuple[int | None, int, int]:

@@ -18,9 +18,10 @@ its defining polynomial, simple.  Bisection until every count is 0 or 1
 isolates the real roots of any squarefree polynomial, tie polynomials
 included (``smallest_root_greater_than``).  Where a polynomial has at most
 one root in an interval, simple, a sign change decides it with no count:
-``multiplicity_at`` and ``AlgebraicReal.compare`` test gcds that way,
-and take none when a gcd modulo a prime proves the two polynomials
-coprime, or, in ``multiplicity_at``, when an interval image excludes 0.
+``multiplicity_at`` and ``AlgebraicReal.compare`` test gcds that way, and
+``multiplicity_at`` takes none when an interval image excludes 0.
+``poly_gcd`` is the one gcd route: it returns 1 with no remainder step
+when a gcd modulo a prime proves its two inputs coprime.
 ``SturmChain`` is built by no program path; the tests count with it.
 
 Every loop runs on integers.  The sign of p at a rational n/d (d > 0) is
@@ -279,8 +280,39 @@ def exact_div(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     return IntPolynomial.from_coeffs(quot)
 
 
+# A prime for the modular coprimality test: 2**61 - 1.
+_PRIME = (1 << 61) - 1
+
+
+def _coprime_mod_p(a: IntPolynomial, b: IntPolynomial) -> bool:
+    """True when gcd(a, b) modulo ``_PRIME`` is a nonzero constant and the
+    prime divides neither leading coefficient.  That proves a and b coprime
+    over Q, since reduction then cannot lower the degree of their gcd
+    (Brown, J. ACM 18, 1971); False decides nothing."""
+    p = _PRIME
+    if a.coeffs[-1] % p == 0 or b.coeffs[-1] % p == 0:
+        return False
+    u = [c % p for c in a.coeffs]
+    v = [c % p for c in b.coeffs]
+    while len(v) > 1:
+        inv = pow(v[-1], -1, p)
+        while len(u) >= len(v):  # u <- u mod v
+            q = u.pop() * inv % p
+            shift = len(u) - len(v) + 1
+            for j, c in enumerate(v[:-1]):
+                u[shift + j] = (u[shift + j] - q * c) % p
+            while u and u[-1] == 0:
+                u.pop()
+        u, v = v, u
+    return len(v) == 1
+
+
 def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Primitive gcd over Q, positive leading coefficient."""
+    """Primitive gcd over Q, positive leading coefficient.  Two nonzero
+    polynomials proved coprime modulo a prime (``_coprime_mod_p``) give 1
+    with no remainder step; else a primitive remainder sequence decides."""
+    if not (a.is_zero or b.is_zero) and _coprime_mod_p(a, b):
+        return IntPolynomial.const(1)
     a, b = a.primitive(), b.primitive()
     while not b.is_zero:
         a, b = b, poly_rem(a, b)
@@ -388,6 +420,12 @@ class AlgebraicReal:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
+    @property
+    def rational(self) -> Optional[Fraction]:
+        """The value when ``defining`` is linear, else None."""
+        c = self.defining.coeffs
+        return Fraction(-c[0], c[1]) if len(c) == 2 else None
+
     def refined(self, width: RationalLike) -> "AlgebraicReal":
         """Same root, interval width at most ``width``."""
         width = _as_fraction(width)
@@ -474,15 +512,13 @@ class AlgebraicReal:
         """Sign of (self - other), decided exactly."""
         a, b = self, other
         if a.hi > b.lo and b.hi > a.lo:
-            # Overlapping enclosures: equal numbers share a root of the gcd,
-            # so defining polynomials proved coprime modulo a prime differ.
+            # Overlapping enclosures: equal numbers share a root of the gcd.
             # g divides a's defining polynomial, so it has at most one root
             # in the overlap, simple, and the endpoints, each an endpoint
             # of a or of b, are not roots of g.
-            if not _coprime_mod_p(a.defining, b.defining):
-                g = poly_gcd(a.defining, b.defining)
-                if g.degree and _changes_sign(g, max(a.lo, b.lo), min(a.hi, b.hi)):
-                    return 0
+            g = poly_gcd(a.defining, b.defining)
+            if g.degree and _changes_sign(g, max(a.lo, b.lo), min(a.hi, b.hi)):
+                return 0
             while a.hi > b.lo and b.hi > a.lo:
                 a = a.refined(a.width / 4)
                 b = b.refined(b.width / 4)
@@ -634,33 +670,6 @@ def det_poly_matrix(
 # ---------------------------------------------------------------------------
 
 
-# A prime for the modular coprimality test: 2**61 - 1.
-_PRIME = (1 << 61) - 1
-
-
-def _coprime_mod_p(a: IntPolynomial, b: IntPolynomial) -> bool:
-    """True when gcd(a, b) modulo ``_PRIME`` is a nonzero constant and the
-    prime divides neither leading coefficient.  That proves a and b coprime
-    over Q, since reduction then cannot lower the degree of their gcd
-    (Brown, J. ACM 18, 1971); False decides nothing."""
-    p = _PRIME
-    if a.coeffs[-1] % p == 0 or b.coeffs[-1] % p == 0:
-        return False
-    u = [c % p for c in a.coeffs]
-    v = [c % p for c in b.coeffs]
-    while len(v) > 1:
-        inv = pow(v[-1], -1, p)
-        while len(u) >= len(v):  # u <- u mod v
-            q = u.pop() * inv % p
-            shift = len(u) - len(v) + 1
-            for j, c in enumerate(v[:-1]):
-                u[shift + j] = (u[shift + j] - q * c) % p
-            while u and u[-1] == 0:
-                u.pop()
-        u, v = v, u
-    return len(v) == 1
-
-
 def squarefree_decomposition(
     p: IntPolynomial,
 ) -> list[tuple[IntPolynomial, int]]:
@@ -674,8 +683,6 @@ def squarefree_decomposition(
     if f.degree == 0:
         return []
     fp = f.derivative()
-    if _coprime_mod_p(f, fp):
-        return [(f, 1)]
     g = poly_gcd(f, fp)
     if g.degree == 0:
         return [(f, 1)]
@@ -782,23 +789,20 @@ def multiplicity_at(p: IntPolynomial, a: AlgebraicReal) -> int:
     gcd divides it, so it has at most one root in the isolating interval,
     simple, and holds ``a`` exactly when it changes sign there; no
     floating point.  An interval image of p over the enclosure that
-    excludes 0, or polynomials proved coprime modulo a prime
-    (``_coprime_mod_p``), show p(a) != 0, and no gcd is taken."""
+    excludes 0 shows p(a) != 0 with no gcd, and a gcd proved 1 modulo a
+    prime (``poly_gcd``) takes no remainder step."""
     if p.is_zero:
         raise ValueError("zero polynomial")
     lo, hi, _ = p._image(*_on_grid(a.lo, a.hi))
-    if lo > 0 or hi < 0 or _coprime_mod_p(p, a.defining):
+    if lo > 0 or hi < 0:
         return 0
-    d = a.defining.primitive()
-    cur = p.primitive()
     mult = 0
     while True:
-        g = poly_gcd(cur, d)
+        g = poly_gcd(p, a.defining)
         if not g.degree or not _changes_sign(g, a.lo, a.hi):
-            break
-        cur = exact_div(cur, g).primitive()
+            return mult
+        p = exact_div(p, g)
         mult += 1
-    return mult
 
 
 def sign_at(p: IntPolynomial, a: AlgebraicReal) -> int:

@@ -175,7 +175,8 @@ class TestSpectralRoute:
         assert {"_walk_data", "_spectrum", "profile"} <= {fn.__name__ for fn in caches}
         invariants.clear_caches()
         try:
-            for g in (Graph.cycle(5), Graph.path(4), Graph.petersen()):
+            # P3 = K_{1,2} is a join: it fills join_decompose's cache
+            for g in (Graph.cycle(5), Graph.path(4), Graph.petersen(), Graph.path(3)):
                 profile(g).tau0  # certified on first access, into tau0's cache
             assert all(fn.cache_info().currsize > 0 for fn in caches)
         finally:
@@ -1040,7 +1041,9 @@ class TestRootOnItsPolynomial:
             invariants.clear_caches()
 
     def test_pool_and_joins_take_no_split_gcd_or_bisection(self, monkeypatch):
-        calls = {"split": 0, "gcd": 0}
+        # a gcd taken is a remainder step: poly_gcd proves coprime pairs
+        # modulo a prime with none
+        calls = {"split": 0, "remainder": 0}
 
         def counting(name, fn):
             def wrapper(*args):
@@ -1053,7 +1056,7 @@ class TestRootOnItsPolynomial:
             invariants, "squarefree_decomposition",
             counting("split", invariants.squarefree_decomposition),
         )
-        monkeypatch.setattr(polynomials, "poly_gcd", counting("gcd", polynomials.poly_gcd))
+        monkeypatch.setattr(polynomials, "poly_rem", counting("remainder", polynomials.poly_rem))
         fallbacks = count_fallbacks(monkeypatch)
         pool, joins = embed16_pool(), joins12_corpus(60)
         invariants.clear_caches()
@@ -1064,7 +1067,7 @@ class TestRootOnItsPolynomial:
                 circumradius_invariant(g)
                 for h in complement_components(g):  # a join's factors
                     invariants.t_star(h)
-            assert calls == {"split": 0, "gcd": 0} and fallbacks == []
+            assert calls == {"split": 0, "remainder": 0} and fallbacks == []
             monkeypatch.undo()
             roots = [tau1_mu(g)[0] for g in pool]
             roots += [invariants.beta_star_squared(g) for g in joins]

@@ -21,8 +21,11 @@ from twodist.graphs import (
     join,
     to_graph6,
 )
+from twodist import invariants
+from twodist.cli import analysis_record
 from twodist.invariants import beta_star_squared, profile, t_star
 from twodist.joins import dims_via_join, join_decompose, multipartite_dims
+from twodist.polynomials import AlgebraicReal
 
 
 def all_signatures(total, max_parts=None):
@@ -110,6 +113,43 @@ class TestJoinDecompose:
             g = random_graph(rng, rng.randrange(2, 8))
             fz = join_decompose(g)
             assert list(fz.beta_stars) == sorted(fz.beta_stars)
+
+
+class TestOneJoinOrder:
+    """A join's factors are ranked once, exactly, in
+    ``invariants.join_decompose``: beta*^2 is the head of that order, the
+    record certifies at most one nearest float, and no value is compared
+    with itself."""
+
+    def test_joins_ranked_once(self, monkeypatch):
+        floats, selves = [], []
+        newton, compare = AlgebraicReal._newton_float, AlgebraicReal.compare
+        monkeypatch.setattr(
+            AlgebraicReal, "_newton_float", lambda a: floats.append(a) or newton(a)
+        )
+        monkeypatch.setattr(
+            AlgebraicReal, "compare", lambda a, b: selves.append(a == b) or compare(a, b)
+        )
+        joins = [
+            g
+            for n in range(2, 8)
+            for g in enumerate_graphs(n)
+            if len(complement_component_sets(g)) > 1 and not is_complete(g)
+        ]
+        assert len(joins) == 250
+        try:
+            for g in joins + joins12_corpus(60):
+                invariants.clear_caches()
+                floats.clear()
+                analysis_record(g)
+                assert len(floats) <= 1, to_graph6(g)
+                fz = join_decompose(g)
+                assert beta_star_squared(g) is fz.betas[0], to_graph6(g)
+                for h, b in zip(fz.factors, fz.beta_stars):
+                    assert b == (math.inf if is_complete(h) else beta_star_numeric(h))
+            assert selves and not any(selves)
+        finally:
+            invariants.clear_caches()
 
 
 class TestBetaStarOfJoin:

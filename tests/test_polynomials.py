@@ -420,31 +420,44 @@ class TestMultiplicity:
 
 
 class TestCoprimeShortcut:
-    """Polynomials proved coprime modulo a prime share no root:
-    ``multiplicity_at`` and ``compare`` then take no gcd, and decide as
-    before."""
+    """Polynomials proved coprime modulo a prime share no root: ``poly_gcd``
+    then returns 1 with no remainder step, so ``multiplicity_at`` and
+    ``compare`` take no gcd, and decide as before."""
 
-    def count_gcds(self, monkeypatch):
+    def count_remainders(self, monkeypatch):
         from twodist import polynomials
 
         calls = []
-        original = polynomials.poly_gcd
+        original = polynomials.poly_rem
         monkeypatch.setattr(
-            polynomials, "poly_gcd", lambda *args: calls.append(args) or original(*args)
+            polynomials, "poly_rem", lambda *args: calls.append(args) or original(*args)
         )
         return calls
 
     def test_multiplicity_skips_gcd(self, monkeypatch):
-        calls = self.count_gcds(monkeypatch)
+        calls = self.count_remainders(monkeypatch)
         a = AlgebraicReal(poly(-2, 0, 1), Fraction(1), Fraction(2))  # sqrt 2
         assert multiplicity_at(poly(-3, 0, 1) ** 2, a) == 0
         assert multiplicity_at(poly(5), a) == 0
         assert not calls
         assert multiplicity_at(poly(-2, 0, 1) ** 2 * poly(1, 1), a) == 2
         assert calls
+        # one remainder step for each of the two gcds that find t^2 - 2,
+        # none for the last, on the cofactor t + 1, proved coprime modulo
+        # a prime
+        assert len(calls) == 2
+
+    def test_gcd_of_coprime_pair_is_one(self, monkeypatch):
+        calls = self.count_remainders(monkeypatch)
+        assert poly_gcd(poly(-2, 0, 1), poly(-3, 0, 1)) == ONE
+        assert poly_gcd(poly(6), poly(-2, 0, 1)) == ONE
+        assert not calls
+        # zero inputs skip the modular test
+        assert poly_gcd(poly(-4, 0, 2), ZERO) == poly(-2, 0, 1)
+        assert poly_gcd(ZERO, ZERO) == ZERO
 
     def test_compare_skips_gcd(self, monkeypatch):
-        calls = self.count_gcds(monkeypatch)
+        calls = self.count_remainders(monkeypatch)
         a = AlgebraicReal(poly(-2, 0, 1), Fraction(1), Fraction(2))  # sqrt 2
         b = AlgebraicReal(poly(-3, 0, 1), Fraction(1), Fraction(2))  # sqrt 3
         assert a.compare(b) == sturm_compare(a, b) == -1
