@@ -55,6 +55,17 @@ EXIT_INFEASIBLE = 5
 EXIT_COMPLETE = 6
 EXIT_GEOMETRY = 7
 
+# The error classes a command may raise: exit code and stderr prefix.
+_EXITS = {
+    GraphFormatError: (EXIT_PARSE, "parse error"),
+    SizeLimitError: (EXIT_SIZE, "size limit"),
+    UndecidableEnclosureError: (EXIT_UNDECIDABLE, "undecidable"),
+    InfeasibleDistanceError: (EXIT_INFEASIBLE, "infeasible"),
+    CompleteGraphError: (EXIT_COMPLETE, "complete graph"),
+    GeometricInconsistencyError: (EXIT_GEOMETRY, "geometric inconsistency"),
+    OSError: (EXIT_PARSE, "i/o error"),
+}
+
 GRAPH6_HEADER = ">>graph6<<"
 # The largest n a catalog or verify scan enumerates: 12,346 graphs at 8,
 # and canonical_key gives up on its search space at 10.
@@ -415,27 +426,10 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     try:
         return _COMMANDS[args.command](args)
-    except GraphFormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except SizeLimitError as exc:
-        print(f"size limit: {exc}", file=sys.stderr)
-        return EXIT_SIZE
-    except UndecidableEnclosureError as exc:
-        print(f"undecidable: {exc}", file=sys.stderr)
-        return EXIT_UNDECIDABLE
-    except InfeasibleDistanceError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except CompleteGraphError as exc:
-        print(f"complete graph: {exc}", file=sys.stderr)
-        return EXIT_COMPLETE
-    except GeometricInconsistencyError as exc:
-        print(f"geometric inconsistency: {exc}", file=sys.stderr)
-        return EXIT_GEOMETRY
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except tuple(_EXITS) as exc:
+        code, prefix = next(_EXITS[c] for c in type(exc).__mro__ if c in _EXITS)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":  # pragma: no cover

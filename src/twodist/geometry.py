@@ -154,10 +154,8 @@ def realize(g: Graph, b: float, a: float = 1.0) -> PointConfig:
         raise InfeasibleDistanceError(
             f"t={t:.12g} outside feasible window [{lo:.12g}, {hi:.12g}]"
         )
-    sq = np.full((n, n), b * b)
+    sq = np.where(g.adjacency(), a * a, b * b)
     np.fill_diagonal(sq, 0.0)
-    for i, j in g.edges():
-        sq[i, j] = sq[j, i] = a * a
     centering = np.eye(n) - np.full((n, n), 1.0 / n)
     gram = -0.5 * centering @ sq @ centering
     gram = 0.5 * (gram + gram.T)

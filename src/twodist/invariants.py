@@ -27,15 +27,15 @@ and the root walk of ``geometry.solve_phi`` take one route,
 ``_least_root_above``; tau0, C's largest root below 1, is read from C's
 reciprocal polynomial, the complement's C.
 
-The squared circumradius is the limit of -M/(2C) at tau1.  Whether it
-equals a rational r0 = p/q is algebraic: it does iff the tie polynomial
-q*M + 2p*C vanishes there to higher order than C.  The 1/2 test is the case
-r0 = 1/2; ``dim_s_bounded`` asks about any r0.  The r0 = 1/2 tie
+The squared circumradius is the limit of -M/(2C) at tau1.  At a rational
+tau1 it is an exact rational, compared with r0 directly.  At an irrational
+one it equals a rational r0 = p/q iff the tie polynomial q*M + 2p*C
+vanishes there to higher order than C, and is otherwise enclosed away from
+r0 by certified interval arithmetic over rationals.  The 1/2 test is the
+case r0 = 1/2; ``dim_s_bounded`` asks about any r0.  The r0 = 1/2 tie
 polynomial of the whole graph is also the Gram determinant of the
 J-spherical configuration, so ``t_star`` reads beta*^2/2 as its least
-root above 1, proposed by the complement's Perron root.  Otherwise the
-limit is exact at a rational tau1 and enclosed away from r0 by certified
-interval arithmetic over rationals at an irrational one.
+root above 1, proposed by the complement's Perron root.
 """
 
 from __future__ import annotations
@@ -343,23 +343,23 @@ def tie_polynomial(g: Graph, r0: Fraction) -> IntPolynomial:
 
 def _limit_against(g: Graph, r0: Fraction) -> Optional[tuple[Fraction, Fraction]]:
     """None when the finite squared circumradius equals r0 exactly, else a
-    certified enclosure (lo, hi) of it that excludes r0.
-
-    Equal iff the tie polynomial vanishes at tau1 to order > mu_C.
-    Otherwise the limit of -M/(2C) is -M^(mu_C)/(2 C^(mu_C)) at tau1: an
-    exact rational, as a collapsed enclosure, when tau1 is rational
-    (defined by a linear factor), else enclosed on a refined interval."""
+    certified enclosure (lo, hi) of it that excludes r0.  Callers reach it
+    only when mu_M >= mu = mu_C at a finite tau1, so the limit of -M/(2C)
+    there is -M^(mu)/(2 C^(mu)), and the tie polynomial vanishes to order
+    > mu iff the limit is r0.  At a rational tau1 the exact limit decides;
+    at an irrational one the tie polynomial does, and the limit is else
+    enclosed on a refined interval."""
     root, mu = tau1_mu(g)
-    tie = tie_polynomial(g, r0)
-    if tie.is_zero or multiplicity_at(tie, root) > mu:
-        return None
     c, m = cm_polynomials(g)
     for _ in range(mu):
         m, c = m.derivative(), c.derivative()
     tau = root.rational
     if tau is not None:
         exact = -m(tau) / (2 * c(tau))
-        return exact, exact
+        return None if exact == r0 else (exact, exact)
+    tie = tie_polynomial(g, r0)
+    if tie.is_zero or multiplicity_at(tie, root) > mu:
+        return None
     return enclose_rational_limit(-m, c.scale(2), root, get_config().r2_width, r0)
 
 
@@ -407,24 +407,20 @@ def _proposal_interval(t: float) -> Optional[tuple[Fraction, Fraction]]:
 
 
 def _certified_root(
-    factors: list[tuple[IntPolynomial, int]], t: float
+    factors: list[tuple[IntPolynomial, int]], lo: Fraction, hi: Fraction
 ) -> Optional[tuple[AlgebraicReal, int]]:
     """The smallest root above 1 of the product of ``factors`` and its
-    multiplicity, refined to ``tau_width``, when a proposal t near it
-    certifies; None when the certificate fails.  ``factors`` is a
-    squarefree split, or one polynomial with multiplicity 1, whose root is
-    then proved simple.
+    multiplicity, enclosed in (lo, hi), 1 < lo, or None when that interval
+    does not certify it.  ``factors`` is a squarefree split, one polynomial
+    with multiplicity 1 (its root is then proved simple), or a rational
+    root's linear factor and cofactor (``_rational_root``).
 
-    On t's interval (``_proposal_interval``) f is the one factor that
-    changes sign, so f has a root in (lo, hi), and no factor vanishes at
-    either end.  A Descartes count of 1 for f and 0 for every other factor
-    on (1, hi) proves that root is the least above 1, and a simple root of
-    f.  The counts are exact proofs whether or not the factors are
-    real-rooted, so the tie polynomials of beta*^2 certify alike."""
-    interval = _proposal_interval(t)
-    if interval is None:
-        return None
-    lo, hi = interval
+    On (lo, hi) f is the one factor that changes sign, so f has a root
+    there, and no factor vanishes at either end.  A Descartes count of 1
+    for f and 0 for every other factor on (1, hi) proves that root is the
+    least above 1, and a simple root of f.  The counts are exact proofs
+    whether or not the factors are real-rooted, so the tie polynomials of
+    beta*^2 certify alike."""
     ends = [
         f.homogeneous(lo.numerator, lo.denominator)
         * f.homogeneous(hi.numerator, hi.denominator)
@@ -436,43 +432,34 @@ def _certified_root(
     f, mult = owners[0]
     if any(descartes_count(h, 1, hi) != int(h is f) for h, _ in factors):
         return None
-    return AlgebraicReal(f, lo, hi).refined(get_config().tau_width), mult
+    return AlgebraicReal(f, lo, hi), mult
 
 
 def _rational_root(
-    p: IntPolynomial, n: int, t: float
+    p: IntPolynomial, n: int, t: float, lo: Fraction, hi: Fraction
 ) -> Optional[tuple[AlgebraicReal, int]]:
-    """The rational root k/(k + n) of p proposed by t, with its
-    multiplicity, when it certifies as p's least root above 1; None
-    otherwise.  p is the C of an n-vertex graph, or its reciprocal, without
-    its power of t.  The walk polynomial n det(xI - B) has leading
-    coefficient n, so a rational eigenvalue x = t/(1 - t) of B has n x
-    integral: n x within 1e-6 of the integer k proposes k/(k + n).
-
-    That root must lie inside t's interval (``_proposal_interval``), and it
-    gets the same enclosure as ``_certified_root``'s, defined by the linear
-    factor.  Its multiplicity is the number of exact divisions of p by that
-    factor, and a Descartes count of 0 for the cofactor on (1, hi)
-    certifies it."""
-    interval = _proposal_interval(t)
-    if interval is None:
-        return None
-    lo, hi = interval
+    """The rational root k/(k + n) of p that t proposes, with its
+    multiplicity, certified as p's least root above 1 on t's interval
+    (lo, hi), or None.  p is the C of an n-vertex graph or its reciprocal,
+    without its power of t, or ``t_star``'s tie polynomial.  The walk
+    polynomial n det(xI - B) has leading coefficient n, so a rational
+    eigenvalue x = t/(1 - t) of B has n x integral: n x within 1e-6 of the
+    integer k proposes k/(k + n).  At t* = 1 + 1/rho, x = -(rho + 1) is
+    integral when the Perron root rho is rational, hence an integer.  The
+    multiplicity is the number of exact divisions by the root's linear
+    factor, and ``_certified_root`` certifies it on that factor and the
+    cofactor."""
     x = t / (1 - t)
     k = round(n * x)
     if abs(n * x - k) > 1e-6 or k + n == 0:
         return None
     root = Fraction(k, k + n)
-    if not lo < root < hi:
-        return None
     linear = IntPolynomial((-root.numerator, root.denominator))
     mult = 0
     while p.homogeneous(root.numerator, root.denominator) == 0:
         p = exact_div(p, linear)
         mult += 1
-    if not mult or descartes_count(p, 1, hi):
-        return None
-    return AlgebraicReal(linear, lo, hi).refined(get_config().tau_width), mult
+    return _certified_root([(linear, mult), (p, 1)], lo, hi) if mult else None
 
 
 def _without_zero_roots(p: IntPolynomial) -> IntPolynomial:
@@ -485,28 +472,30 @@ def _least_root_above(
     p: IntPolynomial, t: Optional[float], n: Optional[int] = None, bound: RationalLike = 1
 ) -> Optional[tuple[AlgebraicReal, int]]:
     """p's least root above ``bound`` (>= 1) and its multiplicity, refined
-    to ``tau_width``, in an enclosure that holds no other root of p, or
-    None: the one route of tau1, tau0, ``t_star`` and ``solve_phi``'s root
-    walk.  q is p without its power of t (roots at 0 never matter).  A
-    float proposal t of the least root above 1 is certified on q itself,
-    as a rational root (``_rational_root``) when n is set (p is an n-vertex
-    graph's C or its reciprocal), else as a simple root
-    (``_certified_root``).  Failing that, a Descartes count of 0 on q over
-    (bound, inf) proves there is no root; else q's one squarefree split
-    certifies the proposal, or is bisected (``smallest_root_greater_than``,
-    which finds none when the count came from complex roots)."""
+    to ``tau_width`` once, on the way out, in an enclosure that holds no
+    other root of p, or None: the one route of tau1, tau0, ``t_star`` and
+    ``solve_phi``'s root walk.  q is p without its power of t (roots at 0
+    never matter).  A float proposal t of the least root above 1 gives one
+    interval (``_proposal_interval``), on which ``_certified_root`` decides
+    once: for the rational root t proposes when n is set
+    (``_rational_root``), else for a simple root of q.  Failing that, a
+    Descartes count of 0 on q over (bound, inf) proves there is no root;
+    else q's one squarefree split certifies on the same interval, or is
+    bisected (``smallest_root_greater_than``, which finds none when the
+    count came from complex roots)."""
     q = _without_zero_roots(p)
-    got = None
+    got = interval = None
     if t is not None:
         assert bound == 1, "a proposal is of the least root above 1"
-        got = _rational_root(q, n, t) if n else None
-        got = got or _certified_root([(q, 1)], t)
-    if got is not None or not descartes_count(q, bound):
-        return got
-    factors = squarefree_decomposition(q)
-    if t is not None:
-        got = _certified_root(factors, t)
-    got = got or smallest_root_greater_than(q, bound, factors)
+        interval = _proposal_interval(t)
+    if interval is not None:
+        got = _rational_root(q, n, t, *interval) if n else None
+        got = got or _certified_root([(q, 1)], *interval)
+    if got is None and descartes_count(q, bound):
+        factors = squarefree_decomposition(q)
+        if interval is not None:
+            got = _certified_root(factors, *interval)
+        got = got or smallest_root_greater_than(q, bound, factors)
     return None if got is None else (got[0].refined(get_config().tau_width), got[1])
 
 
@@ -583,12 +572,13 @@ def t_star(g: Graph) -> AlgebraicReal:
     lemma det G(t) = (t - 1)^n det(xI - Abar) at x = 1/(t - 1) is +-(M + C),
     the r0 = 1/2 tie polynomial up to a factor 2, so t* is its least root
     above 1 (``_least_root_above``): one ``eigvalsh`` of Abar proposes
-    it, a simple root (the Perron root of the connected complement is)."""
+    it, a simple root (the Perron root of the connected complement is),
+    or, for an integral rho, the rational root (rho + 1)/rho."""
     if is_complete(g):
         raise CompleteGraphError("complete graphs have no such configuration")
     n = g.n
     rho = float(np.linalg.eigvalsh(1.0 - np.eye(n) - g.adjacency())[-1])
-    return _least_root_above(tie_polynomial(g, Fraction(1, 2)), 1.0 + 1.0 / rho)[0]
+    return _least_root_above(tie_polynomial(g, Fraction(1, 2)), 1.0 + 1.0 / rho, n)[0]
 
 
 @functools.lru_cache(maxsize=None)

@@ -57,29 +57,17 @@ class OracleReport:
         )
 
 
-def _numeric_bordered_det(g: Graph, t: float) -> float:
-    n = g.n
-    m = np.full((n + 1, n + 1), t)
-    m[0, 0] = 0.0
-    m[0, 1:] = 1.0
-    m[1:, 0] = 1.0
-    for i in range(n):
-        m[i + 1, i + 1] = 0.0
-        for j in range(n):
-            if i != j and g.has_edge(i, j):
-                m[i + 1, j + 1] = 1.0
-    return float(np.linalg.det(m))
-
-
-def _numeric_plain_det(g: Graph, t: float) -> float:
-    n = g.n
-    m = np.full((n, n), t)
-    for i in range(n):
-        m[i, i] = 0.0
-        for j in range(n):
-            if i != j and g.has_edge(i, j):
-                m[i, j] = 1.0
-    return float(np.linalg.det(m))
+def _numeric_det(g: Graph, t: float, bordered: bool) -> float:
+    """det of the distance matrix D(t), 1 on edges, t on the other pairs and
+    0 on the diagonal, or of its bordered matrix [[0, 1^T], [1, D(t)]]."""
+    d = np.where(g.adjacency(), 1.0, t)
+    np.fill_diagonal(d, 0.0)
+    if bordered:
+        m = np.ones((g.n + 1, g.n + 1))
+        m[0, 0] = 0.0
+        m[1:, 1:] = d
+        d = m
+    return float(np.linalg.det(d))
 
 
 def verify_profile(g: Graph, p: TwoDistanceProfile | None = None) -> OracleReport:
@@ -100,8 +88,8 @@ def verify_profile(g: Graph, p: TwoDistanceProfile | None = None) -> OracleRepor
         q = Fraction(rng.randrange(1, 500), rng.randrange(1, 500))
         tf = float(q)
         for poly, det in (
-            (c_poly, _numeric_bordered_det(g, tf)),
-            (m_poly, _numeric_plain_det(g, tf)),
+            (c_poly, _numeric_det(g, tf, True)),
+            (m_poly, _numeric_det(g, tf, False)),
         ):
             exact = float(poly(q))
             rel = abs(det - exact) / max(1.0, abs(exact))

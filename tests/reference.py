@@ -1,7 +1,8 @@
 """Reference routes the tests hold the program to.
 
 Sturm isolation of real roots, Sturm root counts and the decisions
-``multiplicity_at`` and ``AlgebraicReal.compare`` made with them, the exact
+``multiplicity_at`` and ``AlgebraicReal.compare`` made with them and with
+gcds from a remainder sequence of their own (``remainder_gcd``), the exact
 sign of an algebraic number minus a rational, interval images, the
 bordered distance matrix, walk data from packed-integer row sums, C and
 M from them for any graph, the bordered matrix's adjugate column from its
@@ -10,14 +11,15 @@ the beta* solve whose supports enclosing balls of realized points propose
 and which tries every root of a support's tie polynomial from 1 upward,
 the Type I test by an enclosing ball's center, and the pairwise loop for
 the distance residual: independent of the Descartes counts, sign tests,
-float64 walk kernel, join composition, updated QR factors, active set,
-Bareiss elimination, float pencil, certified root walk, Perron root,
-affine projection and array code that ``twodist`` uses, and called by no
-program path.  Only the beta* solve's root listing (``roots_in_window``)
-runs the program's Descartes bisection, on the tie polynomial's
-squarefree part, and the packed walk data the program's Newton
-identities and its change of variable to t (``invariants._adjugate_coeffs``,
-``invariants._in_t``)."""
+float64 walk kernel, modular coprimality test of ``poly_gcd``, join
+composition, updated QR factors, active set, Bareiss elimination, float
+pencil, certified root walk, Perron root, affine projection and array code
+that ``twodist`` uses, and called by no program path.  Only the beta*
+solve's root listing (``roots_in_window``) runs the program's Descartes
+bisection, on the tie polynomial's squarefree part,
+``sturm_smallest_root_greater_than`` the program's squarefree split, and
+the packed walk data the program's Newton identities and its change of
+variable to t (``invariants._adjugate_coeffs``, ``invariants._in_t``)."""
 
 from __future__ import annotations
 
@@ -48,7 +50,7 @@ from twodist.polynomials import (
     _on_grid,
     _sign_changes,
     exact_div,
-    poly_gcd,
+    poly_rem,
     smallest_root_greater_than,
     squarefree_decomposition,
 )
@@ -249,6 +251,15 @@ def sturm_smallest_root_greater_than(
     return AlgebraicReal(f, root.lo, root.hi), mult
 
 
+def remainder_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """``polynomials.poly_gcd`` by a primitive remainder sequence over
+    ``poly_rem`` alone, with no modular coprimality test."""
+    a, b = a.primitive(), b.primitive()
+    while not b.is_zero:
+        a, b = b, poly_rem(a, b)
+    return a.primitive()
+
+
 def sturm_multiplicity_at(p: IntPolynomial, a: AlgebraicReal) -> int:
     """``polynomials.multiplicity_at`` with each gcd's root in a's
     interval counted by a Sturm chain."""
@@ -256,7 +267,7 @@ def sturm_multiplicity_at(p: IntPolynomial, a: AlgebraicReal) -> int:
     cur = p.primitive()
     mult = 0
     while True:
-        g = poly_gcd(cur, d)
+        g = remainder_gcd(cur, d)
         if not g.degree or SturmChain(g).count(a.lo, a.hi) == 0:
             return mult
         cur = exact_div(cur, g).primitive()
@@ -267,7 +278,7 @@ def sturm_compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
     """``AlgebraicReal.compare`` with the common root in the overlap of
     the enclosures counted by a Sturm chain."""
     if a.hi > b.lo and b.hi > a.lo:
-        g = poly_gcd(a.defining, b.defining)
+        g = remainder_gcd(a.defining, b.defining)
         lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
         if g.degree and SturmChain(g).count(lo, hi) >= 1:
             return 0
@@ -377,11 +388,11 @@ def roots_in_window(
     when tau1 is None."""
     # On the squarefree part each enclosure isolates its root among all of
     # f's roots, so the next search may start at its upper end.
-    f = exact_div(f, poly_gcd(f, f.derivative()))
+    f = exact_div(f, remainder_gcd(f, f.derivative())).primitive()
     bound = Fraction(1)
-    while (got := smallest_root_greater_than(f, bound)) is not None:
+    while (got := smallest_root_greater_than(f, bound, [(f, 1)])) is not None:
         t = got[0]
-        if tau1 is not None and t.compare(tau1) > 0:
+        if tau1 is not None and sturm_compare(t, tau1) > 0:
             return
         yield t
         bound = t.hi

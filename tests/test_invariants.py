@@ -26,6 +26,7 @@ from twodist.graphs import (
 from twodist import geometry, invariants, polynomials
 from twodist.cli import _enclosure, analysis_record, main
 from twodist.invariants import (
+    RSquared,
     circumradius_invariant,
     cm_polynomials,
     dim_s_bounded,
@@ -791,8 +792,9 @@ class TestSpectralWindow:
         # changes its factor's sign but misses the smaller root
         p = poly(-5, 0, 1) * poly(-11, 0, 1) ** 2
         factors = squarefree_decomposition(p)
-        assert invariants._certified_root(factors, math.sqrt(11)) is None
-        assert invariants._certified_root(factors[::-1], math.sqrt(11)) is None
+        near11 = invariants._proposal_interval(math.sqrt(11))
+        assert invariants._certified_root(factors, *near11) is None
+        assert invariants._certified_root(factors[::-1], *near11) is None
         root, mult = invariants._least_root_above(p, math.sqrt(11))
         assert mult == 1 and cmp_rational(root, Fraction(2236, 1000)) > 0
         assert cmp_rational(root, Fraction(2237, 1000)) < 0
@@ -801,7 +803,8 @@ class TestSpectralWindow:
         assert mult == 1 and got.defining == p.primitive() and got.compare(root) == 0
         assert is_valid(got) and got.width <= get_config().tau_width
         single = poly(-11, 0, 1) * poly(-13, 0, 1)  # one factor, two roots
-        assert invariants._certified_root(squarefree_decomposition(single), math.sqrt(13)) is None
+        near13 = invariants._proposal_interval(math.sqrt(13))
+        assert invariants._certified_root(squarefree_decomposition(single), *near13) is None
 
     def test_walk_isolates_roots_on_different_factors(self):
         # 1.414213562373095 and sqrt2, 4.9e-17 apart; with the linear factor
@@ -816,7 +819,8 @@ class TestSpectralWindow:
             factors = squarefree_decomposition(p)
             assert len(factors) == square
             # two factors change sign around the float sqrt2: no certificate
-            assert invariants._certified_root(factors, math.sqrt(2)) is None
+            near2 = invariants._proposal_interval(math.sqrt(2))
+            assert invariants._certified_root(factors, *near2) is None
             for proposal in (math.sqrt(2), None):
                 got = list(geometry._roots_up_to(p, proposal, None))
                 assert [mult for _, mult in got] == [square, 1]
@@ -837,7 +841,7 @@ class TestSpectralWindow:
         p = poly(-2, 0, 1) * poly(-hi.numerator, hi.denominator) ** 2
         factors = squarefree_decomposition(p)
         assert len(factors) == 2
-        assert invariants._certified_root(factors, t) is None
+        assert invariants._certified_root(factors, *invariants._proposal_interval(t)) is None
         got = list(geometry._roots_up_to(p, t, None))
         assert [mult for _, mult in got] == [1, 2]
         assert got[0][0].compare(AlgebraicReal(poly(-2, 0, 1), Fraction(1), Fraction(2))) == 0
@@ -861,13 +865,14 @@ class TestSpectralWindow:
         # sqrt2 between 1 and the proposal stops it
         complex_factor = poly(1, 1, 1)
         factors = squarefree_decomposition(poly(-3, 0, 1) * complex_factor)
-        root, mult = invariants._certified_root(factors, math.sqrt(3))
+        near3 = invariants._proposal_interval(math.sqrt(3))
+        root, mult = invariants._certified_root(factors, *near3)
         assert mult == 1 and is_valid(root) and root.width <= get_config().tau_width
         assert root.compare(AlgebraicReal(poly(-3, 0, 1), Fraction(1), Fraction(2))) == 0
         below = squarefree_decomposition(poly(-2, 0, 1) * poly(-3, 0, 1) * complex_factor)
-        assert invariants._certified_root(below, math.sqrt(3)) is None
+        assert invariants._certified_root(below, *near3) is None
         # a proposal away from every root certifies nothing
-        assert invariants._certified_root(factors, 1.6) is None
+        assert invariants._certified_root(factors, *invariants._proposal_interval(1.6)) is None
 
     def test_pool_enclosures_equal_sturm_isolation(self, monkeypatch):
         fallbacks = count_fallbacks(monkeypatch)
@@ -959,35 +964,128 @@ class TestRootOnItsPolynomial:
     def test_rational_root_certificate(self):
         # (t - 2)^3 (t^2 - 7): n x = -2 proposes t = 2, a triple root
         p = poly(-2, 1) ** 3 * poly(-7, 0, 1)
-        root, mult = invariants._rational_root(p, 1, 2.0)
+        near2 = invariants._proposal_interval(2.0)
+        root, mult = invariants._rational_root(p, 1, 2.0, *near2)
         assert mult == 3 and root.defining == poly(-2, 1)
         assert (root.lo, root.hi) == invariants._proposal_interval(2.0)
         assert cmp_rational(root, 2) == 0 and is_valid(root)
         # n x off an integer proposes nothing
         x = -2.001
-        assert invariants._rational_root(p, 1, x / (1 + x)) is None
+        t = x / (1 + x)
+        assert invariants._rational_root(p, 1, t, *invariants._proposal_interval(t)) is None
         # a root of the cofactor between 1 and the interval's upper end
         # (hi = 2 + 2**-45): 3/2, or 2 + 2**-46
         _, hi = invariants._proposal_interval(2.0)
         for other in (poly(-3, 2), poly(-(4 * hi.denominator + 1), 2 * hi.denominator)):
-            assert invariants._rational_root(poly(-2, 1) * other, 1, 2.0) is None
+            assert invariants._rational_root(poly(-2, 1) * other, 1, 2.0, *near2) is None
         # tau0's side: 1/2 (double) is C's largest root in (0, 1) unless 3/4
         # is one, so on C's reciprocal 2 (double) is the least root above 1
         # unless 4/3 is one; the complement's x = -1 - 1 proposes t = 2
         low = poly(-1, 2) ** 2 * poly(-1, 4)
-        root, mult = invariants._rational_root(low.reciprocal(3), 1, 2.0)
+        root, mult = invariants._rational_root(low.reciprocal(3), 1, 2.0, *near2)
         assert mult == 2 and cmp_rational(root, 2) == 0
         assert cmp_rational(root.reciprocal(), Fraction(1, 2)) == 0
-        assert invariants._rational_root((low * poly(-3, 4)).reciprocal(4), 1, 2.0) is None
+        higher = (low * poly(-3, 4)).reciprocal(4)
+        assert invariants._rational_root(higher, 1, 2.0, *near2) is None
 
     def test_simple_root_on_polynomial_with_multiple_roots(self):
         # the polynomial itself, not its split: a double root elsewhere does
         # not matter, a double root at the proposal does not certify
         p = poly(-3, 0, 1) * poly(-5, 1) ** 2
-        root, mult = invariants._certified_root([(p, 1)], math.sqrt(3))
+        near3 = invariants._proposal_interval(math.sqrt(3))
+        root, mult = invariants._certified_root([(p, 1)], *near3)
         assert mult == 1 and root.defining == p and is_valid(root)
         assert root.compare(AlgebraicReal(poly(-3, 0, 1), Fraction(1), Fraction(2))) == 0
-        assert invariants._certified_root([(poly(-3, 0, 1) ** 2, 1)], math.sqrt(3)) is None
+        assert invariants._certified_root([(poly(-3, 0, 1) ** 2, 1)], *near3) is None
+
+    def test_one_interval_per_proposal(self, monkeypatch):
+        # a proposal's interval is built once, and the rational, simple-root
+        # and split certificates all read it
+        per_call, built = [], []
+        least, interval = invariants._least_root_above, invariants._proposal_interval
+
+        def counting_least(p, t, *args, **kwargs):
+            before = len(built)
+            got = least(p, t, *args, **kwargs)
+            if t is not None:
+                per_call.append(len(built) - before)
+            return got
+
+        monkeypatch.setattr(invariants, "_least_root_above", counting_least)
+        monkeypatch.setattr(
+            invariants, "_proposal_interval", lambda t: built.append(t) or interval(t)
+        )
+        invariants.clear_caches()
+        try:
+            for n in range(1, 8):
+                for g in enumerate_graphs(n):
+                    tau1_mu(g)
+                    invariants.tau0(g)
+                    if len(complement_components(g)) == 1 and n > 1:
+                        invariants.t_star(g)
+        finally:
+            invariants.clear_caches()
+        assert len(per_call) > 1000 and set(per_call) == {1}
+
+    def test_rational_tau1_takes_no_tie_polynomial(self, monkeypatch):
+        # at a rational tau1 the exact limit -M^(mu)/(2 C^(mu)) decides
+        # r^2 = 1/2; M's multiplicity is the one multiplicity taken.  The
+        # decision agrees with the tie polynomial's, taken outside the count.
+        calls = {"tie": 0, "multiplicity": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        graphs = [Graph.petersen()] + [g for n in range(1, 8) for g in enumerate_graphs(n)]
+        invariants.clear_caches()
+        try:
+            rational = 0
+            for g in graphs:
+                root, mu = tau1_mu(g)
+                if root is None or root.rational is None:
+                    continue
+                rational += 1
+                with monkeypatch.context() as m:
+                    tie, multiplicity = invariants.tie_polynomial, invariants.multiplicity_at
+                    m.setattr(invariants, "tie_polynomial", counting("tie", tie))
+                    m.setattr(invariants, "multiplicity_at", counting("multiplicity", multiplicity))
+                    calls.update(tie=0, multiplicity=0)
+                    r2 = circumradius_invariant(g)
+                    assert calls == {"tie": 0, "multiplicity": 1}, to_graph6(g)
+                if g == Graph.petersen():
+                    three_quarters = RSquared.finite(Fraction(3, 4), Fraction(3, 4))
+                    assert root.rational == 2 and r2 == three_quarters
+                if r2.is_finite:
+                    tie = invariants.tie_polynomial(g, Fraction(1, 2))
+                    half = tie.is_zero or polynomials.multiplicity_at(tie, root) > mu
+                    assert r2.is_half == half and (half or r2.lo == r2.hi != Fraction(1, 2))
+            assert rational > 100
+        finally:
+            invariants.clear_caches()
+
+    def test_t_star_rational_on_regular_complements(self):
+        # a connected k-regular complement has Perron root k: t* = 1 + 1/k,
+        # proposed by the rational test and defined by its linear factor
+        seen = 0
+        invariants.clear_caches()
+        try:
+            for n in range(2, 8):
+                for g in enumerate_graphs(n):
+                    degrees = set(complement(g).degrees())
+                    if len(degrees) != 1 or len(complement_components(g)) != 1:
+                        continue
+                    (k,) = degrees
+                    if k == 0:
+                        continue
+                    seen += 1
+                    assert invariants.t_star(g).rational == 1 + Fraction(1, k), to_graph6(g)
+        finally:
+            invariants.clear_caches()
+        assert seen == 15
 
     def test_exact_iff_rational(self):
         # tau1 is defined by a linear factor, and printed as its exact value,

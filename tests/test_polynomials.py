@@ -27,6 +27,8 @@ from reference import (
     count_real_roots,
     eval_interval,
     is_valid,
+    remainder_gcd,
+    roots_in_window,
     sturm_compare,
     sturm_multiplicity_at,
     sturm_smallest_root_greater_than,
@@ -480,6 +482,53 @@ class TestCoprimeShortcut:
         a = AlgebraicReal(poly(-2, 0, 1), Fraction(1), Fraction(2)).refined(Fraction(1, 10**6))
         assert multiplicity_at(poly(-3, 0, 1), a) == 0 and not calls
         assert multiplicity_at(poly(-2, 0, 1) * poly(-3, 0, 1), a) == 1 and calls
+
+
+class TestReferenceGcd:
+    """The Sturm references take their gcds from a remainder sequence of
+    their own (``reference.remainder_gcd``), so a fault in the modular
+    coprimality test could not pass the program and its oracles alike."""
+
+    def test_equals_poly_gcd(self, rng):
+        planted = 0
+        for _ in range(80):
+            common = poly(*[rng.randrange(-9, 10) for _ in range(rng.randrange(1, 4))])
+            a = common * poly(*[rng.randrange(-9, 10) for _ in range(rng.randrange(2, 5))])
+            b = common * poly(*[rng.randrange(-9, 10) for _ in range(rng.randrange(2, 4))])
+            if a.is_zero or b.is_zero:
+                continue
+            got = remainder_gcd(a, b)
+            assert got == poly_gcd(a, b)
+            if common.degree:
+                planted += 1
+                exact_div(got, common.primitive())  # the planted factor divides it
+        assert planted >= 40
+        for a, b in (
+            (poly(-2, 0, 1), poly(-3, 0, 1)),
+            (poly(6), poly(-2, 0, 1)),
+            (poly(-2, 0, 1) * poly(1, 1), poly(-3, 0, 1) * poly(5, 2)),
+        ):
+            assert remainder_gcd(a, b) == poly_gcd(a, b) == ONE
+        assert remainder_gcd(poly(-4, 0, 2), ZERO) == poly_gcd(poly(-4, 0, 2), ZERO)
+        assert remainder_gcd(ZERO, ZERO) == ZERO
+
+    def test_references_take_no_modular_test(self, monkeypatch):
+        from twodist import polynomials
+
+        def refuse(*args):
+            raise AssertionError("a reference took the modular coprimality test")
+
+        sqrt2 = AlgebraicReal(poly(-2, 0, 1), Fraction(1), Fraction(2))
+        sqrt3 = AlgebraicReal(poly(-3, 0, 1), Fraction(1), Fraction(2))
+        shared = AlgebraicReal(poly(-2, 0, 1) * poly(-3, 1), Fraction(13, 10), Fraction(3, 2))
+        f = poly(-2, 0, 1) ** 2 * poly(-3, 0, 1) * poly(-5, 1)
+        monkeypatch.setattr(polynomials, "_coprime_mod_p", refuse)
+        assert sturm_multiplicity_at(f, sqrt2) == 2
+        assert sturm_multiplicity_at(poly(-3, 0, 1), sqrt2) == 0
+        assert sturm_compare(sqrt2, sqrt3) == -1 and sturm_compare(sqrt2, shared) == 0
+        roots = list(roots_in_window(f, AlgebraicReal(poly(-4, 1), Fraction(3), Fraction(5))))
+        assert [cmp_rational(r, 2) for r in roots] == [-1, -1]
+        assert sturm_compare(roots[0], sqrt2) == 0 and sturm_compare(roots[1], sqrt3) == 0
 
 
 class TestNearestFloat:

@@ -17,7 +17,10 @@ The lines are, in order:
   on the first 50 graphs of the embed16 pool, whose supports pass 7
   points.  At r = 1 ``solve_phi`` reads ``beta_star_squared``, and at
   0.97 it runs the active set and the exact certificate; a diff against a
-  tree that solved r = 1 by the certificate cross-checks the two routes.
+  tree that solved r = 1 by the certificate cross-checks the two routes;
+- ``verify``: the exit code and one output line of
+  ``twodist verify --max-n 7 --probe`` (the oracle's float determinants,
+  realized ranks and probes) per line.
 
 The inputs come from this checkout's ``perfbench/`` (the pool's graph6 words
 and the joins generator), so two trees' dumps share them.  The invariant
@@ -90,6 +93,10 @@ def main(argv: list[str] | None = None) -> int:
         for g in solved:
             print("solve", r, to_graph6(g), repr(float(geometry.solve_phi(g, r))))
             invariants.clear_caches()
+    code, out = _run(["verify", "--max-n", "7", "--probe"])
+    for line in out.splitlines():
+        print("verify", code, line)
+    invariants.clear_caches()
     return 0
 
 
