@@ -1,13 +1,12 @@
 """Numerical realization of two-distance configurations.
 
 Coordinates come from double-centering the squared-distance matrix and an
-eigendecomposition.  Every enclosing-ball support is proposed by one float
-active set, ``_active_set``: a few block principal pivots on the squared
-distances, the standard quadratic program over the simplex.  Then comes
-the certificate, then the walk.  ``min_enclosing_ball`` certifies the
-proposal by the duality gap of its barycentric weights; failing either,
-exact-support pivoting walks to the ball, under the same certificate.  On
-top of those: the monotone enclosing-ball radius function of the long
+eigendecomposition.  Every enclosing-ball support comes from one float
+active set on the squared distances, ``_active_set``: the standard
+quadratic program over the simplex, a few block principal pivots, then
+feasible single pivots when those do not settle it.  ``min_enclosing_ball``
+certifies it by the duality gap of its barycentric weights.  On top of
+those: the monotone enclosing-ball radius function of the long
 distance, and its exact inverse ``solve_phi``.  At radius 1 that inverse
 is beta*^2, read from ``invariants.beta_star_squared``.  Below 1 it
 realizes no coordinates: the same active set, on the squared distances
@@ -62,8 +61,8 @@ MEB_GAP_RTOL = 1e-14
 HULL_TOL = 1e-8
 # Cross-factor orthogonality tolerance in point-set decomposition.
 ORTH_TOL = 1e-7
-# Block pivots ``_active_set`` spends on proposing an enclosing ball's
-# support.
+# Block pivots ``_active_set`` spends on an enclosing ball's support before
+# its single pivots.
 PROPOSAL_PIVOTS = 8
 
 
@@ -236,26 +235,37 @@ def _bordered_solve(d: np.ndarray, support: Sequence[int]) -> tuple[np.ndarray, 
     return x[:k], float(x[k])
 
 
+def _difference_gram(d: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The Gram matrix (D_0a + D_0b - D_ab)/2 of the differences p_a - p_0
+    of the ``points`` less their first, p_0, from the squared distances
+    alone."""
+    rest = points[1:]
+    head = d[points[0], rest]
+    return 0.5 * (head[:, None] + head - d[np.ix_(rest, rest)])
+
+
 def _active_set(
     d: np.ndarray, start: Sequence[int]
-) -> Optional[tuple[tuple[int, ...], np.ndarray, float]]:
+) -> tuple[tuple[int, ...], np.ndarray, float]:
     """(T, lam, R^2): the support T of the enclosing ball of the points
     with squared distances d, its center's barycentric weights lam on T and
-    its squared radius, in floats; None when no T is accepted within
-    ``PROPOSAL_PIVOTS`` pivots.  The one float support of
-    ``min_enclosing_ball`` and ``solve_phi``.
+    its squared radius, in floats.  The one support of
+    ``min_enclosing_ball`` and ``solve_phi``: the standard quadratic
+    program max lam^T D lam / 2 over the simplex, whose optimum is the
+    ball's center, in two phases on the same bordered solve
+    (``_bordered_solve``, which gives T's circumcenter weights and R^2 =
+    -nu/2) and the same outside test: the point j lies outside T's sphere
+    when |p_j - c|^2 - R^2 = D[j, T] lam + nu exceeds 1e-12 * max(1,
+    max D), the float form of ``_support_certified``.
 
-    Block principal pivoting (Judice & Pires 1994) on the standard
-    quadratic program max lam^T D lam / 2 over the simplex, from T =
-    ``start``.  Each pivot is one bordered solve on T (``_bordered_solve``),
-    which gives lam and R^2 = -nu/2; the point j lies outside the sphere
-    when D[j, T] lam + nu exceeds 1e-12 * max(1, max D), the float form of
-    ``_support_certified``.  T then keeps its points of positive weight and
-    takes in every point outside.  A pivot that keeps T is accepted when T
-    is affinely independent: the square of every diagonal entry of the
-    Cholesky factor of its difference Gram matrix, (D_0i + D_0j - D_ij)/2,
-    exceeds ``RANK_RTOL`` times the Gram matrix's own diagonal entry
-    there.  A singular bordered system or Gram matrix gives None."""
+    First at most ``PROPOSAL_PIVOTS`` block principal pivots (Judice &
+    Pires 1994) from T = ``start``: T keeps its points of positive weight
+    and takes in every point outside.  A pivot that keeps T is accepted
+    when T is affinely independent: the square of every diagonal entry of
+    the Cholesky factor of its difference Gram matrix (``_difference_gram``)
+    exceeds ``RANK_RTOL`` times the Gram matrix's own diagonal entry there.
+    A singular system, a dependent T or the cap, which a cycle of T
+    reaches, leaves the ball to ``_single_pivots``."""
     tol = 1e-12 * max(1.0, float(d.max()))
     member = np.zeros(len(d), dtype=bool)
     member[list(start)] = True
@@ -263,13 +273,11 @@ def _active_set(
         for _ in range(PROPOSAL_PIVOTS):
             support = np.flatnonzero(member)
             lam, nu = _bordered_solve(d, support)
-            outside = d[:, support] @ lam + nu > tol  # |p_j - c|^2 - R^2
+            outside = d[:, support] @ lam + nu > tol
             outside[support] = False
             positive = lam > 0.0
             if positive.all() and not outside.any():
-                rest = support[1:]
-                head = d[support[0], rest]
-                gram = 0.5 * (head[:, None] + head - d[np.ix_(rest, rest)])
+                gram = _difference_gram(d, support)
                 diagonal = np.diag(np.linalg.cholesky(gram))
                 if (diagonal * diagonal > RANK_RTOL * np.diag(gram)).all():
                     return tuple(support.tolist()), lam, -0.5 * nu
@@ -278,37 +286,76 @@ def _active_set(
             member |= outside
     except np.linalg.LinAlgError:
         pass
-    return None
+    return _single_pivots(d, tol)
+
+
+def _single_pivots(d: np.ndarray, tol: float) -> tuple[tuple[int, ...], np.ndarray, float]:
+    """``_active_set``'s second phase: the primal active-set method for
+    convex quadratic programs (Nocedal & Wright, *Numerical Optimization*,
+    2nd ed., section 16.5), one point per pivot, with ``tol`` the outside
+    test's tolerance.  The weights lam stay >= 0 with sum 1, and T stays
+    affinely independent, from the point farthest from point 0.  With w
+    T's circumcenter weights, a pivot either
+    - moves lam toward w, when some w <= 0, until a weight reaches 0, and
+      that point leaves T; or
+    - sets lam = w and lets the point j farthest outside join T, at weight
+      0; or, when T's difference Gram system against j shows p_j = sum
+      a_i p_i (within ``RANK_RTOL``), lam moves along e_j - a, which keeps
+      the center and raises the objective by theta (|p_j - c|^2 - R^2) > 0,
+      until a weight reaches 0 (the ratio test), and j takes that point's
+      place.
+    No point outside ends it; more than 20n pivots raise
+    ``GeometricInconsistencyError``."""
+    support = np.array([int(np.argmax(d[0]))])
+    lam = np.ones(1)
+    for _ in range(20 * len(d)):
+        w, nu = _bordered_solve(d, support)
+        if not (w > 0.0).all():
+            ratio = np.divide(lam, lam - w, out=np.zeros(len(w)), where=lam > w)
+            i = int(np.argmin(np.where(w > 0.0, np.inf, ratio)))
+            lam = np.maximum(lam + ratio[i] * (w - lam), 0.0)
+            support, lam = np.delete(support, i), np.delete(lam, i)
+            continue
+        lam, excess = w, d[:, support] @ w + nu
+        excess[support] = -np.inf
+        j = int(np.argmax(excess))
+        if excess[j] <= tol:
+            order = np.argsort(support)
+            return tuple(support[order].tolist()), w[order], -0.5 * nu
+        gram = _difference_gram(d, np.append(support, j))
+        a = np.linalg.solve(gram[:-1, :-1], gram[:-1, -1])
+        if gram[-1, -1] - gram[:-1, -1] @ a > RANK_RTOL * gram[-1, -1]:
+            support, lam = np.append(support, j), np.append(lam, 0.0)
+            continue
+        a = np.concatenate([[1.0 - a.sum()], a])
+        ratio = np.divide(lam, a, out=np.full(len(a), np.inf), where=a > 0.0)
+        i = int(np.argmin(ratio))
+        lam = np.maximum(lam - ratio[i] * a, 0.0)
+        support[i], lam[i] = j, ratio[i]
+    raise GeometricInconsistencyError(f"active set: no optimum in {20 * len(d)} pivots")
 
 
 def min_enclosing_ball(points: Sequence[Sequence[float]] | np.ndarray) -> Ball:
     """Smallest ball containing the points, with a dual certificate.
 
-    Three steps: a proposal, its certificate, and the walk as fallback.
-    ``_active_set`` proposes the support by block principal pivoting on
-    the squared distances, from one Gram matrix, starting from the points
-    whose mean squared distance is at least the mean; when it is accepted
-    and its duality gap certifies it, that is the ball.  Otherwise the
-    walk decides, under the same certificate.
+    ``_active_set`` finds the support on the squared distances, from one
+    Gram matrix: block pivots from the points whose mean squared distance
+    is at least the mean, then single pivots if those do not settle it.
+    The duality gap of its barycentric weights certifies the ball.  When
+    the support misses that certificate, the single pivots
+    (``_single_pivots``) decide alone, with the certificate's own bound as
+    the outside test's tolerance: far from the origin, rounding can leave
+    cospherical points off their sphere by more than that bound and less
+    than the active set's.
 
-    The walk is exact-support pivoting (Fischer, Gaertner & Kutz 2003):
-    the center walks toward the circumcenter of aff(T), T the points on
-    its sphere; a point reaching the sphere joins T, and at the
-    circumcenter the most negative barycentric weight leaves T until none
-    is negative.  The QR factors of T's difference vectors are updated,
-    not recomputed: a point that joins T appends one Gram-Schmidt column,
-    orthogonalized twice (Daniel, Gragg, Kaufman & Stewart 1976), and only
-    a point that leaves T refactors.
-
-    All three run on the differences p - p_0 divided by s, the least
-    power of two above their largest absolute coordinate (an exact
-    scaling), so every tolerance is relative to the data.  A walk whose
-    duality gap is above ``MEB_GAP_RTOL`` * max(s^2, max |p - p_0|^2), or
-    that reaches no optimum in 20n pivots, raises
-    ``GeometricInconsistencyError``.  ``support`` lists every point within
-    1e-7 * max(s, radius) of the sphere; the points of positive
-    ``weights`` are affinely independent.  No point, or a coordinate
-    difference that is not finite, raises ``ValueError``."""
+    All of it runs on the differences p - p_0 divided by s, the least power
+    of two above their largest absolute coordinate (an exact scaling), so
+    every tolerance is relative to the data.  A duality gap above
+    ``MEB_GAP_RTOL`` * max(s^2, max |p - p_0|^2), or no optimum in 20n
+    single pivots, raises ``GeometricInconsistencyError``.  ``support``
+    lists every point within 1e-7 * max(s, radius) of the sphere; the
+    points of positive ``weights`` are affinely independent.  No point, or
+    a coordinate difference that is not finite, raises ``ValueError``."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or not len(pts):
         raise ValueError("points must be a non-empty 2-d array")
@@ -316,87 +363,19 @@ def min_enclosing_ball(points: Sequence[Sequence[float]] | np.ndarray) -> Ball:
         rel = pts - pts[0]  # rounding at the ball's scale, not the origin's
     if not np.isfinite(rel).all():
         raise ValueError("point coordinates and their differences must be finite")
-    n, d = pts.shape
+    n = len(pts)
     e = math.frexp(float(np.abs(rel).max(initial=0.0)))[1]
     rel = np.ldexp(rel, -e)
     sqnorms = (rel * rel).sum(axis=1)
     sq = sqnorms[:, None] + sqnorms - 2.0 * (rel @ rel.T)
     np.fill_diagonal(sq, 0.0)
     mean = sq.mean(axis=1)
-    got = _active_set(sq, np.flatnonzero(mean >= mean.mean()))
-    if got is not None:
-        try:
-            return _ball(pts, rel, e, sqnorms, np.bincount(got[0], got[1], n))
-        except GeometricInconsistencyError:
-            pass  # the walk decides
-    # T is affinely independent: at most min(n, d + 1) points.  With k + 1
-    # points, q.T = basis[:, :k] @ tri[:k, :k] for the rows q of
-    # rel[T[1:]] - t0, and the circumcenter t0 + basis[:, :k] @ y[:k] of
-    # aff(T) solves q x = |q|^2 / 2, so tri[:k, :k].T @ y[:k] = |q|^2 / 2.
-    cap = min(n - 1, d)
-    basis = np.empty((d, cap))
-    tri = np.zeros((cap, cap))
-    y = np.empty(cap)
-    support = [int(np.argmax(sqnorms))]
-    t0 = rel[support[0]]
-    target = t0
-    c = np.zeros(d)
-    k = 0
-    for _ in range(20 * n):
-        q = basis[:, :k]
-        # Walk orthogonally to aff(T), as exact arithmetic does, so that no
-        # point of aff(T) can stop the walk and T stays affinely independent.
-        step = target - c
-        step -= q @ (q.T @ step)
-        r2 = float((t0 - c) @ (t0 - c))
-        step2 = float(step @ step)
-        frac = np.full(n, np.inf)
-        if k < cap and step2 > 1e-24 * r2:  # else T is full or the step rounding-level
-            # Rate at which p's squared distance gains on the radius^2.
-            grow = 2.0 * (t0 - rel) @ step
-            grow[support] = 0.0
-            moving = grow > 1e-14 * math.sqrt(r2) * math.sqrt(step2)
-            room = r2 - ((rel[moving] - c) ** 2).sum(axis=1)
-            frac[moving] = np.maximum(room, 0.0) / grow[moving]
-        j = int(np.argmin(frac))
-        if frac[j] < 1.0:
-            c = c + frac[j] * step
-            support.append(j)
-            # One Gram-Schmidt column, orthogonalized twice.
-            v = rel[j] - t0
-            r = q.T @ v
-            w = v - q @ r
-            again = q.T @ w
-            w -= q @ again
-            r += again
-            rho = math.sqrt(float(w @ w))
-            basis[:, k] = w / rho
-            tri[:k, k] = r
-            tri[k, k] = rho
-            y[k] = (0.5 * float(v @ v) - float(r @ y[:k])) / rho
-            target = target + y[k] * basis[:, k]
-            k += 1
-            continue
-        c = target
-        # The weights, read only here: tri[:k, :k] @ mu = y[:k].
-        mu = np.linalg.solve(tri[:k, :k], y[:k])
-        weights = np.concatenate([[1.0 - mu.sum()], mu])
-        i = int(np.argmin(weights))
-        if weights[i] >= 0.0:
-            break
-        support.pop(i)
-        # A point left T: factor its differences afresh.
-        t0 = rel[support[0]]
-        diff = rel[support[1:]] - t0
-        k -= 1
-        basis[:, :k], tri[:k, :k] = np.linalg.qr(diff.T)
-        y[:k] = np.linalg.solve(tri[:k, :k].T, 0.5 * (diff * diff).sum(axis=1))
-        target = t0 + basis[:, :k] @ y[:k]
-    else:
-        raise GeometricInconsistencyError(
-            f"enclosing ball: no optimum in {20 * n} pivots"
-        )
-    return _ball(pts, rel, e, sqnorms, np.bincount(support, weights, n))
+    support, lam, _ = _active_set(sq, np.flatnonzero(mean >= mean.mean()))
+    try:
+        return _ball(pts, rel, e, sqnorms, np.bincount(support, lam, n))
+    except GeometricInconsistencyError:
+        support, lam, _ = _single_pivots(sq, MEB_GAP_RTOL * max(1.0, float(sqnorms.max())))
+    return _ball(pts, rel, e, sqnorms, np.bincount(support, lam, n))
 
 
 # ---------------------------------------------------------------------------
@@ -520,18 +499,17 @@ def solve_phi(g: Graph, r: float) -> AlgebraicReal:
     at the roots of T's tie polynomial q M_T + 2p C_T for r0 = r^2/2 = p/q.
     The float active set of ``min_enclosing_ball`` (``_active_set``), on
     the squared distances D(t) = t(J - I) - (t - 1)A, proposes T, first in
-    the middle of (1, tau1) from all n points (failing that, T is all n
-    points, with no float t), later warm-started at the current T.  One
-    loop over T follows.  While a float t is known, t moves to the float
-    root nearest it (``_float_root_near``, the pencil of T's bordered
-    matrix), and T to the active set's support there while that changes and
-    is untried.  Then T's bordered matrix gets one exact adjugate column
-    (``_bordered_adjugate``), the roots of its tie polynomial in (1, tau1]
-    are walked (``_roots_up_to``, the first certified on t's interval), and
-    x^2 is twice the first at which ``_support_certified`` holds.  Failing
-    all, the active set at the root whose squared radius is nearest r0
-    proposes the next T, with no t; a T proposed again raises
-    ``UndecidableEnclosureError``."""
+    the middle of (1, tau1) from all n points, later warm-started at the
+    current T.  One loop over T follows.  While a float t is known, t moves
+    to the float root nearest it (``_float_root_near``, the pencil of T's
+    bordered matrix), and T to the active set's support there while that
+    changes and is untried.  Then T's bordered matrix gets one exact
+    adjugate column (``_bordered_adjugate``), the roots of its tie
+    polynomial in (1, tau1] are walked (``_roots_up_to``, the first
+    certified on t's interval), and x^2 is twice the first at which
+    ``_support_certified`` holds.  Failing all, the active set at the root
+    whose squared radius is nearest r0 proposes the next T, with no t; a T
+    proposed again raises ``UndecidableEnclosureError``."""
     if is_complete(g):
         raise CompleteGraphError("complete graphs admit no such solve")
     n = g.n
@@ -546,31 +524,27 @@ def solve_phi(g: Graph, r: float) -> AlgebraicReal:
     t = 2.0 if tau1 is None else 0.5 * (1.0 + top)
     # Inside the window all n points are affinely independent, and most
     # of them are usually on the sphere: start from all of them.
-    got = _active_set(_squared_distances(adjacency, t), range(n))
-    support, t = (tuple(range(n)), None) if got is None else (got[0], t)
+    support = _active_set(_squared_distances(adjacency, t), range(n))[0]
     tried = set()
     while support not in tried:
         tried.add(support)
         if t is not None:
             t = _float_root_near(adjacency, support, r0, t, top)
-            got = None
             if t is not None:
-                got = _active_set(_squared_distances(adjacency, t), support)
-            if got is not None and got[0] not in tried:
-                support = got[0]
-                continue
+                got = _active_set(_squared_distances(adjacency, t), support)[0]
+                if got not in tried:
+                    support = got
+                    continue
         adjugate = _bordered_adjugate(g, support)
         tie = adjugate[1].scale(r0.denominator) + adjugate[0].scale(2 * r0.numerator)
         best, miss = support, math.inf
         for root, _ in _roots_up_to(tie, t, tau1):
             if _support_certified(g, support, adjugate, root):
                 return root.scaled(2)
-            got = _active_set(_squared_distances(adjacency, float(root)), support)
-            if got is None:
-                continue
-            if abs(got[2] - r0) < miss:
-                best, miss = got[0], abs(got[2] - r0)
-            if got[2] >= r0:
+            got, _, r2 = _active_set(_squared_distances(adjacency, float(root)), support)
+            if abs(r2 - r0) < miss:
+                best, miss = got, abs(r2 - r0)
+            if r2 >= r0:
                 break  # the radius grows with t: later roots are farther from r
         support, t = best, None
     raise UndecidableEnclosureError(f"active-set support {support} proposed twice")

@@ -2,24 +2,24 @@
 
 Sturm isolation of real roots, Sturm root counts and the decisions
 ``multiplicity_at`` and ``AlgebraicReal.compare`` made with them and with
-gcds from a remainder sequence of their own (``remainder_gcd``), the exact
-sign of an algebraic number minus a rational, interval images, the
-bordered distance matrix, walk data from packed-integer row sums, C and
-M from them for any graph, the bordered matrix's adjugate column from its
-walk vectors, the enclosing ball that factors T afresh at every pivot,
-the beta* solve whose supports enclosing balls of realized points propose
+gcds from a remainder sequence of their own (``remainder_gcd``) and a
+squarefree split over it (``remainder_squarefree``), the exact sign of an
+algebraic number minus a rational, interval images, the bordered distance
+matrix, walk data from packed-integer row sums, C and M from them for any
+graph, the bordered matrix's adjugate column from its walk vectors, the
+enclosing ball walked on center coordinates with T factored afresh at
+every pivot, the beta* solve whose supports enclosing balls of realized points propose
 and which tries every root of a support's tie polynomial from 1 upward,
 the Type I test by an enclosing ball's center, and the pairwise loop for
 the distance residual: independent of the Descartes counts, sign tests,
 float64 walk kernel, modular coprimality test of ``poly_gcd``, join
-composition, updated QR factors, active set, Bareiss elimination, float
+composition, active set on squared distances, Bareiss elimination, float
 pencil, certified root walk, Perron root, affine projection and array code
 that ``twodist`` uses, and called by no program path.  Only the beta*
 solve's root listing (``roots_in_window``) runs the program's Descartes
-bisection, on the tie polynomial's squarefree part,
-``sturm_smallest_root_greater_than`` the program's squarefree split, and
-the packed walk data the program's Newton identities and its change of
-variable to t (``invariants._adjugate_coeffs``, ``invariants._in_t``)."""
+bisection, on the tie polynomial's squarefree part, and the packed walk
+data the program's Newton identities and its change of variable to t
+(``invariants._adjugate_coeffs``, ``invariants._in_t``)."""
 
 from __future__ import annotations
 
@@ -52,7 +52,6 @@ from twodist.polynomials import (
     exact_div,
     poly_rem,
     smallest_root_greater_than,
-    squarefree_decomposition,
 )
 
 
@@ -239,7 +238,7 @@ def sturm_smallest_root_greater_than(
     if p.is_zero:
         raise ValueError("zero polynomial")
     bound = _as_fraction(bound)
-    factors = squarefree_decomposition(p)
+    factors = remainder_squarefree(p)
     squarefree = math.prod((f for f, _ in factors), start=IntPolynomial.const(1))
     got = sturm_leftmost_root_above(squarefree, bound)
     if got is None:
@@ -258,6 +257,28 @@ def remainder_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     while not b.is_zero:
         a, b = b, poly_rem(a, b)
     return a.primitive()
+
+
+def remainder_squarefree(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
+    """``polynomials.squarefree_decomposition`` by Yun's algorithm over
+    ``remainder_gcd``: ``[(factor, multiplicity), ...]``, the factors
+    squarefree, pairwise coprime and primitive, the multiplicities strictly
+    increasing, and p their product of powers up to a rational constant."""
+    f = p.primitive()
+    if not f.degree:
+        return []
+    g = remainder_gcd(f, f.derivative())
+    c = exact_div(f, g)
+    d = exact_div(f.derivative(), g) - c.derivative()
+    out, i = [], 1
+    while c.degree:
+        a = remainder_gcd(c, d)
+        if a.degree:
+            out.append((a, i))
+        c = exact_div(c, a)
+        d = exact_div(d, a) - c.derivative()
+        i += 1
+    return out
 
 
 def sturm_multiplicity_at(p: IntPolynomial, a: AlgebraicReal) -> int:
@@ -289,8 +310,12 @@ def sturm_compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
 
 
 def reference_min_enclosing_ball(points: Sequence[Sequence[float]] | np.ndarray) -> Ball:
-    """``geometry.min_enclosing_ball`` on the same walk, with aff(T)
-    factored by ``np.linalg.qr`` and both triangular systems solved at
+    """The smallest enclosing ball by exact-support pivoting on center
+    coordinates (Fischer, Gaertner & Kutz, ESA 2003), a different algorithm
+    from ``geometry.min_enclosing_ball``'s active set: the center walks
+    toward the circumcenter of aff(T), a point reaching the sphere joins T,
+    and at the circumcenter the most negative weight leaves T.  aff(T) is
+    factored by ``np.linalg.qr`` and both triangular systems are solved at
     every pivot, at the points' own scale."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:

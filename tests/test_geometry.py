@@ -11,6 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import embed16_pool, joins12_corpus, random_graph
 from reference import (
@@ -355,26 +356,70 @@ def random_clouds():
             yield 7.0 + pts * gen.uniform(0.5, 3.0, d)
 
 
-def walk_only():
-    """``min_enclosing_ball`` with no proposal: the walk decides."""
-    return mock.patch.object(geometry, "_active_set", return_value=None)
+@st.composite
+def cospherical_clouds(draw):
+    """Clouds in 1 to 8 dimensions: Gaussian points, points on one sphere
+    in a random affine subspace (affinely dependent past its dimension
+    + 1), and copies of drawn points, scaled and moved off the origin."""
+    dim = draw(st.integers(1, 8))
+    free, ring, copies = draw(st.integers(1, 10)), draw(st.integers(0, 10)), draw(st.integers(0, 4))
+    sub = draw(st.integers(1, dim))
+    scale, offset = draw(st.sampled_from([1e-3, 1.0, 1e3])), draw(st.sampled_from([0.0, 7.0, -100.0]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = gen.standard_normal((free, dim)) * gen.uniform(0.5, 3.0, dim)
+    basis = np.linalg.qr(gen.standard_normal((dim, sub)))[0]
+    u = gen.standard_normal((ring, sub))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    pts = np.vstack([pts, 0.5 * gen.standard_normal(dim) + gen.uniform(0.5, 5.0) * u @ basis.T])
+    pts = np.vstack([pts, pts[gen.integers(0, len(pts), copies)]])
+    return offset + scale * pts
+
+
+def primal_only():
+    """``min_enclosing_ball`` with no block pivots: the single pivots
+    (``geometry._single_pivots``) decide every ball."""
+    return mock.patch.object(geometry, "PROPOSAL_PIVOTS", 0)
 
 
 class TestUpdatedQR:
-    """The ball, and the walk alone, against ``reference_min_enclosing_ball``,
-    which factors T afresh at every pivot."""
+    """The ball, and the single pivots alone, against
+    ``reference_min_enclosing_ball``, the walk on center coordinates that
+    factors T afresh by QR at every pivot: a different algorithm."""
 
     @staticmethod
     def assert_same_ball(points):
         pts = np.asarray(points, float)
         ref = reference_min_enclosing_ball(pts)
-        with walk_only():
-            walked = min_enclosing_ball(pts)
+        with primal_only():
+            single = min_enclosing_ball(pts)
         scale = float(np.abs(pts).max())
-        for ball in (min_enclosing_ball(pts), walked):
+        for ball in (min_enclosing_ball(pts), single):
             assert abs(ball.radius - ref.radius) <= 1e-12 * scale
             assert float(np.abs(ball.center - ref.center).max()) <= 1e-12 * scale
             assert_certified(pts, ball, ref.support)
+
+    @given(cospherical_clouds())
+    @example(7.0 + 1e-3 * circle(5, dim=2))
+    @example(7.0 + 1e-3 * circle(8))
+    @settings(max_examples=150, deadline=None)
+    def test_clouds_with_ties_and_copies(self, pts):
+        # The reference certifies at the points' own scale, where r^2 loses
+        # eps * max |p|^2 to cancellation, so it solves the cloud moved to
+        # p_0.  The gap bound is the one min_enclosing_ball documents.  Far
+        # from the origin, rounding leaves cospherical points off their
+        # sphere by more than that bound and less than the 1e-12 outside
+        # test: the examples pin two such circles.
+        rel = pts - pts[0]
+        ref = reference_min_enclosing_ball(rel)
+        s = math.ldexp(1.0, math.frexp(float(np.abs(rel).max()))[1])
+        bound = MEB_GAP_RTOL * max(s * s, float((rel * rel).sum(axis=1).max()))
+        scale = float(np.abs(pts).max())
+        with primal_only():
+            single = min_enclosing_ball(pts)
+        for ball in (min_enclosing_ball(pts), single):
+            assert abs(ball.radius - ref.radius) <= 1e-12 * scale
+            assert float(np.abs(ball.center - pts[0] - ref.center).max()) <= 1e-12 * scale
+            assert ball.gap <= bound
 
     def test_catalog_configurations(self):
         gen = np.random.default_rng(31)
@@ -425,10 +470,11 @@ class TestUpdatedQR:
             return qr(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "qr", counted)
-        # The regular simplex: every pivot adds a point.
+        # The program factors nothing: both phases solve on the squared
+        # distances.  The regular simplex: every pivot adds a point.
         simplex = realize(Graph.empty(16), SQRT2, SQRT2).points
         min_enclosing_ball(simplex)
-        with walk_only():
+        with primal_only():
             min_enclosing_ball(simplex)
         assert calls == []
         # The reference factors once per pivot, and each pivot adds a point
@@ -443,7 +489,7 @@ class TestUpdatedQR:
             min_enclosing_ball(pts)
             assert len(calls) <= left
             calls.clear()
-            with walk_only():
+            with primal_only():
                 min_enclosing_ball(pts)
             assert len(calls) <= left
             removals += left
@@ -451,33 +497,27 @@ class TestUpdatedQR:
 
 
 class TestBallProposal:
-    """A block-pivoting proposal of the support, certified by the duality
-    gap, comes before the walk; ``reference_min_enclosing_ball``, the walk
-    alone, is the oracle.  Checked at the embedding that ``embed`` prints,
-    t = tau1 (t = 4 where there is no tau1)."""
+    """Block pivots propose the support, certified by the duality gap, and
+    single pivots finish a ball they do not settle;
+    ``reference_min_enclosing_ball``, the walk on center coordinates, is
+    the oracle.  Checked at the embedding that ``embed`` prints, t = tau1
+    (t = 4 where there is no tau1)."""
 
     @staticmethod
     def balls_against_oracle(graphs, monkeypatch):
-        """(number of balls, number certified from the proposal)."""
-        proposed, balls = [], []
-        original, ball_of = geometry._active_set, geometry._ball
-        monkeypatch.setattr(
-            geometry,
-            "_active_set",
-            lambda *args: proposed.append(original(*args)) or proposed[-1],
-        )
+        """(number of balls, number certified from the block pivots)."""
+        balls = []
+        ball_of = geometry._ball
+        single = count_calls(monkeypatch, geometry, "_single_pivots")
         monkeypatch.setattr(geometry, "_ball", lambda *args: balls.append(args) or ball_of(*args))
         certified = 0
         for g in graphs:
             tau1 = invariants.tau1_mu(g)[0]
             pts = realize(g, 2.0 if tau1 is None else math.sqrt(float(tau1))).points
-            proposed.clear()
+            single.clear()
             balls.clear()
             ball = min_enclosing_ball(pts)
             assert abs(ball.radius - reference_min_enclosing_ball(pts).radius) <= 1e-12, g
-            if proposed[0] is None or len(balls) > 1:
-                continue  # the walk decided
-            certified += 1
             # T is affinely independent exactly: its bordered determinant
             # C_T does not vanish at t
             support = tuple(np.flatnonzero(ball.weights > 0.0).tolist())
@@ -486,6 +526,8 @@ class TestBallProposal:
                 assert c_t(Fraction(4)) != 0, g
             else:
                 assert sign_at(c_t, tau1) != 0, (g, support)
+            if not single and len(balls) == 1:
+                certified += 1
         return len(graphs), certified
 
     def test_pool_certified_from_proposal(self, monkeypatch):
@@ -495,6 +537,55 @@ class TestBallProposal:
     def test_small_graphs_against_walk(self, monkeypatch):
         balls, certified = self.balls_against_oracle(graphs_up_to_7(), monkeypatch)
         assert balls == 1252 and certified >= 0.75 * balls
+
+    @pytest.mark.parametrize(
+        "word, failure",
+        [
+            ("OnovzJpJkuo]UDzH]yxjO", "cycle"),
+            ("D@[", "cycle"),
+            ("Olo[DQmXEeFtU_GsHDTJU", "cap"),
+            ("FKChw", "cap"),
+            ("F??Wo", "singular"),
+            ("F@OXW", "singular"),
+            ("FGLZw", "dependent"),
+            ("FGL^w", "dependent"),
+        ],
+    )
+    def test_single_pivots_finish_failed_block_pivots(self, monkeypatch, word, failure):
+        # each way the block pivots give up: T comes back, PROPOSAL_PIVOTS
+        # distinct T, a Gram matrix that is not positive definite, or an
+        # accepted T that is affinely dependent
+        g = parse_graph6(word)
+        tau1 = invariants.tau1_mu(g)[0]
+        pts = realize(g, 2.0 if tau1 is None else math.sqrt(float(tau1))).points
+        block, singular = [], []
+        solve, cholesky = geometry._bordered_solve, np.linalg.cholesky
+
+        def logged_solve(d, support):
+            if not single:
+                block.append(tuple(support))
+            return solve(d, support)
+
+        def logged_cholesky(a):
+            try:
+                return cholesky(a)
+            except np.linalg.LinAlgError:
+                singular.append(a)
+                raise
+
+        single = count_calls(monkeypatch, geometry, "_single_pivots")
+        monkeypatch.setattr(geometry, "_bordered_solve", logged_solve)
+        monkeypatch.setattr(np.linalg, "cholesky", logged_cholesky)
+        min_enclosing_ball(pts)
+        monkeypatch.undo()
+        if singular:
+            got = "singular"
+        elif len(block) < geometry.PROPOSAL_PIVOTS:
+            got = "dependent"
+        else:
+            got = "cycle" if len(set(block)) < len(block) else "cap"
+        assert single["_single_pivots"] == 1 and got == failure
+        TestUpdatedQR.assert_same_ball(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -749,23 +840,29 @@ class TestActiveSetSolve:
         invariants.clear_caches()
 
     def test_first_active_set_failure_falls_back(self, monkeypatch):
-        # a singular first bordered system goes to the exact walk from all
-        # n points, which bisects and still finds the oracle's beta*^2
+        # block pivots that settle nothing on the first active set leave it
+        # to the single pivots, which propose the block pivots' support,
+        # and the solve still finds the oracle's beta*^2
         original = geometry._active_set
         for g in [Graph.cycle(5), Graph.path(4), Graph.empty(3)] + joins12_corpus(3):
             invariants.clear_caches()
             invariants.tau1_mu(g)  # the window's own work is not the walk's
-            calls = []
+            first = []
 
             def first_fails(d, start):
-                calls.append(start)
-                return None if len(calls) == 1 else original(d, start)
+                if first:
+                    return original(d, start)
+                with mock.patch.object(geometry, "PROPOSAL_PIVOTS", 0):
+                    got = original(d, start)
+                first.append((got[0], single["_single_pivots"], original(d, start)[0]))
+                return got
 
             monkeypatch.setattr(geometry, "_active_set", first_fails)
-            walks = count_calls(monkeypatch, invariants, "smallest_root_greater_than")
+            single = count_calls(monkeypatch, geometry, "_single_pivots")
             got = solve_phi(g, 0.97)
             monkeypatch.undo()
-            assert walks["smallest_root_greater_than"] >= 1
+            support, ran, block = first[0]
+            assert ran == 1 and support == block, g
             assert got.compare(ball_solve_phi(g, 0.97)) == 0, g
 
     def test_active_set_matches_enclosing_ball(self, rng):

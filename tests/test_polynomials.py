@@ -28,6 +28,7 @@ from reference import (
     eval_interval,
     is_valid,
     remainder_gcd,
+    remainder_squarefree,
     roots_in_window,
     sturm_compare,
     sturm_multiplicity_at,
@@ -512,6 +513,22 @@ class TestReferenceGcd:
         assert remainder_gcd(poly(-4, 0, 2), ZERO) == poly_gcd(poly(-4, 0, 2), ZERO)
         assert remainder_gcd(ZERO, ZERO) == ZERO
 
+    def test_split_equals_squarefree_decomposition(self, rng):
+        # planted repeated factors, each drawn primitive and squarefree
+        # apart from the others only by chance
+        planted = 0
+        for _ in range(60):
+            p = poly(rng.randrange(1, 10))
+            for mult in range(1, rng.randrange(2, 5)):
+                factor = poly(*[rng.randrange(-9, 10) for _ in range(rng.randrange(2, 4))])
+                if not factor.is_zero:
+                    p = p * factor**mult
+            got = remainder_squarefree(p)
+            assert got == squarefree_decomposition(p)
+            planted += any(m > 1 for _, m in got)
+        assert planted >= 30
+        assert remainder_squarefree(poly(6)) == squarefree_decomposition(poly(6)) == []
+
     def test_references_take_no_modular_test(self, monkeypatch):
         from twodist import polynomials
 
@@ -529,6 +546,10 @@ class TestReferenceGcd:
         roots = list(roots_in_window(f, AlgebraicReal(poly(-4, 1), Fraction(3), Fraction(5))))
         assert [cmp_rational(r, 2) for r in roots] == [-1, -1]
         assert sturm_compare(roots[0], sqrt2) == 0 and sturm_compare(roots[1], sqrt3) == 0
+        for p, mult in ((poly(-2, 0, 1) * poly(-3, 0, 1), 1), (f, 2)):
+            root, got = sturm_smallest_root_greater_than(p, 1)
+            assert sturm_compare(root, sqrt2) == 0 and got == mult
+        assert remainder_squarefree(f) == [(poly(-3, 0, 1) * poly(-5, 1), 1), (poly(-2, 0, 1), 2)]
 
 
 class TestNearestFloat:

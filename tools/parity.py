@@ -10,8 +10,11 @@ The lines are, in order:
   n <= 7, of the embed16 pool and of ``joins12_corpus(60)``;
 - ``decompose``: the exit code and output of ``twodist decompose WORD``
   on every graph of the ``record`` lines, in the same order;
-- ``embed``: the output of ``twodist embed WORD --model euclidean`` on each
-  graph of the embed16 pool;
+- ``embed``: the output of ``twodist embed WORD --model euclidean`` on every
+  non-complete graph with n <= 7, then on each graph of the embed16 pool:
+  the enclosing radius at tau1 (t = 4 without tau1), so a diff covers the
+  balls that the block pivots settle and those that the single pivots
+  finish;
 - ``solve``: ``float(solve_phi(g, r))`` for r = 1 and r = 0.97 on every
   non-complete graph with 2 <= n <= 7, then on ``joins12_corpus(60)`` and
   on the first 50 graphs of the embed16 pool, whose supports pass 7
@@ -84,7 +87,8 @@ def main(argv: list[str] | None = None) -> int:
     for word, _ in graphs:
         print("decompose", word, *_run(["decompose", word]))
         invariants.clear_caches()
-    for word in pool:
+    embedded = [to_graph6(g) for g in small if not is_complete(g)]
+    for word in embedded + pool:
         print("embed", word, *_run(["embed", word, "--model", "euclidean"]))
         invariants.clear_caches()
     solved = [g for g in small if g.n >= 2 and not is_complete(g)]
