@@ -77,6 +77,19 @@ def _dec(x) -> float:
     return float(f"{float(x):.15g}")
 
 
+def _dec_text(x: float) -> str:
+    """``json.dumps(_dec(x))`` from one decimal conversion.  At most 15
+    significant digits read back to a double whose shortest repr has the
+    same digits (DBL_DIG = 15), so only the layout can differ: repr writes
+    ".0" after an integral value, and 1e15 <= |y| < 1e16 without an
+    exponent.  Subnormals, which hold fewer than 15 digits, nan and inf
+    take ``json.dumps`` itself."""
+    text = f"{x:.15g}"
+    if "e+" in text or not math.isfinite(x) or 0.0 < abs(x) < sys.float_info.min:
+        return json.dumps(_dec(x))
+    return text if "." in text or "e" in text else text + ".0"
+
+
 def _enclosure(lo: Fraction, hi: Fraction) -> list[float]:
     """Decimal rendering of an enclosure: 15 significant digits, lo rounded
     down and hi up, so the printed interval holds the exact one."""
@@ -185,14 +198,12 @@ def _cmd_embed(args) -> int:
         )
     if radius is None:
         radius = geometry.min_enclosing_ball(config.points).radius
-    out = {
-        "points": [[_dec(v) for v in row] for row in config.points],
-        "a": _dec(config.a),
-        "b": _dec(config.b),
-        "rank": config.rank,
-        "radius": _dec(radius),
-    }
-    print(json.dumps(out))
+    # json.dumps of {"points", "a", "b", "rank", "radius"}, token by token
+    rows = ", ".join(f"[{', '.join(map(_dec_text, row))}]" for row in config.points.tolist())
+    print(
+        f'{{"points": [{rows}], "a": {_dec_text(config.a)}, "b": {_dec_text(config.b)}, '
+        f'"rank": {config.rank}, "radius": {_dec_text(radius)}}}'
+    )
     return 0
 
 

@@ -92,7 +92,8 @@ class PointConfig:
         edge = g.adjacency()[i, j].astype(bool)
         target = np.where(edge, self.a, self.b)
         scale = max(self.a, self.b, 1.0)
-        residual = np.abs(self.distance_matrix()[i, j] - target) / scale
+        diff = self.points[i] - self.points[j]  # the upper pairs alone
+        residual = np.abs(np.sqrt((diff**2).sum(axis=-1)) - target) / scale
         worst = float(np.max(residual, initial=0.0))  # NaN propagates
         return math.inf if math.isnan(worst) else worst
 
@@ -195,14 +196,15 @@ def _unscaled_gap(gap: float, e: int) -> float:
 
 
 def _ball(
-    pts: np.ndarray, rel: np.ndarray, e: int, sqnorms: np.ndarray, lam: np.ndarray
+    pts: np.ndarray, rel: np.ndarray, e: int, sqnorms: np.ndarray, lam: np.ndarray, r2: float
 ) -> Ball:
     """The ball of the barycentric weights ``lam`` on ``rel``, the points
     ``pts`` less pts[0], scaled by 2**-e (``sqnorms`` their squared
-    norms), certified there and returned at the points' own scale.  A
-    duality gap above ``MEB_GAP_RTOL`` * max(1, max |rel|^2) raises
+    norms), certified there and returned at the points' own scale, with
+    the squared radius ``r2`` of its support's bordered solve.  A duality
+    gap above ``MEB_GAP_RTOL`` * max(1, max |rel|^2) raises
     ``GeometricInconsistencyError``."""
-    c, r2, gap = _dual_certificate(rel, sqnorms, lam)
+    c, _, gap = _dual_certificate(rel, sqnorms, lam)
     bound = MEB_GAP_RTOL * max(1.0, float(sqnorms.max()))
     if gap > bound:
         raise GeometricInconsistencyError(
@@ -221,13 +223,14 @@ def _ball(
     )
 
 
-def _bordered_solve(d: np.ndarray, support: Sequence[int]) -> tuple[np.ndarray, float]:
+def _bordered_solve(d: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, float]:
     """(lam, nu) solving [[D_T, 1], [1^T, 0]] [lam; nu] = [0; 1] for the
-    points T = ``support``: the barycentric weights of T's circumcenter,
-    and nu = -2 R_T^2.  A singular system raises ``LinAlgError``."""
+    points T = ``support``, an index array: the barycentric weights of T's
+    circumcenter, and nu = -2 R_T^2.  A singular system raises
+    ``LinAlgError``."""
     k = len(support)
     m = np.ones((k + 1, k + 1))
-    m[:k, :k] = d[np.ix_(support, support)]
+    m[:k, :k] = d[support][:, support]
     m[k, k] = 0.0
     rhs = np.zeros(k + 1)
     rhs[k] = 1.0
@@ -248,8 +251,9 @@ def _active_set(
     d: np.ndarray, start: Sequence[int]
 ) -> tuple[tuple[int, ...], np.ndarray, float]:
     """(T, lam, R^2): the support T of the enclosing ball of the points
-    with squared distances d, its center's barycentric weights lam on T and
-    its squared radius, in floats.  The one support of
+    with squared distances d, in increasing order, its center's barycentric
+    weights lam on T and its squared radius -nu/2 from the bordered solve
+    on T in that order, in floats.  The one support of
     ``min_enclosing_ball`` and ``solve_phi``: the standard quadratic
     program max lam^T D lam / 2 over the simplex, whose optimum is the
     ball's center, in two phases on the same bordered solve
@@ -321,7 +325,8 @@ def _single_pivots(d: np.ndarray, tol: float) -> tuple[tuple[int, ...], np.ndarr
         j = int(np.argmax(excess))
         if excess[j] <= tol:
             order = np.argsort(support)
-            return tuple(support[order].tolist()), w[order], -0.5 * nu
+            support = support[order]
+            return tuple(support.tolist()), w[order], -0.5 * _bordered_solve(d, support)[1]
         gram = _difference_gram(d, np.append(support, j))
         a = np.linalg.solve(gram[:-1, :-1], gram[:-1, -1])
         if gram[-1, -1] - gram[:-1, -1] @ a > RANK_RTOL * gram[-1, -1]:
@@ -339,9 +344,11 @@ def min_enclosing_ball(points: Sequence[Sequence[float]] | np.ndarray) -> Ball:
     """Smallest ball containing the points, with a dual certificate.
 
     ``_active_set`` finds the support on the squared distances, from one
-    Gram matrix: block pivots from the points whose mean squared distance
-    is at least the mean, then single pivots if those do not settle it.
-    The duality gap of its barycentric weights certifies the ball.  When
+    Gram matrix: block pivots from the min(n, d + 1) points of largest mean
+    squared distance, as many as a support in R^d can hold, then single
+    pivots if those do not settle it.  The duality gap of its barycentric
+    weights certifies the ball, and the radius is read from the support
+    alone, by its bordered solve, whichever pivots found it.  When
     the support misses that certificate, the single pivots
     (``_single_pivots``) decide alone, with the certificate's own bound as
     the outside test's tolerance: far from the origin, rounding can leave
@@ -369,13 +376,13 @@ def min_enclosing_ball(points: Sequence[Sequence[float]] | np.ndarray) -> Ball:
     sqnorms = (rel * rel).sum(axis=1)
     sq = sqnorms[:, None] + sqnorms - 2.0 * (rel @ rel.T)
     np.fill_diagonal(sq, 0.0)
-    mean = sq.mean(axis=1)
-    support, lam, _ = _active_set(sq, np.flatnonzero(mean >= mean.mean()))
+    start = np.argsort(-sq.mean(axis=1), kind="stable")[: pts.shape[1] + 1]
+    support, lam, r2 = _active_set(sq, start)
     try:
-        return _ball(pts, rel, e, sqnorms, np.bincount(support, lam, n))
+        return _ball(pts, rel, e, sqnorms, np.bincount(support, lam, n), r2)
     except GeometricInconsistencyError:
-        support, lam, _ = _single_pivots(sq, MEB_GAP_RTOL * max(1.0, float(sqnorms.max())))
-    return _ball(pts, rel, e, sqnorms, np.bincount(support, lam, n))
+        support, lam, r2 = _single_pivots(sq, MEB_GAP_RTOL * max(1.0, float(sqnorms.max())))
+    return _ball(pts, rel, e, sqnorms, np.bincount(support, lam, n), r2)
 
 
 # ---------------------------------------------------------------------------

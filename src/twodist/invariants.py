@@ -667,8 +667,9 @@ def dim_s_bounded(g: Graph, r0_squared: Fraction | int | float) -> int:
 
 
 def clear_caches() -> None:
-    """Drop memoized invariants (use after changing tolerances)."""
-    _moduli.cache_clear()
+    """Drop memoized invariants (use after changing tolerances).  The walk
+    kernel's ``_moduli`` stay: a pure function of (n, d) that reads no
+    configuration, so ``batch`` searches for each size's primes once."""
     _walk_data.cache_clear()
     join_factors.cache_clear()
     cm_polynomials.cache_clear()

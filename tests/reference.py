@@ -316,7 +316,8 @@ def reference_min_enclosing_ball(points: Sequence[Sequence[float]] | np.ndarray)
     toward the circumcenter of aff(T), a point reaching the sphere joins T,
     and at the circumcenter the most negative weight leaves T.  aff(T) is
     factored by ``np.linalg.qr`` and both triangular systems are solved at
-    every pivot, at the points' own scale."""
+    every pivot.  All of it runs on the points less p_0, and the center is
+    moved back by p_0 at the end."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-d array")
@@ -362,20 +363,24 @@ def reference_min_enclosing_ball(points: Sequence[Sequence[float]] | np.ndarray)
         raise GeometricInconsistencyError(
             f"enclosing ball: no optimum in {20 * n} pivots"
         )
+    # Measured on rel too: at the points' own scale r^2 and the gap would
+    # lose eps * max |p|^2 to cancellation.  The bound takes the smaller of
+    # the two scales, so it is never looser than at the points' own.
     lam = np.bincount(support, weights, n)
-    sqnorms = (pts * pts).sum(axis=1)
-    c = lam @ pts
-    r2 = float((sqnorms - 2.0 * pts @ c + c @ c).max())
+    sqnorms = (rel * rel).sum(axis=1)
+    c = lam @ rel
+    r2 = float((sqnorms - 2.0 * rel @ c + c @ c).max())
     gap = r2 - float(lam @ sqnorms - c @ c)
-    bound = MEB_GAP_RTOL * max(1.0, float(sqnorms.max()))
+    scale = min(float(sqnorms.max()), float((pts * pts).sum(axis=1).max()))
+    bound = MEB_GAP_RTOL * max(1.0, scale)
     if gap > bound:
         raise GeometricInconsistencyError(
             f"enclosing ball duality gap {gap:.3g} above {bound:.3g}"
         )
     radius = math.sqrt(max(r2, 0.0))
-    dist = np.sqrt(np.maximum(sqnorms - 2.0 * pts @ c + c @ c, 0.0))
+    dist = np.sqrt(np.maximum(sqnorms - 2.0 * rel @ c + c @ c, 0.0))
     near = tuple(i for i in range(n) if dist[i] >= radius - 1e-7 * max(1.0, radius))
-    return Ball(c, radius, near, float(max(gap, 0.0)), lam)
+    return Ball(pts[0] + c, radius, near, float(max(gap, 0.0)), lam)
 
 
 def origin_in_convex_hull(points: np.ndarray, tol: float) -> bool:

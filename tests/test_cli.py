@@ -5,12 +5,13 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from conftest import joins12_corpus
+from conftest import embed16_pool, joins12_corpus
 from reference import cmp_rational, reference_min_enclosing_ball
 from twodist import invariants
-from twodist.cli import _enclosure, analysis_record, main
+from twodist.cli import _dec, _dec_text, _enclosure, analysis_record, main
 from twodist.config import Config, override, set_config
 from twodist.graphs import (
     Graph,
@@ -297,6 +298,60 @@ class TestEmbed:
             ball = reference_min_enclosing_ball(rec["points"])
             assert abs(ball.radius - rec["radius"]) < 1e-12
 
+    def test_output_is_json_of_the_decimal_record(self, capsys, monkeypatch):
+        # embed writes its line token by token: it is json.dumps of the
+        # record of 15-digit decimals, given the same configuration and
+        # radius, on the small graphs (n = 1 prints [[]]) and the pool
+        from twodist import geometry
+
+        seen = []
+        realize, ball = geometry.realize, geometry.min_enclosing_ball
+        monkeypatch.setattr(geometry, "realize", lambda *a: seen.append(realize(*a)) or seen[-1])
+        monkeypatch.setattr(geometry, "min_enclosing_ball", lambda p: seen.append(ball(p)) or seen[-1])
+        words = [to_graph6(g) for n in range(1, 6) for g in enumerate_graphs(n)]
+        for word in words + [to_graph6(g) for g in embed16_pool()]:
+            seen.clear()
+            code, out, _ = run(capsys, "embed", word, "--model", "euclidean")
+            config, radius = seen[0], seen[1].radius
+            old = {
+                "points": [[_dec(v) for v in row] for row in config.points],
+                "a": _dec(config.a),
+                "b": _dec(config.b),
+                "rank": config.rank,
+                "radius": _dec(radius),
+            }
+            assert code == 0 and out == json.dumps(old) + "\n", word
+            invariants.clear_caches()
+
+
+class TestDecimalText:
+    """``_dec_text(x)``, one decimal conversion, against the text of
+    ``json.dumps(_dec(x))``, two conversions and a shortest-repr search."""
+
+    @staticmethod
+    def assert_same_text(values):
+        bad = [x for x in values if _dec_text(x) != json.dumps(_dec(x))]
+        assert bad == []
+
+    def test_seeded_floats_in_every_binade(self):
+        bits = np.random.default_rng(32).integers(0, 1 << 64, 100_000, dtype=np.uint64, endpoint=False)
+        values = bits.view(np.float64)
+        assert len(np.unique(bits >> np.uint64(52))) == 4096  # every sign and exponent
+        self.assert_same_text(values.tolist())
+
+    def test_layout_boundaries(self):
+        tiny, huge = sys.float_info.min, sys.float_info.max
+        edges = [0.0, -0.0, 1.0, -3.0, 100.0, 2.0**52, 2.0**53, 123456789012345.0]
+        edges += [1e-5, 1e-4, 1e15, 1e16, -1e15, 1e17]
+        edges += [math.nextafter(x, y) for x in (1e-5, 1e-4, 1e15, 1e16) for y in (0.0, math.inf)]
+        # 15 digits round up into the next decade
+        edges += [999999999999999.94, 9.9999999999999995e-5, 9.99999999999999999e-6, 99999.99999999999]
+        edges += [9999999999999998.0, 0.99999999999999994, 9.999999999999999e22]
+        edges += [5e-324, -5e-324, math.nextafter(tiny, 0.0), tiny, -tiny, math.nextafter(tiny, 1.0)]
+        edges += [2.2250738585072e-308, huge, -huge, math.nan, math.inf, -math.inf]
+        self.assert_same_text(edges)
+        self.assert_same_text([math.ldexp(m, -1074) for m in range(1, 1 << 53, (1 << 53) // 9973)])
+
 
 class TestDecompose:
     def test_octahedron(self, capsys):
@@ -360,12 +415,14 @@ class TestBatch:
 
     def test_caches_cleared_after_each_word(self, capsys, tmp_path):
         # every lru_cache of invariants, found by introspection, is empty
-        # after a batch: a long batch does not keep every graph's invariants
+        # after a batch: a long batch does not keep every graph's invariants.
+        # The walk kernel's moduli, a function of (n, d) alone, stay.
         caches = [
             fn
             for fn in vars(invariants).values()
             if hasattr(fn, "cache_clear")
             and getattr(fn, "__module__", None) == invariants.__name__
+            and fn is not invariants._moduli
         ]
         assert {"_walk_data", "tau1_mu", "profile"} <= {fn.__name__ for fn in caches}
         path = tmp_path / "batch.g6"

@@ -403,14 +403,12 @@ class TestUpdatedQR:
     @example(7.0 + 1e-3 * circle(8))
     @settings(max_examples=150, deadline=None)
     def test_clouds_with_ties_and_copies(self, pts):
-        # The reference certifies at the points' own scale, where r^2 loses
-        # eps * max |p|^2 to cancellation, so it solves the cloud moved to
-        # p_0.  The gap bound is the one min_enclosing_ball documents.  Far
-        # from the origin, rounding leaves cospherical points off their
-        # sphere by more than that bound and less than the 1e-12 outside
-        # test: the examples pin two such circles.
+        # The gap bound is the one min_enclosing_ball documents.  Far from
+        # the origin, rounding leaves cospherical points off their sphere by
+        # more than that bound and less than the 1e-12 outside test: the
+        # examples pin two such circles.
         rel = pts - pts[0]
-        ref = reference_min_enclosing_ball(rel)
+        ref = reference_min_enclosing_ball(pts)
         s = math.ldexp(1.0, math.frexp(float(np.abs(rel).max()))[1])
         bound = MEB_GAP_RTOL * max(s * s, float((rel * rel).sum(axis=1).max()))
         scale = float(np.abs(pts).max())
@@ -418,7 +416,7 @@ class TestUpdatedQR:
             single = min_enclosing_ball(pts)
         for ball in (min_enclosing_ball(pts), single):
             assert abs(ball.radius - ref.radius) <= 1e-12 * scale
-            assert float(np.abs(ball.center - pts[0] - ref.center).max()) <= 1e-12 * scale
+            assert float(np.abs(ball.center - ref.center).max()) <= 1e-12 * scale
             assert ball.gap <= bound
 
     def test_catalog_configurations(self):
@@ -531,33 +529,44 @@ class TestBallProposal:
         return len(graphs), certified
 
     def test_pool_certified_from_proposal(self, monkeypatch):
+        # the start of support size settles 497 of the 500 pool balls
         balls, certified = self.balls_against_oracle(embed16_pool(), monkeypatch)
-        assert certified >= 0.8 * balls
+        assert certified >= 0.98 * balls
 
     def test_small_graphs_against_walk(self, monkeypatch):
+        # and 1,205 of the 1,252 small ones
         balls, certified = self.balls_against_oracle(graphs_up_to_7(), monkeypatch)
-        assert balls == 1252 and certified >= 0.75 * balls
+        assert balls == 1252 and certified >= 0.95 * balls
 
     @pytest.mark.parametrize(
-        "word, failure",
+        "case, failure",
         [
             ("OnovzJpJkuo]UDzH]yxjO", "cycle"),
-            ("D@[", "cycle"),
-            ("Olo[DQmXEeFtU_GsHDTJU", "cap"),
-            ("FKChw", "cap"),
-            ("F??Wo", "singular"),
-            ("F@OXW", "singular"),
+            ("DR[", "cycle"),
+            ("E@T_", "cycle"),
+            ("IV^NNqf|g", "cap"),
+            ("cloud-15-7x2", "cap"),
+            ("ELrw", "singular"),
+            ("FTTjw", "singular"),
             ("FGLZw", "dependent"),
             ("FGL^w", "dependent"),
         ],
     )
-    def test_single_pivots_finish_failed_block_pivots(self, monkeypatch, word, failure):
+    def test_single_pivots_finish_failed_block_pivots(self, monkeypatch, case, failure):
         # each way the block pivots give up: T comes back, PROPOSAL_PIVOTS
         # distinct T, a Gram matrix that is not positive definite, or an
-        # accepted T that is affinely dependent
-        g = parse_graph6(word)
-        tau1 = invariants.tau1_mu(g)[0]
-        pts = realize(g, 2.0 if tau1 is None else math.sqrt(float(tau1))).points
+        # accepted T that is affinely dependent.  A graph's ball is the one
+        # embed prints.  From a start of support size no graph with n <= 7
+        # and no pool graph reaches the cap: IV^NNqf|g is one of 3,000
+        # seeded G(n, 1/2), n = 8 to 16.  So is a Gaussian cloud
+        # "cloud-SEED-NxD" with n > d + 1
+        if case.startswith("cloud-"):
+            seed, shape = case.split("-")[1:]
+            pts = np.random.default_rng(int(seed)).standard_normal(tuple(map(int, shape.split("x"))))
+        else:
+            g = parse_graph6(case)
+            tau1 = invariants.tau1_mu(g)[0]
+            pts = realize(g, 2.0 if tau1 is None else math.sqrt(float(tau1))).points
         block, singular = [], []
         solve, cholesky = geometry._bordered_solve, np.linalg.cholesky
 

@@ -166,12 +166,15 @@ class TestSpectralRoute:
         assert cm_polynomials.cache_info().currsize == 0
 
     def test_clear_caches_empties_every_cache(self):
-        # every lru_cache defined in the module, found by introspection
+        # every lru_cache defined in the module, found by introspection,
+        # but the walk kernel's moduli, a pure function of (n, d) that
+        # clear_caches keeps
         caches = [
             fn
             for fn in vars(invariants).values()
             if hasattr(fn, "cache_clear")
             and getattr(fn, "__module__", None) == invariants.__name__
+            and fn is not invariants._moduli
         ]
         assert {"_walk_data", "_spectrum", "profile"} <= {fn.__name__ for fn in caches}
         invariants.clear_caches()
@@ -180,9 +183,12 @@ class TestSpectralRoute:
             for g in (Graph.cycle(5), Graph.path(4), Graph.petersen(), Graph.path(3)):
                 profile(g).tau0  # certified on first access, into tau0's cache
             assert all(fn.cache_info().currsize > 0 for fn in caches)
+            kept = invariants._moduli.cache_info().currsize
+            assert kept > 0
         finally:
             invariants.clear_caches()
         assert [fn.__name__ for fn in caches if fn.cache_info().currsize] == []
+        assert invariants._moduli.cache_info().currsize == kept
 
 
 @functools.lru_cache(maxsize=None)
@@ -245,6 +251,22 @@ class TestWalkKernel:
         moduli, m, _ = invariants._moduli(200, 199)
         assert max(moduli) <= 2**53 // (200**2 * 199) < 2**32 and m > 200 * 199**200
 
+    def test_clear_caches_keeps_moduli(self, capsys, tmp_path):
+        # batch clears the invariants after every word, but each size's
+        # primes are searched for once, and its output does not change
+        words = [to_graph6(g) for g in embed16_pool()[:4]]
+        assert all(invariants._moduli(16, max(parse_graph6(w).degrees()))[0] for w in words)
+        path = tmp_path / "pool.g6"
+        path.write_text("\n".join(words) + "\n")
+        invariants._moduli.cache_clear()
+        assert main(["batch", str(path)]) == 0
+        cold, searched = capsys.readouterr().out, invariants._moduli.cache_info()
+        assert main(["batch", str(path)]) == 0
+        warm, again = capsys.readouterr().out, invariants._moduli.cache_info()
+        assert again.currsize == searched.currsize > 0
+        assert again.misses == searched.misses and again.hits > searched.hits
+        assert warm == cold and len(cold.splitlines()) == len(words)
+
     def test_past_the_exact_range_raises_size_limit(self):
         # n^2 d p <= 2^53 leaves primes below 9 here, whose product is far
         # below n d^n: no modulus set keeps the counts exact
@@ -257,8 +279,10 @@ class TestWalkKernel:
         # is a join of single vertices, so cm_polynomials never runs the
         # kernel on it; the complement of C_10 (D = 7) is connected and
         # co-connected, and 5 * 3 cannot hold 10 * 7^10
+        # clear_caches keeps _moduli, which reads _EXACT: clear it too
         monkeypatch.setattr(invariants, "_EXACT", 1 << 12)
         invariants.clear_caches()
+        invariants._moduli.cache_clear()
         try:
             with pytest.raises(SizeLimitError, match="too few primes"):
                 invariants._walk_data(Graph.complete(10))
@@ -269,6 +293,7 @@ class TestWalkKernel:
             assert "size limit" in capsys.readouterr().err
         finally:
             invariants.clear_caches()
+            invariants._moduli.cache_clear()
 
     def test_complete_and_empty_closed_forms(self):
         t = IntPolynomial.x()
