@@ -17,11 +17,15 @@ certified exactly at one.  Then embeddings on the unit sphere with short
 distance sqrt(2), and the orthogonal join decomposition of such point sets.
 Neither needs an enclosing ball: the embedding's Gram matrix is
 I + (1 - t)Abar (Abar the complement's adjacency matrix, t = beta*^2/2),
-and each join block, affinely independent, is Type I or Type II by the
-projection of the origin onto its affine hull.  The long distance beta* is obtained once, in
-``invariants.beta_star_squared`` (from the complement's Perron root,
-certified by ``invariants.t_star``); ``beta_star_numeric`` and
-``jspherical_embedding`` read that cached value.
+and the decomposition reads one Gram matrix of the points.  Its blocks are
+the components of the long-distance graph, found on bit rows, and each
+block, affinely independent by the active set's own Cholesky test, is
+Type I or Type II by the projection of the origin onto its affine hull:
+the ball pivots' bordered system, on the block's Gram matrix in place of
+its squared distances, one solve for all blocks.  The long distance beta*
+is obtained once, in ``invariants.beta_star_squared`` (from the
+complement's Perron root, certified by ``invariants.t_star``);
+``beta_star_numeric`` and ``jspherical_embedding`` read that cached value.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .errors import (
     InfeasibleDistanceError,
     UndecidableEnclosureError,
 )
-from .graphs import Graph, complement_component_sets, is_complete
+from .graphs import Graph, _component_sets, is_complete
 from .polynomials import AlgebraicReal, IntPolynomial, det_poly_matrix, sign_at
 from . import invariants
 
@@ -79,10 +83,6 @@ class PointConfig:
     @property
     def n(self) -> int:
         return self.points.shape[0]
-
-    def distance_matrix(self) -> np.ndarray:
-        diff = self.points[:, None, :] - self.points[None, :, :]
-        return np.sqrt((diff**2).sum(axis=2))
 
     def max_distance_residual(self, g: Graph) -> float:
         """Largest relative deviation of realized distances from (a, b)
@@ -247,6 +247,18 @@ def _difference_gram(d: np.ndarray, points: np.ndarray) -> np.ndarray:
     return 0.5 * (head[:, None] + head - d[np.ix_(rest, rest)])
 
 
+def _affinely_independent(gram: np.ndarray) -> bool:
+    """Whether points whose difference Gram matrix (of p_a - p_0) is
+    ``gram`` are affinely independent: ``gram`` has a Cholesky factor, and
+    the square of its every diagonal entry exceeds ``RANK_RTOL`` times the
+    Gram matrix's own diagonal entry there."""
+    try:
+        diagonal = np.linalg.cholesky(gram).diagonal()
+    except np.linalg.LinAlgError:
+        return False
+    return bool((diagonal * diagonal > RANK_RTOL * gram.diagonal()).all())
+
+
 def _active_set(
     d: np.ndarray, start: Sequence[int]
 ) -> tuple[tuple[int, ...], np.ndarray, float]:
@@ -265,11 +277,10 @@ def _active_set(
     First at most ``PROPOSAL_PIVOTS`` block principal pivots (Judice &
     Pires 1994) from T = ``start``: T keeps its points of positive weight
     and takes in every point outside.  A pivot that keeps T is accepted
-    when T is affinely independent: the square of every diagonal entry of
-    the Cholesky factor of its difference Gram matrix (``_difference_gram``)
-    exceeds ``RANK_RTOL`` times the Gram matrix's own diagonal entry there.
-    A singular system, a dependent T or the cap, which a cycle of T
-    reaches, leaves the ball to ``_single_pivots``."""
+    when T is affinely independent (``_affinely_independent`` on its
+    difference Gram matrix, ``_difference_gram``).  A singular system, a
+    dependent T or the cap, which a cycle of T reaches, leaves the ball to
+    ``_single_pivots``."""
     tol = 1e-12 * max(1.0, float(d.max()))
     member = np.zeros(len(d), dtype=bool)
     member[list(start)] = True
@@ -281,9 +292,7 @@ def _active_set(
             outside[support] = False
             positive = lam > 0.0
             if positive.all() and not outside.any():
-                gram = _difference_gram(d, support)
-                diagonal = np.diag(np.linalg.cholesky(gram))
-                if (diagonal * diagonal > RANK_RTOL * np.diag(gram)).all():
+                if _affinely_independent(_difference_gram(d, support)):
                     return tuple(support.tolist()), lam, -0.5 * nu
                 break
             member[support[~positive]] = False
@@ -603,81 +612,126 @@ def _linear_rank(points: np.ndarray, rtol: float) -> int:
     return int((svals > rtol * svals[0]).sum())
 
 
-def _origin_against_hull(points: np.ndarray) -> tuple[bool, float]:
-    """(Type I?, distance) for the affinely independent ``points``: the
-    projection q of the origin onto their affine hull, one ``lstsq``, with
-    its barycentric weights w.  Type I when |q| <= ``HULL_TOL`` (max-norm)
-    and every w >= -``HULL_TOL``: the origin is in the convex hull.  The
-    distance is |q|.  A ``lstsq`` rank below len(points) - 1 raises
-    ``GeometricInconsistencyError``."""
-    q0 = points[0]
-    basis = (points[1:] - q0).T
-    sol, _, rank, _ = np.linalg.lstsq(basis, -q0, rcond=None)
-    if rank < len(points) - 1:
+def _origin_against_hull(
+    gram: np.ndarray, points: np.ndarray, spans: Sequence[tuple[int, int]]
+) -> tuple[list[bool], list[float]]:
+    """(Type I?, distance) for each block points[start:stop] of affinely
+    independent points, (start, stop) in ``spans``, which cover the points
+    in order, from their Gram matrix ``gram``, of which only the blocks'
+    diagonal parts are read.
+
+    For a block T, the projection q = w^T P_T of the origin onto T's affine
+    hull has the barycentric weights w of the ball pivots' bordered system
+    (``_bordered_solve``) on T's Gram matrix, [[G_T, 1], [1^T, 0]] [w; nu]
+    = [0; 1], which minimizes |q|^2 = w^T G_T w over sum w = 1.  All blocks
+    take one solve, of those systems side by side (block-diagonal, one
+    border row per block), and one affine-independence test
+    (``_affinely_independent``) of their difference Gram matrices side by
+    side.  q is summed from the points, not read as sqrt(-nu), which keeps
+    its digits near the origin.  Type I when |q| <= ``HULL_TOL``
+    (max-norm) and every w >= -``HULL_TOL``: the origin is in the convex
+    hull.  The distance is |q|.  A block that is not affinely independent
+    raises ``GeometricInconsistencyError``."""
+    n, count = len(points), len(spans)
+    bordered = np.zeros((n + count, n + count))
+    differences = np.zeros((n - count, n - count))
+    for t, (start, stop) in enumerate(spans):
+        block = gram[start:stop, start:stop]
+        bordered[start:stop, start:stop] = block
+        bordered[start:stop, n + t] = bordered[n + t, start:stop] = 1.0
+        # p_a - p_start for start < a < stop; the t blocks before lost a row each
+        rows = slice(start - t, stop - t - 1)
+        differences[rows, rows] = block[1:, 1:] - block[1:, :1] - block[:1, 1:] + block[0, 0]
+    if not _affinely_independent(differences):
         raise GeometricInconsistencyError(
-            f"join block of {len(points)} points has affine rank {rank}"
+            f"a join block has affine rank below its size less one (spans {list(spans)})"
         )
-    q = q0 + basis @ sol
-    weights = np.append(sol, 1.0 - sol.sum())
-    inside = float(np.abs(q).max()) <= HULL_TOL and float(weights.min()) >= -HULL_TOL
-    return inside, float(np.linalg.norm(q))
+    rhs = np.zeros(n + count)
+    rhs[n:] = 1.0
+    weights = np.linalg.solve(bordered, rhs)[:n]
+    starts = [start for start, _ in spans]
+    q = np.add.reduceat(weights[:, None] * points, starts)
+    low = np.minimum.reduceat(weights, starts)
+    inside = (np.abs(q).max(axis=1) <= HULL_TOL) & (low >= -HULL_TOL)
+    return inside.tolist(), np.sqrt((q * q).sum(axis=1)).tolist()
 
 
 def kuperberg_decompose(config: PointConfig) -> PointFactorization:
     """Orthogonal join decomposition of a unit-sphere two-distance set
     with short distance sqrt(2).
 
-    The partition comes from the connected components of the complement of
-    the short-distance graph; each block is then verified geometrically
-    (cross-block orthogonality) and labeled Type I when the origin lies in
-    its convex hull, Type II otherwise; a Type II block whose affine hull
-    passes within ``HULL_TOL`` of the origin is flagged.  A block's Gram
-    matrix is I + (1 - t)Abar_B with Abar_B connected, so by Perron-Frobenius
-    the block is affinely independent, and when the origin lies in its
-    affine hull its barycentric weights are positive: one projection of
-    the origin onto that hull decides the type (``_origin_against_hull``).
-    Exactly |S| - rank(S) blocks must be Type I."""
+    Every test reads one Gram matrix G = P P^T of the points: the unit
+    sphere its diagonal, the minimum distance and the long distances the
+    squared distances g_ii + g_jj - 2 g_ij (clamped at 0).  The blocks are
+    the connected components of the long-distance graph, from its bit rows;
+    they must be mutually orthogonal (|G| <= ``ORTH_TOL`` across blocks).
+    Each is labeled Type I when the origin lies in its convex hull, Type II
+    otherwise; a Type II block whose affine hull passes within
+    ``HULL_TOL`` of the origin is flagged.  A block's Gram matrix is I + (1
+    - t)Abar_B with Abar_B connected, so by Perron-Frobenius the block is
+    affinely independent, and when the origin lies in its affine hull its
+    barycentric weights are positive: one projection of the origin onto
+    that hull decides the type (``_origin_against_hull``, on G with the
+    points in block order).  Exactly |S| - rank(S) blocks must be Type I.
+
+    An empty point set raises ``ValueError``; a long distance b that is
+    not finite, or a point off the unit sphere (a NaN coordinate included),
+    raises ``GeometricInconsistencyError``."""
     cfg = get_config()
     pts = config.points
     n = pts.shape[0]
-    norms = np.linalg.norm(pts, axis=1)
-    if n and float(np.abs(norms - 1.0).max()) > cfg.dist_tol:
+    if not n:
+        raise ValueError("config.points must hold at least one point")
+    if not math.isfinite(config.b):
+        raise GeometricInconsistencyError(f"long distance {config.b} is not finite")
+    gram = pts @ pts.T
+    sqnorms = np.diagonal(gram)
+    low, high = float(sqnorms.min()), float(sqnorms.max())
+    # |p| within dist_tol of 1; a NaN fails both comparisons
+    if not ((1.0 - cfg.dist_tol) ** 2 <= low and high <= (1.0 + cfg.dist_tol) ** 2):
         raise GeometricInconsistencyError("points are not on the unit sphere")
-    dist = config.distance_matrix()
-    if n > 1:
-        offdiag = dist[~np.eye(n, dtype=bool)]
-        if float(offdiag.min()) < SQRT2 - cfg.dist_tol:
-            raise GeometricInconsistencyError(
-                f"minimum distance {offdiag.min():.12g} below sqrt(2)"
-            )
+    sq = np.maximum(sqnorms[:, None] + sqnorms - 2.0 * gram, 0.0)
+    np.fill_diagonal(sq, np.inf)  # out of the minimum
+    least = float(sq.min())
+    if least < (SQRT2 - cfg.dist_tol) ** 2:
+        raise GeometricInconsistencyError(
+            f"minimum distance {math.sqrt(least):.12g} below sqrt(2)"
+        )
     threshold = 0.5 * (SQRT2 + max(config.b, SQRT2 + 4 * cfg.dist_tol))
-    edges = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if dist[i, j] < threshold
-    ]
-    gamma = Graph.from_edges(n, edges)
-    blocks = complement_component_sets(gamma)
-    # Cross-block pairs sit at distance sqrt(2), i.e. orthogonal.
-    for bi in range(len(blocks)):
-        for bj in range(bi + 1, len(blocks)):
-            inner = pts[blocks[bi]] @ pts[blocks[bj]].T
-            if float(np.abs(inner).max()) > ORTH_TOL:
-                raise GeometricInconsistencyError(
-                    "cross-factor inner products are not zero"
-                )
+    # Bit j of row i: i and j are at the long distance (i == j included,
+    # which joins no components).
+    packed = np.packbits(sq >= threshold * threshold, axis=1, bitorder="little")
+    width, buf = packed.shape[1], packed.tobytes()
+    rows = tuple(
+        int.from_bytes(buf[i : i + width], "little") for i in range(0, n * width, width)
+    )
+    blocks = _component_sets(rows)
+    order = np.array([i for block in blocks for i in block])
+    by_block = gram[order[:, None], order]
+    spans = []
+    for block in blocks:
+        start = spans[-1][1] if spans else 0
+        spans.append((start, start + len(block)))
+    if len(blocks) > 1:
+        # Cross-block pairs sit at distance sqrt(2), i.e. orthogonal.
+        across = np.ones((n, n), dtype=bool)
+        for start, stop in spans:
+            across[start:stop, start:stop] = False
+        if float(np.abs(by_block[across]).max()) > ORTH_TOL:
+            raise GeometricInconsistencyError("cross-factor inner products are not zero")
+    inside, distance = _origin_against_hull(by_block, pts[order], spans)
     factors = []
     flags: list[str] = []
-    k = 0
     for idx, block in enumerate(blocks):
-        inside, distance = _origin_against_hull(pts[block])
-        if inside:
+        if inside[idx]:
             factors.append((tuple(block), "I"))
-            k += 1
         else:
-            if distance <= HULL_TOL:
+            if distance[idx] <= HULL_TOL:
                 # Origin on the affine hull but outside the hull interior:
                 # a further decomposition exists in exact arithmetic.
                 flags.append(f"factor-{idx}-origin-on-affine-hull")
             factors.append((tuple(block), "II"))
+    k = sum(inside)
     rank = _linear_rank(pts, RANK_RTOL)
     if n != rank + k:
         raise GeometricInconsistencyError(

@@ -10,15 +10,18 @@ graph, the bordered matrix's adjugate column from its walk vectors, the
 enclosing ball walked on center coordinates with T factored afresh at
 every pivot, the beta* solve whose supports enclosing balls of realized points propose
 and which tries every root of a support's tie polynomial from 1 upward,
-the Type I test by an enclosing ball's center, and the pairwise loop for
-the distance residual: independent of the Descartes counts, sign tests,
+the Type I test by an enclosing ball's center, the join blocks of a
+point set by a search over its long distance pairs with a least-squares
+projection of the origin per block, and the pairwise loop for the
+distance residual: independent of the Descartes counts, sign tests,
 float64 walk kernel, modular coprimality test of ``poly_gcd``, join
 composition, active set on squared distances, Bareiss elimination, float
-pencil, certified root walk, Perron root, affine projection and array code
-that ``twodist`` uses, and called by no program path.  Only the beta*
-solve's root listing (``roots_in_window``) runs the program's Descartes
-bisection, on the tie polynomial's squarefree part, and the packed walk
-data the program's Newton identities and its change of variable to t
+pencil, certified root walk, Perron root, Gram-matrix bordered solve,
+bit-row components and array code that ``twodist`` uses, and called by
+no program path.  Only the beta* solve's root listing
+(``roots_in_window``) runs the program's Descartes bisection, on the tie
+polynomial's squarefree part, and the packed walk data the program's
+Newton identities and its change of variable to t
 (``invariants._adjugate_coeffs``, ``invariants._in_t``)."""
 
 from __future__ import annotations
@@ -31,11 +34,16 @@ import numpy as np
 
 from twodist import invariants
 from twodist.errors import GeometricInconsistencyError, UndecidableEnclosureError
+from twodist.config import get_config
 from twodist.geometry import (
+    HULL_TOL,
     MEB_GAP_RTOL,
+    ORTH_TOL,
+    RANK_RTOL,
     SQRT2,
     Ball,
     PointConfig,
+    PointFactorization,
     _support_certified,
     min_enclosing_ball,
     realize,
@@ -394,11 +402,86 @@ def origin_in_convex_hull(points: np.ndarray, tol: float) -> bool:
     return float(np.abs(min_enclosing_ball(points).center).max()) <= tol
 
 
+def distance_matrix(config: PointConfig) -> np.ndarray:
+    """The n x n distances of the config's points, from their coordinate
+    differences."""
+    diff = config.points[:, None, :] - config.points[None, :, :]
+    return np.sqrt((diff**2).sum(axis=2))
+
+
+def lstsq_origin_against_hull(points: np.ndarray) -> tuple[bool, float]:
+    """(Type I?, distance) for the affinely independent ``points``, by one
+    ``np.linalg.lstsq`` projection q of the origin onto their affine hull
+    in the basis p_a - p_0, with its barycentric weights w.  Type I when
+    |q| <= ``HULL_TOL`` (max-norm) and every w >= -``HULL_TOL``; the
+    distance is |q|.  A ``lstsq`` rank below len(points) - 1 raises
+    ``GeometricInconsistencyError``."""
+    q0 = points[0]
+    basis = (points[1:] - q0).T
+    sol, _, rank, _ = np.linalg.lstsq(basis, -q0, rcond=None)
+    if rank < len(points) - 1:
+        raise GeometricInconsistencyError(
+            f"join block of {len(points)} points has affine rank {rank}"
+        )
+    q = q0 + basis @ sol
+    weights = np.append(sol, 1.0 - sol.sum())
+    inside = float(np.abs(q).max()) <= HULL_TOL and float(weights.min()) >= -HULL_TOL
+    return inside, float(np.linalg.norm(q))
+
+
+def lstsq_kuperberg_decompose(config: PointConfig) -> PointFactorization:
+    """``geometry.kuperberg_decompose`` pair by pair: distances from point
+    differences, the blocks by a depth-first search over the pairs at the
+    long distance (at least halfway between sqrt(2) and b), in order of
+    their least point, one product per pair of blocks for their
+    orthogonality, ``lstsq_origin_against_hull`` per block and an SVD
+    for the rank, with the program's tolerances."""
+    cfg = get_config()
+    pts = config.points
+    n = pts.shape[0]
+    if float(np.abs(np.linalg.norm(pts, axis=1) - 1.0).max()) > cfg.dist_tol:
+        raise GeometricInconsistencyError("points are not on the unit sphere")
+    dist = distance_matrix(config)
+    if n > 1 and float(dist[~np.eye(n, dtype=bool)].min()) < SQRT2 - cfg.dist_tol:
+        raise GeometricInconsistencyError("minimum distance below sqrt(2)")
+    threshold = 0.5 * (SQRT2 + max(config.b, SQRT2 + 4 * cfg.dist_tol))
+    blocks, seen = [], set()
+    for start in range(n):  # depth-first, over the pairs at the long distance
+        if start in seen:
+            continue
+        seen.add(start)
+        block, stack = [], [start]
+        while stack:
+            v = stack.pop()
+            block.append(v)
+            for u in range(n):
+                if u not in seen and dist[v, u] >= threshold:
+                    seen.add(u)
+                    stack.append(u)
+        blocks.append(sorted(block))
+    for bi in range(len(blocks)):
+        for bj in range(bi + 1, len(blocks)):
+            if float(np.abs(pts[blocks[bi]] @ pts[blocks[bj]].T).max()) > ORTH_TOL:
+                raise GeometricInconsistencyError("cross-factor inner products are not zero")
+    factors, flags, k = [], [], 0
+    for idx, block in enumerate(blocks):
+        inside, distance = lstsq_origin_against_hull(pts[block])
+        factors.append((tuple(block), "I" if inside else "II"))
+        k += inside
+        if not inside and distance <= HULL_TOL:
+            flags.append(f"factor-{idx}-origin-on-affine-hull")
+    svals = np.linalg.svd(pts, compute_uv=False)
+    rank = int((svals > RANK_RTOL * svals[0]).sum()) if svals.size and svals[0] else 0
+    if n != rank + k:
+        raise GeometricInconsistencyError(f"|S| = {n} but rank + #TypeI = {rank} + {k}")
+    return PointFactorization(tuple(factors), k, tuple(flags))
+
+
 def loop_distance_residual(config: PointConfig, g: Graph) -> float:
     """``PointConfig.max_distance_residual`` pair by pair: the largest
     |d_ij - target| / max(a, b, 1), target a on edges and b elsewhere, or
     inf at the first NaN."""
-    d = config.distance_matrix()
+    d = distance_matrix(config)
     worst = 0.0
     scale = max(config.a, config.b, 1.0)
     for i in range(config.n):

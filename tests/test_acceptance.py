@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import random_graph
+from reference import distance_matrix
 from twodist.config import override
 from twodist.geometry import (
     PointConfig,
@@ -105,7 +106,7 @@ def test_criterion_2_cross_polytope_family():
         assert w.rank == m
         pts = w.points
         assert float(np.abs(np.linalg.norm(pts, axis=1) - 1).max()) < 1e-9
-        d = w.distance_matrix()
+        d = distance_matrix(w)
         # regular cross-polytope up to isometry: each point has exactly one
         # antipodal partner at distance 2 and the rest at sqrt(2)
         for i in range(2 * m):

@@ -17,7 +17,10 @@ from conftest import embed16_pool, joins12_corpus, random_graph
 from reference import (
     ball_solve_phi,
     cmp_rational,
+    distance_matrix,
     loop_distance_residual,
+    lstsq_kuperberg_decompose,
+    lstsq_origin_against_hull,
     origin_in_convex_hull,
     reference_min_enclosing_ball,
 )
@@ -52,6 +55,7 @@ from twodist.graphs import (
     complete_multipartite,
     enumerate_graphs,
     is_complete,
+    join,
     parse_graph6,
 )
 from twodist.invariants import cm_polynomials, feasible_interval
@@ -73,7 +77,7 @@ class TestRealize:
     def test_triangle(self):
         cfg = realize(Graph.complete(3), 5.0)  # b unused: no non-edges
         assert cfg.rank == 2
-        d = cfg.distance_matrix()
+        d = distance_matrix(cfg)
         for i, j in ((0, 1), (0, 2), (1, 2)):
             assert abs(d[i, j] - 1.0) < 1e-9
 
@@ -1115,7 +1119,7 @@ class TestJSphericalEmbedding:
     def test_antipodal_pair(self):
         w = jspherical_embedding(Graph.empty(2))
         assert w.rank == 1
-        d = w.distance_matrix()
+        d = distance_matrix(w)
         assert abs(d[0, 1] - 2.0) < 1e-9
         assert np.allclose(np.linalg.norm(w.points, axis=1), 1.0, atol=1e-9)
 
@@ -1125,7 +1129,7 @@ class TestJSphericalEmbedding:
         assert w.rank == 3
         norms = np.linalg.norm(w.points, axis=1)
         assert float(np.abs(norms - 1).max()) < 1e-8
-        d = w.distance_matrix()
+        d = distance_matrix(w)
         for i in range(6):
             partners = [j for j in range(6) if j != i and abs(d[i, j] - 2.0) < 1e-6]
             others = [j for j in range(6) if j != i and abs(d[i, j] - SQRT2) < 1e-6]
@@ -1136,7 +1140,7 @@ class TestJSphericalEmbedding:
         assert w.rank == 4
         norms = np.linalg.norm(w.points, axis=1)
         assert float(np.abs(norms - 1).max()) < 1e-8
-        d = w.distance_matrix()
+        d = distance_matrix(w)
         offdiag = d[~np.eye(5, dtype=bool)]
         assert offdiag.min() > SQRT2 - 1e-8
 
@@ -1149,7 +1153,7 @@ class TestJSphericalEmbedding:
             if is_complete(g):
                 continue
             w = jspherical_embedding(g)
-            d = w.distance_matrix()
+            d = distance_matrix(w)
             offdiag = d[~np.eye(g.n, dtype=bool)]
             assert offdiag.min() > SQRT2 - 1e-8
             assert float(np.abs(np.linalg.norm(w.points, axis=1) - 1).max()) < 1e-8
@@ -1250,6 +1254,103 @@ class TestKuperbergDecompose:
             w = jspherical_embedding(g)
             fz = kuperberg_decompose(w)
             assert g.n == w.rank + fz.k
+
+    def test_non_finite_long_distance_rejected(self):
+        # A NaN b once made the long-distance threshold NaN: no pair reached
+        # it, and the C5 + P3 join came out as one Type I block of 8 points.
+        w = jspherical_embedding(join(Graph.cycle(5), Graph.path(3)))
+        assert len(kuperberg_decompose(w).factors) == 3
+        for b in (math.nan, math.inf):
+            with pytest.raises(GeometricInconsistencyError, match="not finite"):
+                kuperberg_decompose(PointConfig(w.points, SQRT2, b, w.rank))
+
+    def test_nan_coordinates_rejected(self):
+        # A NaN norm once passed the unit-sphere test, and LAPACK raised
+        one_row = np.array([[1.0, 0.0], [0.0, 1.0], [math.nan, 0.0]])
+        for pts in (np.full((3, 2), math.nan), one_row):
+            with pytest.raises(GeometricInconsistencyError, match="unit sphere"):
+                kuperberg_decompose(PointConfig(pts, SQRT2, 2.0, 2))
+
+    def test_no_points_rejected(self):
+        with pytest.raises(ValueError, match="config.points"):
+            kuperberg_decompose(PointConfig(np.zeros((0, 3)), SQRT2, 2.0, 0))
+
+
+def orthogonal_unions(np_rng, count):
+    """``count`` seeded unit-sphere two-distance sets with their expected
+    decompositions: (config, {block: type}).  Each is 2-4 mutually
+    orthogonal blocks, rotated at random in up to two extra dimensions,
+    with the points shuffled: a regular simplex of 3-5 points or an
+    antipodal pair (Type I), or a cap of 1-5 linearly independent unit
+    vectors at inner products -c, 0 < c < 1/(k - 1) (Type II).  b is the
+    least long distance."""
+    for _ in range(count):
+        parts = []  # (points, Type I?, long distance)
+        for _ in range(int(np_rng.integers(2, 5))):
+            family = int(np_rng.integers(3))
+            if family == 0:
+                k = int(np_rng.integers(3, 6))
+                parts.append((regular_simplex(k - 1), True, math.sqrt(2 + 2 / (k - 1))))
+            elif family == 1:
+                parts.append((np.array([[1.0], [-1.0]]), True, 2.0))
+            else:
+                k = int(np_rng.integers(1, 6))
+                c = float(np_rng.uniform(0.25, 0.9)) / max(k - 1, 1)
+                gram = (1 + c) * np.eye(k) - c
+                parts.append((np.linalg.cholesky(gram), False, math.sqrt(2 + 2 * c)))
+        dim = sum(p.shape[1] for p, _, _ in parts)
+        pts = np.zeros((sum(len(p) for p, _, _ in parts), dim))
+        row = col = 0
+        owner = []
+        for idx, (p, _, _) in enumerate(parts):
+            pts[row : row + len(p), col : col + p.shape[1]] = p
+            owner += [idx] * len(p)
+            row, col = row + len(p), col + p.shape[1]
+        order = np_rng.permutation(len(pts))
+        pts = placed(pts[order], dim + int(np_rng.integers(3)), np_rng)
+        expect = {
+            tuple(i for i in range(len(pts)) if owner[order[i]] == idx): "I" if one else "II"
+            for idx, (_, one, _) in enumerate(parts)
+        }
+        b = min((d for p, _, d in parts if len(p) > 1), default=2.0)
+        yield PointConfig(pts, SQRT2, b, dim), expect
+
+
+class TestKuperbergAgainstLstsq:
+    """``kuperberg_decompose`` reads one Gram matrix: squared distances, bit
+    rows of the long-distance graph, and a bordered solve per block.
+    ``reference.lstsq_kuperberg_decompose``, the pair loop over the
+    distances with one least-squares projection per block, is the oracle:
+    blocks, types, k and flags agree on J-spherical embeddings and on
+    rotated unions of orthogonal blocks."""
+
+    @staticmethod
+    @functools.cache
+    def corpus():
+        graphs = [g for g in graphs_up_to_7() if g.n <= 6 and not is_complete(g)]
+        configs = [jspherical_embedding(g) for g in graphs + joins12_corpus(60)]
+        unions = list(orthogonal_unions(np.random.default_rng(20240613), 60))
+        return configs, unions
+
+    def test_agrees_with_lstsq_oracle(self):
+        configs, unions = self.corpus()
+        for config in configs:
+            assert kuperberg_decompose(config) == lstsq_kuperberg_decompose(config)
+        labels = collections.Counter()
+        for config, expect in unions:
+            fz = kuperberg_decompose(config)
+            assert fz == lstsq_kuperberg_decompose(config)
+            assert dict(fz.factors) == expect
+            assert fz.k == list(expect.values()).count("I")
+            labels.update(expect.values())
+        assert labels["I"] > 20 and labels["II"] > 20
+
+    def test_no_least_squares(self, monkeypatch):
+        configs, unions = self.corpus()
+        calls = count_calls(monkeypatch, np.linalg, "lstsq")
+        for config in configs + [config for config, _ in unions]:
+            kuperberg_decompose(config)
+        assert calls == {}
 
 
 # ---------------------------------------------------------------------------
@@ -1361,10 +1462,12 @@ class TestOriginInConvexHull:
         assert origin_in_convex_hull(np.zeros((1, 0)), self.TOL)
 
     def test_projection_agrees_with_lp_on_independent_families(self):
-        # kuperberg_decompose's one projection of the origin, on the
-        # affinely independent families.  The origin is on the affine hull
-        # of the simplex, and of a cap whose hull spans the cap's own
-        # coordinates, where only the negative weights make it Type II.
+        # kuperberg_decompose's one projection of the origin, from the
+        # block's Gram matrix, on the affinely independent families, against
+        # the LP and the least-squares projection.  The origin is on the
+        # affine hull of the simplex, and of a cap whose hull spans the
+        # cap's own coordinates, where only the negative weights make it
+        # Type II.
         np_rng = np.random.default_rng(20240613)
         count = 0
         for k in range(1, 6):
@@ -1378,17 +1481,32 @@ class TestOriginInConvexHull:
                 for extra in (0, 2):
                     pts = placed(block, block.shape[1] + extra, np_rng)
                     assert lp_origin_in_hull(pts, self.TOL) == type_one
-                    inside, distance = _origin_against_hull(pts)
+                    (inside,), (distance,) = _origin_against_hull(
+                        pts @ pts.T, pts, [(0, len(pts))]
+                    )
                     assert inside == type_one
                     assert (distance <= self.TOL) == on_hull
+                    oracle_inside, oracle_distance = lstsq_origin_against_hull(pts)
+                    assert oracle_inside == type_one
+                    assert (oracle_distance <= self.TOL) == on_hull
                     count += 1
         assert count == 40
 
     def test_dependent_block_raises(self):
         # antipodal pairs in more than one direction: affinely dependent
         half = unit_rows(np.random.default_rng(3).standard_normal((2, 3)))
+        pts = np.vstack([half, -half])
         with pytest.raises(GeometricInconsistencyError, match="affine rank"):
-            _origin_against_hull(np.vstack([half, -half]))
+            _origin_against_hull(pts @ pts.T, pts, [(0, len(pts))])
+        with pytest.raises(GeometricInconsistencyError, match="affine rank"):
+            lstsq_origin_against_hull(pts)
+        # behind an independent block, in the one test of all blocks
+        both = np.vstack([regular_simplex(2) @ np.eye(2, 3), pts])
+        with pytest.raises(GeometricInconsistencyError, match="affine rank"):
+            _origin_against_hull(both @ both.T, both, [(0, 3), (3, 7)])
+        five = both[:5]
+        (inside, _), _ = _origin_against_hull(five @ five.T, five, [(0, 3), (3, 5)])
+        assert inside
 
 
 def test_import_loads_no_scipy():

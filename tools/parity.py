@@ -10,6 +10,10 @@ The lines are, in order:
   n <= 7, of the embed16 pool and of ``joins12_corpus(60)``;
 - ``decompose``: the exit code and output of ``twodist decompose WORD``
   on every graph of the ``record`` lines, in the same order;
+- ``kuperberg``: the blocks, types, k and flags of
+  ``kuperberg_decompose(jspherical_embedding(g))``, or the class of the
+  error it raises, on every non-complete graph of the ``record`` lines, in
+  the same order;
 - ``embed``: the output of ``twodist embed WORD --model euclidean`` on every
   non-complete graph with n <= 7, then on each graph of the embed16 pool:
   the enclosing radius at tau1 (t = 4 without tau1), so a diff covers the
@@ -66,6 +70,16 @@ def _run(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue().rstrip("\n")
 
 
+def _kuperberg(geometry, g) -> str:
+    """The join blocks of g's J-spherical points with their types, k and
+    flags, as JSON, or the name of the error class raised."""
+    try:
+        fz = geometry.kuperberg_decompose(geometry.jspherical_embedding(g))
+    except Exception as exc:  # any error: its class is the line
+        return type(exc).__name__
+    return json.dumps([[[list(block), label] for block, label in fz.factors], fz.k, list(fz.flags)])
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, help="directory holding the twodist package")
@@ -87,6 +101,10 @@ def main(argv: list[str] | None = None) -> int:
     for word, _ in graphs:
         print("decompose", word, *_run(["decompose", word]))
         invariants.clear_caches()
+    for word, g in graphs:
+        if not is_complete(g):
+            print("kuperberg", word, _kuperberg(geometry, g))
+            invariants.clear_caches()
     embedded = [to_graph6(g) for g in small if not is_complete(g)]
     for word in embedded + pool:
         print("embed", word, *_run(["embed", word, "--model", "euclidean"]))
