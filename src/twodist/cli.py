@@ -264,11 +264,7 @@ def _emit_records(records, output: str) -> None:
 
 
 def _cmd_batch(args) -> int:
-    try:
-        words = _graph6_words(args.input)
-    except OSError as exc:
-        print(f"cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    words = _graph6_words(args.input)
     if args.jobs > 1 and len(words) > 1:
         # Imported here: multiprocessing is a cost only batch runs pay.
         from concurrent.futures import ProcessPoolExecutor

@@ -1,12 +1,14 @@
 """Numerical realization of two-distance configurations.
 
-Coordinates come from double-centering the squared-distance matrix and an
-eigendecomposition.  Every enclosing-ball support comes from one float
-active set on the squared distances, ``_active_set``: the standard
-quadratic program over the simplex, a few block principal pivots, then
-feasible single pivots when those do not settle it.  ``min_enclosing_ball``
-certifies it by the duality gap of its barycentric weights.  On top of
-those: the monotone enclosing-ball radius function of the long
+Coordinates come from a Gram matrix (double-centered squared distances,
+or the J-spherical one) by one eigendecomposition, ``_coordinates``.
+Every enclosing-ball support comes from one float active set on the
+squared distances, ``_active_set``: the standard quadratic program over
+the simplex, a few block principal pivots, then feasible single pivots
+when those do not settle it.  A point counts as
+outside down to the duality-gap bound by which ``min_enclosing_ball``
+certifies the barycentric weights, so one pass settles every ball.  On top
+of those: the monotone enclosing-ball radius function of the long
 distance, and its exact inverse ``solve_phi``.  At radius 1 that inverse
 is beta*^2, read from ``invariants.beta_star_squared``.  Below 1 it
 realizes no coordinates: the same active set, on the squared distances
@@ -131,8 +133,6 @@ def realize(g: Graph, b: float, a: float = 1.0) -> PointConfig:
     if not (0 < a < math.inf and 0 < b < math.inf):
         raise InfeasibleDistanceError(f"distances must be finite and > 0, got a={a}, b={b}")
     n = g.n
-    if n == 1:
-        return PointConfig(np.zeros((1, 0)), a, b, 0)
     try:
         t = (b / a) ** 2
     except OverflowError:
@@ -159,16 +159,24 @@ def realize(g: Graph, b: float, a: float = 1.0) -> PointConfig:
     centering = np.eye(n) - np.full((n, n), 1.0 / n)
     gram = -0.5 * centering @ sq @ centering
     gram = 0.5 * (gram + gram.T)
+    pts = _coordinates(gram, InfeasibleDistanceError, "; distances not realizable")
+    return PointConfig(pts, a, b, pts.shape[1])
+
+
+def _coordinates(gram: np.ndarray, error: type[Exception], what: str) -> np.ndarray:
+    """Points whose Gram matrix is the symmetric ``gram``: its eigenvectors
+    scaled by the square roots of its eigenvalues above ``RANK_RTOL`` times
+    the largest modulus, one column per dimension.  An eigenvalue below
+    -``PSD_TOL`` times that modulus raises ``error``, its message ending
+    in ``what``."""
     eigvals, eigvecs = np.linalg.eigh(gram)
     scale = max(float(np.abs(eigvals).max()), 1e-300)
     if float(eigvals.min()) < -PSD_TOL * scale:
-        raise InfeasibleDistanceError(
-            f"Gram matrix has eigenvalue {eigvals.min():.3g} "
-            f"(scale {scale:.3g}); distances not realizable"
+        raise error(
+            f"Gram matrix has eigenvalue {eigvals.min():.3g} (scale {scale:.3g}){what}"
         )
     keep = eigvals > RANK_RTOL * scale
-    pts = eigvecs[:, keep] * np.sqrt(eigvals[keep])
-    return PointConfig(pts, a, b, int(keep.sum()))
+    return eigvecs[:, keep] * np.sqrt(eigvals[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -193,34 +201,6 @@ def _unscaled_gap(gap: float, e: int) -> float:
         return math.ldexp(gap, 2 * e)
     except OverflowError:
         return math.inf
-
-
-def _ball(
-    pts: np.ndarray, rel: np.ndarray, e: int, sqnorms: np.ndarray, lam: np.ndarray, r2: float
-) -> Ball:
-    """The ball of the barycentric weights ``lam`` on ``rel``, the points
-    ``pts`` less pts[0], scaled by 2**-e (``sqnorms`` their squared
-    norms), certified there and returned at the points' own scale, with
-    the squared radius ``r2`` of its support's bordered solve.  A duality
-    gap above ``MEB_GAP_RTOL`` * max(1, max |rel|^2) raises
-    ``GeometricInconsistencyError``."""
-    c, _, gap = _dual_certificate(rel, sqnorms, lam)
-    bound = MEB_GAP_RTOL * max(1.0, float(sqnorms.max()))
-    if gap > bound:
-        raise GeometricInconsistencyError(
-            f"enclosing ball duality gap {_unscaled_gap(gap, e):.3g} "
-            f"above {_unscaled_gap(bound, e):.3g}"
-        )
-    radius = math.sqrt(max(r2, 0.0))
-    dist = np.sqrt(np.maximum(sqnorms - 2.0 * rel @ c + c @ c, 0.0))
-    near = tuple(i for i in range(len(rel)) if dist[i] >= radius - 1e-7 * max(1.0, radius))
-    return Ball(
-        pts[0] + np.ldexp(c, e),
-        float(np.ldexp(radius, e)),
-        near,
-        _unscaled_gap(max(gap, 0.0), e),
-        lam,
-    )
 
 
 def _bordered_solve(d: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, float]:
@@ -271,8 +251,10 @@ def _active_set(
     ball's center, in two phases on the same bordered solve
     (``_bordered_solve``, which gives T's circumcenter weights and R^2 =
     -nu/2) and the same outside test: the point j lies outside T's sphere
-    when |p_j - c|^2 - R^2 = D[j, T] lam + nu exceeds 1e-12 * max(1,
-    max D), the float form of ``_support_certified``.
+    when |p_j - c|^2 - R^2 = D[j, T] lam + nu exceeds ``MEB_GAP_RTOL`` *
+    max(1, max D[0]), the float form of ``_support_certified``.  In
+    ``min_enclosing_ball`` D[0, j] = |p_j - p_0|^2 exactly, so this is the
+    bound its duality gap is checked against.
 
     First at most ``PROPOSAL_PIVOTS`` block principal pivots (Judice &
     Pires 1994) from T = ``start``: T keeps its points of positive weight
@@ -281,7 +263,7 @@ def _active_set(
     difference Gram matrix, ``_difference_gram``).  A singular system, a
     dependent T or the cap, which a cycle of T reaches, leaves the ball to
     ``_single_pivots``."""
-    tol = 1e-12 * max(1.0, float(d.max()))
+    tol = MEB_GAP_RTOL * max(1.0, float(d[0].max()))
     member = np.zeros(len(d), dtype=bool)
     member[list(start)] = True
     try:
@@ -357,12 +339,9 @@ def min_enclosing_ball(points: Sequence[Sequence[float]] | np.ndarray) -> Ball:
     squared distance, as many as a support in R^d can hold, then single
     pivots if those do not settle it.  The duality gap of its barycentric
     weights certifies the ball, and the radius is read from the support
-    alone, by its bordered solve, whichever pivots found it.  When
-    the support misses that certificate, the single pivots
-    (``_single_pivots``) decide alone, with the certificate's own bound as
-    the outside test's tolerance: far from the origin, rounding can leave
-    cospherical points off their sphere by more than that bound and less
-    than the active set's.
+    alone, by its bordered solve, whichever pivots found it.  The active
+    set's outside test counts a point as outside down to that certificate's
+    own bound, so one pass settles every ball.
 
     All of it runs on the differences p - p_0 divided by s, the least power
     of two above their largest absolute coordinate (an exact scaling), so
@@ -387,11 +366,19 @@ def min_enclosing_ball(points: Sequence[Sequence[float]] | np.ndarray) -> Ball:
     np.fill_diagonal(sq, 0.0)
     start = np.argsort(-sq.mean(axis=1), kind="stable")[: pts.shape[1] + 1]
     support, lam, r2 = _active_set(sq, start)
-    try:
-        return _ball(pts, rel, e, sqnorms, np.bincount(support, lam, n), r2)
-    except GeometricInconsistencyError:
-        support, lam, r2 = _single_pivots(sq, MEB_GAP_RTOL * max(1.0, float(sqnorms.max())))
-    return _ball(pts, rel, e, sqnorms, np.bincount(support, lam, n), r2)
+    lam = np.bincount(support, lam, n)
+    c, _, gap = _dual_certificate(rel, sqnorms, lam)
+    bound = MEB_GAP_RTOL * max(1.0, float(sqnorms.max()))
+    if gap > bound:
+        raise GeometricInconsistencyError(
+            f"enclosing ball duality gap {_unscaled_gap(gap, e):.3g} "
+            f"above {_unscaled_gap(bound, e):.3g}"
+        )
+    radius = math.sqrt(max(0.0, r2))
+    dist = np.sqrt(np.maximum(sqnorms - 2.0 * rel @ c + c @ c, 0.0))
+    near = tuple(i for i in range(n) if dist[i] >= radius - 1e-7 * max(1.0, radius))
+    center, gap = pts[0] + np.ldexp(c, e), _unscaled_gap(max(gap, 0.0), e)
+    return Ball(center, float(np.ldexp(radius, e)), near, gap, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -578,26 +565,18 @@ def jspherical_embedding(g: Graph) -> PointConfig:
     sqrt(2) and long distance beta* from ``beta_star_numeric``.  Its Gram
     matrix is G(t) = I + (1 - t)Abar at t = beta*^2/2, Abar = J - I - A the
     complement's adjacency matrix: inner products 0 on edges and 1 - t on
-    non-edges, 1 on the diagonal.  The points are G's eigenvectors scaled by
-    the square roots of its eigenvalues above ``RANK_RTOL``, on the unit
-    sphere by construction; their number is the J-spherical dimension, the
-    rank.  A negative eigenvalue below ``PSD_TOL`` or a norm off 1 by more
-    than 1e-6 raises ``GeometricInconsistencyError``."""
+    non-edges, 1 on the diagonal.  The points are ``_coordinates`` of G, on
+    the unit sphere by construction; their dimension is the J-spherical
+    dimension, the rank.  A negative eigenvalue below ``PSD_TOL`` or a norm
+    off 1 by more than 1e-6 raises ``GeometricInconsistencyError``."""
     b = beta_star_numeric(g)
     gram = np.where(g.adjacency().astype(bool), 0.0, 1.0 - 0.5 * b * b)
     np.fill_diagonal(gram, 1.0)
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    scale = float(eigvals.max())  # at least 1, the mean of the trace n
-    if float(eigvals.min()) < -PSD_TOL * scale:
-        raise GeometricInconsistencyError(
-            f"Gram matrix at beta* has eigenvalue {eigvals.min():.3g} (scale {scale:.3g})"
-        )
-    keep = eigvals > RANK_RTOL * scale
-    pts = eigvecs[:, keep] * np.sqrt(eigvals[keep])
+    pts = _coordinates(gram, GeometricInconsistencyError, " at beta*")
     off = float(np.abs(np.linalg.norm(pts, axis=1) - 1.0).max())
     if off > 1e-6:
         raise GeometricInconsistencyError(f"embedded norms off 1 by {off:.3g}")
-    return PointConfig(pts, SQRT2, b, int(keep.sum()))
+    return PointConfig(pts, SQRT2, b, pts.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +663,8 @@ def kuperberg_decompose(config: PointConfig) -> PointFactorization:
         raise ValueError("config.points must hold at least one point")
     if not math.isfinite(config.b):
         raise GeometricInconsistencyError(f"long distance {config.b} is not finite")
-    gram = pts @ pts.T
+    with np.errstate(over="ignore", invalid="ignore"):  # tested just below
+        gram = pts @ pts.T
     sqnorms = np.diagonal(gram)
     low, high = float(sqnorms.min()), float(sqnorms.max())
     # |p| within dist_tol of 1; a NaN fails both comparisons

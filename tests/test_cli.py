@@ -146,6 +146,12 @@ class TestEmbed:
         assert second == run_fresh("embed", C5)
         assert json.loads(second)["b"] != 1.2
 
+    def test_single_vertex_radius_is_positive_zero(self, capsys):
+        # max(-0.0, 0.0) is -0.0: the radius once printed as "-0.0"
+        for model in ("euclidean", "spherical"):
+            code, out, _ = run(capsys, "embed", "@", "--model", model)
+            assert code == 0 and out.rstrip().endswith('"radius": 0.0}'), (model, out)
+
     def test_octahedron_jspherical(self, capsys):
         code, out, _ = run(capsys, "embed", OCTA, "--model", "jspherical")
         assert code == 0
@@ -388,8 +394,9 @@ class TestBatch:
         assert code == 0 and out.strip() == ""
 
     def test_missing_file(self, capsys):
-        code, _, _ = run(capsys, "batch", "/nonexistent/file.g6")
-        assert code == 2
+        # the shared error table's prefix, as analyze and verify report it
+        code, out, err = run(capsys, "batch", "/nonexistent/file.g6")
+        assert out == "" and code == 2 and err.startswith("i/o error"), err
 
     def test_header_stripped(self, capsys, tmp_path):
         path = tmp_path / "h.g6"

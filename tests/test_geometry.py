@@ -264,11 +264,11 @@ class TestEnclosingBall:
 
     def test_single_point(self):
         ball = min_enclosing_ball([[3.0, 4.0]])
-        assert ball.radius == 0.0
+        assert ball.radius == 0.0 and math.copysign(1.0, ball.radius) == 1.0
 
     def test_coincident_points(self):
         ball = min_enclosing_ball([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]])
-        assert ball.radius < 1e-12
+        assert ball.radius < 1e-12 and math.copysign(1.0, ball.radius) == 1.0
         # Coincident points mixed with distinct ones.
         pts = [[0, 0], [0, 0], [4, 0], [1, 1], [4, 0], [0, 0]]
         ball = min_enclosing_ball(pts)
@@ -409,8 +409,8 @@ class TestUpdatedQR:
     def test_clouds_with_ties_and_copies(self, pts):
         # The gap bound is the one min_enclosing_ball documents.  Far from
         # the origin, rounding leaves cospherical points off their sphere by
-        # more than that bound and less than the 1e-12 outside test: the
-        # examples pin two such circles.
+        # more than that bound, which is also the outside test's tolerance:
+        # the examples pin two such circles.
         rel = pts - pts[0]
         ref = reference_min_enclosing_ball(pts)
         s = math.ldexp(1.0, math.frexp(float(np.abs(rel).max()))[1])
@@ -422,6 +422,15 @@ class TestUpdatedQR:
             assert abs(ball.radius - ref.radius) <= 1e-12 * scale
             assert float(np.abs(ball.center - ref.center).max()) <= 1e-12 * scale
             assert ball.gap <= bound
+
+    def test_far_circles_certified_in_one_pass(self, monkeypatch):
+        # with an outside test looser than the gap bound these circles
+        # missed the certificate and were certified a second time
+        counts = count_calls(monkeypatch, geometry, "_dual_certificate", "_single_pivots")
+        for pts in (7.0 + 1e-3 * circle(5, dim=2), 7.0 + 1e-3 * circle(8)):
+            counts.clear()
+            min_enclosing_ball(pts)
+            assert counts == {"_dual_certificate": 1}, (pts, counts)
 
     def test_catalog_configurations(self):
         gen = np.random.default_rng(31)
@@ -508,16 +517,12 @@ class TestBallProposal:
     @staticmethod
     def balls_against_oracle(graphs, monkeypatch):
         """(number of balls, number certified from the block pivots)."""
-        balls = []
-        ball_of = geometry._ball
         single = count_calls(monkeypatch, geometry, "_single_pivots")
-        monkeypatch.setattr(geometry, "_ball", lambda *args: balls.append(args) or ball_of(*args))
         certified = 0
         for g in graphs:
             tau1 = invariants.tau1_mu(g)[0]
             pts = realize(g, 2.0 if tau1 is None else math.sqrt(float(tau1))).points
             single.clear()
-            balls.clear()
             ball = min_enclosing_ball(pts)
             assert abs(ball.radius - reference_min_enclosing_ball(pts).radius) <= 1e-12, g
             # T is affinely independent exactly: its bordered determinant
@@ -528,7 +533,7 @@ class TestBallProposal:
                 assert c_t(Fraction(4)) != 0, g
             else:
                 assert sign_at(c_t, tau1) != 0, (g, support)
-            if not single and len(balls) == 1:
+            if not single:
                 certified += 1
         return len(graphs), certified
 
@@ -1268,6 +1273,14 @@ class TestKuperbergDecompose:
         # A NaN norm once passed the unit-sphere test, and LAPACK raised
         one_row = np.array([[1.0, 0.0], [0.0, 1.0], [math.nan, 0.0]])
         for pts in (np.full((3, 2), math.nan), one_row):
+            with pytest.raises(GeometricInconsistencyError, match="unit sphere"):
+                kuperberg_decompose(PointConfig(pts, SQRT2, 2.0, 2))
+
+    def test_overflowing_coordinates_rejected(self):
+        # The Gram product of these overflows (or meets inf * 0): numpy's
+        # RuntimeWarning once escaped before the documented error
+        for big in (1e200, math.inf):
+            pts = np.array([[big, 0.0], [0.0, 1.0]])
             with pytest.raises(GeometricInconsistencyError, match="unit sphere"):
                 kuperberg_decompose(PointConfig(pts, SQRT2, 2.0, 2))
 
