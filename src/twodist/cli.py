@@ -67,8 +67,9 @@ _EXITS = {
 }
 
 GRAPH6_HEADER = ">>graph6<<"
-# The largest n a catalog or verify scan enumerates: 12,346 graphs at 8,
-# and canonical_key gives up on its search space at 10.
+# The largest n a catalog or verify scan enumerates: 12,346 graphs at 8.
+# Enumeration has no cap, but n = 9 has 274,668 graphs (OEIS A000088),
+# 22 times as many to analyse.
 SCAN_MAX_N = 8
 
 

@@ -431,70 +431,195 @@ def is_strongly_regular(g: Graph) -> bool:
 # Canonical forms and enumeration up to isomorphism
 # ---------------------------------------------------------------------------
 
-_CANON_SEARCH_LIMIT = 10**6
+def _refined_cells(rows: tuple[int, ...]) -> list[int]:
+    """Stable ordered partition from iterated neighbour-colour refinement,
+    as one vertex bitmask per class.
 
-
-def _refined_classes(g: Graph) -> list[list[int]]:
-    """Stable ordered partition from iterated neighbour-colour refinement.
-
-    The class order is determined by hashable colour signatures, so it is
-    identical for isomorphic graphs."""
-    color = {v: (g.degree(v),) for v in range(g.n)}
+    A vertex's colour starts as the rank of its degree.  Each round keys a
+    vertex by its colour and, per colour, the negated count of its
+    neighbours of that colour (descending counts order as the ascending
+    sorted tuples of neighbour colours do), and ranks the keys into the
+    next colours, until no class splits.  The class order comes from the
+    keys, so it is identical for isomorphic graphs, and it refines the
+    degree order: the last class holds vertices of maximum degree."""
+    n = len(rows)
+    degrees = [r.bit_count() for r in rows]
+    levels = sorted(set(degrees))
+    color = [levels.index(d) for d in degrees]
+    count = len(levels)
     while True:
-        sig = {
-            v: (color[v], tuple(sorted(color[w] for w in range(g.n) if g.has_edge(v, w))))
-            for v in range(g.n)
-        }
-        classes = sorted({s for s in sig.values()})
-        new = {v: (classes.index(sig[v]),) for v in range(g.n)}
-        if len(set(new.values())) == len(set(color.values())):
-            ordered = {}
-            for v in range(g.n):
-                ordered.setdefault(sig[v], []).append(v)
-            return [ordered[s] for s in sorted(ordered)]
-        color = new
+        masks = [0] * count
+        for v, c in enumerate(color):
+            masks[c] |= 1 << v
+        if count == n:
+            return masks
+        keys = [(color[v], tuple([-(rows[v] & m).bit_count() for m in masks])) for v in range(n)]
+        ranks = sorted(set(keys))
+        if len(ranks) == count:
+            return masks
+        index = {key: i for i, key in enumerate(ranks)}
+        color = [index[key] for key in keys]
+        count = len(ranks)
 
 
-def _bitstring(g: Graph, perm: tuple[int, ...]) -> int:
+def _split(row: int, cells: list[int]) -> tuple[int, list[int]]:
+    """The least row a vertex with adjacency ``row`` gets over cells placed
+    in order, each cell's non-neighbours before its neighbours, and the
+    cells split that way (empty parts dropped)."""
+    bits = 0
+    out = []
+    for m in cells:
+        nbrs = m & row
+        rest = m ^ nbrs
+        bits = (bits << m.bit_count()) | ((1 << nbrs.bit_count()) - 1)
+        if rest:
+            out.append(rest)
+        if nbrs:
+            out.append(nbrs)
+    return bits, out
+
+
+def _leader_search(rows: tuple[int, ...], cells: list[int]) -> int:
+    """The least row-major upper-triangle bitstring over the vertex orders
+    that list ``cells`` in order, each cell in any order.
+
+    Positions are filled left to right.  At position k each vertex of the
+    cell holding k is tried; ``_split`` gives row k its least value and
+    splits the later cells, and a branch whose rows so far exceed the
+    least leaf's is cut.  A leaf equal to the least one gives an
+    automorphism, and the search returns to where the two paths part: the
+    rest of that subtree is the image of one already searched.  A branch
+    is skipped when a searched sibling lies in its orbit under the twin
+    transpositions and the automorphisms found that fix the prefix."""
+    n = len(rows)
+    perm = [0] * n
+    path = [0] * n
+    best: list[int] = []
+    best_perm: list[int] = []
+    autos: list[tuple[list[int], int]] = []
+    # twins[v]: v and the vertices whose transposition with v is an
+    # automorphism (same neighbours apart from each other).
+    groups: dict[tuple[int, int], int] = {}
+    for v, r in enumerate(rows):
+        groups[0, r] = groups.get((0, r), 0) | 1 << v
+        groups[1, r | 1 << v] = groups.get((1, r | 1 << v), 0) | 1 << v
+    twins = [groups[0, r] | groups[1, r | 1 << v] for v, r in enumerate(rows)]
+    jump = n
+
+    def orbit(v: int, fixed: int) -> int:
+        gens = [img for img, fix in autos if fixed & ~fix == 0]
+        orb = frontier = 1 << v
+        while frontier:
+            w = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            new = twins[w] & ~fixed
+            for img in gens:
+                new |= 1 << img[w]
+            new &= ~orb
+            orb |= new
+            frontier |= new
+        return orb
+
+    def descend(k: int, cells: list[int], fixed: int, tied: bool) -> bool:
+        """Search below a node whose rows before k equal the least leaf's
+        (``tied``) or are smaller; True when it replaced the least leaf."""
+        nonlocal best, best_perm, jump
+        while cells and not cells[0] & (cells[0] - 1):
+            v = cells[0].bit_length() - 1
+            row, cells = _split(rows[v], cells[1:])
+            if tied:
+                if row > best[k]:
+                    return False
+                tied = row == best[k]
+            perm[k] = v
+            path[k] = row
+            fixed |= 1 << v
+            k += 1
+        if not cells:
+            if not tied:
+                best, best_perm = path[:], perm[:]
+                return True
+            img = list(range(n))
+            fix = 0
+            for a, b in zip(best_perm, perm):
+                img[a] = b
+                fix |= (a == b) << a
+            autos.append((img, fix))
+            jump = next(i for i in range(n) if best_perm[i] != perm[i])
+            return False
+        # Only the children whose row k is least among siblings can lead
+        # to the least leaf.
+        first, later = cells[0], cells[1:]
+        least = -1
+        children = []
+        todo = first
+        while todo:
+            v = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
+            row, sub = _split(rows[v], [first ^ 1 << v, *later])
+            if least < 0 or row < least:
+                least, children = row, []
+            if row == least:
+                children.append((v, sub))
+        if tied and least > best[k]:
+            return False
+        path[k] = least
+        replaced = False
+        searched = seen = 0
+        known = len(autos)
+        for v, sub in children:
+            if len(autos) != known:
+                known = len(autos)
+                seen = 0
+                rest = searched
+                while rest:
+                    u = (rest & -rest).bit_length() - 1
+                    rest &= rest - 1
+                    seen |= orbit(u, fixed)
+            if seen >> v & 1:
+                continue
+            searched |= 1 << v
+            seen |= orbit(v, fixed)
+            perm[k] = v
+            if descend(k + 1, sub, fixed | 1 << v, tied and least == best[k]):
+                replaced = tied = True
+            if jump < k:
+                return replaced
+            jump = n
+        return replaced
+
+    descend(0, cells, 0, False)
     key = 0
-    rows = g.rows
-    for i, old_i in enumerate(perm):
-        r = rows[old_i]
-        for old_j in perm[i + 1 :]:
-            key = (key << 1) | (r >> old_j & 1)
+    for k, row in enumerate(best):
+        key = (key << (n - 1 - k)) | row
     return key
 
 
 @functools.lru_cache(maxsize=100_000)
 def canonical_key(g: Graph) -> tuple[int, int]:
-    """Isomorphism-invariant key: (n, minimal adjacency bitstring over all
-    vertex orders compatible with the refined colour classes)."""
-    classes = _refined_classes(g)
-    space = 1
-    for cls in classes:
-        space *= functools.reduce(lambda a, b: a * b, range(1, len(cls) + 1), 1)
-        if space > _CANON_SEARCH_LIMIT:
-            raise ValueError("canonical form search space too large")
-    best = None
-    for parts in itertools.product(*(itertools.permutations(c) for c in classes)):
-        perm = tuple(v for part in parts for v in part)
-        key = _bitstring(g, perm)
-        if best is None or key < best:
-            best = key
-    return (g.n, best)
+    """Isomorphism-invariant key: (n, least row-major upper-triangle
+    adjacency bitstring over all vertex orders that list the refined
+    colour classes in order).  Found by a lexicographic leader search
+    (``_leader_search``) with no cap on its size."""
+    return (g.n, _leader_search(g.rows, _refined_cells(g.rows)))
 
 
-def canonical_form(g: Graph) -> Graph:
-    """A canonical representative of the isomorphism class of g."""
-    n, bits = canonical_key(g)
-    edges = []
+def _from_key(n: int, bits: int) -> Graph:
+    """The graph whose row-major upper-triangle bitstring is ``bits``."""
+    rows = [0] * n
     pos = n * (n - 1) // 2
     for i in range(n):
         for j in range(i + 1, n):
             pos -= 1
             if bits >> pos & 1:
-                edges.append((i, j))
-    return Graph.from_edges(n, edges)
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Graph(n, tuple(rows))
+
+
+def canonical_form(g: Graph) -> Graph:
+    """A canonical representative of the isomorphism class of g."""
+    return _from_key(*canonical_key(g))
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:
@@ -504,19 +629,28 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
 @functools.lru_cache(maxsize=None)
 def enumerate_graphs(n: int) -> tuple[Graph, ...]:
     """All graphs on n vertices up to isomorphism (canonical
-    representatives, deterministic order).  Grows one vertex at a time,
-    deduplicating by canonical key."""
+    representatives, ordered by canonical key).
+
+    Grows each graph on n - 1 vertices by a vertex joined to a mask of
+    them, on bit rows.  Every class has a growth whose new vertex lies in
+    the last refined class (the class order is isomorphism-invariant), so
+    only those are keyed; that class has maximum degree, which is tested
+    first."""
     if n < 1:
         raise ValueError("n must be positive")
     if n == 1:
         return (Graph.empty(1),)
-    out: dict[tuple[int, int], Graph] = {}
+    new = 1 << (n - 1)
+    keys = set()
     for base in enumerate_graphs(n - 1):
-        for mask in range(1 << (n - 1)):
-            rows = [r | ((mask >> i & 1) << (n - 1)) for i, r in enumerate(base.rows)]
-            rows.append(mask)
-            g = Graph(n, tuple(rows))
-            key = canonical_key(g)
-            if key not in out:
-                out[key] = canonical_form(g)
-    return tuple(out[k] for k in sorted(out))
+        rows = base.rows
+        top = max(r.bit_count() for r in rows)
+        at_top = sum(1 << v for v, r in enumerate(rows) if r.bit_count() == top)
+        for mask in range(new):
+            if mask.bit_count() < top + (mask & at_top > 0):
+                continue
+            ext = tuple([r | new if mask >> v & 1 else r for v, r in enumerate(rows)]) + (mask,)
+            cells = _refined_cells(ext)
+            if cells[-1] & new:
+                keys.add(_leader_search(ext, cells))
+    return tuple(_from_key(n, bits) for bits in sorted(keys))

@@ -13,12 +13,14 @@ and which tries every root of a support's tie polynomial from 1 upward,
 the Type I test by an enclosing ball's center, the join blocks of a
 point set by a search over its long distance pairs with a least-squares
 projection of the origin per block, and the pairwise loop for the
-distance residual: independent of the Descartes counts, sign tests,
-float64 walk kernel, modular coprimality test of ``poly_gcd``, join
-composition, active set on squared distances, Bareiss elimination, float
-pencil, certified root walk, Perron root, Gram-matrix bordered solve,
-bit-row components and array code that ``twodist`` uses, and called by
-no program path.  Only the beta* solve's root listing
+distance residual, and the canonical key by neighbour-colour refinement
+on colour tuples and a search over every vertex order that respects its
+classes: independent of the Descartes counts, sign tests, float64 walk
+kernel, modular coprimality test of ``poly_gcd``, join composition,
+active set on squared distances, Bareiss elimination, float pencil,
+certified root walk, Perron root, Gram-matrix bordered solve, bit-row
+components, lexicographic leader search and array code that ``twodist``
+uses, and called by no program path.  Only the beta* solve's root listing
 (``roots_in_window``) runs the program's Descartes bisection, on the tie
 polynomial's squarefree part, and the packed walk data the program's
 Newton identities and its change of variable to t
@@ -26,6 +28,7 @@ Newton identities and its change of variable to t
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -550,3 +553,41 @@ def ball_solve_phi(g: Graph, r: float) -> AlgebraicReal:
             if ball.radius >= r:
                 break  # the radius grows with t: later roots are farther from r
         ball = min(balls, key=lambda b: abs(b.radius - r), default=ball)
+
+
+def refined_classes(g: Graph) -> list[list[int]]:
+    """Stable ordered partition from iterated neighbour-colour refinement:
+    colours start as degree tuples, and each round keys a vertex by its
+    colour and the sorted tuple of its neighbours' colours, until the
+    number of classes stops growing.  The class order is the key order, so
+    it is identical for isomorphic graphs."""
+    color = {v: (g.degree(v),) for v in range(g.n)}
+    while True:
+        sig = {
+            v: (color[v], tuple(sorted(color[w] for w in range(g.n) if g.has_edge(v, w))))
+            for v in range(g.n)
+        }
+        classes = sorted({s for s in sig.values()})
+        new = {v: (classes.index(sig[v]),) for v in range(g.n)}
+        if len(set(new.values())) == len(set(color.values())):
+            ordered = {}
+            for v in range(g.n):
+                ordered.setdefault(sig[v], []).append(v)
+            return [ordered[s] for s in sorted(ordered)]
+        color = new
+
+
+def brute_force_key(g: Graph) -> tuple[int, int]:
+    """(n, least row-major upper-triangle adjacency bitstring) over every
+    vertex order that lists ``refined_classes(g)`` in order, each class in
+    any order: the product of the classes' factorials orders, all tried."""
+    best = None
+    for parts in itertools.product(*(itertools.permutations(c) for c in refined_classes(g))):
+        perm = [v for part in parts for v in part]
+        key = 0
+        for i, u in enumerate(perm):
+            for w in perm[i + 1 :]:
+                key = (key << 1) | (g.rows[u] >> w & 1)
+        if best is None or key < best:
+            best = key
+    return (g.n, best)

@@ -606,8 +606,8 @@ class TestScanLimit:
         ],
     )
     def test_max_n_above_eight_exit(self, capsys, argv):
-        # verify shares catalog's cap: an n = 9 scan would enumerate for
-        # hours, and canonical_key gives up at n = 10
+        # verify shares catalog's cap: an n = 9 scan would analyse 274,668
+        # graphs, 22 times the 12,346 at n = 8
         code, out, err = run(capsys, *argv)
         assert code == 3
         assert out == "" and f"{argv[0]} supports max-n up to 8" in err

@@ -1,17 +1,21 @@
 import random
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import graphs, random_graph
+from conftest import clebsch, graph_from_bits, graphs, paley, random_graph, schlafli, triangular
+from reference import brute_force_key, refined_classes
 from twodist.config import override
 from twodist.errors import GraphFormatError, SizeLimitError
 from twodist.graphs import (
     Graph,
     MultipartiteSignature,
+    _refined_cells,
     are_isomorphic,
     canonical_form,
+    canonical_key,
     complement,
     complement_components,
     complete_multipartite,
@@ -347,10 +351,85 @@ class TestCanonical:
             g = random_graph(rng, 6)
             assert are_isomorphic(g, canonical_form(g))
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_brute_force(self, n):
+        # every class with n <= 7, under three seeded relabelings each:
+        # the leader search's key is the least bitstring over all orders
+        rng = random.Random(n)
+        for g in enumerate_graphs(n):
+            expect = brute_force_key(g)
+            for _ in range(3):
+                h = g.permuted(tuple(rng.sample(range(n), n)))
+                cells = [[v for v in range(n) if cell >> v & 1] for cell in _refined_cells(h.rows)]
+                assert cells == refined_classes(h)
+                assert canonical_key(h) == expect, to_graph6(h)
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_matches_brute_force_random(self, n):
+        # edge densities 1/2, 1/4 and 3/4, each graph also relabelled
+        rng = random.Random(n)
+        for i in range(30):
+            a, b = (rng.getrandbits(n * (n - 1) // 2) for _ in range(2))
+            g = graph_from_bits(n, (a, a & b, a | b)[i % 3])
+            h = g.permuted(tuple(rng.sample(range(n), n)))
+            expect = brute_force_key(g)
+            assert canonical_key(g) == canonical_key(h) == expect, to_graph6(g)
+
+
+def two_switch(g: Graph, rng: random.Random) -> Graph:
+    """g with edges ab, cd replaced by non-edges ac, bd: the same degree
+    sequence."""
+    edges = g.edges()
+    while True:
+        (a, b), (c, d) = rng.sample(edges, 2)
+        if len({a, b, c, d}) == 4 and not g.has_edge(a, c) and not g.has_edge(b, d):
+            kept = set(edges) - {(a, b), (c, d)}
+            return Graph.from_edges(g.n, [*kept, (a, c), (b, d)])
+
+
+class TestNamedSymmetricGraphs:
+    """Vertex-transitive strongly regular graphs, whose refined classes
+    are single classes of n vertices: each decision against a relabelled
+    copy and against a 2-switched copy, which keeps the degree sequence and
+    loses strong regularity, so it is not isomorphic."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [Graph.petersen, clebsch, lambda: paley(29), schlafli, lambda: triangular(8)],
+        ids=["Petersen", "Clebsch", "Paley(29)", "Schlafli", "T(8)"],
+    )
+    def test_decisions(self, build):
+        rng = random.Random(29)
+        g = build()
+        assert is_strongly_regular(g)
+        other = two_switch(g, rng)
+        assert other.degrees() == g.degrees() and not is_strongly_regular(other)
+        for h, same in ((g, True), (other, False)):
+            relabelled = h.permuted(tuple(rng.sample(range(g.n), g.n)))
+            canonical_key.cache_clear()
+            start = time.perf_counter()
+            assert are_isomorphic(g, relabelled) is same
+            assert (canonical_form(g) == canonical_form(relabelled)) is same
+            assert time.perf_counter() - start < 2.0
+
+    def test_relabelings_agree(self):
+        # past brute force's reach, the key must not depend on the labels:
+        # the named graphs, C20, the 5-cube and two Petersens, each also
+        # 2-switched, under twelve seeded relabelings each
+        rng = random.Random(5)
+        cube = Graph.from_edges(32, [(u, u | 1 << b) for u in range(32) for b in range(5) if not u >> b & 1])
+        named = [Graph.petersen(), clebsch(), paley(29), schlafli(), triangular(8)]
+        with override(max_n=20):
+            named += [Graph.cycle(20), cube, disjoint_union(Graph.petersen(), Graph.petersen())]
+        for g in named + [two_switch(g, rng) for g in named]:
+            keys = {canonical_key(g.permuted(tuple(rng.sample(range(g.n), g.n)))) for _ in range(12)}
+            assert len(keys) == 1, to_graph6(g)
+
 
 class TestEnumeration:
     def test_counts(self):
-        expect = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
+        # OEIS A000088
+        expect = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
         for n, count in expect.items():
             assert len(enumerate_graphs(n)) == count
 

@@ -7,12 +7,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import embed16_pool, joins12_corpus, random_graph
+from conftest import (
+    clebsch,
+    embed16_pool,
+    joins12_corpus,
+    paley,
+    random_graph,
+    schlafli,
+    triangular,
+)
 from twodist.config import get_config, override
 from twodist.errors import CompleteGraphError, SizeLimitError
 from twodist.graphs import (
     Graph,
     MultipartiteSignature,
+    canonical_form,
     complement,
     complement_components,
     complete_multipartite,
@@ -364,50 +373,6 @@ class TestWalkKernel:
             invariants.clear_caches()
 
 
-def clebsch() -> Graph:
-    """The folded 5-cube srg(16, 5, 0, 2): F_2^4, two vectors adjacent
-    when they differ in one coordinate or in all four."""
-    pairs = itertools.combinations(range(16), 2)
-    return Graph.from_edges(16, [(u, v) for u, v in pairs if (u ^ v).bit_count() in (1, 4)])
-
-
-def schlafli() -> Graph:
-    """srg(27, 16, 10, 8): the 27 lines on a cubic surface, a_i, b_i
-    (i < 6) and c_ij (i < j < 6), adjacent when skew.  a_i meets b_j for
-    j != i, a_i and b_i meet c_ij, and c_ij meets c_kl for {i, j}, {k, l}
-    disjoint; two a's or two b's are skew."""
-    lines = [("a", {i}) for i in range(6)] + [("b", {i}) for i in range(6)]
-    lines += [("c", set(pair)) for pair in itertools.combinations(range(6), 2)]
-
-    def meet(x, y):
-        (kx, sx), (ky, sy) = x, y
-        if kx == ky:
-            return kx == "c" and not sx & sy
-        return bool(sx & sy) if "c" in (kx, ky) else sx != sy
-
-    pairs = itertools.combinations(range(27), 2)
-    return Graph.from_edges(27, [(i, j) for i, j in pairs if not meet(lines[i], lines[j])])
-
-
-def triangular(m: int) -> Graph:
-    """T(m), the line graph of K_m: 2-subsets of m points, adjacent when
-    they share a point."""
-    subsets = list(itertools.combinations(range(m), 2))
-    pairs = itertools.combinations(range(len(subsets)), 2)
-    return Graph.from_edges(
-        len(subsets), [(i, j) for i, j in pairs if set(subsets[i]) & set(subsets[j])]
-    )
-
-
-def paley(q: int) -> Graph:
-    """Paley(q), q a prime 1 mod 4: Z_q, adjacent when the difference is a
-    nonzero square."""
-    squares = {x * x % q for x in range(1, q)}
-    return Graph.from_edges(
-        q, [(i, j) for i, j in itertools.combinations(range(q), 2) if (j - i) % q in squares]
-    )
-
-
 class TestExtremalClosedForms:
     """Largest two-distance sets of the literature (Lisonek 1997; Musin
     2009; Neumaier 1981 for conference graphs) through ``profile`` and
@@ -638,6 +603,17 @@ class TestProfile:
             for g in enumerate_graphs(n):
                 p = profile(g)
                 assert (p.dim_e == n - 1) == is_disjoint_clique_union(g)
+
+    def test_planar_census(self):
+        # the regular pentagon is the only 5-point two-distance set in the
+        # plane, so C5 is the only 5-vertex graph with dim_e = 2
+        planar = [g for g in enumerate_graphs(5) if profile(g).dim_e == 2]
+        assert planar == [canonical_form(Graph.cycle(5))]
+
+    def test_no_seven_points_in_space(self):
+        # a two-distance set in R^3 has at most 6 points (Einhorn and
+        # Schoenberg, Indag. Math. 28, 1966); R^4 holds 7-point ones
+        assert min(profile(g).dim_e for g in enumerate_graphs(7)) == 4
 
     def test_tau0_advisory_flag(self):
         assert "tau0-advisory" in profile(Graph.path(3)).flags  # P3 = K_{1,2}

@@ -6,6 +6,8 @@
 
 The lines are, in order:
 
+- ``enumerate``: for each n <= 8, the number of graphs ``enumerate_graphs(n)``
+  gives and the SHA-256 of their graph6 words in order, one per line;
 - ``record``: ``analysis_record`` plus the float tau0 of every graph with
   n <= 7, of the embed16 pool and of ``joins12_corpus(60)``;
 - ``decompose``: the exit code and output of ``twodist decompose WORD``
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -88,6 +91,9 @@ def main(argv: list[str] | None = None) -> int:
     from twodist import cli, geometry, invariants
     from twodist.graphs import enumerate_graphs, is_complete, parse_graph6, to_graph6
 
+    for n in range(1, 9):
+        words = "\n".join(to_graph6(g) for g in enumerate_graphs(n))
+        print("enumerate", n, len(enumerate_graphs(n)), hashlib.sha256(words.encode()).hexdigest())
     small = [g for n in range(1, 8) for g in enumerate_graphs(n)]
     pool = _pool_words()
     joins = _joins12_words(60)
