@@ -6,9 +6,9 @@ Exit codes: 0 success; 1 a verify cross-check failed; 2 parse error
 (also an input file that is not ASCII text), unreadable input, bad
 filter, environment value or configuration (a negative or non-finite
 tolerance, negative precision bits, a vertex limit (--max-n,
-TWODIST_MAX_N) below 1, a catalog or verify --max-n below 1, a verify
-grid below 1); 3 size limit (also a catalog or verify --max-n above 8,
-or a graph past the exact range of the walk counts);
+TWODIST_MAX_N) below 1, a catalog or verify --max-n below 1); 3 size
+limit (also a catalog or verify --max-n above 8, or a graph past the
+exact range of the walk counts);
 4 undecidable enclosure; 5 infeasible distance (also one not finite and
 positive, or with a square or squared ratio that is not finite or is
 subnormal); 6 complete graph where a J-spherical operation was
@@ -303,47 +303,39 @@ def _cmd_catalog(args) -> int:
     error = _scan_limit_error(args)
     if error is not None:
         return error
-    if args.filter:
-        try:  # checked before the first graph is analysed
-            _parse_filter(args.filter, 1)
-        except ValueError as exc:
-            print(f"bad filter {args.filter!r}: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-    for n in range(1, args.max_n + 1):
+    try:  # parsed once per n, before the first graph is analysed
+        wants = [_parse_filter(args.filter, n) if args.filter else None
+                 for n in range(1, args.max_n + 1)]
+    except ValueError as exc:
+        print(f"bad filter {args.filter!r}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    for n, want in enumerate(wants, 1):
         for g in enumerate_graphs(n):
             rec = analysis_record(g)
-            if args.filter:
-                key, want = _parse_filter(args.filter, n)
-                if want is None or rec[key] != want:
-                    continue
-            print(json.dumps(rec))
+            clear_caches()  # one graph's invariants held at a time
+            if want is None or (want[1] is not None and rec[want[0]] == want[1]):
+                print(json.dumps(rec))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    if args.grid < 1:
-        print(f"--grid must be >= 1, got {args.grid}", file=sys.stderr)
-        return EXIT_PARSE
     error = _scan_limit_error(args)
     if error is not None:
         return error
-    graphs: list[Graph] = []
     if args.input:
-        graphs.extend(map(parse_graph6, _graph6_words(args.input)))
+        graphs = map(parse_graph6, _graph6_words(args.input))
     else:
-        for n in range(1, args.max_n + 1):
-            graphs.extend(enumerate_graphs(n))
-    failures = 0
+        graphs = (g for n in range(1, args.max_n + 1) for g in enumerate_graphs(n))
+    passed = True
     for g in graphs:
         rep = verify_profile(g)
-        rec = reciprocal_check(g)
-        rep.checks.extend(rec.checks)
+        rep.checks.extend(reciprocal_check(g).checks)
         if args.probe and tau1_mu(g)[0] is not None:
-            rep.checks.extend(probe_f_monotonicity(g, args.grid).checks)
-        if not rep.ok:
-            failures += 1
+            rep.checks.extend(probe_f_monotonicity(g).checks)
+        clear_caches()  # one graph's invariants held at a time
+        passed = passed and rep.ok
         print(rep.to_json())
-    return 0 if failures == 0 else 1
+    return 0 if passed else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -388,8 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="path to graph6 lines (default: enumerate)")
     p.add_argument("--max-n", type=int, default=5, dest="max_n")
     p.add_argument("--probe", action="store_true",
-                   help="include the monotonicity probe")
-    p.add_argument("--grid", type=int, default=100)
+                   help="include the exact shape of the squared circumradius on (1, tau1)")
     return parser
 
 

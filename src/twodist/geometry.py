@@ -36,7 +36,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -474,19 +474,6 @@ def _float_root_near(
     return float(roots[np.argmin(np.abs(roots - t))]) if roots.size else None
 
 
-def _roots_up_to(
-    p: IntPolynomial, t: Optional[float], top: Optional[AlgebraicReal]
-) -> Iterator[tuple[AlgebraicReal, int]]:
-    """Yield p's roots in (1, top] (no upper end when top is None) in
-    increasing order, with their multiplicities: the first proposed by the
-    float t, each later one the least above the last one's enclosure,
-    which holds no other root of p (``invariants._least_root_above``)."""
-    got = invariants._least_root_above(p, t)
-    while got is not None and (top is None or got[0].compare(top) <= 0):
-        yield got
-        got = invariants._least_root_above(p, None, bound=got[0].hi)
-
-
 def solve_phi(g: Graph, r: float) -> AlgebraicReal:
     """The squared long distance x^2 at which the enclosing-ball radius of
     the sqrt(2)-short configuration of g equals r, as an exact algebraic
@@ -508,8 +495,8 @@ def solve_phi(g: Graph, r: float) -> AlgebraicReal:
     bordered matrix), and T to the active set's support there while that
     changes and is untried.  Then T's bordered matrix gets one exact
     adjugate column (``_bordered_adjugate``), the roots of its tie
-    polynomial in (1, tau1] are walked (``_roots_up_to``, the first
-    certified on t's interval), and x^2 is twice the first at which
+    polynomial in (1, tau1] are walked (``invariants._roots_up_to``, the
+    first certified on t's interval), and x^2 is twice the first at which
     ``_support_certified`` holds.  Failing all, the active set at the root
     whose squared radius is nearest r0 proposes the next T, with no t; a T
     proposed again raises ``UndecidableEnclosureError``."""
@@ -541,7 +528,7 @@ def solve_phi(g: Graph, r: float) -> AlgebraicReal:
         adjugate = _bordered_adjugate(g, support)
         tie = adjugate[1].scale(r0.denominator) + adjugate[0].scale(2 * r0.numerator)
         best, miss = support, math.inf
-        for root, _ in _roots_up_to(tie, t, tau1):
+        for root, _ in invariants._roots_up_to(tie, t, tau1):
             if _support_certified(g, support, adjugate, root):
                 return root.scaled(2)
             got, _, r2 = _active_set(_squared_distances(adjacency, float(root)), support)

@@ -23,9 +23,9 @@ lifted by the Chinese remainder theorem.  A graph too large for any such
 set of primes raises ``SizeLimitError``.
 
 tau1 (C's least root above 1, with its multiplicity mu), tau0, ``t_star``
-and the root walk of ``geometry.solve_phi`` take one route,
-``_least_root_above``; tau0, C's largest root below 1, is read from C's
-reciprocal polynomial, the complement's C.
+and the root walk ``_roots_up_to`` take one route, ``_least_root_above``;
+tau0, C's largest root below 1, is read from C's reciprocal polynomial,
+the complement's C.
 
 The squared circumradius is the limit of -M/(2C) at tau1.  At a rational
 tau1 it is an exact rational, compared with r0 directly.  At an irrational
@@ -45,7 +45,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -474,10 +474,10 @@ def _least_root_above(
     """p's least root above ``bound`` (>= 1) and its multiplicity, refined
     to ``tau_width`` once, on the way out, in an enclosure that holds no
     other root of p, or None: the one route of tau1, tau0, ``t_star`` and
-    ``solve_phi``'s root walk.  q is p without its power of t (roots at 0
-    never matter).  A float proposal t of the least root above 1 gives one
-    interval (``_proposal_interval``), on which ``_certified_root`` decides
-    once: for the rational root t proposes when n is set
+    the root walk ``_roots_up_to``.  q is p without its power of t (roots
+    at 0 never matter).  A float proposal t of the least root above 1 gives
+    one interval (``_proposal_interval``), on which ``_certified_root``
+    decides once: for the rational root t proposes when n is set
     (``_rational_root``), else for a simple root of q.  Failing that, a
     Descartes count of 0 on q over (bound, inf) proves there is no root;
     else q's one squarefree split certifies on the same interval, or is
@@ -497,6 +497,19 @@ def _least_root_above(
             got = _certified_root(factors, *interval)
         got = got or smallest_root_greater_than(q, bound, factors)
     return None if got is None else (got[0].refined(get_config().tau_width), got[1])
+
+
+def _roots_up_to(
+    p: IntPolynomial, t: Optional[float], top: Optional[AlgebraicReal]
+) -> Iterator[tuple[AlgebraicReal, int]]:
+    """Yield p's roots in (1, top] (no upper end when top is None) in
+    increasing order, with their multiplicities: the first proposed by the
+    float t, each later one the least above the last one's enclosure,
+    which holds no other root of p (``_least_root_above``)."""
+    got = _least_root_above(p, t)
+    while got is not None and (top is None or got[0].compare(top) <= 0):
+        yield got
+        got = _least_root_above(p, None, bound=got[0].hi)
 
 
 def _proposal(x: float) -> Optional[float]:

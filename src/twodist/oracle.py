@@ -4,8 +4,8 @@ The checks here deliberately take different routes than the library
 proper: determinants are re-evaluated in floating point at random
 rational points, ranks come from realized coordinates rather than root
 multiplicities, and sphericity is tested on actual distances to the
-enclosing-ball center.  Conjecture probes report observations but never
-fail."""
+enclosing-ball center.  The conjecture probe decides the shape of the
+squared circumradius exactly and reports it, but never fails."""
 
 from __future__ import annotations
 
@@ -18,12 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import Graph, complement, to_graph6
-from .invariants import (
-    TwoDistanceProfile,
-    cm_polynomials,
-    profile,
-    tau1_mu,
-)
+from .invariants import TwoDistanceProfile, _roots_up_to, cm_polynomials, profile, tau1_mu
+from .polynomials import AlgebraicReal, IntPolynomial
 from . import geometry
 
 
@@ -160,30 +156,43 @@ def reciprocal_check(g: Graph) -> OracleReport:
     return report
 
 
-def probe_f_monotonicity(g: Graph, grid: int = 100) -> OracleReport:
-    """Sample the squared-circumradius function -M/(2C) on a grid over
-    (1, tau1) and report monotonicity/convexity violations.  Informational:
-    the report never fails, it records observations about a conjecture."""
+def _odd_roots(p: IntPolynomial, top: AlgebraicReal) -> tuple[int, int]:
+    """(k, s): k counts p's roots of odd multiplicity in (1, top), where p
+    changes sign, from the walk ``invariants._roots_up_to``, and s is p's
+    sign at a rational point below its first root there; (0, 0) for p = 0."""
+    if p.is_zero:
+        return 0, 0
+    roots = [(root, mult) for root, mult in _roots_up_to(p, None, top) if root.compare(top) < 0]
+    x = (1 + min([top.lo] + [root.lo for root, _ in roots[:1]])) / 2
+    return sum(mult % 2 for _, mult in roots), 1 if p(x) > 0 else -1
+
+
+def f_shape(c: IntPolynomial, m: IntPolynomial, tau1: AlgebraicReal) -> str:
+    """The shape of f = -M/(2C) on (1, tau1), tau1 C's least root above 1,
+    decided exactly: f' = N1/(2C^2) and f'' = N2/(2C^3), N1 = M C' - M' C
+    and N2 = N1' C - 2 C' N1, change sign at the roots of odd multiplicity
+    of N1 and N2, and N1 = 0 (N2 = 0) means f is constant (affine)."""
+    dc = c.derivative()
+    n1 = m * dc - m.derivative() * c
+    n2 = n1.derivative() * c - (dc * n1).scale(2)
+    (turns, slope), (bends, bend) = _odd_roots(n1, tau1), _odd_roots(n2, tau1)
+    if turns:
+        return f"f' changes sign {turns} time{'s' * (turns > 1)} on (1, tau1)"
+    if not slope:
+        return "constant on (1, tau1)"
+    shape = "increasing" if slope > 0 else "decreasing"
+    if bends:
+        return f"{shape}, f'' changes sign {bends} time{'s' * (bends > 1)} on (1, tau1)"
+    bend *= 1 if c((1 + tau1.lo) / 2) > 0 else -1  # C keeps one sign on (1, tau1)
+    return f"{shape} and {('affine', 'convex', 'concave')[bend]} on (1, tau1)"
+
+
+def probe_f_monotonicity(g: Graph) -> OracleReport:
+    """The shape of the squared circumradius f = -M/(2C) on (1, tau1),
+    decided exactly (``f_shape``).  Informational: the report never fails."""
     root, _ = tau1_mu(g)
     if root is None:
         raise ValueError("requires a finite window endpoint")
     report = OracleReport(subject=to_graph6(g))
-    c_poly, m_poly = cm_polynomials(g)
-    t1 = float(root)
-    ts = np.linspace(1.0, t1, grid + 2)[1:-1]
-    vals = []
-    for t in ts:
-        c_val = float(c_poly(Fraction(t).limit_denominator(10**12)))
-        m_val = float(m_poly(Fraction(t).limit_denominator(10**12)))
-        vals.append(-m_val / (2.0 * c_val))
-    diffs = np.diff(vals)
-    mono_viol = int((diffs < -1e-9).sum())
-    convex_viol = int((np.diff(diffs) < -1e-9).sum())
-    report.add(
-        "f-monotonicity-probe",
-        True,
-        f"{mono_viol} monotonicity and {convex_viol} convexity violations "
-        f"on a {grid}-point grid",
-        0.0,
-    )
+    report.add("f-monotonicity-probe", True, f_shape(*cm_polynomials(g), root))
     return report

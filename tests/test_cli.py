@@ -535,12 +535,13 @@ class TestVerifyCommand:
         names = [c["name"] for c in reports[0]["checks"]]
         assert "f-monotonicity-probe" in names
 
-    def test_grid_below_one_exit(self, capsys):
-        for grid in ("0", "-1"):
-            code, out, err = run(capsys, "verify", "--max-n", "3", "--probe", "--grid", grid)
-            assert code == 2
-            assert out == ""
-            assert f"--grid must be >= 1, got {grid}" in err
+    def test_grid_is_usage_error(self, capsys):
+        # the probe is decided exactly: no grid option is left to set
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--probe", "--grid", "5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "unrecognized arguments: --grid 5" in err
 
 
 class TestBeyondSixtyTwo:

@@ -136,7 +136,7 @@ def invocations(draw, folder):
         if draw(st.booleans()):
             argv += ["--input", draw(file_inputs(folder, limit, False))]
         if draw(st.booleans()):
-            argv += ["--probe", "--grid", draw(st.sampled_from(["-1", "0", "1", "5"]))]
+            argv.append("--probe")
     return argv, env
 
 

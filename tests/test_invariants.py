@@ -823,7 +823,7 @@ class TestSpectralWindow:
             near2 = invariants._proposal_interval(math.sqrt(2))
             assert invariants._certified_root(factors, *near2) is None
             for proposal in (math.sqrt(2), None):
-                got = list(geometry._roots_up_to(p, proposal, None))
+                got = list(invariants._roots_up_to(p, proposal, None))
                 assert [mult for _, mult in got] == [square, 1]
                 first, second = (root for root, _ in got)
                 assert cmp_rational(first, rational) == 0
@@ -843,7 +843,7 @@ class TestSpectralWindow:
         factors = squarefree_decomposition(p)
         assert len(factors) == 2
         assert invariants._certified_root(factors, *invariants._proposal_interval(t)) is None
-        got = list(geometry._roots_up_to(p, t, None))
+        got = list(invariants._roots_up_to(p, t, None))
         assert [mult for _, mult in got] == [1, 2]
         assert got[0][0].compare(AlgebraicReal(poly(-2, 0, 1), Fraction(1), Fraction(2))) == 0
         assert cmp_rational(got[1][0], hi) == 0
@@ -856,7 +856,7 @@ class TestSpectralWindow:
         assert invariants._least_root_above(complex_pair, None) is None
         assert invariants._least_root_above(complex_pair, 3.0) is None
         for proposal in (2.0, None):
-            got = list(geometry._roots_up_to(poly(-2, 1) * complex_pair, proposal, None))
+            got = list(invariants._roots_up_to(poly(-2, 1) * complex_pair, proposal, None))
             assert [mult for _, mult in got] == [1]
             assert cmp_rational(got[0][0], Fraction(2)) == 0 and is_valid(got[0][0])
 

@@ -29,7 +29,10 @@ The lines are, in order:
   tree that solved r = 1 by the certificate cross-checks the two routes;
 - ``verify``: the exit code and one output line of
   ``twodist verify --max-n 7 --probe`` (the oracle's float determinants,
-  realized ranks and probes) per line.
+  realized ranks, reciprocal checks and the exact shape of the squared
+  circumradius on (1, tau1)) per line;
+- ``catalog``: the exit code, the line count and the SHA-256 of the
+  stdout of ``twodist catalog --max-n 8``, 13,598 records.
 
 The inputs come from this checkout's ``perfbench/`` (the pool's graph6 words
 and the joins generator), so two trees' dumps share them.  The invariant
@@ -125,6 +128,8 @@ def main(argv: list[str] | None = None) -> int:
     for line in out.splitlines():
         print("verify", code, line)
     invariants.clear_caches()
+    code, out = _run(["catalog", "--max-n", "8"])
+    print("catalog", code, len(out.splitlines()), hashlib.sha256((out + "\n").encode()).hexdigest())
     return 0
 
 
