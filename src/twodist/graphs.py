@@ -479,6 +479,31 @@ def _split(row: int, cells: list[int]) -> tuple[int, list[int]]:
     return bits, out
 
 
+class _Node:
+    """A branching node of ``_leader_search``: position k, the vertices
+    placed before it (``fixed``), whether its rows so far equal the least
+    leaf's (``tied``), the least row k of its children and those children,
+    the next child to try, and what its search has found so far."""
+
+    __slots__ = (
+        "k", "fixed", "tied", "least", "children", "next", "known", "replaced", "searched", "seen",
+    )
+
+    def __init__(
+        self,
+        k: int,
+        fixed: int,
+        tied: bool,
+        least: int,
+        children: list[tuple[int, list[int]]],
+        known: int,
+    ) -> None:
+        self.k, self.fixed, self.tied, self.least = k, fixed, tied, least
+        self.children, self.next, self.known = children, 0, known
+        self.replaced = False
+        self.searched = self.seen = 0
+
+
 def _leader_search(rows: tuple[int, ...], cells: list[int]) -> int:
     """The least row-major upper-triangle bitstring over the vertex orders
     that list ``cells`` in order, each cell in any order.
@@ -520,9 +545,11 @@ def _leader_search(rows: tuple[int, ...], cells: list[int]) -> int:
             frontier |= new
         return orb
 
-    def descend(k: int, cells: list[int], fixed: int, tied: bool) -> bool:
-        """Search below a node whose rows before k equal the least leaf's
-        (``tied``) or are smaller; True when it replaced the least leaf."""
+    def enter(k: int, cells: list[int], fixed: int, tied: bool) -> bool | _Node:
+        """Place the forced vertices below a node whose rows before k equal
+        the least leaf's (``tied``) or are smaller.  A leaf or a cut ends
+        its search: True when it replaced the least leaf, else False.  A
+        branching node is returned to be searched."""
         nonlocal best, best_perm, jump
         while cells and not cells[0] & (cells[0] - 1):
             v = cells[0].bit_length() - 1
@@ -564,31 +591,53 @@ def _leader_search(rows: tuple[int, ...], cells: list[int]) -> int:
         if tied and least > best[k]:
             return False
         path[k] = least
-        replaced = False
-        searched = seen = 0
-        known = len(autos)
-        for v, sub in children:
-            if len(autos) != known:
-                known = len(autos)
-                seen = 0
-                rest = searched
+        return _Node(k, fixed, tied, least, children, len(autos))
+
+    # Depth-first over an explicit stack of branching nodes, so the depth
+    # of the search is not bounded by Python's recursion limit.  ``got`` is
+    # a node to search, or how the search below the top node's current
+    # child ended.
+    stack: list[_Node] = []
+    got = enter(0, cells, 0, False)
+    while True:
+        if isinstance(got, _Node):
+            stack.append(got)
+        elif not stack:
+            break
+        else:
+            node = stack[-1]
+            if got:
+                node.replaced = node.tied = True
+            if jump < node.k:
+                stack.pop()
+                got = node.replaced
+                continue
+            jump = n
+        node = stack[-1]
+        child = None
+        while node.next < len(node.children):
+            v, sub = node.children[node.next]
+            node.next += 1
+            if len(autos) != node.known:
+                node.known = len(autos)
+                node.seen = 0
+                rest = node.searched
                 while rest:
                     u = (rest & -rest).bit_length() - 1
                     rest &= rest - 1
-                    seen |= orbit(u, fixed)
-            if seen >> v & 1:
-                continue
-            searched |= 1 << v
-            seen |= orbit(v, fixed)
-            perm[k] = v
-            if descend(k + 1, sub, fixed | 1 << v, tied and least == best[k]):
-                replaced = tied = True
-            if jump < k:
-                return replaced
-            jump = n
-        return replaced
-
-    descend(0, cells, 0, False)
+                    node.seen |= orbit(u, node.fixed)
+            if not node.seen >> v & 1:
+                child = v, sub
+                break
+        if child is None:
+            stack.pop()
+            got = node.replaced
+            continue
+        v, sub = child
+        node.searched |= 1 << v
+        node.seen |= orbit(v, node.fixed)
+        perm[node.k] = v
+        got = enter(node.k + 1, sub, node.fixed | 1 << v, node.tied and node.least == best[node.k])
     key = 0
     for k, row in enumerate(best):
         key = (key << (n - 1 - k)) | row

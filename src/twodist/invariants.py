@@ -27,12 +27,19 @@ and the root walk ``_roots_up_to`` take one route, ``_least_root_above``;
 tau0, C's largest root below 1, is read from C's reciprocal polynomial,
 the complement's C.
 
-The squared circumradius is the limit of -M/(2C) at tau1.  At a rational
-tau1 it is an exact rational, compared with r0 directly.  At an irrational
-one it equals a rational r0 = p/q iff the tie polynomial q*M + 2p*C
-vanishes there to higher order than C, and is otherwise enclosed away from
-r0 by certified interval arithmetic over rationals.  The 1/2 test is the
-case r0 = 1/2; ``dim_s_bounded`` asks about any r0.  The r0 = 1/2 tie
+The squared circumradius is the limit of -M/(2C) at tau1, finite iff M
+vanishes there to order at least mu, C's multiplicity: at most mu
+vanishing tests, of M, M', ..., each an interval image on tau1's
+enclosure, else the exact value at a rational tau1, else one gcd against
+a divisor of tau1's defining polynomial that shrinks to the last gcd
+holding tau1 (``polynomials.vanishes_at``).  The finite limit is then
+-M^(mu)/(2 C^(mu)).  At a rational tau1 it is an exact rational, compared
+with r0 directly.  At an irrational one it equals a rational r0 = p/q iff
+q*M^(mu) + 2p*C^(mu), the mu-th derivative of the tie polynomial
+q*M + 2p*C, vanishes there (one more such test), and is otherwise
+enclosed away from r0 by certified interval arithmetic on an integer
+grid.  The 1/2 test is the case r0 = 1/2; ``dim_s_bounded`` asks about
+any r0.  The r0 = 1/2 tie
 polynomial of the whole graph is also the Gram determinant of the
 J-spherical configuration, so ``t_star`` reads beta*^2/2 as its least
 root above 1, proposed by the complement's Perron root.
@@ -45,7 +52,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -65,9 +72,10 @@ from .polynomials import (
     descartes_count,
     enclose_rational_limit,
     exact_div,
-    multiplicity_at,
+    is_prime,
     smallest_root_greater_than,
     squarefree_decomposition,
+    vanishes_at,
 )
 
 INFINITE = "infinite"
@@ -154,23 +162,6 @@ _EXACT = 1 << 53
 _CHUNK = 1 << 16
 
 
-def _is_prime(q: int) -> bool:
-    """Miller-Rabin for odd 3 <= q < 2^32 with the bases 2, 7 and 61, which
-    no composite below 4,759,123,141 passes (Jaeschke 1993): exact here."""
-    s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = 2^s o, o odd
-    for a in (2, 7, 61):
-        x = pow(a, (q - 1) >> s, q)
-        if a % q == 0 or x in (1, q - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % q
-            if x == q - 1:
-                break
-        else:
-            return False
-    return True
-
-
 @functools.lru_cache(maxsize=None)
 def _moduli(n: int, d: int) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
     """(moduli, their product m, CRT basis) for ``_walk_data`` on n vertices
@@ -185,7 +176,7 @@ def _moduli(n: int, d: int) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
         cap = min((1 << 32) - 1, _EXACT // (n * n * d))
         q = cap - 1 + cap % 2  # odd
         while m <= bound:
-            while q >= 3 and not _is_prime(q):
+            while q >= 3 and not is_prime(q):
                 q -= 2
             if q < 3:
                 raise SizeLimitError(f"n={n}: too few primes for exact walk counts")
@@ -341,13 +332,17 @@ def tie_polynomial(g: Graph, r0: Fraction) -> IntPolynomial:
     return m.scale(r0.denominator) + c.scale(2 * r0.numerator)
 
 
-def _limit_against(g: Graph, r0: Fraction) -> Optional[tuple[Fraction, Fraction]]:
-    """None when the finite squared circumradius equals r0 exactly, else a
-    certified enclosure (lo, hi) of it that excludes r0.  Callers reach it
-    only when mu_M >= mu = mu_C at a finite tau1, so the limit of -M/(2C)
-    there is -M^(mu)/(2 C^(mu)), and the tie polynomial vanishes to order
-    > mu iff the limit is r0.  At a rational tau1 the exact limit decides;
-    at an irrational one the tie polynomial does, and the limit is else
+def _limit_against(
+    g: Graph, r0: Fraction, divisor: Optional[IntPolynomial] = None
+) -> Optional[tuple[Fraction, Fraction]]:
+    """None when the finite squared circumradius equals r0 = p/q exactly,
+    else a certified enclosure (lo, hi) of it that excludes r0.  Callers
+    reach it only when mu_M >= mu = mu_C at a finite tau1, so the limit of
+    -M/(2C) there is -M^(mu)/(2 C^(mu)), and it is r0 iff q M^(mu) +
+    2p C^(mu), the mu-th derivative of the tie polynomial, vanishes at
+    tau1.  At a rational tau1 the exact limit decides; at an irrational
+    one a vanishing test (``vanishes_at``, against ``divisor``, a factor of
+    tau1's defining polynomial that holds it) does, and the limit is else
     enclosed on a refined interval."""
     root, mu = tau1_mu(g)
     c, m = cm_polynomials(g)
@@ -358,7 +353,9 @@ def _limit_against(g: Graph, r0: Fraction) -> Optional[tuple[Fraction, Fraction]
         exact = -m(tau) / (2 * c(tau))
         return None if exact == r0 else (exact, exact)
     tie = tie_polynomial(g, r0)
-    if tie.is_zero or multiplicity_at(tie, root) > mu:
+    for _ in range(mu):
+        tie = tie.derivative()
+    if vanishes_at(tie, root, divisor) is not None:
         return None
     return enclose_rational_limit(-m, c.scale(2), root, get_config().r2_width, r0)
 
@@ -469,7 +466,11 @@ def _without_zero_roots(p: IntPolynomial) -> IntPolynomial:
 
 
 def _least_root_above(
-    p: IntPolynomial, t: Optional[float], n: Optional[int] = None, bound: RationalLike = 1
+    p: IntPolynomial,
+    t: Optional[float],
+    n: Optional[int] = None,
+    bound: RationalLike = 1,
+    split: Optional[Callable[[], list[tuple[IntPolynomial, int]]]] = None,
 ) -> Optional[tuple[AlgebraicReal, int]]:
     """p's least root above ``bound`` (>= 1) and its multiplicity, refined
     to ``tau_width`` once, on the way out, in an enclosure that holds no
@@ -482,7 +483,8 @@ def _least_root_above(
     Descartes count of 0 on q over (bound, inf) proves there is no root;
     else q's one squarefree split certifies on the same interval, or is
     bisected (``smallest_root_greater_than``, which finds none when the
-    count came from complex roots)."""
+    count came from complex roots).  ``split``, when set, returns that
+    split, so a caller that asks for several roots of p splits it once."""
     q = _without_zero_roots(p)
     got = interval = None
     if t is not None:
@@ -492,7 +494,7 @@ def _least_root_above(
         got = _rational_root(q, n, t, *interval) if n else None
         got = got or _certified_root([(q, 1)], *interval)
     if got is None and descartes_count(q, bound):
-        factors = squarefree_decomposition(q)
+        factors = split() if split else squarefree_decomposition(q)
         if interval is not None:
             got = _certified_root(factors, *interval)
         got = got or smallest_root_greater_than(q, bound, factors)
@@ -505,11 +507,14 @@ def _roots_up_to(
     """Yield p's roots in (1, top] (no upper end when top is None) in
     increasing order, with their multiplicities: the first proposed by the
     float t, each later one the least above the last one's enclosure,
-    which holds no other root of p (``_least_root_above``)."""
-    got = _least_root_above(p, t)
+    which holds no other root of p (``_least_root_above``).  p is split
+    into squarefree factors at most once per walk, on the first step that
+    needs it."""
+    split = functools.cache(lambda: squarefree_decomposition(_without_zero_roots(p)))
+    got = _least_root_above(p, t, split=split)
     while got is not None and (top is None or got[0].compare(top) <= 0):
         yield got
-        got = _least_root_above(p, None, bound=got[0].hi)
+        got = _least_root_above(p, None, bound=got[0].hi, split=split)
 
 
 def _proposal(x: float) -> Optional[float]:
@@ -549,15 +554,22 @@ def circumradius_invariant(g: Graph) -> RSquared:
     """Exact classification of the squared circumradius.
 
     With mu_C, mu_M the multiplicities of tau1 in C and M: the limit of
-    -M/(2C) is infinite iff tau1 is infinite or mu_M < mu_C.  Otherwise
-    it is exactly 1/2 or enclosed away from 1/2 (``_limit_against``)."""
+    -M/(2C) is infinite iff tau1 is infinite or mu_M < mu_C, that is iff
+    one of M, M', ..., M^(mu_C - 1) is nonzero at tau1.  Each is one
+    vanishing test (``vanishes_at``), whose divisor shrinks to the last
+    gcd that holds tau1.  Otherwise the limit is exactly 1/2 or enclosed
+    away from 1/2 (``_limit_against``, which takes that divisor)."""
     root, mu = tau1_mu(g)
     if root is None:
         return RSquared.infinite()
     _, m = cm_polynomials(g)
-    if multiplicity_at(m, root) < mu:
-        return RSquared.infinite()
-    got = _limit_against(g, Fraction(1, 2))
+    divisor = root.defining
+    for _ in range(mu):
+        divisor = vanishes_at(m, root, divisor)
+        if divisor is None:
+            return RSquared.infinite()
+        m = m.derivative()
+    got = _limit_against(g, Fraction(1, 2), divisor)
     return RSquared.half() if got is None else RSquared.finite(*got)
 
 

@@ -18,11 +18,18 @@ its defining polynomial, simple.  Bisection until every count is 0 or 1
 isolates the real roots of any squarefree polynomial, tie polynomials
 included (``smallest_root_greater_than``).  Where a polynomial has at most
 one root in an interval, simple, a sign change decides it with no count:
-``multiplicity_at`` and ``AlgebraicReal.compare`` test gcds that way, and
-``multiplicity_at`` takes none when an interval image excludes 0.
-``poly_gcd`` is the one gcd route: it returns 1 with no remainder step
-when a gcd modulo a prime proves its two inputs coprime.
-``SturmChain`` is built by no program path; the tests count with it.
+``vanishes_at`` and ``AlgebraicReal.compare`` test gcds that way.
+``vanishes_at`` is the program's zero test at an algebraic point: an
+interval image that excludes 0 decides with no gcd, and so does the exact
+value at a rational point.  ``multiplicity_at`` repeats the gcd and
+division to count a root's multiplicity; no program path calls it.
+``poly_gcd`` is the one gcd route, Brown's modular gcd: a gcd image
+modulo 2**61 - 1 of degree 0 proves two inputs coprime, and otherwise the
+first image, or several combined by the Chinese remainder theorem when
+its coefficients need more primes, lifts to the gcd, checked by exact
+division.  ``poly_rem``'s integer remainder sequence serves only
+``SturmChain``, which is built by no program path; the tests count with
+it.
 
 Every loop runs on integers.  The sign of p at a rational n/d (d > 0) is
 the sign of the integer d**deg * p(n/d), computed by homogeneous Horner;
@@ -43,7 +50,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import UndecidableEnclosureError
 
@@ -82,7 +89,7 @@ class IntPolynomial:
 
     @staticmethod
     def from_coeffs(seq: Sequence[int]) -> "IntPolynomial":
-        c = list(int(v) for v in seq)
+        c = list(map(int, seq))
         while c and c[-1] == 0:
             c.pop()
         return IntPolynomial(tuple(c))
@@ -191,7 +198,7 @@ class IntPolynomial:
         if self.is_zero:
             return self
         c = self.content()
-        return IntPolynomial(tuple(v // c for v in self.coeffs))
+        return self if c == 1 else IntPolynomial(tuple(v // c for v in self.coeffs))
 
     def primitive(self) -> "IntPolynomial":
         """Content-free with positive leading coefficient."""
@@ -280,21 +287,43 @@ def exact_div(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     return IntPolynomial.from_coeffs(quot)
 
 
-# A prime for the modular coprimality test: 2**61 - 1.
+# The first modulus of ``poly_gcd``: 2**61 - 1.
 _PRIME = (1 << 61) - 1
 
 
-def _coprime_mod_p(a: IntPolynomial, b: IntPolynomial) -> bool:
-    """True when gcd(a, b) modulo ``_PRIME`` is a nonzero constant and the
-    prime divides neither leading coefficient.  That proves a and b coprime
-    over Q, since reduction then cannot lower the degree of their gcd
-    (Brown, J. ACM 18, 1971); False decides nothing."""
-    p = _PRIME
-    if a.coeffs[-1] % p == 0 or b.coeffs[-1] % p == 0:
-        return False
-    u = [c % p for c in a.coeffs]
-    v = [c % p for c in b.coeffs]
-    while len(v) > 1:
+def is_prime(q: int) -> bool:
+    """Miller-Rabin for odd 3 <= q < 2^32 with the bases 2, 7 and 61, which
+    no composite below 4,759,123,141 passes (Jaeschke 1993): exact here."""
+    s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = 2^s o, o odd
+    for a in (2, 7, 61):
+        x = pow(a, (q - 1) >> s, q)
+        if a % q == 0 or x in (1, q - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes() -> Iterator[int]:
+    """The moduli of ``poly_gcd``: ``_PRIME``, then the odd primes below
+    2**32, downwards."""
+    yield _PRIME
+    for q in range((1 << 32) - 1, 2, -2):
+        if is_prime(q):
+            yield q
+
+
+def _gcd_mod_p(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """The monic gcd modulo the prime p of the polynomials with
+    coefficients a and b, lowest degree first; p divides neither leading
+    coefficient."""
+    u = [c % p for c in a]
+    v = [c % p for c in b]
+    while v:
         inv = pow(v[-1], -1, p)
         while len(u) >= len(v):  # u <- u mod v
             q = u.pop() * inv % p
@@ -304,19 +333,57 @@ def _coprime_mod_p(a: IntPolynomial, b: IntPolynomial) -> bool:
             while u and u[-1] == 0:
                 u.pop()
         u, v = v, u
-    return len(v) == 1
+    inv = pow(u[-1], -1, p)
+    return [c * inv % p for c in u]
 
 
 def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Primitive gcd over Q, positive leading coefficient.  Two nonzero
-    polynomials proved coprime modulo a prime (``_coprime_mod_p``) give 1
-    with no remainder step; else a primitive remainder sequence decides."""
-    if not (a.is_zero or b.is_zero) and _coprime_mod_p(a, b):
-        return IntPolynomial.const(1)
+    """Primitive gcd over Q, positive leading coefficient, by Brown's
+    modular algorithm (J. ACM 18, 1971; von zur Gathen & Gerhard, *Modern
+    Computer Algebra*, ch. 6).
+
+    For primitive a and b, G = (l / lc(g)) g is an integer multiple of
+    their primitive gcd g with leading coefficient l = gcd(lc a, lc b).
+    Modulo a prime p dividing neither leading coefficient, g's image
+    divides the gcd image, so that image has degree at least deg g, and
+    degree 0 proves a and b coprime with no lift.  The images of the least
+    degree seen, scaled to leading coefficient l, are combined by the
+    Chinese remainder theorem; an image of larger degree comes from an
+    unlucky prime and is dropped, and one of smaller degree starts the
+    combination over.  The primitive part of the symmetric lift is the
+    gcd as soon as it divides both inputs (``exact_div``): it then
+    divides g, and its degree is at least g's.  Usually the first prime,
+    ``_PRIME``, decides."""
+    if a.is_zero or b.is_zero:
+        return (a if b.is_zero else b).primitive()
     a, b = a.primitive(), b.primitive()
-    while not b.is_zero:
-        a, b = b, poly_rem(a, b)
-    return a.primitive()
+    lead = math.gcd(a.coeffs[-1], b.coeffs[-1])
+    image: list[int] = []
+    modulus = 1
+    for p in _primes():
+        if a.coeffs[-1] % p == 0 or b.coeffs[-1] % p == 0:
+            continue
+        g = _gcd_mod_p(a.coeffs, b.coeffs, p)
+        if len(g) == 1:
+            return IntPolynomial.const(1)
+        if image and len(g) > len(image):
+            continue
+        g = [c * lead % p for c in g]
+        if not image or len(g) < len(image):
+            image, modulus = g, p
+        else:
+            k = pow(modulus, -1, p)
+            image = [x + modulus * ((y - x) * k % p) for x, y in zip(image, g)]
+            modulus *= p
+        half = modulus // 2
+        candidate = IntPolynomial(tuple(c - modulus if c > half else c for c in image)).primitive()
+        try:
+            exact_div(a, candidate)
+            exact_div(b, candidate)
+        except ValueError:
+            continue
+        return candidate
+    raise ArithmeticError("poly_gcd ran out of primes")
 
 
 class SturmChain:
@@ -409,8 +476,8 @@ class AlgebraicReal:
     """A real algebraic number: a defining polynomial with exactly one root
     in a rational interval, that root simple, and nonroot endpoints.  The
     polynomial need not be squarefree: roots elsewhere may be multiple.
-    ``refined``, ``compare``, ``multiplicity_at`` and ``to_float`` rely on
-    nothing more."""
+    ``refined``, ``compare``, ``vanishes_at``, ``multiplicity_at`` and
+    ``to_float`` rely on nothing more."""
 
     defining: IntPolynomial
     lo: Fraction
@@ -790,7 +857,10 @@ def multiplicity_at(p: IntPolynomial, a: AlgebraicReal) -> int:
     simple, and holds ``a`` exactly when it changes sign there; no
     floating point.  An interval image of p over the enclosure that
     excludes 0 shows p(a) != 0 with no gcd, and a gcd proved 1 modulo a
-    prime (``poly_gcd``) takes no remainder step."""
+    prime (``poly_gcd``) takes no lift.  No program path counts
+    multiplicities this way (``vanishes_at`` tests one derivative at a
+    time); it stays for the tests and because the benchmark's tracer
+    resolves it by name."""
     if p.is_zero:
         raise ValueError("zero polynomial")
     lo, hi, _ = p._image(*_on_grid(a.lo, a.hi))
@@ -805,12 +875,40 @@ def multiplicity_at(p: IntPolynomial, a: AlgebraicReal) -> int:
         mult += 1
 
 
+def vanishes_at(
+    p: IntPolynomial, a: AlgebraicReal, divisor: Optional[IntPolynomial] = None
+) -> Optional[IntPolynomial]:
+    """None when p(a) != 0; else a factor of ``divisor`` that vanishes at
+    ``a``.  ``divisor`` is a factor of a's defining polynomial that vanishes
+    at a (by default the defining polynomial), so a caller testing several
+    polynomials at one point passes each answer on as the next divisor, and
+    the gcds shrink.
+
+    An interval image of p over a's enclosure that excludes 0 decides
+    p(a) != 0; at a rational a (a linear defining polynomial) the
+    homogeneous value decides; else one gcd with the divisor does: it
+    divides the defining polynomial, so it has at most one root in the
+    enclosure, simple, and holds a exactly when it changes sign there."""
+    if divisor is None:
+        divisor = a.defining
+    if p.is_zero:
+        return divisor
+    lo, hi, _ = p._image(*_on_grid(a.lo, a.hi))
+    if lo > 0 or hi < 0:
+        return None
+    x = a.rational
+    if x is not None:
+        return divisor if p.homogeneous(x.numerator, x.denominator) == 0 else None
+    g = poly_gcd(p, divisor)
+    return g if g.degree and _changes_sign(g, a.lo, a.hi) else None
+
+
 def sign_at(p: IntPolynomial, a: AlgebraicReal) -> int:
     """Sign of ``p`` at the algebraic point ``a``, decided exactly.
 
     The interval image of ``p`` over the enclosure of ``a`` decides a
-    nonzero sign; while it contains 0, ``multiplicity_at`` tells a root
-    apart from a value the enclosure is still too wide to separate."""
+    nonzero sign; while it contains 0, ``vanishes_at`` tells a root apart
+    from a value the enclosure is still too wide to separate."""
     if p.is_zero:
         return 0
     zero_tested = False
@@ -821,7 +919,7 @@ def sign_at(p: IntPolynomial, a: AlgebraicReal) -> int:
         if hi < 0:
             return -1
         if not zero_tested:
-            if multiplicity_at(p, a):
+            if vanishes_at(p, a) is not None:
                 return 0
             zero_tested = True
         a = a.refined(a.width / 2)
@@ -841,25 +939,36 @@ def enclose_rational_limit(
     """Certified enclosure of numerator/denominator at an algebraic point.
 
     The denominator must be nonzero at the point.  The point's interval is
-    bisected until the quotient enclosure is narrower than ``width`` and
-    excludes ``exclude``.  Returns (lo, hi).
-    """
-    a = at
+    bisected, as ``AlgebraicReal.refined`` does, on integer numerators
+    a/den and b/den, until interval images of the two polynomials there
+    give a quotient enclosure narrower than ``width`` that excludes
+    ``exclude``.  Returns (lo, hi); no ``Fraction`` is formed before."""
+    f = at.defining
+    a, b, den = _on_grid(at.lo, at.hi)
+    positive_at_hi = f.homogeneous(b, den) > 0
+    wn, wd = width.numerator, width.denominator
+    en, ed = exclude.numerator, exclude.denominator
     for _ in range(MAX_HALVINGS):
-        grid = _on_grid(a.lo, a.hi)
-        nlo, nhi, ns = numerator._image(*grid)
-        dlo, dhi, ds = denominator._image(*grid)
-        if dlo <= 0 <= dhi:
-            a = a.refined(a.width / 2)
-            continue
-        # (n / ns) / (d / ds) for the four corners
-        quotients = tuple(
-            Fraction(n * ds, d * ns) for n in (nlo, nhi) for d in (dlo, dhi)
-        )
-        qlo, qhi = min(quotients), max(quotients)
-        if qhi - qlo <= width and not qlo <= exclude <= qhi:
-            return qlo, qhi
-        a = a.refined(a.width / 2)
+        dlo, dhi, ds = denominator._image(a, b, den)
+        if dlo > 0 or dhi < 0:
+            nlo, nhi, ns = numerator._image(a, b, den)
+            if dhi < 0:  # divide by the positive interval [-dhi, -dlo]
+                nlo, nhi, dlo, dhi = -nhi, -nlo, -dhi, -dlo
+            # The quotient's ends (n ds)/(d ns), both denominators positive.
+            lo_n, lo_d = nlo * ds, (dhi if nlo >= 0 else dlo) * ns
+            hi_n, hi_d = nhi * ds, (dlo if nhi >= 0 else dhi) * ns
+            if (hi_n * lo_d - lo_n * hi_d) * wd <= wn * lo_d * hi_d and (
+                en * lo_d < lo_n * ed or en * hi_d > hi_n * ed
+            ):
+                return Fraction(lo_n, lo_d), Fraction(hi_n, hi_d)
+        a, mid, b, den = 2 * a, a + b, 2 * b, 2 * den
+        v = f.homogeneous(mid, den)
+        if v == 0:  # the point itself is rational
+            a = b = mid
+        elif (v > 0) == positive_at_hi:
+            b = mid
+        else:
+            a = mid
     raise UndecidableEnclosureError(
         "enclosure failed to separate after maximal refinement"
     )

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 
 import numpy as np
@@ -374,6 +375,29 @@ class TestCanonical:
             h = g.permuted(tuple(rng.sample(range(n), n)))
             expect = brute_force_key(g)
             assert canonical_key(g) == canonical_key(h) == expect, to_graph6(g)
+
+    def test_deep_search_needs_no_recursion(self):
+        # the empty graph's search branches at each of its 150 positions;
+        # its nodes sit on a stack of the search's own, so a recursion
+        # limit 30 frames above the caller's depth gives the default's key
+        g = Graph.empty(150)
+        limit = sys.getrecursionlimit()
+        with override(max_n=200):
+            canonical_key.cache_clear()
+            expect = canonical_key(g)
+            canonical_key.cache_clear()
+            depth = 0
+            frame = sys._getframe()
+            while frame is not None:
+                depth, frame = depth + 1, frame.f_back
+            sys.setrecursionlimit(depth + 30)
+            try:
+                got = canonical_key(g)
+            finally:
+                sys.setrecursionlimit(limit)
+                canonical_key.cache_clear()
+        assert sys.getrecursionlimit() == limit
+        assert got == expect == (150, 0)
 
 
 def two_switch(g: Graph, rng: random.Random) -> Graph:

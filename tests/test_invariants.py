@@ -58,6 +58,7 @@ from reference import (
     is_valid,
     packed_cm,
     packed_walk_data,
+    remainder_gcd,
     sturm_smallest_root_greater_than,
     walk_adjugate,
 )
@@ -537,6 +538,61 @@ class TestCircumradius:
                 r2 = circumradius_invariant(g)
                 if r2.kind == "finite":
                     assert r2.lo > Fraction(1, 2)
+
+
+class TestCircumradiusAgainstSympy:
+    def test_classification_up_to_six(self):
+        # an oracle of sympy's own for every graph with n <= 6: the exact
+        # least root of C above 1, its multiplicities in C and M (powers of
+        # its minimal polynomial), from those the kind of r^2, and each
+        # finite enclosure against -M^(mu)/(2 C^(mu)) there to 30 digits
+        sympy = pytest.importorskip("sympy")
+        t = sympy.symbols("t")
+
+        def multiplicity(p, f):
+            k = 0
+            while True:
+                q, r = p.div(f)
+                if not r.is_zero:
+                    return k
+                p, k = q, k + 1
+
+        kinds = {}
+        invariants.clear_caches()
+        try:
+            for n in range(1, 7):
+                for g in enumerate_graphs(n):
+                    c, m = (sympy.Poly(list(reversed(p.coeffs)) or [0], t) for p in cm_polynomials(g))
+                    above = [r for r in sympy.Poly(c, t).real_roots() if r > 1]
+                    r2 = circumradius_invariant(g)
+                    if not above:
+                        assert tau1_mu(g) == (None, 0) and r2.kind == "infinite", g
+                        kinds["no tau1"] = kinds.get("no tau1", 0) + 1
+                        continue
+                    root = min(above)
+                    f = sympy.Poly(sympy.minimal_polynomial(root, t), t)
+                    mu, mu_m = multiplicity(c, f), multiplicity(m, f)
+                    assert tau1_mu(g)[1] == mu, g
+                    if mu_m < mu:
+                        kind = "infinite"
+                    else:
+                        cd, md = c.diff((t, mu)), m.diff((t, mu))
+                        kind = "half" if (md + cd).rem(f).is_zero else "finite"
+                    assert r2.kind == kind, g
+                    kinds[kind] = kinds.get(kind, 0) + 1
+                    if kind != "finite":
+                        continue
+                    value = -md.as_expr().subs(t, root) / (2 * cd.as_expr().subs(t, root))
+                    if f.degree() == 1:
+                        assert r2.lo == r2.hi and sympy.Rational(r2.lo) == value, g
+                    else:
+                        value = value.evalf(30)
+                        eps = sympy.Rational(1, 10**25)
+                        lo, hi = sympy.Rational(r2.lo), sympy.Rational(r2.hi)
+                        assert lo - eps <= value <= hi + eps and lo < hi, g
+        finally:
+            invariants.clear_caches()
+        assert kinds == {"no tau1": 29, "infinite": 128, "finite": 45, "half": 6}
 
 
 class TestProfile:
@@ -1030,13 +1086,18 @@ class TestRootOnItsPolynomial:
 
     def test_rational_tau1_takes_no_tie_polynomial(self, monkeypatch):
         # at a rational tau1 the exact limit -M^(mu)/(2 C^(mu)) decides
-        # r^2 = 1/2; M's multiplicity is the one multiplicity taken.  The
-        # decision agrees with the tie polynomial's, taken outside the count.
-        calls = {"tie": 0, "multiplicity": 0}
+        # r^2 = 1/2; the vanishing tests taken are those of M, M', ...,
+        # stopping at the first that is nonzero, never one of the tie
+        # polynomial.  The decision agrees with the tie polynomial's, taken
+        # outside the count.
+        calls = {"tie": 0, "vanish": 0}
+        tested = []
 
         def counting(name, fn):
             def wrapper(*args):
                 calls[name] += 1
+                if name == "vanish":
+                    tested.append(args[0])
                 return fn(*args)
 
             return wrapper
@@ -1050,13 +1111,20 @@ class TestRootOnItsPolynomial:
                 if root is None or root.rational is None:
                     continue
                 rational += 1
-                with monkeypatch.context() as m:
-                    tie, multiplicity = invariants.tie_polynomial, invariants.multiplicity_at
-                    m.setattr(invariants, "tie_polynomial", counting("tie", tie))
-                    m.setattr(invariants, "multiplicity_at", counting("multiplicity", multiplicity))
-                    calls.update(tie=0, multiplicity=0)
+                _, m = cm_polynomials(g)
+                derivatives = [m]
+                for _ in range(mu):
+                    derivatives.append(derivatives[-1].derivative())
+                order_m = polynomials.multiplicity_at(m, root)
+                with monkeypatch.context() as mp:
+                    tie, vanish = invariants.tie_polynomial, invariants.vanishes_at
+                    mp.setattr(invariants, "tie_polynomial", counting("tie", tie))
+                    mp.setattr(invariants, "vanishes_at", counting("vanish", vanish))
+                    calls.update(tie=0, vanish=0)
+                    tested.clear()
                     r2 = circumradius_invariant(g)
-                    assert calls == {"tie": 0, "multiplicity": 1}, to_graph6(g)
+                    assert calls == {"tie": 0, "vanish": min(mu, order_m + 1)}, to_graph6(g)
+                    assert tested == derivatives[: len(tested)], to_graph6(g)
                 if g == Graph.petersen():
                     three_quarters = RSquared.finite(Fraction(3, 4), Fraction(3, 4))
                     assert root.rational == 2 and r2 == three_quarters
@@ -1140,14 +1208,15 @@ class TestRootOnItsPolynomial:
             invariants.clear_caches()
 
     def test_pool_and_joins_take_no_split_gcd_or_bisection(self, monkeypatch):
-        # a gcd taken is a remainder step: poly_gcd proves coprime pairs
-        # modulo a prime with none
-        calls = {"split": 0, "remainder": 0}
+        # a gcd taken is a lifted image: poly_gcd proves coprime pairs
+        # from one constant image modulo a prime, with no lift
+        calls = {"split": 0, "lift": 0}
 
         def counting(name, fn):
             def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
+                got = fn(*args)
+                calls[name] += name != "lift" or len(got) > 1
+                return got
 
             return wrapper
 
@@ -1155,7 +1224,7 @@ class TestRootOnItsPolynomial:
             invariants, "squarefree_decomposition",
             counting("split", invariants.squarefree_decomposition),
         )
-        monkeypatch.setattr(polynomials, "poly_rem", counting("remainder", polynomials.poly_rem))
+        monkeypatch.setattr(polynomials, "_gcd_mod_p", counting("lift", polynomials._gcd_mod_p))
         fallbacks = count_fallbacks(monkeypatch)
         pool, joins = embed16_pool(), joins12_corpus(60)
         invariants.clear_caches()
@@ -1166,7 +1235,7 @@ class TestRootOnItsPolynomial:
                 circumradius_invariant(g)
                 for h in complement_components(g):  # a join's factors
                     invariants.t_star(h)
-            assert calls == {"split": 0, "remainder": 0} and fallbacks == []
+            assert calls == {"split": 0, "lift": 0} and fallbacks == []
             monkeypatch.undo()
             roots = [tau1_mu(g)[0] for g in pool]
             roots += [invariants.beta_star_squared(g) for g in joins]
@@ -1175,6 +1244,34 @@ class TestRootOnItsPolynomial:
                 assert float(narrow.lo) == float(narrow.hi) == x.to_float()
         finally:
             invariants.clear_caches()
+
+
+class TestModularGcdOnProgramCalls:
+    def test_equals_remainder_gcd(self, monkeypatch):
+        # every gcd taken while analysing all graphs with n <= 6, the
+        # joins12 corpus and 20 embed16 pool graphs, against an integer
+        # remainder sequence (reference.remainder_gcd)
+        pairs = set()
+        original = polynomials.poly_gcd
+        monkeypatch.setattr(
+            polynomials, "poly_gcd", lambda a, b: pairs.add((a, b)) or original(a, b)
+        )
+        graphs = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+        invariants.clear_caches()
+        try:
+            for g in graphs + joins12_corpus(60) + embed16_pool()[:20]:
+                analysis_record(g)
+            for g in joins12_corpus(60):  # the joins12 workload's other calls
+                geometry.kuperberg_decompose(geometry.jspherical_embedding(g))
+        finally:
+            invariants.clear_caches()
+        shared = 0
+        for a, b in pairs:
+            got = original(a, b)
+            assert got == remainder_gcd(a, b), (a, b)
+            shared += got.degree > 0
+        # 40 distinct pairs, all but one sharing a factor
+        assert len(pairs) == 40 and shared == 39
 
 
 def test_no_program_path_builds_a_sturm_chain(monkeypatch):

@@ -154,3 +154,40 @@ class TestMonotonicityProbe:
             "increasing and convex on (1, tau1)": 173,
             "increasing and affine on (1, tau1)": 6,
         }
+
+    def test_each_walk_splits_once(self, monkeypatch):
+        # the walks over N1's and N2's roots in (1, tau1] split their
+        # polynomial into squarefree factors at most once each, on the
+        # first step that needs it, however many steps follow
+        from twodist import invariants, oracle
+
+        splits, steps, walks = [], [], []
+        split, step, walk = (
+            invariants.squarefree_decomposition,
+            invariants._least_root_above,
+            oracle._roots_up_to,
+        )
+
+        def counted(p, t, top):
+            splits.clear()
+            steps.clear()
+            yield from walk(p, t, top)
+            assert all(q == invariants._without_zero_roots(p) for q in splits)
+            walks.append((len(splits), len(steps)))
+
+        monkeypatch.setattr(invariants, "squarefree_decomposition", lambda q: splits.append(q) or split(q))
+        monkeypatch.setattr(invariants, "_least_root_above", lambda *a, **k: steps.append(a) or step(*a, **k))
+        monkeypatch.setattr(oracle, "_roots_up_to", counted)
+        invariants.clear_caches()
+        try:
+            graphs = [g for n in range(3, 7) for g in enumerate_graphs(n)]
+            for g in graphs:
+                root, _ = tau1_mu(g)
+                if root is not None:
+                    f_shape(*cm_polynomials(g), root)
+        finally:
+            invariants.clear_caches()
+        assert len(walks) == 352  # N2 = 0 for the 6 affine shapes: no walk
+        assert max(n_splits for n_splits, _ in walks) == 1
+        # 96 walks split and took further steps, each of which once split again
+        assert sum(1 for n_splits, n_steps in walks if n_splits and n_steps >= 2) == 96

@@ -10,7 +10,7 @@ from twodist.polynomials import (
     IntPolynomial,
     SturmChain,
     _PRIME,
-    _coprime_mod_p,
+    _gcd_mod_p,
     _interpolate_integer,
     descartes_count,
     det_poly_matrix,
@@ -42,6 +42,16 @@ ZERO = IntPolynomial.zero()
 
 def poly(*coeffs):
     return IntPolynomial.from_coeffs(coeffs)
+
+
+def coprime_mod_prime(a, b):
+    """poly_gcd's first test: _PRIME divides neither leading coefficient
+    and the gcd image modulo it is constant, which proves a and b coprime."""
+    return (
+        a.coeffs[-1] % _PRIME != 0
+        and b.coeffs[-1] % _PRIME != 0
+        and len(_gcd_mod_p(a.coeffs, b.coeffs, _PRIME)) == 1
+    )
 
 
 class TestArithmetic:
@@ -424,34 +434,40 @@ class TestMultiplicity:
 
 class TestCoprimeShortcut:
     """Polynomials proved coprime modulo a prime share no root: ``poly_gcd``
-    then returns 1 with no remainder step, so ``multiplicity_at`` and
-    ``compare`` take no gcd, and decide as before."""
+    then returns 1 from one constant image with no lift, so
+    ``multiplicity_at`` and ``compare`` lift no gcd, and decide as before."""
 
-    def count_remainders(self, monkeypatch):
+    def count_lifts(self, monkeypatch):
+        # the gcd images of positive degree, each of which poly_gcd lifts
         from twodist import polynomials
 
         calls = []
-        original = polynomials.poly_rem
-        monkeypatch.setattr(
-            polynomials, "poly_rem", lambda *args: calls.append(args) or original(*args)
-        )
+        original = polynomials._gcd_mod_p
+
+        def image(*args):
+            got = original(*args)
+            if len(got) > 1:
+                calls.append(args)
+            return got
+
+        monkeypatch.setattr(polynomials, "_gcd_mod_p", image)
         return calls
 
     def test_multiplicity_skips_gcd(self, monkeypatch):
-        calls = self.count_remainders(monkeypatch)
+        calls = self.count_lifts(monkeypatch)
         a = AlgebraicReal(poly(-2, 0, 1), Fraction(1), Fraction(2))  # sqrt 2
         assert multiplicity_at(poly(-3, 0, 1) ** 2, a) == 0
         assert multiplicity_at(poly(5), a) == 0
         assert not calls
         assert multiplicity_at(poly(-2, 0, 1) ** 2 * poly(1, 1), a) == 2
         assert calls
-        # one remainder step for each of the two gcds that find t^2 - 2,
+        # one lifted image for each of the two gcds that find t^2 - 2,
         # none for the last, on the cofactor t + 1, proved coprime modulo
         # a prime
         assert len(calls) == 2
 
     def test_gcd_of_coprime_pair_is_one(self, monkeypatch):
-        calls = self.count_remainders(monkeypatch)
+        calls = self.count_lifts(monkeypatch)
         assert poly_gcd(poly(-2, 0, 1), poly(-3, 0, 1)) == ONE
         assert poly_gcd(poly(6), poly(-2, 0, 1)) == ONE
         assert not calls
@@ -460,7 +476,7 @@ class TestCoprimeShortcut:
         assert poly_gcd(ZERO, ZERO) == ZERO
 
     def test_compare_skips_gcd(self, monkeypatch):
-        calls = self.count_remainders(monkeypatch)
+        calls = self.count_lifts(monkeypatch)
         a = AlgebraicReal(poly(-2, 0, 1), Fraction(1), Fraction(2))  # sqrt 2
         b = AlgebraicReal(poly(-3, 0, 1), Fraction(1), Fraction(2))  # sqrt 3
         assert a.compare(b) == sturm_compare(a, b) == -1
@@ -476,13 +492,89 @@ class TestCoprimeShortcut:
         from twodist import polynomials
 
         calls = []
-        original = polynomials._coprime_mod_p
+        original = polynomials._gcd_mod_p
         monkeypatch.setattr(
-            polynomials, "_coprime_mod_p", lambda *args: calls.append(args) or original(*args)
+            polynomials, "_gcd_mod_p", lambda *args: calls.append(args) or original(*args)
         )
         a = AlgebraicReal(poly(-2, 0, 1), Fraction(1), Fraction(2)).refined(Fraction(1, 10**6))
         assert multiplicity_at(poly(-3, 0, 1), a) == 0 and not calls
         assert multiplicity_at(poly(-2, 0, 1) * poly(-3, 0, 1), a) == 1 and calls
+
+
+class TestModularGcd:
+    """``poly_gcd`` combines gcd images modulo primes by the Chinese
+    remainder theorem, drops images of too large a degree, and stops when
+    the lifted candidate divides both inputs; ``reference.remainder_gcd``
+    is an integer remainder sequence that shares none of that."""
+
+    def record_images(self, monkeypatch):
+        from twodist import polynomials
+
+        images = []
+        original = polynomials._gcd_mod_p
+
+        def image(a, b, p):
+            got = original(a, b, p)
+            images.append((p, len(got) - 1))
+            return got
+
+        monkeypatch.setattr(polynomials, "_gcd_mod_p", image)
+        return images
+
+    def test_planted_factors_past_one_prime(self, rng, monkeypatch):
+        # common factors with coefficients above 2**61: one image cannot
+        # hold the gcd, so several primes are combined
+        images = self.record_images(monkeypatch)
+        big = 1 << 70
+        for _ in range(20):
+            common = poly(*[rng.randrange(-big, big) for _ in range(rng.randrange(2, 5))])
+            a = common * poly(*[rng.randrange(-9, 10) for _ in range(rng.randrange(2, 5))])
+            b = common * poly(*[rng.randrange(-big, big) for _ in range(rng.randrange(2, 4))])
+            if a.is_zero or b.is_zero or not common.degree:
+                continue
+            images.clear()
+            got = poly_gcd(a, b)
+            assert got == remainder_gcd(a, b)
+            exact_div(got, common.primitive())  # the planted factor divides it
+            assert max(abs(c) for c in got.coeffs) > _PRIME
+            assert len(images) >= 2 and images[0][0] == _PRIME
+            assert {d for _, d in images} == {got.degree}
+
+    def test_unlucky_prime_is_dropped(self, monkeypatch):
+        from twodist import polynomials
+
+        images = self.record_images(monkeypatch)
+        q = 1_000_003  # prime
+        primes = polynomials._primes
+
+        def unlucky_first():
+            yield q
+            yield from primes()
+
+        # modulo q both inputs reduce to (t - 1)(t - 3), though their gcd
+        # is t - 1: the first image has degree 2, its lift fails the trial
+        # division, and the next image, of degree 1, starts over
+        a, b = poly(-1, 1) * poly(-3, 1), poly(-1, 1) * poly(-3 - q, 1)
+        monkeypatch.setattr(polynomials, "_primes", unlucky_first)
+        assert poly_gcd(a, b) == remainder_gcd(a, b) == poly(-1, 1)
+        assert images == [(q, 2), (_PRIME, 1)]
+
+        def unlucky_second():
+            first = primes()
+            yield next(first)
+            yield q
+            yield from first
+
+        # a gcd past one prime: the unlucky image after the first is
+        # dropped by its degree and never combined
+        common = poly(3 << 64, -(5 << 63) - 1, 7 << 62)
+        a, b = common * poly(-3, 1), common * poly(-3 - q, 1)
+        images.clear()
+        monkeypatch.setattr(polynomials, "_primes", unlucky_second)
+        got = poly_gcd(a, b)
+        assert got == remainder_gcd(a, b) == common.primitive()
+        assert images[:2] == [(_PRIME, 2), (q, 3)] and len(images) >= 3
+        assert {d for _, d in images[2:]} == {2}
 
 
 class TestReferenceGcd:
@@ -539,7 +631,7 @@ class TestReferenceGcd:
         sqrt3 = AlgebraicReal(poly(-3, 0, 1), Fraction(1), Fraction(2))
         shared = AlgebraicReal(poly(-2, 0, 1) * poly(-3, 1), Fraction(13, 10), Fraction(3, 2))
         f = poly(-2, 0, 1) ** 2 * poly(-3, 0, 1) * poly(-5, 1)
-        monkeypatch.setattr(polynomials, "_coprime_mod_p", refuse)
+        monkeypatch.setattr(polynomials, "_gcd_mod_p", refuse)
         assert sturm_multiplicity_at(f, sqrt2) == 2
         assert sturm_multiplicity_at(poly(-3, 0, 1), sqrt2) == 0
         assert sturm_compare(sqrt2, sqrt3) == -1 and sturm_compare(sqrt2, shared) == 0
@@ -962,7 +1054,7 @@ class TestModularSquarefree:
             if not p.degree:
                 continue
             f = p.primitive()
-            shortcut += _coprime_mod_p(f, f.derivative())
+            shortcut += coprime_mod_prime(f, f.derivative())
             got = squarefree_decomposition(p)
             expect = []
             for factor, mult in sympy.Poly(list(reversed(p.coeffs)), t).sqf_list()[1]:
@@ -979,8 +1071,8 @@ class TestModularSquarefree:
             a = g * poly(*[rng.randrange(-9, 10) for _ in range(4)])
             b = g * poly(*[rng.randrange(-9, 10) for _ in range(3)])
             if a.degree and b.degree:
-                assert not _coprime_mod_p(a, b)
+                assert not coprime_mod_prime(a, b)
         # coprime pairs: decided, unless the prime divides a leading coefficient
-        assert _coprime_mod_p(poly(-2, 0, 1), poly(0, 2))
-        assert not _coprime_mod_p(poly(-2, 0, _PRIME), poly(0, 2 * _PRIME))
+        assert coprime_mod_prime(poly(-2, 0, 1), poly(0, 2))
+        assert not coprime_mod_prime(poly(-2, 0, _PRIME), poly(0, 2 * _PRIME))
         assert squarefree_decomposition(poly(-2, 0, _PRIME)) == [(poly(-2, 0, _PRIME), 1)]
