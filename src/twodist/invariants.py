@@ -582,7 +582,6 @@ def feasible_interval(g: Graph) -> tuple[float, float]:
     return lo, hi
 
 
-@functools.lru_cache(maxsize=None)
 def t_star(g: Graph) -> AlgebraicReal:
     """t* = beta*^2 / 2 for a non-complete graph: the largest t at which
     unit vectors exist with inner product 0 on edges and 1 - t on
@@ -702,7 +701,6 @@ def clear_caches() -> None:
     tau1_mu.cache_clear()
     tau0.cache_clear()
     circumradius_invariant.cache_clear()
-    t_star.cache_clear()
     beta_star_squared.cache_clear()
     join_decompose.cache_clear()
     profile.cache_clear()

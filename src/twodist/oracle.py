@@ -117,18 +117,14 @@ def verify_profile(g: Graph, p: TwoDistanceProfile | None = None) -> OracleRepor
         # hull, so solve the equidistance system rather than trusting the
         # enclosing-ball center.
         pts = config.points
-        if g.n == 1:
-            spread, radius_sq = 0.0, 0.0
-            in_enc = True
-        else:
-            rows = 2.0 * (pts[1:] - pts[0])
-            rhs = (pts[1:] ** 2).sum(axis=1) - (pts[0] ** 2).sum()
-            center, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-            dists = np.linalg.norm(pts - center, axis=1)
-            spread = float(dists.max() - dists.min())
-            radius_sq = float(dists.mean() ** 2)
-            r_lo, r_hi = float(p.r_squared.lo), float(p.r_squared.hi)
-            in_enc = r_lo - 1e-7 <= radius_sq <= r_hi + 1e-7
+        rows = 2.0 * (pts[1:] - pts[0])
+        rhs = (pts[1:] ** 2).sum(axis=1) - (pts[0] ** 2).sum()
+        center, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
+        dists = np.linalg.norm(pts - center, axis=1)
+        spread = float(dists.max() - dists.min())
+        radius_sq = float(dists.mean() ** 2)
+        r_lo, r_hi = float(p.r_squared.lo), float(p.r_squared.hi)
+        in_enc = r_lo - 1e-7 <= radius_sq <= r_hi + 1e-7
         report.add(
             "spherical-at-window-end",
             spread <= 1e-7 and in_enc,

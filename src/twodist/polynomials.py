@@ -18,11 +18,12 @@ its defining polynomial, simple.  Bisection until every count is 0 or 1
 isolates the real roots of any squarefree polynomial, tie polynomials
 included (``smallest_root_greater_than``).  Where a polynomial has at most
 one root in an interval, simple, a sign change decides it with no count:
-``vanishes_at`` and ``AlgebraicReal.compare`` test gcds that way.
-``vanishes_at`` is the program's zero test at an algebraic point: an
-interval image that excludes 0 decides with no gcd, and so does the exact
-value at a rational point.  ``multiplicity_at`` repeats the gcd and
-division to count a root's multiplicity; no program path calls it.
+``_common_root`` tests a gcd that way, for ``vanishes_at`` and
+``AlgebraicReal.compare``.  ``vanishes_at`` is the one zero test at an
+algebraic point: an interval image that excludes 0 decides with no gcd,
+and so does the exact value at a rational point.  ``multiplicity_at``
+counts how many of p, p', ... it holds for, and ``sign_at`` calls it once
+when an image cannot decide; no program path calls ``multiplicity_at``.
 ``poly_gcd`` is the one gcd route, Brown's modular gcd: a gcd image
 modulo 2**61 - 1 of degree 0 proves two inputs coprime, and otherwise the
 first image, or several combined by the Chinese remainder theorem when
@@ -471,6 +472,17 @@ def _changes_sign(g: IntPolynomial, lo: Fraction, hi: Fraction) -> bool:
     )
 
 
+def _common_root(
+    p: IntPolynomial, q: IntPolynomial, lo: Fraction, hi: Fraction
+) -> Optional[IntPolynomial]:
+    """g = gcd(p, q) when p and q share a root in (lo, hi), else None.
+    Callers pass an interval where q has at most one root, simple, and at
+    whose ends p or q is nonzero: g divides both, so it has at most one
+    root there, simple, none at either end, and a sign change decides."""
+    g = poly_gcd(p, q)
+    return g if g.degree and _changes_sign(g, lo, hi) else None
+
+
 @dataclass(frozen=True)
 class AlgebraicReal:
     """A real algebraic number: a defining polynomial with exactly one root
@@ -576,15 +588,16 @@ class AlgebraicReal:
     __float__ = to_float
 
     def compare(self, other: "AlgebraicReal") -> int:
-        """Sign of (self - other), decided exactly."""
+        """Sign of (self - other), decided exactly: overlapping enclosures
+        hold equal numbers exactly when the defining polynomials share a
+        root in the overlap (``_common_root``), else they are refined apart."""
         a, b = self, other
         if a.hi > b.lo and b.hi > a.lo:
-            # Overlapping enclosures: equal numbers share a root of the gcd.
-            # g divides a's defining polynomial, so it has at most one root
-            # in the overlap, simple, and the endpoints, each an endpoint
-            # of a or of b, are not roots of g.
-            g = poly_gcd(a.defining, b.defining)
-            if g.degree and _changes_sign(g, max(a.lo, b.lo), min(a.hi, b.hi)):
+            # Overlapping enclosures: equal numbers share a root there.  Each
+            # end of the overlap is an end of a's enclosure or of b's, so a
+            # nonroot of a's defining polynomial or of b's.
+            lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+            if _common_root(a.defining, b.defining, lo, hi) is not None:
                 return 0
             while a.hi > b.lo and b.hi > a.lo:
                 a = a.refined(a.width / 4)
@@ -790,9 +803,6 @@ def _leftmost_root_above(
     upper = f.root_bound()
     if upper <= bound:
         return None
-    # The Cauchy bound is strict; guard anyway.
-    while f.homogeneous(upper.numerator, upper.denominator) == 0:
-        upper += 1
     # Pending intervals (a/den, b/den), the leftmost last.  A midpoint
     # root's interval is marked isolated: it is the answer once everything
     # to its left has dropped.
@@ -850,28 +860,20 @@ def smallest_root_greater_than(
 
 
 def multiplicity_at(p: IntPolynomial, a: AlgebraicReal) -> int:
-    """Exact multiplicity of the root ``a`` in ``p`` (0 when p(a) != 0).
-
-    Decided by repeated gcd with the defining polynomial of ``a``: each
-    gcd divides it, so it has at most one root in the isolating interval,
-    simple, and holds ``a`` exactly when it changes sign there; no
-    floating point.  An interval image of p over the enclosure that
-    excludes 0 shows p(a) != 0 with no gcd, and a gcd proved 1 modulo a
-    prime (``poly_gcd``) takes no lift.  No program path counts
-    multiplicities this way (``vanishes_at`` tests one derivative at a
-    time); it stays for the tests and because the benchmark's tracer
-    resolves it by name."""
+    """Exact multiplicity of the root ``a`` in ``p`` (0 when p(a) != 0): the
+    number of p, p', p'', ... that vanish at ``a`` (``vanishes_at``), each
+    tested against the divisor the one before returned, as
+    ``invariants.circumradius_invariant`` tests M up to tau1's multiplicity
+    in C.  No program path calls it; it stays for the tests and because the
+    benchmark's tracer resolves it by name."""
     if p.is_zero:
         raise ValueError("zero polynomial")
-    lo, hi, _ = p._image(*_on_grid(a.lo, a.hi))
-    if lo > 0 or hi < 0:
-        return 0
-    mult = 0
+    mult, divisor = 0, a.defining
     while True:
-        g = poly_gcd(p, a.defining)
-        if not g.degree or not _changes_sign(g, a.lo, a.hi):
+        divisor = vanishes_at(p, a, divisor)
+        if divisor is None:
             return mult
-        p = exact_div(p, g)
+        p = p.derivative()
         mult += 1
 
 
@@ -886,9 +888,8 @@ def vanishes_at(
 
     An interval image of p over a's enclosure that excludes 0 decides
     p(a) != 0; at a rational a (a linear defining polynomial) the
-    homogeneous value decides; else one gcd with the divisor does: it
-    divides the defining polynomial, so it has at most one root in the
-    enclosure, simple, and holds a exactly when it changes sign there."""
+    homogeneous value decides; else one gcd with the divisor does
+    (``_common_root`` on the enclosure)."""
     if divisor is None:
         divisor = a.defining
     if p.is_zero:
@@ -899,30 +900,23 @@ def vanishes_at(
     x = a.rational
     if x is not None:
         return divisor if p.homogeneous(x.numerator, x.denominator) == 0 else None
-    g = poly_gcd(p, divisor)
-    return g if g.degree and _changes_sign(g, a.lo, a.hi) else None
+    return _common_root(p, divisor, a.lo, a.hi)
 
 
 def sign_at(p: IntPolynomial, a: AlgebraicReal) -> int:
     """Sign of ``p`` at the algebraic point ``a``, decided exactly.
 
     The interval image of ``p`` over the enclosure of ``a`` decides a
-    nonzero sign; while it contains 0, ``vanishes_at`` tells a root apart
-    from a value the enclosure is still too wide to separate."""
-    if p.is_zero:
+    nonzero sign.  When the first image holds 0, ``vanishes_at`` tells a
+    root apart from a value the enclosure is still too wide to separate,
+    and a nonzero value is then refined until an image excludes 0."""
+    lo, hi, _ = p._image(*_on_grid(a.lo, a.hi))
+    if lo <= 0 <= hi and vanishes_at(p, a) is not None:
         return 0
-    zero_tested = False
-    while True:
-        lo, hi, _ = p._image(*_on_grid(a.lo, a.hi))
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        if not zero_tested:
-            if vanishes_at(p, a) is not None:
-                return 0
-            zero_tested = True
+    while lo <= 0 <= hi:
         a = a.refined(a.width / 2)
+        lo, hi, _ = p._image(*_on_grid(a.lo, a.hi))
+    return 1 if lo > 0 else -1
 
 
 # Halvings of the point's enclosure before a limit enclosure gives up.

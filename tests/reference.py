@@ -293,8 +293,10 @@ def remainder_squarefree(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
 
 
 def sturm_multiplicity_at(p: IntPolynomial, a: AlgebraicReal) -> int:
-    """``polynomials.multiplicity_at`` with each gcd's root in a's
-    interval counted by a Sturm chain."""
+    """The multiplicity of the root a in p by exact division by the gcd
+    with a's defining polynomial while that gcd's root in a's interval,
+    counted by a Sturm chain, remains: not ``polynomials.multiplicity_at``'s
+    chain of derivatives."""
     d = a.defining.primitive()
     cur = p.primitive()
     mult = 0

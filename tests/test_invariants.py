@@ -48,6 +48,7 @@ from twodist.polynomials import (
     AlgebraicReal,
     IntPolynomial,
     det_poly_matrix,
+    multiplicity_at,
     poly_gcd,
     poly_rem,
     squarefree_decomposition,
@@ -59,6 +60,7 @@ from reference import (
     packed_cm,
     packed_walk_data,
     remainder_gcd,
+    sturm_multiplicity_at,
     sturm_smallest_root_greater_than,
     walk_adjugate,
 )
@@ -593,6 +595,32 @@ class TestCircumradiusAgainstSympy:
         finally:
             invariants.clear_caches()
         assert kinds == {"no tau1": 29, "infinite": 128, "finite": 45, "half": 6}
+
+
+class TestMultiplicityOnProgramPolynomials:
+    def test_tau1_in_c_and_m_up_to_seven(self):
+        # on every graph with n <= 7 that has a tau1, multiplicity_at's
+        # chain of derivatives gives tau1_mu's mu (found by exact division
+        # or the squarefree split) in C, both multiplicities agree with the
+        # reference's Sturm counts, and the one in M reaches mu exactly when
+        # r^2 is finite: the paper's condition for dim_s = dim_e
+        seen = mu_two = 0
+        invariants.clear_caches()
+        try:
+            for g in graphs_up_to_7():
+                root, mu = tau1_mu(g)
+                if root is None:
+                    continue
+                c, m = cm_polynomials(g)
+                in_c, in_m = multiplicity_at(c, root), multiplicity_at(m, root)
+                assert in_c == mu == sturm_multiplicity_at(c, root), g
+                assert in_m == sturm_multiplicity_at(m, root), g
+                assert (in_m >= mu) == circumradius_invariant(g).is_finite, g
+                seen += 1
+                mu_two += mu == 2
+        finally:
+            invariants.clear_caches()
+        assert (seen, mu_two) == (1208, 40)
 
 
 class TestProfile:

@@ -21,6 +21,7 @@ from twodist.polynomials import (
     sign_at,
     smallest_root_greater_than,
     squarefree_decomposition,
+    vanishes_at,
 )
 from reference import (
     cmp_rational,
@@ -364,6 +365,17 @@ class TestAlgebraicCompare:
         b = AlgebraicReal(poly(-201, 100), Fraction(0), Fraction(10))  # 2.01
         assert a.compare(b) == -1
 
+    def test_root_of_defining_outside_overlap(self):
+        # 2 is a root of b's defining polynomial, outside b's enclosure and
+        # so outside the overlap (8/5, 9/5): a zero test of b's defining
+        # polynomial at a would call the two equal, the gcd on the overlap
+        # does not
+        a = AlgebraicReal(poly(-2, 1), Fraction(3, 2), Fraction(5, 2))  # 2
+        b = AlgebraicReal(poly(-2, 1) * poly(-3, 0, 1), Fraction(8, 5), Fraction(9, 5))  # sqrt 3
+        assert vanishes_at(b.defining, a) is not None
+        assert a.compare(b) == sturm_compare(a, b) == 1
+        assert b.compare(a) == sturm_compare(b, a) == -1
+
     def test_disjoint_enclosures_skip_gcd(self, monkeypatch):
         from twodist import polynomials
 
@@ -461,9 +473,8 @@ class TestCoprimeShortcut:
         assert not calls
         assert multiplicity_at(poly(-2, 0, 1) ** 2 * poly(1, 1), a) == 2
         assert calls
-        # one lifted image for each of the two gcds that find t^2 - 2,
-        # none for the last, on the cofactor t + 1, proved coprime modulo
-        # a prime
+        # one lifted image for each of the two gcds that find t^2 - 2, of
+        # p and of p', none for p'', which is nonzero at sqrt 2
         assert len(calls) == 2
 
     def test_gcd_of_coprime_pair_is_one(self, monkeypatch):

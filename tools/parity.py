@@ -10,6 +10,8 @@ The lines are, in order:
   gives and the SHA-256 of their graph6 words in order, one per line;
 - ``record``: ``analysis_record`` plus the float tau0 of every graph with
   n <= 7, of the embed16 pool and of ``joins12_corpus(60)``;
+- ``multiplicity``: ``multiplicity_at(C, tau1)`` and ``multiplicity_at(M,
+  tau1)`` of every graph with n <= 7 that has a tau1, in enumeration order;
 - ``decompose``: the exit code and output of ``twodist decompose WORD``
   on every graph of the ``record`` lines, in the same order;
 - ``kuperberg``: the blocks, types, k and flags of
@@ -91,7 +93,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--src", required=True, help="directory holding the twodist package")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
-    from twodist import cli, geometry, invariants
+    from twodist import cli, geometry, invariants, polynomials
     from twodist.graphs import enumerate_graphs, is_complete, parse_graph6, to_graph6
 
     for n in range(1, 9):
@@ -106,6 +108,13 @@ def main(argv: list[str] | None = None) -> int:
         tau0 = invariants.tau0(g)
         rec = cli.analysis_record(g, word)
         print("record", json.dumps(rec), repr(None if tau0 is None else float(tau0)))
+        invariants.clear_caches()
+    for g in small:
+        root, _ = invariants.tau1_mu(g)
+        if root is not None:
+            c, m = invariants.cm_polynomials(g)
+            mults = (polynomials.multiplicity_at(p, root) for p in (c, m))
+            print("multiplicity", to_graph6(g), *mults)
         invariants.clear_caches()
     for word, _ in graphs:
         print("decompose", word, *_run(["decompose", word]))
