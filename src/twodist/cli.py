@@ -22,9 +22,12 @@ import csv
 import decimal
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
+
+import numpy as np
 
 from .config import Config, get_config, set_config
 from .errors import (
@@ -89,6 +92,29 @@ def _dec_text(x: float) -> str:
     if "e+" in text or not math.isfinite(x) or 0.0 < abs(x) < sys.float_info.min:
         return json.dumps(_dec(x))
     return text if "." in text or "e" in text else text + ".0"
+
+
+# An integral token of ``_points_text``'s template: digits alone, after
+# "[" or " " and before "," or "]".
+_INTEGRAL = re.compile(r"([\[ ]-?\d+)(?=[,\]])")
+
+
+def _points_text(points: np.ndarray) -> str:
+    """The rows of ``points`` as ``", ".join`` of "[x, y, ...]", each value
+    written as ``_dec_text`` writes it.  When every value is 0 or normal
+    with magnitude below 1e14, ``%.15g`` writes no "e+", so one ``%``
+    format of all values, with ".0" added after each integral token, gives
+    that layout; any other array (nan, inf, a subnormal, a larger value)
+    takes ``_dec_text`` value by value."""
+    size = np.abs(points)
+    if not ((size < 1e14) & ((size >= sys.float_info.min) | (size == 0.0))).all():
+        return ", ".join(f"[{', '.join(map(_dec_text, row))}]" for row in points.tolist())
+    row = "[" + ", ".join(["%.15g"] * points.shape[1]) + "]"
+    text = ", ".join([row] * points.shape[0]) % tuple(points.ravel().tolist())
+    # x prints integral only within 5e-14 |x| of an integer (15 digits)
+    if (np.abs(points - np.rint(points)) <= 1e-13 * size).any():
+        text = _INTEGRAL.sub(r"\1.0", text)
+    return text
 
 
 def _enclosure(lo: Fraction, hi: Fraction) -> list[float]:
@@ -200,7 +226,7 @@ def _cmd_embed(args) -> int:
     if radius is None:
         radius = geometry.min_enclosing_ball(config.points).radius
     # json.dumps of {"points", "a", "b", "rank", "radius"}, token by token
-    rows = ", ".join(f"[{', '.join(map(_dec_text, row))}]" for row in config.points.tolist())
+    rows = _points_text(config.points)
     print(
         f'{{"points": [{rows}], "a": {_dec_text(config.a)}, "b": {_dec_text(config.b)}, '
         f'"rank": {config.rank}, "radius": {_dec_text(radius)}}}'

@@ -32,6 +32,7 @@ complement's Perron root, certified by ``invariants.t_star``);
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -72,6 +73,23 @@ ORTH_TOL = 1e-7
 PROPOSAL_PIVOTS = 8
 
 
+@functools.lru_cache(maxsize=16)
+def _upper_pairs(n: int) -> tuple[np.ndarray, ...]:
+    """``np.triu_indices(n, 1)``, read-only, built once per n."""
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
+@functools.lru_cache(maxsize=16)
+def _centering(n: int) -> np.ndarray:
+    """I - J/n, read-only, built once per n."""
+    centering = np.eye(n) - np.full((n, n), 1.0 / n)
+    centering.flags.writeable = False
+    return centering
+
+
 @dataclass(frozen=True)
 class PointConfig:
     """Realized coordinates (n x d) of a two-distance configuration with
@@ -90,7 +108,7 @@ class PointConfig:
         """Largest relative deviation of realized distances from (a, b)
         according to the graph's edge pattern; inf when a distance is NaN,
         so that no residual bound accepts it."""
-        i, j = np.triu_indices(self.n, 1)
+        i, j = _upper_pairs(self.n)
         edge = g.adjacency()[i, j].astype(bool)
         target = np.where(edge, self.a, self.b)
         scale = max(self.a, self.b, 1.0)
@@ -156,7 +174,7 @@ def realize(g: Graph, b: float, a: float = 1.0) -> PointConfig:
         )
     sq = np.where(g.adjacency(), a * a, b * b)
     np.fill_diagonal(sq, 0.0)
-    centering = np.eye(n) - np.full((n, n), 1.0 / n)
+    centering = _centering(n)
     gram = -0.5 * centering @ sq @ centering
     gram = 0.5 * (gram + gram.T)
     pts = _coordinates(gram, InfeasibleDistanceError, "; distances not realizable")

@@ -47,6 +47,11 @@ class Graph:
                 upper += 1
         if 2 * upper != total:
             raise ValueError("adjacency must be symmetric")
+        # Hashed once: every lru_cache lookup on a graph reads it.
+        object.__setattr__(self, "_hash", hash((self.n, self.rows)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
@@ -88,12 +93,19 @@ class Graph:
         return Graph.from_edges(10, edges)
 
     def adjacency(self) -> np.ndarray:
-        """The n x n adjacency matrix as 0/1 ``uint8``, for any n: each
-        row's bitmask unpacked from its little-endian bytes."""
+        """The n x n adjacency matrix as read-only 0/1 ``uint8``, for any
+        n: each row's bitmask unpacked from its little-endian bytes, once
+        per graph."""
+        return self._adjacency
+
+    @functools.cached_property
+    def _adjacency(self) -> np.ndarray:
         width = (self.n + 7) // 8
         buf = b"".join([row.to_bytes(width, "little") for row in self.rows])
         bits = np.unpackbits(np.frombuffer(buf, np.uint8), bitorder="little")
-        return bits.reshape(self.n, -1)[:, : self.n]
+        matrix = bits.reshape(self.n, -1)[:, : self.n]
+        matrix.flags.writeable = False
+        return matrix
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] & (1 << v))
@@ -166,9 +178,16 @@ class MultipartiteSignature:
 GRAPH6_MAX_N = 258047
 
 
+# graph6 packs six bits a byte, the first bit highest; _REVERSED6[v] is v
+# with its six bits in reverse order, so the first bit comes lowest.
+_REVERSED6 = tuple(int(f"{v:06b}"[::-1], 2) for v in range(64))
+
+
 def parse_graph6(text: str) -> Graph:
     """Decode a graph6 word: one size byte for n <= 62, or ``~`` and three
-    bytes (18 bits, big-endian) for n <= 258047."""
+    bytes (18 bits, big-endian) for n <= 258047.  The body is read into one
+    integer whose bit p is the word's p-th edge bit; the bits of column j
+    (the pairs ij, i < j) are then j adjacent bits of it."""
     s = text.strip()
     if not s:
         raise GraphFormatError("empty graph6 word")
@@ -176,9 +195,9 @@ def parse_graph6(text: str) -> Graph:
         data = s.encode("ascii")
     except UnicodeEncodeError as exc:
         raise GraphFormatError("graph6 word must be ASCII") from exc
-    for b in data:
-        if not 63 <= b <= 126:
-            raise GraphFormatError(f"byte {b} outside graph6 range 63..126")
+    if min(data) < 63 or max(data) > 126:
+        b = next(b for b in data if not 63 <= b <= 126)
+        raise GraphFormatError(f"byte {b} outside graph6 range 63..126")
     if data[0] != 126:
         n, body = data[0] - 63, data[1:]
     elif data[1:2] == b"~":
@@ -198,40 +217,35 @@ def parse_graph6(text: str) -> Graph:
         raise GraphFormatError(
             f"expected {nbytes} edge bytes for n={n}, got {len(body)}"
         )
-    bits = []
-    for b in body:
-        v = b - 63
-        bits.extend((v >> k) & 1 for k in range(5, -1, -1))
-    if any(bits[nbits:]):
+    bits = 0
+    for b in reversed(body):
+        bits = bits << 6 | _REVERSED6[b - 63]
+    if bits >> nbits:
         raise GraphFormatError("nonzero padding bits")
     rows = [0] * n
-    pos = 0
     for j in range(1, n):
-        for i in range(j):
-            if bits[pos]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            pos += 1
+        column = bits >> (j * (j - 1) // 2) & ((1 << j) - 1)
+        rows[j] = column
+        while column:
+            i = (column & -column).bit_length() - 1
+            column &= column - 1
+            rows[i] |= 1 << j
     return Graph(n, tuple(rows))
 
 
 def to_graph6(g: Graph) -> str:
-    """Encode as a graph6 word, with the four-byte size form for n > 62."""
+    """Encode as a graph6 word, with the four-byte size form for n > 62:
+    the columns' bits gathered into one integer as ``parse_graph6`` reads
+    them, then cut into six-bit bytes."""
     if g.n > GRAPH6_MAX_N:
         raise ValueError(f"graph6 encodes n <= {GRAPH6_MAX_N}")
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
+    bits = 0
+    for j in range(g.n - 1, 0, -1):
+        bits = bits << j | g.rows[j] & ((1 << j) - 1)
     size = [g.n] if g.n <= 62 else [63, g.n >> 12, g.n >> 6 & 63, g.n & 63]
     out = [chr(v + 63) for v in size]
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k : k + 6]:
-            val = (val << 1) | b
-        out.append(chr(val + 63))
+    for k in range(0, g.n * (g.n - 1) // 2, 6):
+        out.append(chr(_REVERSED6[bits >> k & 63] + 63))
     return "".join(out)
 
 

@@ -18,9 +18,10 @@ A join's C and M come from its factors' by the paper's join formula
 the traces tr A^k and the walk sums 1^T A^k 1, k <= n, as exact integers.
 ``_walk_data`` computes them with one float64 matrix product per power
 whose entries stay exact integers: directly when n D^n <= 2^53 (D the
-largest degree), else modulo word-size primes, all in the same product,
-lifted by the Chinese remainder theorem.  A graph too large for any such
-set of primes raises ``SizeLimitError``.
+largest degree) or when the computed counts prove themselves below 2^53,
+else modulo word-size primes, all in the same product, lifted by the
+Chinese remainder theorem.  A graph too large for any such set of primes
+raises ``SizeLimitError``.
 
 tau1 (C's least root above 1, with its multiplicity mu), tau0, ``t_star``
 and the root walk ``_roots_up_to`` take one route, ``_least_root_above``;
@@ -196,36 +197,13 @@ def _lift(values: np.ndarray, moduli: tuple[int, ...], m: int, basis: tuple[int,
     return [sum(map(operator.mul, row, basis)) % m for row in values.astype(np.int64).tolist()]
 
 
-@functools.lru_cache(maxsize=None)
-def _walk_data(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(c, w) for the adjacency matrix A of g: the coefficients c of
-    det(xI - A) (``_newton`` on the traces of A^k, k <= n) and the walk
-    sums w_j = 1^T A^j 1, j < n, from one float64 ``np.matmul`` per power.
-
-    Exactness.  Every entry of A^k counts walks, so it is at most D^k (D
-    the largest degree), and tr A^k and 1^T A^k 1 are at most n D^k.  When
-    n D^n <= 2^53 (every graph with n <= 13) floats hold all of these
-    exactly, and the pass yields the integers themselves.  Else
-    P_1 holds one copy of A per modulus p, side by side (A^0 = I needs no
-    product), and P_k = A P_(k-1) is one matmul for all of them.  Let E
-    bound the magnitude of P's entries, 1 at first.  Since A is 0/1, each
-    entry of A P is a sum of at most D entries of P, so its magnitude and
-    its partial sums' are at most D E, and the product is exact while
-    D E <= L = 2^53 / n^2.  When the next product could pass L, each entry
-    x is reduced modulo its block's p to x - p rint(x fl(1/p)): the float
-    quotient is within 3 |x| 2^-53 / p <= 3 / (p n^2) of x/p, so the result
-    is congruent to x with magnitude at most p/2 + 3/n^2, hence at most
-    (p + 1)/2, and every step is exact.  (``np.fmod`` is exact too, but
-    costs ~65 ns an entry against ~2 ns for this on a 2-core x86-64 host.)
-    The primes satisfy n^2 D p <= 2^53, so D (p + 1)/2 <= L and E <= L
-    always: the traces and the walk sums of a block, sums of at most n^2
-    entries, stay within 2^53.  The moduli's product m exceeds n D^n, so
-    ``_lift`` recovers each nonnegative count exactly.  The powers are
-    read in chunks of ``_CHUNK`` floats, so at most max(2, _CHUNK / (n^2 r))
-    powers of n^2 r floats are held at once, r the number of moduli."""
-    n, d = g.n, max(g.degrees())
-    moduli, m, basis = _moduli(n, d)  # before any n x n array
-    a = g.adjacency().astype(np.float64)
+def _powers(a: np.ndarray, d: int, moduli: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Floats of tr A^k and 1^T A^k 1, k <= n, one column per modulus (one
+    column without moduli), from one float64 ``np.matmul`` per power of the
+    0/1 matrix ``a`` of largest degree d; the entries of a power are
+    reduced modulo their block's prime before the next product could pass
+    2^53 / n^2 (see ``_walk_data``)."""
+    n = len(a)
     r = max(len(moduli), 1)
     if moduli:
         p = np.repeat(np.array(moduli, dtype=np.float64), n)
@@ -253,8 +231,66 @@ def _walk_data(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
         blocks.sum(axis=(1, 3), out=walks[k : k + j + 1])
         k += j
         if k == n:
-            break
+            return traces, walks
         stack[0] = stack[j]
+
+
+@functools.lru_cache(maxsize=None)
+def _walk_data(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(c, w) for the adjacency matrix A of g: the coefficients c of
+    det(xI - A) (``_newton`` on the traces of A^k, k <= n) and the walk
+    sums w_j = 1^T A^j 1, j < n, from one float64 ``np.matmul`` per power
+    (``_powers``).
+
+    Exactness.  Every entry of A^k counts walks, so it is at most D^k (D
+    the largest degree), and tr A^k and 1^T A^k 1 are at most n D^k.  When
+    n D^n <= 2^53 (every graph with n <= 13) floats hold all of these
+    exactly, and the pass yields the integers themselves.
+
+    Else the same pass is tried first, and accepted when the computed walk
+    sums 1^T A^k 1 (k < n) and tr A^n all lie below 2^53.  Every sum in it
+    adds nonnegative integers (A is 0/1), in whatever order the library
+    takes: each is exact while its partial sums stay below 2^53, and
+    rounding is monotone, so once a true partial sum reaches 2^53 the
+    computed one stays at or above 2^53 from there on.  By induction over
+    k, an entry or sum whose true value lies below 2^53 is computed
+    exactly, and one whose computed value lies below 2^53 has a true value
+    below 2^53.  Each entry and the trace of A^k (k < n) is at most A^k's
+    walk sum, and each diagonal entry of A^n at most its trace, so the
+    test proves every count the pass returns exact.  The attempt is
+    skipped when the Blakley-Roy bound n (2e/n)^(n-1) <= 1^T A^(n-1) 1
+    (e edges; Proc. AMS 16, 1965) already reaches 2^53: it would fail.
+
+    Otherwise, and whenever that test fails, the pass runs modulo primes:
+    P_1 holds one copy of A per modulus p, side by side (A^0 = I needs no
+    product), and P_k = A P_(k-1) is one matmul for all of them.  Let E
+    bound the magnitude of P's entries, 1 at first.  Since A is 0/1, each
+    entry of A P is a sum of at most D entries of P, so its magnitude and
+    its partial sums' are at most D E, and the product is exact while
+    D E <= L = 2^53 / n^2.  When the next product could pass L, each entry
+    x is reduced modulo its block's p to x - p rint(x fl(1/p)): the float
+    quotient is within 3 |x| 2^-53 / p <= 3 / (p n^2) of x/p, so the result
+    is congruent to x with magnitude at most p/2 + 3/n^2, hence at most
+    (p + 1)/2, and every step is exact.  (``np.fmod`` is exact too, but
+    costs ~65 ns an entry against ~2 ns for this on a 2-core x86-64 host.)
+    The primes satisfy n^2 D p <= 2^53, so D (p + 1)/2 <= L and E <= L
+    always: the traces and the walk sums of a block, sums of at most n^2
+    entries, stay within 2^53.  The moduli's product m exceeds n D^n, so
+    ``_lift`` recovers each nonnegative count exactly.  The powers are
+    read in chunks of ``_CHUNK`` floats, so at most max(2, _CHUNK / (n^2 r))
+    powers of n^2 r floats are held at once, r the number of moduli."""
+    n, d = g.n, max(g.degrees())
+    moduli, m, basis = _moduli(n, d)  # before any n x n array
+    a = g.adjacency().astype(np.float64)
+    traces = None
+    if not moduli or n * (2 * g.edge_count) ** (n - 1) < _EXACT * n ** (n - 1):
+        traces, walks = _powers(a, d, ())
+        if moduli and not (walks[:n].max() < _EXACT and traces[n, 0] < _EXACT):
+            traces = None  # a count may be inexact (or nan, past the float range)
+    if traces is None:
+        traces, walks = _powers(a, d, moduli)
+    else:
+        moduli = ()
     c = _newton(_lift(traces, moduli, m, basis))
     return tuple(c), tuple(_lift(walks[:n], moduli, m, basis))
 

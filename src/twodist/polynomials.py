@@ -537,7 +537,9 @@ class AlgebraicReal:
         d**deg f(n/d) and d**(deg - 1) f'(n/d) d.  x is the nearest float
         when f changes sign strictly between the half-ulp boundaries around
         x, clamped to the enclosure; a zero there (a tie), an overflow or a
-        zero slope gives None."""
+        zero slope gives None.  x and its neighbours are integers over
+        powers of two, so the boundaries are numerators over the one
+        denominator 2**(k + 1), 2**k the largest of theirs."""
         f = self.defining
         slope = f.derivative()
         try:
@@ -545,14 +547,22 @@ class AlgebraicReal:
             for _ in range(2):
                 n, d = x.as_integer_ratio()
                 x -= f.homogeneous(n, d) / (slope.homogeneous(n, d) * d)
-            lo = max(self.lo, (Fraction(x) + Fraction(math.nextafter(x, -math.inf))) / 2)
-            hi = min(self.hi, (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2)
+            ratios = [
+                y.as_integer_ratio()
+                for y in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
+            ]
         except (OverflowError, ZeroDivisionError):
             return None
-        if lo >= hi:
+        den = max(d for _, d in ratios)
+        below, at, above = (num * (den // d) for num, d in ratios)
+        lo, hi = (below + at, 2 * den), (at + above, 2 * den)
+        if lo[0] * self.lo.denominator <= self.lo.numerator * lo[1]:
+            lo = self.lo.numerator, self.lo.denominator
+        if hi[0] * self.hi.denominator >= self.hi.numerator * hi[1]:
+            hi = self.hi.numerator, self.hi.denominator
+        if lo[0] * hi[1] >= hi[0] * lo[1]:
             return None
-        at_lo = f.homogeneous(lo.numerator, lo.denominator)
-        at_hi = f.homogeneous(hi.numerator, hi.denominator)
+        at_lo, at_hi = f.homogeneous(*lo), f.homogeneous(*hi)
         return x if (at_lo < 0 < at_hi) or (at_hi < 0 < at_lo) else None
 
     @functools.cached_property

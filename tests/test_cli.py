@@ -11,7 +11,7 @@ import pytest
 from conftest import embed16_pool, joins12_corpus
 from reference import cmp_rational, reference_min_enclosing_ball
 from twodist import invariants
-from twodist.cli import _dec, _dec_text, _enclosure, analysis_record, main
+from twodist.cli import _dec, _dec_text, _enclosure, _points_text, analysis_record, main
 from twodist.config import Config, override, set_config
 from twodist.graphs import (
     Graph,
@@ -357,6 +357,46 @@ class TestDecimalText:
         edges += [2.2250738585072e-308, huge, -huge, math.nan, math.inf, -math.inf]
         self.assert_same_text(edges)
         self.assert_same_text([math.ldexp(m, -1074) for m in range(1, 1 << 53, (1 << 53) // 9973)])
+
+
+class TestPointsText:
+    """``_points_text``, one ``%.15g`` format of the whole array, against
+    ``_dec_text`` value by value."""
+
+    @staticmethod
+    def assert_same_text(points):
+        points = np.asarray(points, dtype=float)
+        expect = ", ".join(f"[{', '.join(map(_dec_text, row))}]" for row in points.tolist())
+        assert _points_text(points) == expect, points
+
+    def test_layout_boundaries(self):
+        tiny = sys.float_info.min
+        values = [0.0, -0.0, 1.0, -3.0, 100.0, 2.0**52, 123456789012345.0, 1e-5, -1e-5, 1e-4]
+        values += [99999999999999.99, 99999999999999.0, 1e14, 1e15, -1e15, 999999999999999.94]
+        values += [math.nextafter(x, y) for x in (1e14, 1e15) for y in (0.0, math.inf)]
+        values += [5e-324, -5e-324, math.nextafter(tiny, 0.0), tiny, -tiny, math.nan, math.inf, -math.inf]
+        for x in values:  # each alone, and next to ordinary values
+            self.assert_same_text([[x]])
+            self.assert_same_text([[0.25, x, -7.0], [x, 1.5, 2.0]])
+        self.assert_same_text([[x for x in values if abs(x) < 1e14 and (x == 0 or abs(x) >= tiny)]])
+        self.assert_same_text(np.zeros((3, 0)))  # rank 0
+
+    def test_integral_rows(self):
+        # every value integral, or 15 digits that round to an integer
+        rows = np.arange(-12.0, 12.0).reshape(4, 6)
+        self.assert_same_text(rows)
+        self.assert_same_text(rows + 1e-15)
+        self.assert_same_text(rows * 1e12 + 0.001)
+
+    def test_seeded_coordinates(self):
+        rng = np.random.default_rng(40)
+        for scale in (1e-6, 1e-3, 1.0, 1e6, 1e13):
+            self.assert_same_text(rng.normal(size=(16, 15)) * scale)
+        values = rng.integers(0, 1 << 64, 8192, dtype=np.uint64).view(np.float64)
+        self.assert_same_text(values.reshape(128, 64))  # nan, inf, subnormals: value by value
+        fast = values[(np.abs(values) < 1e14) & (np.abs(values) >= sys.float_info.min)]
+        assert len(fast) > 500
+        self.assert_same_text(fast[:500].reshape(20, 25))  # every binade from 2^-1022 to 1e14
 
 
 class TestDecompose:

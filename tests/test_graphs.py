@@ -80,6 +80,17 @@ class TestGraphType:
             MultipartiteSignature((0, 2))
 
 
+def bit_list_graph6(g):
+    """graph6 by its definition: the pairs ij, i < j, column by column,
+    as a list of bits padded to a multiple of six, six bits a byte."""
+    bits = [int(g.has_edge(i, j)) for j in range(1, g.n) for i in range(j)]
+    bits += [0] * (-len(bits) % 6)
+    n = g.n
+    size = [n] if n <= 62 else [63, n >> 12, n >> 6 & 63, n & 63]
+    body = [int("".join(map(str, bits[k : k + 6])), 2) for k in range(0, len(bits), 6)]
+    return "".join(chr(v + 63) for v in size + body)
+
+
 class TestAdjacency:
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 63, 64, 65, 100])
     def test_matches_edges(self, n):
@@ -89,6 +100,23 @@ class TestAdjacency:
         assert a.shape == (n, n) and a.dtype == np.uint8
         expect = [[int(g.has_edge(i, j)) for j in range(n)] for i in range(n)]
         assert a.tolist() == expect
+
+    def test_read_only_and_built_once(self):
+        g = random_graph(random.Random(5), 9)
+        a = g.adjacency()
+        assert g.adjacency() is a
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 1] = 1 - a[0, 1]
+        assert a.tolist() == Graph(g.n, g.rows).adjacency().tolist()
+
+    def test_equal_graphs_hash_equal(self):
+        rng = random.Random(6)
+        for n in (1, 5, 16, 70):
+            g = random_graph(rng, n)
+            twin = Graph(n, tuple(list(g.rows)))
+            assert twin == g and twin is not g and hash(twin) == hash(g)
+            assert {g: n}[twin] == n
+        assert hash(Graph.cycle(5)) != hash(Graph.path(5))
 
     def test_cycle_64(self):
         a = Graph.cycle(64).adjacency()
@@ -171,6 +199,21 @@ class TestGraph6:
             assert parse_graph6(word) == g
         back = nx.from_graph6_bytes(to_graph6(g).encode())
         assert sorted(tuple(sorted(e)) for e in back.edges()) == g.edges()
+
+    def test_seeded_round_trip_against_bit_list_encoder(self):
+        # one word per n up to 70, the four-byte size form from 63 on, at
+        # densities from empty to complete
+        rng = random.Random(39)
+        with override(max_n=70):
+            for n in range(1, 71):
+                p = rng.choice((0.0, 0.1, 0.5, 0.9, 1.0))
+                g = Graph.from_edges(
+                    n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p]
+                )
+                word = bit_list_graph6(g)
+                assert (word[0] == "~") == (n > 62)
+                assert to_graph6(g) == word, n
+                assert parse_graph6(word) == g, n
 
     def test_long_size_form_limits(self):
         with override(max_n=70):

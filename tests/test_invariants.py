@@ -221,10 +221,24 @@ class TestWalkKernel:
     """``_walk_data``'s float64 kernel against the packed-integer oracle
     (``reference.packed_walk_data``), and closed forms of C and M on graphs
     that reach each of its paths: no moduli (n d^n <= 2^53: every graph
-    with n <= 13, and the empty graphs), moduli with a reduction every few
-    powers (K_n from n = 14 on, the pool, G(n, 1/2) past 16 vertices), and
-    powers read in several chunks (K_n from n = 26 on, G(n, 1/2) from
-    n = 32 on)."""
+    with n <= 13, and the empty graphs); past that range, the float pass
+    accepted because its counts stay below 2^53 (498 of the 500 pool
+    graphs), tried and then redone with moduli (some dense G(n, p) with
+    14 <= n <= 16), or skipped by the Blakley-Roy bound (the other two
+    pool graphs, K_n from n = 14 on, the complement of C_16, G(n, 1/2)
+    past 16 vertices); moduli with a reduction every few powers (those
+    last two kinds), and powers read in several chunks (K_n from n = 26
+    on, G(n, 1/2) from n = 32 on)."""
+
+    @staticmethod
+    def passes(monkeypatch):
+        """The moduli of each ``_powers`` call, recorded in a list."""
+        calls = []
+        powers = invariants._powers
+        monkeypatch.setattr(
+            invariants, "_powers", lambda a, d, moduli: calls.append(moduli) or powers(a, d, moduli)
+        )
+        return calls
 
     @staticmethod
     def assert_matches_oracle(g):
@@ -249,6 +263,45 @@ class TestWalkKernel:
                     g = random_graph(rng, n)
                     assert invariants._moduli(n, max(g.degrees()))[0], g
                     self.assert_matches_oracle(g)
+        invariants.clear_caches()
+
+    def test_float_pass_past_the_float_range(self, monkeypatch):
+        # seeded G(n, p), 14 <= n <= 16, 0.3 <= p <= 0.9, those past
+        # n d^n <= 2^53, each kernel run on its own cold cache
+        rng = random.Random(39)
+        calls = self.passes(monkeypatch)
+        route = {(False,): "float", (False, True): "fallback", (True,): "skip"}
+        routes = dict.fromkeys(route.values(), 0)
+        for n in (14, 15, 16):
+            for p in (0.3, 0.4, 0.5, 0.6, 0.65, 0.7, 0.8, 0.9):
+                for _ in range(3):
+                    g = Graph.from_edges(
+                        n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p]
+                    )
+                    if not invariants._moduli(n, max(g.degrees()))[0]:
+                        continue
+                    calls.clear()
+                    invariants.clear_caches()
+                    self.assert_matches_oracle(g)
+                    routes[route[tuple(map(bool, calls))]] += 1
+        invariants.clear_caches()
+        assert min(routes.values()) > 0, routes
+
+    def test_float_pass_on_the_pool(self, monkeypatch):
+        # the pool: two dense graphs (77 and 80 edges) and the complement
+        # of C_16 (13-regular) are skipped by Blakley-Roy
+        calls = self.passes(monkeypatch)
+        routes = []
+        for g in embed16_pool():
+            calls.clear()
+            invariants.clear_caches()
+            invariants._walk_data(g)
+            routes.append(tuple(map(bool, calls)))
+        assert routes.count((False,)) == 498 and routes.count((True,)) == 2
+        calls.clear()
+        invariants.clear_caches()
+        self.assert_matches_oracle(complement(Graph.cycle(16)))
+        assert len(calls) == 1 and calls[0]
         invariants.clear_caches()
 
     def test_moduli_only_past_the_float_range(self):
